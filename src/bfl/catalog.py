@@ -278,19 +278,23 @@ def _normalized_vectors(F, n):
     yield from rec([], False)
 
 
-def _grow_to_order(pool, target, name, seeds=None):
-    """Add generators from the pool until the chain order hits target."""
+def _grow_to_order(pool, target, name):
+    """Add the pool generators not yet in the group until its order hits target.
+
+    Membership sifts through the chain already built, so a redundant
+    candidate costs one permutation image, not a chain; the image is
+    faithful, so the accepted generators are exactly the order-raising ones.
+    """
     gens = []
-    last = 0
+    G = None
     for cand in pool:
+        if G is not None and G.contains(cand):
+            continue  # redundant generator; keep the set small
         gens.append(cand)
-        got = Group(gens, seeds=seeds).order()
-        if got == last:
-            gens.pop()  # redundant generator; keep the set small
-            continue
-        last = got
+        G = Group(gens, name=name)
+        got = G.order()
         if got == target:
-            return Group(gens, name=name, seeds=seeds)
+            return G
         if got > target:
             raise RuntimeError("%s overshot order %d > %d" % (name, got, target))
     raise RuntimeError("%s generator pool exhausted below order %d" % (name, target))

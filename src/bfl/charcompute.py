@@ -12,6 +12,7 @@ import math
 from .classes import enumerate_classes, serial_key
 from .chartab import CharacterTable
 from .cyclotomic import Cyclotomic
+from .fields import _is_prime
 
 # shipped table name -> catalog blueprint
 SHIPPED_TABLES = (
@@ -56,17 +57,6 @@ def structure_constants(G):
 
 
 # -- modular linear algebra -------------------------------------------------
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
 
 def _working_prime(order, exponent):
     """Smallest prime ell = 1 (mod exponent) with ell > 2*order."""

@@ -4,6 +4,7 @@ import json
 import os
 
 from .cyclotomic import Cyclotomic
+from .fields import is_p_power
 from .report import Verdict, HOLDS, FAILS
 
 TOL = 1e-6
@@ -207,12 +208,6 @@ def inverse_class(T, i):
     return hits[0]
 
 
-def _is_p_power(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def bf_pair_table(T, i, j, p):
     """Class-level test: everything in the support of C_i*C_j is a p-element.
 
@@ -225,7 +220,7 @@ def bf_pair_table(T, i, j, p):
     offenders = []
     for k in sorted(support):
         o = T.element_order(k)
-        if not _is_p_power(o, p):
+        if not is_p_power(o, p):
             offenders.append({"class": k, "element_order": o,
                               "count": support[k]})
     notes = ["necessary-only class-level test"]

@@ -9,6 +9,7 @@ from collections import Counter
 from math import factorial
 
 from .elements import Permutation, element_order, inverse, commutator, compose
+from .fields import is_p_power
 from .groups import CLOSURE_CAP, Overflow
 
 PAIR_CAP = 2_000_000
@@ -175,10 +176,7 @@ def involution_classes_sym(G, n):
 
 def is_p_element(x, p):
     """True iff the order of x is a power of p (1 counts)."""
-    o = element_order(x)
-    while o % p == 0:
-        o //= p
-    return o == 1
+    return is_p_power(element_order(x), p)
 
 
 def _classes_of_arg(S):

@@ -43,9 +43,6 @@ def _add_common(sp):
     sp.add_argument("--out", help="write the report to this path")
     sp.add_argument("--dry-run", action="store_true",
                     help="resolve inputs and print the plan without computing")
-    sp.add_argument("--threads", type=int, default=0,
-                    help="worker bound; scans run serially and give "
-                         "identical results for any value")
 
 
 def _add_sampling(sp, samples=1000):

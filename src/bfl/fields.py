@@ -37,6 +37,16 @@ def _is_prime(n):
     return True
 
 
+def is_p_power(n, p):
+    """True iff n = p^a for some a >= 0; ValueError for n < 1 or p < 2."""
+    if n < 1 or p < 2:
+        raise ValueError("is_p_power needs n >= 1 and p >= 2, got n=%r, p=%r"
+                         % (n, p))
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def factorize(n):
     """Prime factorization as a dict prime -> exponent (trial division)."""
     out = {}

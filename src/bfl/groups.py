@@ -3,10 +3,16 @@
 The stabilizer chain is a deterministic incremental Schreier-Sims: generators
 are sifted in one at a time, every Schreier generator of an extended orbit is
 processed exactly once, and at completion the order is the product of the
-transversal sizes.  Chains are built over a permutation image; matrix and
-semilinear groups get one through `matrix_action` (orbit of spanning seed
-vectors), with the original elements carried along as shadows so membership
-tests and random elements come back in the caller's own representation.
+transversal sizes.  Chains are built, sifted and sampled on plain
+permutations only.  Matrix and semilinear groups get a permutation image
+from `matrix_action` (the orbit of the standard basis vectors), and their
+elements cross between the two representations only at the edges:
+`Group.to_perm` on the way in (membership), `Group.from_perm` on the way out
+(random elements).  A matrix is recovered from the images of the basis
+vectors, which are its columns.  A semilinear map A frob^e also sends w*e1,
+for w primitive, to w^(r^e) * A e1, so the action orbits w*e1 too; that
+point pins down e, and it makes the image faithful, since on the basis alone
+the field automorphism acts trivially.
 """
 
 from collections import deque
@@ -19,28 +25,6 @@ CLOSURE_CAP = 2_000_000
 ORBIT_CAP = 200_000
 
 
-class _Shadow:
-    """A permutation plus the underlying element it came from."""
-
-    __slots__ = ("perm", "elem")
-
-    def __init__(self, perm, elem):
-        self.perm = perm
-        self.elem = elem
-
-    def __mul__(self, other):
-        if self.elem is self.perm and other.elem is other.perm:
-            p = self.perm * other.perm
-            return _Shadow(p, p)
-        return _Shadow(self.perm * other.perm, self.elem * other.elem)
-
-    def __invert__(self):
-        if self.elem is self.perm:
-            p = ~self.perm
-            return _Shadow(p, p)
-        return _Shadow(~self.perm, ~self.elem)
-
-
 class _Level:
     __slots__ = ("point", "gens", "transversal")
 
@@ -51,7 +35,7 @@ class _Level:
 
 
 class Chain:
-    """Stabilizer chain over shadowed permutations.
+    """Stabilizer chain over plain permutations of {0..degree-1}.
 
     Strong generators are stored nested: a generator that fixes the first d
     base points sits in the generating list of every level <= d.  Building is
@@ -62,17 +46,16 @@ class Chain:
     it, so the sweep terminates with every level clean.
     """
 
-    def __init__(self, degree, identity_shadow):
+    def __init__(self, degree):
         self.degree = degree
-        self.identity = identity_shadow
+        self.identity = Permutation.identity(degree)
         self.levels = []
-        self.kernel_witness = None  # non-identity element acting trivially
 
     def order(self):
         return prod(len(L.transversal) for L in self.levels) if self.levels else 1
 
-    def build(self, shadows):
-        for w in shadows:
+    def build(self, perms):
+        for w in perms:
             self._register(w)
         i = len(self.levels) - 1
         while i >= 0:
@@ -83,7 +66,7 @@ class Chain:
         """Strip w through the chain; return (residue, level it got stuck at)."""
         for lev in range(start, len(self.levels)):
             L = self.levels[lev]
-            pt = w.perm(L.point)
+            pt = w(L.point)
             if pt == L.point:
                 continue
             if pt not in L.transversal:
@@ -91,22 +74,17 @@ class Chain:
             w = ~L.transversal[pt] * w
         return w, len(self.levels)
 
-    def _note_kernel(self, w):
-        if w.elem is not w.perm and not w.elem.is_identity():
-            self.kernel_witness = w.elem
-
     def _register(self, w):
         """Install w as a strong generator at its depth; return that depth."""
-        if w.perm.is_identity():
-            self._note_kernel(w)
+        if w.is_identity():
             return None
         depth = None
         for idx, L in enumerate(self.levels):
-            if w.perm(L.point) != L.point:
+            if w(L.point) != L.point:
                 depth = idx
                 break
         if depth is None:
-            moved = min(i for i, j in enumerate(w.perm.images) if i != j)
+            moved = min(i for i, j in enumerate(w.images) if i != j)
             self.levels.append(_Level(moved, self.identity))
             depth = len(self.levels) - 1
         for k in range(depth + 1):
@@ -122,7 +100,7 @@ class Chain:
             pt = queue.popleft()
             u = t[pt]
             for g in L.gens:
-                img = g.perm(pt)
+                img = g(pt)
                 if img not in t:
                     t[img] = g * u
                     queue.append(img)
@@ -135,28 +113,20 @@ class Chain:
         for pt in list(L.transversal):
             u = L.transversal[pt]
             for g in L.gens:
-                img = g.perm(pt)
-                s = ~L.transversal[img] * (g * u)  # fixes base[:i+1]
-                if s.perm.is_identity():
-                    self._note_kernel(s)
+                s = ~L.transversal[g(pt)] * (g * u)  # fixes base[:i+1]
+                if s.is_identity():
                     continue
                 r, _ = self.sift(s, i + 1)
-                if r.perm.is_identity():
-                    self._note_kernel(r)
+                if r.is_identity():
                     continue
                 return self._register(r)
         return None
 
-    def contains_perm_shadow(self, w):
-        res, _ = self.sift(w)
-        return res.perm.is_identity()
-
-    def random_shadow(self, rng):
-        """Uniformly random element as a shadow (product of transversal reps)."""
+    def random(self, rng):
+        """Uniformly random element (product of transversal reps)."""
         w = self.identity
         for L in self.levels:
-            pts = sorted(L.transversal)
-            w = w * L.transversal[rng.choice(pts)]
+            w = w * L.transversal[rng.choice(sorted(L.transversal))]
         return w
 
 
@@ -180,36 +150,50 @@ def matrix_action(gens, seeds=None, cap=ORBIT_CAP):
     """Orbit the seed vectors under the generators; return the permutation image.
 
     Faithful whenever the orbit spans (linear case); non-spanning seeds are
-    flagged via .spanning = False rather than rejected.  Overflow past cap.
+    flagged via .spanning = False rather than rejected.  Semilinear
+    generators also orbit w*e1 (w primitive) when it is not already a point,
+    after the seeds' orbit, so the seeds' points keep their numbers; its
+    image is what tells the field automorphism apart.  Overflow past cap.
     """
     if not gens:
         raise ValueError("matrix_action needs at least one generator")
     F = gens[0].field
     n = gens[0].n
     if seeds is None:
-        seeds = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    seeds = [tuple(v) for v in seeds]
+        seeds = _basis(n)
+    batches = [seeds]
+    if isinstance(gens[0], SemilinearElement):
+        batches.append([_scaled_e1(F, n)])
     index = {}
     points = []
-    queue = deque()
-    for v in seeds:
-        if v not in index:
-            index[v] = len(points)
-            points.append(v)
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for g in gens:
-            w = g.apply(v)
-            if w not in index:
-                if len(points) >= cap:
-                    raise Overflow("orbit exceeds cap %d" % cap)
-                index[w] = len(points)
-                points.append(w)
-                queue.append(w)
+    for batch in batches:
+        queue = deque()
+        for v in map(tuple, batch):
+            if v not in index:
+                index[v] = len(points)
+                points.append(v)
+                queue.append(v)
+        while queue:
+            v = queue.popleft()
+            for g in gens:
+                w = g.apply(v)
+                if w not in index:
+                    if len(points) >= cap:
+                        raise Overflow("orbit exceeds cap %d" % cap)
+                    index[w] = len(points)
+                    points.append(w)
+                    queue.append(w)
     perms = [Permutation([index[g.apply(v)] for v in points]) for g in gens]
     spanning = _rank_of(F, points) == n
     return ActionRecord(tuple(points), index, perms, spanning)
+
+
+def _basis(n):
+    return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+
+
+def _scaled_e1(F, n):
+    return (F.primitive(),) + (0,) * (n - 1)
 
 
 def _rank_of(F, vectors):
@@ -289,25 +273,17 @@ class Group:
     def chain(self):
         if self._chain is None:
             if isinstance(self._identity, Permutation):
-                degree = self._identity.degree
-                ident = _Shadow(self._identity, self._identity)
-                chain = Chain(degree, ident)
-                chain.build([_Shadow(g, g) for g in self.gens])
+                degree, perms = self._identity.degree, self.gens
             else:
-                act = self.action
-                pid = Permutation.identity(act.degree)
-                ident = _Shadow(pid, self._identity)
-                chain = Chain(act.degree, ident)
-                chain.build([_Shadow(p, g) for p, g in zip(act.perms, self.gens)])
-            self._chain = chain
+                degree, perms = self.action.degree, self.action.perms
+            self._chain = Chain(degree)
+            self._chain.build(perms)
         return self._chain
 
     @property
     def faithful(self):
-        """False when the permutation image provably collapses something."""
-        if isinstance(self._identity, Permutation):
-            return True
-        return self.action.spanning and self.chain.kernel_witness is None
+        """False when the seeds do not span, so the image may collapse something."""
+        return isinstance(self._identity, Permutation) or self.action.spanning
 
     def order(self):
         if self._elements is not None:
@@ -328,14 +304,38 @@ class Group:
             images.append(idx)
         return Permutation(images)
 
+    def from_perm(self, p):
+        """The element whose image is p, read off the images of the basis
+        vectors (its columns) and, for a semilinear map, of w*e1."""
+        ident = self._identity
+        if isinstance(ident, Permutation):
+            return p
+        act = self.action
+        F, n = ident.field, ident.n
+        try:
+            cols = [act.points[p(act.index[v])] for v in _basis(n)]
+        except KeyError:
+            raise ValueError("the basis vectors are not all action points") from None
+        mat = SquareMatrix(F, list(zip(*cols)))
+        if isinstance(ident, SquareMatrix):
+            return mat
+        # A frob^e sends w*e1 to w^(r^e) * A e1
+        img = act.points[p(act.index[_scaled_e1(F, n)])]
+        r = next(i for i, x in enumerate(cols[0]) if x)
+        t = F.mul(img[r], F.inv(cols[0][r]))
+        w = F.primitive()
+        return SemilinearElement(mat, next(e for e in range(F.k)
+                                           if F.frobenius(w, e) == t))
+
     def contains(self, x):
         p = self.to_perm(x)
         if p is None or p.degree != self.chain.degree:
             return False
-        return self.chain.contains_perm_shadow(_Shadow(p, x))
+        return self.chain.sift(p)[0].is_identity()
 
     def random_element(self, rng):
-        return self.chain.random_shadow(rng).elem
+        """Uniformly random element, in the generators' own representation."""
+        return self.from_perm(self.chain.random(rng))
 
     def elements(self, cap=CLOSURE_CAP):
         """Full element set (cached); Overflow if the order exceeds cap."""

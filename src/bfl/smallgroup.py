@@ -4,6 +4,7 @@ import math
 
 from .classes import serial_key
 from .elements import Overflow
+from .fields import is_p_power
 
 TABLE_LIMIT = 256   # groups up to this order get a full multiplication table
 _MEMO_CAP = 500_000
@@ -259,10 +260,7 @@ def _minimal_gens_for_table(table):
 
 def is_p_group(H, p):
     """Order is a power of p; H may be a Group or a SmallGroup."""
-    n = H.order() if callable(H.order) else H.order
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return is_p_power(H.order() if callable(H.order) else H.order, p)
 
 
 # -- subgroup enumeration ---------------------------------------------------

@@ -17,7 +17,7 @@ from .classes import (PAIR_CAP, ConjClass, NormalSet, enumerate_classes,
 from .elements import (Overflow, SquareMatrix, commutator, conjugate,
                        deserialize_element, element_order, identity_like,
                        inverse, serialize_element)
-from .fields import GF
+from .fields import GF, is_p_power
 from .groups import Group
 from .modrep import commutator_dim
 from .report import (FAILS, HOLDS, INDETERMINATE, SKIPPED, ScanPlan, Verdict)
@@ -26,12 +26,6 @@ from .wreath import wreath_section_detect
 
 MAX_WITNESSES = 3
 SAMPLE_PAIRS = 100_000  # pair budget when a full C x C scan would overflow
-
-
-def _is_p_power(m, p):
-    while m % p == 0:
-        m //= p
-    return m == 1
 
 
 def _rep(x):
@@ -58,7 +52,7 @@ def replay_pair_witness(witness, p):
     c = deserialize_element(witness["c"])
     dp = deserialize_element(witness["d_conj"])
     m = Group([c, dp]).order()
-    return m == witness["closure_order"] and not _is_p_power(m, p)
+    return m == witness["closure_order"] and not is_p_power(m, p)
 
 
 def _conjugates(G, d, d_cls, plan):
@@ -88,7 +82,7 @@ def _pair_setup(G, c, d, p):
     if oc == 1:
         return c, d, d_cls, core, "trivial c"
     for name, o in (("c", oc), ("d", od)):
-        if not _is_p_power(o, p):
+        if not is_p_power(o, p):
             raise ValueError("%s is not a %d-element (order %d)" % (name, p, o))
     return c, d, d_cls, core, None
 
@@ -126,7 +120,7 @@ def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
                 notes.append("closure overflow at conjugate %d: %s" % (scanned, e))
             continue
         closures += 1
-        if not _is_p_power(m, p):
+        if not is_p_power(m, p):
             witnesses.append(_pair_witness(c, dp, m))
             if len(witnesses) >= max_witnesses:
                 break
@@ -173,7 +167,7 @@ def wreath_free_pair_check(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
                 notes.append("closure overflow at conjugate %d: %s" % (scanned, e))
             continue
         closures += 1
-        if not _is_p_power(m, p):
+        if not is_p_power(m, p):
             w = _pair_witness(c, dp, m)
             w["hypothesis"] = "p-group"
             witnesses.append(w)
@@ -240,7 +234,7 @@ def commutator_closed_check(G, C, p, max_witnesses=MAX_WITNESSES):
     labels = "+".join(l or "?" for l in C.labels)
     scenario = "comm-closed:%s,C=%s,p=%d" % (_gname(G), labels, p)
     for k in C.classes:
-        if not _is_p_power(k.order, p):
+        if not is_p_power(k.order, p):
             raise ValueError("class %s has element order %d, not a power of %d"
                              % (k.label, k.order, p))
     elist = _enumerated_sorted(C)
@@ -344,7 +338,7 @@ def cc_inverse_check(C, p, max_witnesses=MAX_WITNESSES):
     def check(a, b):
         x = a * inverse(b)
         m = element_order(x)
-        if not _is_p_power(m, p):
+        if not is_p_power(m, p):
             witnesses.append({"c": serialize_element(a),
                               "d": serialize_element(b),
                               "product": serialize_element(x),
@@ -391,7 +385,7 @@ def replay_product_witness(witness, p):
     x = a * inverse(b)
     return (x == deserialize_element(witness["product"])
             and element_order(x) == witness["product_order"]
-            and not _is_p_power(witness["product_order"], p))
+            and not is_p_power(witness["product_order"], p))
 
 
 def l2q_trace_identity(q):
@@ -655,7 +649,7 @@ def _sl2n3_probe(G, c, plan):
             m = Group([c, dp]).order()
         except Overflow:
             continue
-        if not _is_p_power(m, 2):
+        if not is_p_power(m, 2):
             return ("probe: negated-plane involution reached a non-2-group "
                     "closure of order %d at conjugate %d: %s"
                     % (m, k, json.dumps(serialize_element(dp), sort_keys=True)))

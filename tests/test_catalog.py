@@ -191,3 +191,30 @@ def test_blueprint_equality_and_meta():
     G = construct("sym:6")
     assert G.meta["blueprint"] == "sym:6"
     assert G.name == "sym:6"
+
+
+# generator lists chosen by _grow_to_order, pinned when it still rebuilt a
+# chain per candidate; entries row by row
+GROWN_GENERATORS = {
+    "go_odd:3:9": ['100010002', '100111102', '100216602', '111010012',
+                   '872782226'],
+    "sp:6:2": ['100001010000001000000100000010000001',
+               '100000010010001000000100000010000001',
+               '100000010000001100000100000010000001',
+               '100000010000001000001100000010000001',
+               '100000010000001000000100010010000001',
+               '100000010000001000000100000010100001',
+               '100011010011001000000100000010000001',
+               '100101010000001101000100000010000001'],
+    "gu:3:3": ['100010006', '100060001', '100054045', '600010001',
+               '504010405'],
+}
+
+
+@pytest.mark.parametrize("bp", sorted(GROWN_GENERATORS))
+def test_grown_generator_lists_pinned(bp):
+    G = construct(bp)
+    got = ["".join(str(c) for row in g.serialize()["rows"] for c in row)
+           for g in G.gens]
+    assert got == GROWN_GENERATORS[bp]
+    assert G.order() == order_formula(parse_blueprint(bp))

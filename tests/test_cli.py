@@ -103,7 +103,7 @@ def test_data_errors(capsys, tmp_path):
 def test_json_deterministic_modulo_header(capsys):
     argv = ("scan-sl2n3", "--samples", "15", "--seed", "0xBF")
     _, body1 = run_json(capsys, *argv)
-    _, body2 = run_json(capsys, *argv, "--threads", "7")
+    _, body2 = run_json(capsys, *argv)
     h1 = body1.pop("header")
     h2 = body2.pop("header")
     assert body1 == body2

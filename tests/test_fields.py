@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bfl.fields import GF, FIELD_SIZES, FieldSpec, FieldElement, factorize
+from bfl.fields import (GF, FIELD_SIZES, FieldSpec, FieldElement, factorize,
+                        is_p_power)
 
 
 def test_all_shipped_sizes_construct():
@@ -109,3 +110,11 @@ def test_field_identity_map_is_cached():
     assert GF(9) is GF(9)
     assert GF(9) == FieldSpec(3, 2)
     assert GF(4) != GF(8)
+
+
+def test_is_p_power():
+    assert is_p_power(1, 3) and is_p_power(81, 3) and is_p_power(64, 2)
+    assert not is_p_power(12, 2) and not is_p_power(5, 3)
+    for n, p in ((0, 2), (-4, 2), (8, 1)):
+        with pytest.raises(ValueError):
+            is_p_power(n, p)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from bfl.fields import GF
 from bfl.elements import Permutation, SquareMatrix, SemilinearElement, Overflow
 from bfl.groups import Group, build_chain, closure_enumerate, matrix_action
+from bfl.catalog import construct
+from bfl.genfile import parse_generator_text
 
 
 def sym(n):
@@ -100,6 +102,8 @@ def test_matrix_action_non_spanning_seeds():
     assert act.degree == 1
     G = Group([A], seeds=[(1, 0)])
     assert not G.faithful  # kernel witness: A acts trivially on the orbit
+    with pytest.raises(ValueError):  # no basis among the points to read A off
+        G.random_element(random.Random(0))
 
 
 def test_kernel_witness_via_scalars():
@@ -142,3 +146,89 @@ def test_to_perm_roundtrip():
     assert p is not None and p.order() == 2
     # a matrix over the wrong field escapes the action
     assert G.to_perm(SquareMatrix(GF(3), [[1, 2], [1, 1]])) is not None
+
+
+def test_frobenius_alone_is_faithful():
+    # on the basis vectors the field automorphism acts trivially; the extra
+    # point w*e1 is what separates it from the identity
+    F = GF(9)
+    G = Group([SemilinearElement(SquareMatrix.identity(F, 2), 1)])
+    assert G.order() == 2
+    assert G.faithful
+
+
+def test_semilinear_action_keeps_basis_numbering():
+    F = GF(9)
+    w = F.primitive()
+    a = SemilinearElement(SquareMatrix(F, [[w, 0], [0, 1]]), 0)
+    f = SemilinearElement(SquareMatrix.identity(F, 2), 1)
+    # w*e1 already lies in the basis orbit (e2 and the 8 multiples of e1)
+    assert matrix_action([a, f]).degree == 9
+    # here it does not: its orbit is appended after the basis
+    assert matrix_action([f]).points == ((1, 0), (0, 1), (w, 0),
+                                         (F.frobenius(w), 0))
+
+
+GAMMAL2_9 = """group gammal2_9 mat 2 over GF(9) fieldauto
+a = [[z+1,0],[0,1]]
+b = [[2,1],[2,0]]
+f = [[1,0],[0,1]] @ frob
+"""
+
+
+def gammal2_9():
+    return parse_generator_text(GAMMAL2_9).group
+
+
+def test_random_elements_lie_in_group():
+    rng = random.Random(7)
+    for G in (construct("gl:2:5"), construct("sp:4:3"), gammal2_9()):
+        for _ in range(20):
+            x = G.random_element(rng)
+            assert type(x) is type(G.identity)
+            assert G.contains(x)
+
+
+def _code(x):
+    """Matrix entries row by row, then /frob for a semilinear map."""
+    d = x.serialize()
+    s = "".join(str(c) for row in d["rows"] for c in row)
+    return s + ("/%d" % d["frob"] if "frob" in d else "")
+
+
+# the first 50 random elements at Random(0xBF), pinned when chains still
+# carried each matrix alongside its permutation: seeded scans must not move
+GL4_3_RANDOM = [
+    '1221211022222200', '0020102022012121', '1210001001220011', '1111212202121200',
+    '2011221020100020', '0002012022120112', '0011010001011220', '0020111001100222',
+    '2101200001221022', '0201111012022102', '1102100010212112', '2102122222111100',
+    '0001222120002011', '1121122212101212', '1010010101102211', '1201202222210210',
+    '1010020022120220', '0210111022210020', '2111012000121022', '1110221111020201',
+    '2111210121200221', '1201022010100102', '1210200201000120', '0010210110020221',
+    '1110101202221220', '0102120110122010', '2022121212010210', '2202100121202001',
+    '0211022200212020', '0012122020102112', '1020101220122112', '0202110102220001',
+    '2120101020000012', '2000120021010012', '0100112201210020', '1121101220220100',
+    '1210200211100110', '2000021010112212', '0002202122011120', '2222000220120100',
+    '2201122100202001', '0122101022210220', '1022212101122221', '0020020000121111',
+    '2101212020211002', '2020221012121211', '1001122112001222', '2222020102202212',
+    '0201022020002101', '2000111201102012',
+]
+GAMMAL2_9_RANDOM = [
+    '6510/0', '5374/1', '7301/0', '4822/1', '7006/1', '7667/1', '8312/0', '7065/0',
+    '6627/1', '5615/1', '7883/1', '2416/0', '1841/0', '6614/1', '7807/1', '6323/0',
+    '4118/0', '5560/0', '1186/0', '1178/0', '4752/0', '8186/0', '5850/1', '7713/1',
+    '8804/0', '1113/0', '5045/0', '7424/0', '1771/1', '2448/0', '3420/1', '3107/0',
+    '2646/1', '4252/0', '0247/1', '8524/0', '4822/0', '4252/0', '1003/0', '2758/0',
+    '3616/0', '5557/1', '4452/0', '0578/0', '4886/0', '6487/1', '1476/0', '3378/1',
+    '4232/0', '8155/1',
+]
+
+
+@pytest.mark.parametrize("make, pinned", [
+    (lambda: construct("gl:4:3"), GL4_3_RANDOM),
+    (gammal2_9, GAMMAL2_9_RANDOM),
+])
+def test_random_stream_pinned(make, pinned):
+    G = make()
+    rng = random.Random(0xBF)
+    assert [_code(G.random_element(rng)) for _ in range(50)] == pinned

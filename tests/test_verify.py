@@ -7,7 +7,7 @@ from bfl.catalog import construct, special_element
 from bfl.classes import NormalSet, enumerate_classes, product_set
 from bfl.elements import (Permutation, SquareMatrix, commutator,
                           deserialize_element, element_order)
-from bfl.fields import GF
+from bfl.fields import GF, is_p_power
 from bfl.report import ScanPlan
 from bfl.verify import (bf_pair_direct, cc_inverse_check,
                         commutator_closed_check, inversion_identity_scan,
@@ -15,7 +15,7 @@ from bfl.verify import (bf_pair_direct, cc_inverse_check,
                         l2q_trace_identity, reflections_o3_scan,
                         replay_commutator_witness, replay_pair_witness,
                         replay_product_witness, sl2n3_scan, symmetric_bf_scan,
-                        wreath_free_pair_check, _interpolate, _is_p_power)
+                        wreath_free_pair_check, _interpolate)
 from bfl.verify import MAX_WITNESSES
 
 
@@ -60,7 +60,7 @@ def test_bf_a5_five_class_fails_with_replayable_witness(a5):
     assert v.witnesses
     for w in v.witnesses:
         assert replay_pair_witness(w, 5)
-        assert not _is_p_power(w["closure_order"], 5)
+        assert not is_p_power(w["closure_order"], 5)
 
 
 def test_bf_class_labels_reach_the_scenario(a5):
@@ -101,7 +101,7 @@ def test_bf_matches_product_order_test_for_involutions(s6):
         A, B = cls_of(s6, la), cls_of(s6, lb)
         v = bf_pair_direct(s6, A, B, 2, ScanPlan.exhaustive())
         orders = {element_order(x) for x in product_set(A, B)}
-        assert (v.status == "holds") == all(_is_p_power(m, 2) for m in orders)
+        assert (v.status == "holds") == all(is_p_power(m, 2) for m in orders)
 
 
 def test_bf_sampled_reruns_are_identical(a5):
@@ -383,7 +383,7 @@ def test_sl2n3_identity_conjugate_is_a_2_group():
     c = special_element("gl:4:3", "pm_i_element")
     d = special_element("gl:4:3", "reflection")
     assert element_order(c) == 4 and element_order(d) == 2
-    assert _is_p_power(Group([c, d]).order(), 2)
+    assert is_p_power(Group([c, d]).order(), 2)
 
 
 def test_sl2n3_sampled_scan_holds():
@@ -410,7 +410,7 @@ def test_sl2n3_probe_witness_replays():
     dp = deserialize_element(json.loads(blob))
     from bfl.groups import Group
     c = special_element("gl:4:3", "pm_i_element")
-    assert not _is_p_power(Group([c, dp]).order(), 2)
+    assert not is_p_power(Group([c, dp]).order(), 2)
 
 
 def test_sl2n3_rejects_other_dimensions():
