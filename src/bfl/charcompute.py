@@ -9,7 +9,7 @@ eigenvalue multiplicities of each power class.
 
 import math
 
-from .classes import enumerate_classes, serial_key
+from .classes import enumerate_classes
 from .chartab import CharacterTable
 from .cyclotomic import Cyclotomic
 from .fields import _is_prime
@@ -39,7 +39,7 @@ def structure_constants(G):
     loc = {}
     for k, C in enumerate(cls):
         for x in C.elements:
-            loc[serial_key(x)] = k
+            loc[x] = k
     r = len(cls)
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
@@ -47,7 +47,7 @@ def structure_constants(G):
         for j in range(r):
             hits = [0] * r
             for d in cls[j].elements:
-                hits[loc[serial_key(rep * d)]] += 1
+                hits[loc[rep * d]] += 1
             for k in range(r):
                 total = cls[i].size * hits[k]
                 if total % cls[k].size:
@@ -198,7 +198,7 @@ def build_table(G, name, check=True):
     for C in cls:
         idx, y = [], G.identity
         for _ in range(C.order):
-            idx.append(loc[serial_key(y)])
+            idx.append(loc[y])
             y = y * C.representative
         powcls.append(idx)
     inv_idx = [powcls[k][-1] if cls[k].order > 1 else 0 for k in range(r)]

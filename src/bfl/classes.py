@@ -110,27 +110,13 @@ def enumerate_classes(G, cap=CLOSURE_CAP):
     cached = getattr(G, "_classes", None)
     if cached is not None:
         return cached
-    els = G.elements(cap=cap)
-    gens = G.gens
-    invs = [inverse(g) for g in gens]
-    pool = set(els)
+    pool = set(G.elements(cap=cap))
     raw = []
     while pool:
-        x = pool.pop()
-        cls = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for y in frontier:
-                for g, gi in zip(gens, invs):
-                    z = gi * y * g
-                    if z not in cls:
-                        cls.add(z)
-                        new.append(z)
-            frontier = new
+        cls = G.conjugacy_class(pool.pop(), cap=cap)
         pool -= cls
         rep = min(cls, key=serial_key)
-        raw.append((element_order(rep), len(cls), rep, frozenset(cls)))
+        raw.append((element_order(rep), len(cls), rep, cls))
     raw.sort(key=lambda t: (t[0], t[1], serial_key(t[2])))
     out = []
     counts = Counter()

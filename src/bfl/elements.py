@@ -62,7 +62,7 @@ class Permutation:
         return Permutation(inv)
 
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its smallest point."""

@@ -1,4 +1,8 @@
-"""Group-level algorithms: stabilizer chains, closure, matrix-to-permutation actions.
+"""Group-level algorithms: orbits, stabilizer chains, closure, matrix-to-permutation actions.
+
+Every closure in the package is one breadth-first `orbit` with its Schreier
+tree: chain transversals, the vector orbit behind `matrix_action`, element
+and class enumeration here, and the indexed closures of `smallgroup`.
 
 The stabilizer chain is a deterministic incremental Schreier-Sims: generators
 are sifted in one at a time, every Schreier generator of an extended orbit is
@@ -16,13 +20,39 @@ the field automorphism acts trivially.
 """
 
 from collections import deque
+from functools import partial
+from itertools import islice
 from math import prod
+from operator import mul
 
 from .elements import (Permutation, SquareMatrix, SemilinearElement, Overflow,
                        identity_like)
 
 CLOSURE_CAP = 2_000_000
 ORBIT_CAP = 200_000
+
+
+def orbit(seeds, maps, cap=None, what="orbit"):
+    """Breadth-first orbit of the seeds under the maps, with its Schreier tree.
+
+    Returns a dict in the order points are met (first in, first out): a seed
+    maps to None, any other point y to (i, x) with maps[i](x) == y, x met
+    before y.  Duplicate seeds are kept once, and seeds always enter; a
+    further point that would make the orbit larger than cap raises
+    Overflow("<what> exceeds cap <cap>").
+    """
+    tree = dict.fromkeys(seeds)
+    queue = deque(tree)
+    while queue:
+        x = queue.popleft()
+        for i, f in enumerate(maps):
+            y = f(x)
+            if y not in tree:
+                if cap is not None and len(tree) >= cap:
+                    raise Overflow("%s exceeds cap %d" % (what, cap))
+                tree[y] = (i, x)
+                queue.append(y)
+    return tree
 
 
 class _Level:
@@ -95,15 +125,8 @@ class Chain:
 
     def _recompute_orbit(self, L):
         t = {L.point: self.identity}
-        queue = deque([L.point])
-        while queue:
-            pt = queue.popleft()
-            u = t[pt]
-            for g in L.gens:
-                img = g(pt)
-                if img not in t:
-                    t[img] = g * u
-                    queue.append(img)
+        for y, (i, x) in islice(orbit([L.point], L.gens).items(), 1, None):
+            t[y] = L.gens[i] * t[x]
         L.transversal = t
 
     def _verify(self, i):
@@ -161,31 +184,20 @@ def matrix_action(gens, seeds=None, cap=ORBIT_CAP):
     n = gens[0].n
     if seeds is None:
         seeds = _basis(n)
-    batches = [seeds]
+    maps = [g.apply for g in gens]
+    tree = orbit(map(tuple, seeds), maps, cap)
     if isinstance(gens[0], SemilinearElement):
-        batches.append([_scaled_e1(F, n)])
-    index = {}
-    points = []
-    for batch in batches:
-        queue = deque()
-        for v in map(tuple, batch):
-            if v not in index:
-                index[v] = len(points)
-                points.append(v)
-                queue.append(v)
-        while queue:
-            v = queue.popleft()
-            for g in gens:
-                w = g.apply(v)
-                if w not in index:
-                    if len(points) >= cap:
-                        raise Overflow("orbit exceeds cap %d" % cap)
-                    index[w] = len(points)
-                    points.append(w)
-                    queue.append(w)
+        we1 = _scaled_e1(F, n)
+        if we1 not in tree:
+            try:
+                tree.update(orbit([we1], maps, cap - len(tree)))
+            except Overflow:
+                raise Overflow("orbit exceeds cap %d" % cap) from None
+    points = tuple(tree)
+    index = {v: k for k, v in enumerate(points)}
     perms = [Permutation([index[g.apply(v)] for v in points]) for g in gens]
     spanning = _rank_of(F, points) == n
-    return ActionRecord(tuple(points), index, perms, spanning)
+    return ActionRecord(points, index, perms, spanning)
 
 
 def _basis(n):
@@ -214,26 +226,10 @@ def _rank_of(F, vectors):
 
 def closure_enumerate(gens, cap=CLOSURE_CAP):
     """The full set <gens> by breadth-first product closure; Overflow past cap."""
-    live = [g for g in gens if not g.is_identity()]
-    if not live:
-        if not gens:
-            raise ValueError("closure of an empty generator list has no ambient")
-        return {identity_like(gens[0])}
-    e = identity_like(live[0])
-    els = {e}
-    frontier = [e]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in live:
-                y = g * x
-                if y not in els:
-                    if len(els) >= cap:
-                        raise Overflow("closure exceeds cap %d" % cap)
-                    els.add(y)
-                    new.append(y)
-        frontier = new
-    return els
+    if not gens:
+        raise ValueError("closure of an empty generator list has no ambient")
+    maps = [partial(mul, g) for g in gens if not g.is_identity()]
+    return set(orbit([identity_like(gens[0])], maps, cap, "closure"))
 
 
 class Group:
@@ -348,21 +344,8 @@ class Group:
 
     def conjugacy_class(self, x, cap=CLOSURE_CAP):
         """Orbit of x under conjugation by the generators (full class)."""
-        seen = {x}
-        frontier = [x]
-        invs = [~g for g in self.gens]
-        while frontier:
-            new = []
-            for y in frontier:
-                for g, gi in zip(self.gens, invs):
-                    z = gi * y * g
-                    if z not in seen:
-                        if len(seen) >= cap:
-                            raise Overflow("class exceeds cap %d" % cap)
-                        seen.add(z)
-                        new.append(z)
-            frontier = new
-        return frozenset(seen)
+        maps = [lambda y, g=g, gi=~g: gi * y * g for g in self.gens]
+        return frozenset(orbit([x], maps, cap, "class"))
 
     def __repr__(self):
         return "Group(%s, %d gens)" % (self.name or self.kind, len(self.gens))

@@ -1,10 +1,12 @@
 """Indexed small groups: full element tables, subgroups, quotients."""
 
 import math
+import operator
+from functools import partial
 
-from .classes import serial_key
 from .elements import Overflow
 from .fields import is_p_power
+from .groups import orbit
 
 TABLE_LIMIT = 256   # groups up to this order get a full multiplication table
 _MEMO_CAP = 500_000
@@ -38,26 +40,18 @@ class SmallGroup:
 
     @classmethod
     def generate(cls, gens, identity, name="", cap=8192):
-        """Breadth-first closure of the generators; identity gets index 0."""
-        elements = [identity]
-        index = {serial_key(identity): 0}
-        derivations = [None]
-        queue = 0
-        while queue < len(elements):
-            x = elements[queue]
-            for gi, g in enumerate(gens):
-                y = g * x
-                key = serial_key(y)
-                if key not in index:
-                    if len(elements) >= cap:
-                        raise Overflow("group closure exceeds cap %d" % cap)
-                    index[key] = len(elements)
-                    elements.append(y)
-                    derivations.append((gi, queue))
-            queue += 1
+        """The orbit of the identity under left multiplication by the
+        generators, in breadth-first order: the identity gets index 0, and
+        element i arose as gens[gen_pos] * element[parent] for its
+        derivation (gen_pos, parent), parent < i."""
+        tree = orbit([identity], [partial(operator.mul, g) for g in gens], cap,
+                     "group closure")
+        elements = list(tree)
+        index = {x: k for k, x in enumerate(elements)}
+        derivations = [d and (d[0], index[d[1]]) for d in tree.values()]
         gen_idx = []
         for g in gens:
-            gi = index[serial_key(g)]
+            gi = index[g]
             if gi and gi not in gen_idx:
                 gen_idx.append(gi)
         if not gen_idx:
@@ -84,7 +78,7 @@ class SmallGroup:
         gen_rows = {}
         for gi in sorted({d[0] for d in self.derivations if d}):
             g = raw_gens[gi]
-            gen_rows[gi] = tuple(idx[serial_key(g * x)] for x in self.elements)
+            gen_rows[gi] = tuple(idx[g * x] for x in self.elements)
         for i in range(1, n):
             gi, parent = self.derivations[i]
             base = rows[parent]
@@ -118,7 +112,7 @@ class SmallGroup:
         key = (i, j)
         t = self._memo.get(key)
         if t is None:
-            t = self._index[serial_key(self.elements[i] * self.elements[j])]
+            t = self._index[self.elements[i] * self.elements[j]]
             if len(self._memo) < _MEMO_CAP:
                 self._memo[key] = t
         return t
@@ -130,7 +124,7 @@ class SmallGroup:
             if self.table is not None:
                 self._inv[i] = self.table[i].index(0)
             else:
-                self._inv[i] = self._index[serial_key(~self.elements[i])]
+                self._inv[i] = self._index[~self.elements[i]]
         return self._inv[i]
 
     def conj(self, i, g):
@@ -167,17 +161,7 @@ class SmallGroup:
 
     def closure(self, seed):
         """Indices of the subgroup generated by the seed indices."""
-        got = {0}
-        gens = [s for s in seed if s]
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = self.mul(g, x)
-                if y not in got:
-                    got.add(y)
-                    queue.append(y)
-        return frozenset(got)
+        return frozenset(orbit([0], [partial(self.mul, g) for g in seed if g]))
 
     def center_indices(self):
         """Commuting with every generator is enough to be central."""
@@ -211,23 +195,16 @@ class SmallGroup:
         """Conjugacy classes as frozensets of indices, ordered by least index."""
         if self._classes is not None:
             return self._classes
+        maps = [partial(self.conj, g=g) for g in self.gens]
         seen = [False] * self.order
         out = []
         for i in range(self.order):
             if seen[i]:
                 continue
-            cls = {i}
-            queue = [i]
-            while queue:
-                x = queue.pop()
-                for g in self.gens:
-                    y = self.conj(x, g)
-                    if y not in cls:
-                        cls.add(y)
-                        queue.append(y)
+            cls = frozenset(orbit([i], maps))
             for x in cls:
                 seen[x] = True
-            out.append(frozenset(cls))
+            out.append(cls)
         self._classes = out
         return out
 
@@ -244,15 +221,7 @@ def _minimal_gens_for_table(table):
         if i in got:
             continue
         gens.append(i)
-        got = {0}
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = table[g][x]
-                if y not in got:
-                    got.add(y)
-                    queue.append(y)
+        got = orbit([0], [table[g].__getitem__ for g in gens])
         if len(got) == n:
             break
     return gens or [0]

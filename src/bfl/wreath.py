@@ -1,6 +1,5 @@
 """The Z_p wr Z_p model, isomorphism testing, and section search."""
 
-from .classes import serial_key
 from .elements import Permutation
 from .groups import Group
 from .smallgroup import (SmallGroup, is_p_group, subgroups, normal_subgroups,
@@ -50,34 +49,10 @@ def build_wreath(p):
     comm = ~base * ~top * base * top
     if comm == G.identity:
         raise AssertionError("wreath model came out abelian")
-    if _normal_closure_size(G, [comm]) != p ** (p - 1):
+    # the normal closure of comm, the derived subgroup, is generated by its class
+    if Group(G.conjugacy_class(comm)).order() != p ** (p - 1):
         raise AssertionError("wreath derived subgroup has wrong order")
     return WreathModel(p, G)
-
-
-def _normal_closure_size(G, seeds):
-    gens = list(seeds)
-    while True:
-        got = {serial_key(G.identity): G.identity}
-        queue = list(got.values())
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = g * x
-                k = serial_key(y)
-                if k not in got:
-                    got[k] = y
-                    queue.append(y)
-        fresh = []
-        for g in G.gens:
-            gi = ~g
-            for x in got.values():
-                y = gi * x * g
-                if serial_key(y) not in got:
-                    fresh.append(y)
-        if not fresh:
-            return len(got)
-        gens.extend(fresh)
 
 
 class SectionVerdict:

@@ -1,5 +1,7 @@
 """Stabilizer chains, orbits, closures: orders and membership."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from bfl.fields import GF
 from bfl.elements import Permutation, SquareMatrix, SemilinearElement, Overflow
-from bfl.groups import Group, build_chain, closure_enumerate, matrix_action
+from bfl.groups import (Group, build_chain, closure_enumerate, matrix_action,
+                        orbit)
 from bfl.catalog import construct
 from bfl.genfile import parse_generator_text
 
@@ -232,3 +235,108 @@ def test_random_stream_pinned(make, pinned):
     G = make()
     rng = random.Random(0xBF)
     assert [_code(G.random_element(rng)) for _ in range(50)] == pinned
+
+
+def _digest(elements):
+    """Short fingerprint of an element list, in order."""
+    text = json.dumps([x.serialize() for x in elements])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _points(act):
+    return " ".join("".join(map(str, v)) for v in act.points)
+
+
+# action point numbering, pinned before the orbit loops were folded into one
+GL3_3_POINTS = (
+    "100 010 001 200 110 020 210 011 220 002 021 111 101 120 022 221 102 211 "
+    "201 012 222 202 121 122 112 212")
+GAMMAL2_9_POINTS = (
+    "10 01 40 22 60 88 70 82 33 30 38 04 55 20 32 34 52 53 06 66 50 58 56 65 "
+    "07 15 80 11 86 62 54 16 67 12 13 17 03 76 77 18 37 85 47 83 75 45 42 44 "
+    "41 02 36 14 72 27 87 46 43 26 25 05 48 57 64 35 74 78 08 61 68 71 63 81 "
+    "24 73 28 23 31 84 21 51")
+
+
+@pytest.mark.parametrize("make, pinned", [
+    (lambda: construct("gl:3:3"), GL3_3_POINTS),
+    (gammal2_9, GAMMAL2_9_POINTS),
+])
+def test_action_points_pinned(make, pinned):
+    assert _points(make().action) == pinned
+
+
+# per level: base point, transversal keys in order, digest of the representatives
+SP4_3_LEVELS = [
+    (3, [3, 8, 9, 4, 19, 20, 51, 54, 21, 16, 22, 17, 10, 11, 41, 75, 23, 24,
+         74, 40, 42, 44, 15, 35, 31, 12, 29, 43, 37, 34, 59, 39, 38, 36, 32, 0,
+         57, 33, 25, 26, 27, 70, 65, 63, 53, 45, 46, 47, 79, 56, 69, 58, 67, 60,
+         68, 66, 13, 62, 7, 1, 28, 72, 55, 71, 50, 64, 52, 76, 77, 61, 30, 5, 6,
+         48, 49, 18, 78, 73, 2, 14], "244586c651ca0184"),
+    (2, [2, 6, 49, 5, 14, 67, 47, 11, 60, 12, 64, 73, 27, 72, 55, 76, 25, 1,
+         42, 36, 46, 52, 79, 48], "19640c1088bf3a87"),
+    (1, [1, 5, 67, 12, 73, 76, 42, 46, 60], "0bcdd3cceb7378a8"),
+    (0, [0, 4, 10], "2adbc650236aa5f0"),
+]
+
+
+def test_sp4_3_transversals_pinned():
+    got = [(L.point, list(L.transversal), _digest(L.transversal.values()))
+           for L in construct("sp:4:3").chain.levels]
+    assert got == SP4_3_LEVELS
+
+
+def _overflow_text(call):
+    with pytest.raises(Overflow) as err:
+        call()
+    return str(err.value)
+
+
+def test_overflow_texts():
+    # verify copies these texts into verdict notes, which are part of the JSON
+    gens = sym(6).gens
+    assert (_overflow_text(lambda: closure_enumerate(gens, cap=100))
+            == "closure exceeds cap 100")
+    assert (_overflow_text(lambda: sym(6).conjugacy_class(gens[0], cap=10))
+            == "class exceeds cap 10")
+    gl3 = construct("gl:3:3").gens
+    assert (_overflow_text(lambda: matrix_action(gl3, cap=20))
+            == "orbit exceeds cap 20")
+    # the cap counts the basis orbit too when w*e1 is orbited after it
+    f = SemilinearElement(SquareMatrix.identity(GF(9), 2), 1)
+    assert (_overflow_text(lambda: matrix_action([f], cap=3))
+            == "orbit exceeds cap 3")
+    assert matrix_action([f], cap=4).degree == 4
+
+
+def test_orbit_fifo_order_and_duplicate_seeds():
+    maps = [lambda x: 2 * x % 10, lambda x: (x + 1) % 10]
+    tree = orbit([0, 5, 0], maps)
+    assert list(tree) == [0, 5, 1, 6, 2, 7, 4, 3, 8, 9]
+    assert tree[0] is None and tree[5] is None
+    assert tree[1] == (1, 0) and tree[2] == (0, 1)
+
+
+def test_orbit_tree_edges_replay():
+    gens = construct("gl:3:3").gens
+    maps = [g.apply for g in gens]
+    tree = orbit([(1, 0, 0)], maps)
+    assert len(tree) == 26
+    met = {v: k for k, v in enumerate(tree)}
+    for y, edge in tree.items():
+        if edge is None:
+            assert y == (1, 0, 0)
+            continue
+        i, x = edge
+        assert maps[i](x) == y
+        assert met[x] < met[y]
+
+
+def test_orbit_overflow_at_cap():
+    step = [lambda x: (x + 1) % 10]
+    assert len(orbit([0], step, cap=10)) == 10
+    with pytest.raises(Overflow) as err:
+        orbit([0], step, cap=9, what="widget")
+    assert str(err.value) == "widget exceeds cap 9"
+    # seeds always enter; the cap stops only the points found from them
+    assert list(orbit([0, 1, 2], [lambda x: x], cap=1)) == [0, 1, 2]

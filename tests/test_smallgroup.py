@@ -1,12 +1,18 @@
 """Indexed group arithmetic: tables, subgroup lattices, quotients."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+from bfl.battery import _heis, _matrix_group
 from bfl.catalog import construct
-from bfl.elements import Permutation
+from bfl.elements import Overflow, Permutation
+from bfl.fields import GF
 from bfl.smallgroup import (SmallGroup, is_p_group, subgroups,
                             normal_subgroups, quotient)
+from bfl.wreath import build_wreath
 
 
 def small(name):
@@ -146,3 +152,74 @@ def test_subgroups_overflow_cap():
     from bfl.elements import Overflow
     with pytest.raises(Overflow):
         subgroups(small("sym:4"), cap=10)
+
+
+def _digest(elements):
+    """Short fingerprint of an element list, in order."""
+    text = json.dumps([x.serialize() for x in elements])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# element indices and derivations, pinned before the closure loops were
+# folded into one orbit routine: the wreath search replays derivations
+WREATH3_DERIVATIONS = [
+    None, (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (1, 3),
+    (0, 4), (1, 4), (0, 5), (1, 5), (0, 6), (0, 7), (1, 7), (0, 8),
+    (1, 8), (0, 9), (1, 10), (0, 11), (1, 11), (0, 12), (1, 12), (0, 13),
+    (1, 13), (0, 14), (1, 15), (0, 16), (1, 16), (0, 17), (1, 17), (0, 18),
+    (1, 18), (0, 19), (1, 19), (1, 21), (1, 22), (1, 23), (0, 24), (1, 24),
+    (0, 25), (1, 25), (0, 26), (1, 26), (0, 27), (1, 27), (1, 29), (1, 30),
+    (0, 31), (1, 31), (1, 33), (1, 34), (1, 35), (0, 37), (1, 37), (0, 38),
+    (1, 38), (1, 40), (1, 41), (0, 42), (1, 42), (1, 44), (1, 45), (1, 46),
+    (1, 48), (1, 49), (1, 50), (0, 53), (1, 53), (1, 55), (1, 56), (1, 57),
+    (1, 59), (1, 60), (1, 61), (1, 64), (1, 67), (1, 68), (1, 69), (1, 72),
+    (1, 76),
+]
+HEIS27_DERIVATIONS = [
+    None, (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (1, 3),
+    (0, 4), (1, 4), (0, 5), (1, 5), (0, 6), (0, 7), (1, 7), (0, 8),
+    (1, 8), (0, 9), (1, 11), (1, 12), (0, 13), (1, 13), (0, 14), (1, 16),
+    (1, 17), (1, 21), (1, 22),
+]
+WREATH3_CLASSES = [
+    [0],
+    [1, 20, 22],
+    [2, 13, 15, 58, 62, 63, 65, 66, 80],
+    [3, 32, 35],
+    [4, 5, 23, 36, 70, 71, 73, 74, 75],
+    [6, 24, 25, 26, 27, 29, 31, 33, 67],
+    [7, 8, 10, 47, 51, 52, 77, 78, 79],
+    [9, 11, 12, 37, 38, 40, 42, 44, 48],
+    [14, 16, 17, 18, 19, 21, 53, 55, 59],
+    [28, 30, 34],
+    [39, 46, 49],
+    [41, 43, 50],
+    [45],
+    [54, 57, 64],
+    [56, 60, 61],
+    [68, 69, 72],
+    [76],
+]
+
+
+@pytest.mark.parametrize("make, elements, derivations", [
+    (lambda: build_wreath(3).small(), "233300cdce748451", WREATH3_DERIVATIONS),
+    (lambda: _matrix_group(_heis(GF(4)), "heis-27"), "6b55ac7b675576d7",
+     HEIS27_DERIVATIONS),
+])
+def test_generate_pinned(make, elements, derivations):
+    S = make()
+    assert _digest(S.elements) == elements
+    assert S.derivations == derivations
+
+
+def test_class_partition_pinned():
+    got = [sorted(c) for c in build_wreath(3).small().class_partition()]
+    assert got == WREATH3_CLASSES
+
+
+def test_generate_overflow_text():
+    gens = list(construct("sym:6").gens)
+    with pytest.raises(Overflow) as err:
+        SmallGroup.generate(gens, Permutation.identity(6), cap=100)
+    assert str(err.value) == "group closure exceeds cap 100"
