@@ -8,9 +8,9 @@ labeling is stable across runs and machines.
 from collections import Counter
 from math import factorial
 
-from .elements import Permutation, element_order, inverse, commutator, compose
+from .elements import Permutation, SquareMatrix, element_order, inverse, compose
 from .fields import is_p_power
-from .groups import CLOSURE_CAP, Overflow
+from .groups import CLOSURE_CAP, Overflow, orbit
 
 PAIR_CAP = 2_000_000
 
@@ -29,17 +29,33 @@ def serial_key(x):
 
 
 class ConjClass:
-    """One conjugacy class: representative, size, order, optional element set."""
+    """One conjugacy class: representative, size, order, optional members.
 
-    __slots__ = ("group", "representative", "size", "order", "label", "elements")
+    A class of a faithful group keeps `perms`, its image permutations, and
+    converts them to `.elements` through `group.from_perm` on first read
+    (the same set for a permutation group); other classes pass `elements`.
+    """
 
-    def __init__(self, group, representative, size, order, label=None, elements=None):
+    __slots__ = ("group", "representative", "size", "order", "label", "perms",
+                 "_elements")
+
+    def __init__(self, group, representative, size, order, label=None,
+                 elements=None, perms=None):
         self.group = group
         self.representative = representative
         self.size = size
         self.order = order
         self.label = label
-        self.elements = elements
+        self.perms = perms
+        self._elements = elements
+
+    @property
+    def elements(self):
+        if self._elements is None and self.perms is not None:
+            G = self.group
+            self._elements = (self.perms if isinstance(G.identity, Permutation)
+                              else frozenset(map(G.from_perm, self.perms)))
+        return self._elements
 
     def __repr__(self):
         return "ConjClass(%s, size=%d, order=%d)" % (
@@ -48,6 +64,9 @@ class ConjClass:
     def __eq__(self, other):
         if not isinstance(other, ConjClass):
             return NotImplemented
+        if (self.group is other.group and self.perms is not None
+                and other.perms is not None):
+            return self.perms == other.perms
         if self.elements is not None and other.elements is not None:
             return self.elements == other.elements
         return (self.group is other.group
@@ -102,28 +121,49 @@ def _letter(i):
     return out
 
 
-def enumerate_classes(G, cap=CLOSURE_CAP):
-    """All conjugacy classes of G, labeled; needs the full element store.
+def _image_key(G):
+    """serial_key of the element an image permutation stands for; a matrix
+    key is read straight off the permutation, with no matrix built."""
+    if isinstance(G.identity, Permutation):
+        return lambda p: (p.images,)
+    if isinstance(G.identity, SquareMatrix):
+        return lambda p: (tuple(zip(*G.columns(p))), 0)
+    return lambda p: serial_key(G.from_perm(p))
 
-    Results are cached on the group.  Raises Overflow when |G| exceeds cap.
+
+def enumerate_classes(G, cap=CLOSURE_CAP):
+    """All conjugacy classes of G, labeled; cached on the group.
+
+    Each chain element not yet placed seeds a class, an orbit of image
+    permutations; only representatives are converted back.  A group whose
+    image is not faithful uses its elements.  Overflow first if |G| > cap.
     """
     cached = getattr(G, "_classes", None)
     if cached is not None:
         return cached
-    pool = set(G.elements(cap=cap))
-    raw = []
-    while pool:
-        cls = G.conjugacy_class(pool.pop(), cap=cap)
-        pool -= cls
-        rep = min(cls, key=serial_key)
-        raw.append((element_order(rep), len(cls), rep, cls))
-    raw.sort(key=lambda t: (t[0], t[1], serial_key(t[2])))
+    if G.faithful:
+        stream, key, to = G.chain.elements(cap), _image_key(G), G.from_perm
+    else:
+        stream, key, to = G.elements(cap), serial_key, None
+    maps, total, seen, raw = G.class_maps(), G.order(), set(), []
+    for x in stream:
+        if x in seen:
+            continue
+        cls = frozenset(orbit([x], maps, cap, "class"))
+        seen |= cls
+        rep = min(cls, key=key)
+        raw.append((element_order(rep), len(cls), key(rep), rep, cls))
+        if len(seen) == total:
+            break
+    raw.sort(key=lambda t: t[:3])
     out = []
     counts = Counter()
-    for order, size, rep, cls in raw:
+    for order, size, _, rep, cls in raw:
         label = "%d%s" % (order, _letter(counts[order]))
         counts[order] += 1
-        out.append(ConjClass(G, rep, size, order, label=label, elements=cls))
+        out.append(ConjClass(G, rep, size, order, label=label, elements=cls)
+                   if to is None else
+                   ConjClass(G, to(rep), size, order, label=label, perms=cls))
     G._classes = out
     return out
 
@@ -132,8 +172,9 @@ def class_of(G, x, cap=CLOSURE_CAP):
     """The class of x: a labeled one from the cache when available, else fresh."""
     cached = getattr(G, "_classes", None)
     if cached is not None:
+        p = G.to_perm(x) if G.faithful else x
         for c in cached:
-            if x in c.elements:
+            if p in (c.elements if c.perms is None else c.perms):
                 return c
     cls = G.conjugacy_class(x, cap=cap)
     rep = min(cls, key=serial_key)
@@ -194,7 +235,7 @@ def inverse_set(C):
         cached = getattr(c.group, "_classes", None) if c.group is not None else None
         if cached is not None and els is not None:
             for k in cached:
-                if k.elements == els:
+                if k.size == c.size and k.elements == els:
                     hit = k
                     break
         if hit is None:

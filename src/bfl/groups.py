@@ -1,8 +1,8 @@
 """Group-level algorithms: orbits, stabilizer chains, closure, matrix-to-permutation actions.
 
 Every closure in the package is one breadth-first `orbit` with its Schreier
-tree: chain transversals, the vector orbit behind `matrix_action`, element
-and class enumeration here, and the indexed closures of `smallgroup`.
+tree: chain transversals, the vector orbit behind `matrix_action`,
+conjugacy classes, product closure, and the indexed closures of `smallgroup`.
 
 The stabilizer chain is a deterministic incremental Schreier-Sims: generators
 are sifted in one at a time, every Schreier generator of an extended orbit is
@@ -12,8 +12,10 @@ permutations only.  Matrix and semilinear groups get a permutation image
 from `matrix_action` (the orbit of the standard basis vectors), and their
 elements cross between the two representations only at the edges:
 `Group.to_perm` on the way in (membership), `Group.from_perm` on the way out
-(random elements).  A matrix is recovered from the images of the basis
-vectors, which are its columns.  A semilinear map A frob^e also sends w*e1,
+(random elements, class members).  A faithful group's elements stream from
+the chain, and its classes are orbits of image permutations.  A matrix is
+recovered from the images of the basis vectors, which are its columns.  A
+semilinear map A frob^e also sends w*e1,
 for w primitive, to w^(r^e) * A e1, so the action orbits w*e1 too; that
 point pins down e, and it makes the image faithful, since on the basis alone
 the field automorphism acts trivially.
@@ -152,6 +154,20 @@ class Chain:
             w = w * L.transversal[rng.choice(sorted(L.transversal))]
         return w
 
+    def elements(self, cap=None):
+        """Every element once, lazily, as the products t_0 * t_1 * ... * t_k
+        of transversal representatives; Overflow first if the order > cap."""
+        if cap is not None and self.order() > cap:
+            raise Overflow("closure exceeds cap %d" % cap)
+
+        def walk(w, k):
+            if k == len(self.levels):
+                yield w
+                return
+            for t in self.levels[k].transversal.values():
+                yield from walk(w * t, k + 1)
+        return walk(self.identity, 0)
+
 
 class ActionRecord:
     """Permutation image of a matrix/semilinear generator list on a vector orbit."""
@@ -224,6 +240,16 @@ def _rank_of(F, vectors):
     return len(basis)
 
 
+def _conjugator(g):
+    """y -> g^-1 y g on permutations, in one pass over the images."""
+    gim, gi = g.images, (~g).images
+
+    def conj(y):
+        yi = y.images
+        return Permutation([gi[yi[j]] for j in gim])
+    return conj
+
+
 def closure_enumerate(gens, cap=CLOSURE_CAP):
     """The full set <gens> by breadth-first product closure; Overflow past cap."""
     if not gens:
@@ -249,6 +275,7 @@ class Group:
         self._chain = None
         self._action = None
         self._elements = None
+        self._basis_at = None
 
     @property
     def kind(self):
@@ -300,22 +327,29 @@ class Group:
             images.append(idx)
         return Permutation(images)
 
+    def columns(self, p):
+        """The columns of the matrix whose image is p: the basis vectors' images."""
+        act = self.action
+        if self._basis_at is None:
+            try:
+                self._basis_at = [act.index[v] for v in _basis(self._identity.n)]
+            except KeyError:
+                raise ValueError("the basis vectors are not all action points") from None
+        return [act.points[p.images[k]] for k in self._basis_at]
+
     def from_perm(self, p):
         """The element whose image is p, read off the images of the basis
         vectors (its columns) and, for a semilinear map, of w*e1."""
         ident = self._identity
         if isinstance(ident, Permutation):
             return p
-        act = self.action
+        cols = self.columns(p)
         F, n = ident.field, ident.n
-        try:
-            cols = [act.points[p(act.index[v])] for v in _basis(n)]
-        except KeyError:
-            raise ValueError("the basis vectors are not all action points") from None
         mat = SquareMatrix(F, list(zip(*cols)))
         if isinstance(ident, SquareMatrix):
             return mat
         # A frob^e sends w*e1 to w^(r^e) * A e1
+        act = self.action
         img = act.points[p(act.index[_scaled_e1(F, n)])]
         r = next(i for i, x in enumerate(cols[0]) if x)
         t = F.mul(img[r], F.inv(cols[0][r]))
@@ -334,18 +368,34 @@ class Group:
         return self.from_perm(self.chain.random(rng))
 
     def elements(self, cap=CLOSURE_CAP):
-        """Full element set (cached); Overflow if the order exceeds cap."""
+        """Full element set (cached); Overflow if the order exceeds cap.  A
+        group whose image is not faithful is closed instead of read off the chain."""
         if self._elements is None:
-            if self.gens:
-                self._elements = frozenset(closure_enumerate(self.gens, cap=cap))
-            else:
+            if not self.gens:
                 self._elements = frozenset([self._identity])
+            elif self.faithful:
+                self._elements = frozenset(map(self.from_perm,
+                                               self.chain.elements(cap)))
+            else:
+                self._elements = frozenset(closure_enumerate(self.gens, cap=cap))
         return self._elements
+
+    def class_maps(self):
+        """Conjugation y -> g^-1 y g by each generator: on the chain's
+        permutations when the image is faithful, else on the elements."""
+        if not self.faithful:
+            return [lambda y, g=g, gi=~g: gi * y * g for g in self.gens]
+        perms = (self.gens if isinstance(self._identity, Permutation)
+                 else self.action.perms)
+        return [_conjugator(g) for g in perms]
 
     def conjugacy_class(self, x, cap=CLOSURE_CAP):
         """Orbit of x under conjugation by the generators (full class)."""
-        maps = [lambda y, g=g, gi=~g: gi * y * g for g in self.gens]
-        return frozenset(orbit([x], maps, cap, "class"))
+        p = self.to_perm(x) if self.faithful else x
+        if p is None:
+            raise ValueError("%r does not act on the group's points" % (x,))
+        cls = orbit([p], self.class_maps(), cap, "class")
+        return frozenset(map(self.from_perm, cls) if self.faithful else cls)
 
     def __repr__(self):
         return "Group(%s, %d gens)" % (self.name or self.kind, len(self.gens))

@@ -1,15 +1,25 @@
 """Class enumeration, labels, normal-set algebra."""
 
+import hashlib
+import json
+import os
+
 import pytest
 
-from bfl.elements import Permutation, element_order, inverse, identity_like
-from bfl.groups import Group
+from bfl.elements import (Overflow, Permutation, SquareMatrix, element_order,
+                          inverse, identity_like)
+from bfl.fields import GF
+from bfl.groups import Group, closure_enumerate
 from bfl.catalog import construct
 from bfl.classes import (
     ConjClass, NormalSet, SelectorError, enumerate_classes, class_of,
     involution_classes_sym, is_p_element, inverse_set, product_set,
-    commutator_pairs_set, largest_element_order, select_class,
+    commutator_pairs_set, largest_element_order, select_class, serial_key,
 )
+
+from test_groups import gammal2_9
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_alt5_class_sizes():
@@ -175,6 +185,19 @@ def test_class_of_uses_cache():
     assert c in cls and c.label in ("5a", "5b")
 
 
+def test_class_of_uses_cache_on_the_image():
+    G = construct("gl:2:3")
+    cls = enumerate_classes(G)
+    F = GF(3)
+    x = SquareMatrix(F, [[0, 1], [1, 0]])
+    c = class_of(G, x)
+    assert any(c is k for k in cls)
+    assert c.order == 2 and G.to_perm(x) in c.perms
+    # the lookup ran on permutations: no class converted its members
+    assert all(k._elements is None for k in cls)
+    assert x in c.elements
+
+
 def test_class_of_without_cache():
     G = construct("alt:4")
     x = Permutation.from_cycles(4, [(0, 1, 2)])
@@ -200,3 +223,89 @@ def test_selectors():
         select_class(cls, "order:nope")
     with pytest.raises(SelectorError):
         select_class(enumerate_classes(construct("q8")), "fpf2")
+
+
+# ---- classes on the permutation image ---------------------------------------
+# The lists and digests below were captured before class enumeration moved
+# onto the chain's permutation image, from the element-closure version.
+
+with open(os.path.join(DATA, "pinned_classes.json"), encoding="utf-8") as _fh:
+    PINNED = json.load(_fh)
+
+
+def _pinned_group(name):
+    return gammal2_9() if name == "gammal2_9" else construct(name)
+
+
+def _digest(c):
+    """sha256 prefix of the class's serialized members in serial_key order."""
+    els = sorted(c.elements, key=serial_key)
+    text = json.dumps([x.serialize() for x in els], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_pinned_class_lists(name):
+    cls = enumerate_classes(_pinned_group(name))
+    got = [[c.label, c.size, c.order, serial_key(c.representative)]
+           for c in cls]
+    assert json.loads(json.dumps(got)) == PINNED[name]["classes"]
+
+
+@pytest.mark.parametrize("name", [n for n in PINNED
+                                  if PINNED[n]["digests"] is not None])
+def test_pinned_class_members(name):
+    cls = enumerate_classes(_pinned_group(name))
+    assert [_digest(c) for c in cls] == PINNED[name]["digests"]
+
+
+def test_members_convert_lazily():
+    G = construct("gl:2:3")
+    cls = enumerate_classes(G)
+    assert all(c._elements is None for c in cls)
+    c = select_class(cls, "3a")
+    els = c.elements
+    assert c.elements is els and len(els) == c.size == len(c.perms)
+    assert all(isinstance(x, SquareMatrix) and G.to_perm(x) in c.perms
+               for x in els)
+    assert all(k._elements is None for k in cls if k is not c)
+    for k in enumerate_classes(construct("alt:5")):
+        assert k.elements is k.perms
+
+
+def test_conjugacy_class_matches_enumeration():
+    for G in (construct("gl:2:3"), gammal2_9()):
+        for c in enumerate_classes(G):
+            assert G.conjugacy_class(c.representative) == c.elements
+
+
+def test_chain_streams_each_element_once():
+    for G in (construct("gl:2:3"), construct("alt:5"), gammal2_9()):
+        perms = list(G.chain.elements())
+        assert len(perms) == len(set(perms)) == G.order()
+        assert G.elements() == closure_enumerate(G.gens)
+
+
+def test_cap_checked_before_enumeration():
+    with pytest.raises(Overflow) as err:
+        enumerate_classes(construct("gl:3:3"), cap=1000)
+    assert str(err.value) == "closure exceeds cap 1000"
+    with pytest.raises(Overflow) as err:
+        construct("gl:3:3").elements(cap=1000)
+    assert str(err.value) == "closure exceeds cap 1000"
+
+
+def test_non_faithful_group_falls_back_to_closure():
+    F = GF(5)
+    A = SquareMatrix(F, [[1, 0], [0, 2]])
+    G = Group([A], seeds=[(1, 0)])
+    assert not G.faithful and G.chain.order() == 1
+    cls = enumerate_classes(G)
+    powers = [SquareMatrix.diagonal(F, (1, x)) for x in (1, 2, 4, 3)]
+    assert [(c.label, c.size) for c in cls] == [
+        ("1a", 1), ("2a", 1), ("4a", 1), ("4b", 1)]
+    assert [c.representative for c in cls] == [powers[0], powers[2],
+                                               powers[1], powers[3]]
+    assert all(c.perms is None for c in cls)
+    assert NormalSet(cls).elements == frozenset(powers)
+    assert class_of(G, powers[1]) is cls[2]

@@ -2,9 +2,11 @@
 formats, determinism, and error mapping."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -221,3 +223,29 @@ def test_identity_scan_seeded(capsys):
     b1.pop("header"), b2.pop("header")
     assert b1 == b2
     assert b1["verdicts"][0]["counters"]["samples"] == 60
+
+
+# ---- golden bodies ---------------------------------------------------------
+# Captured (header dropped) before class enumeration moved onto the chain's
+# permutation image; the last three read matrix class members and serialize
+# witnesses from them.
+
+with open(os.path.join(os.path.dirname(__file__), "data", "cli_bodies.json"),
+          encoding="utf-8") as _fh:
+    CLI_BODIES = json.load(_fh)
+
+
+@pytest.mark.parametrize("rec", CLI_BODIES, ids=lambda r: r["argv"][0])
+def test_pinned_json_bodies(capsys, rec):
+    code, body = run_json(capsys, *rec["argv"])
+    body.pop("header")
+    assert code == rec["exit"]
+    assert body == rec["body"]
+
+
+def test_over_cap_class_list_fails_fast(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "classes", "--group", "gl:4:3")
+    assert code == 65
+    assert "closure exceeds cap 2000000" in err
+    assert time.perf_counter() - t0 < 20  # the order is checked up front
