@@ -31,23 +31,25 @@ def serial_key(x):
 class ConjClass:
     """One conjugacy class: representative, size, order, optional members.
 
-    A class of a faithful group keeps `perms`, its image permutations, and
-    converts them to `.elements` through `group.from_perm` on first read
-    (the same set for a permutation group); other classes pass `elements`.
+    An enumerated class keeps `perms`, its members' permutations on the
+    group's faithful image, and converts them to `.elements` through
+    `group.from_perm` on first read (the same set for a permutation group).
+    A class known only by its size, as from `involution_classes_sym`, has
+    neither.
     """
 
     __slots__ = ("group", "representative", "size", "order", "label", "perms",
                  "_elements")
 
     def __init__(self, group, representative, size, order, label=None,
-                 elements=None, perms=None):
+                 perms=None):
         self.group = group
         self.representative = representative
         self.size = size
         self.order = order
         self.label = label
         self.perms = perms
-        self._elements = elements
+        self._elements = None
 
     @property
     def elements(self):
@@ -64,13 +66,11 @@ class ConjClass:
     def __eq__(self, other):
         if not isinstance(other, ConjClass):
             return NotImplemented
-        if (self.group is other.group and self.perms is not None
-                and other.perms is not None):
+        if self.group is not other.group:
+            return False
+        if self.perms is not None and other.perms is not None:
             return self.perms == other.perms
-        if self.elements is not None and other.elements is not None:
-            return self.elements == other.elements
-        return (self.group is other.group
-                and self.representative == other.representative)
+        return self.representative == other.representative
 
     def __hash__(self):
         return hash((self.size, self.order, self.representative))
@@ -131,27 +131,29 @@ def _image_key(G):
     return lambda p: serial_key(G.from_perm(p))
 
 
+def _perm_class(p, maps, key, cap):
+    """The class of the image permutation p, and its member with the least key."""
+    cls = frozenset(orbit([p], maps, cap, "class"))
+    return cls, min(cls, key=key)
+
+
 def enumerate_classes(G, cap=CLOSURE_CAP):
     """All conjugacy classes of G, labeled; cached on the group.
 
     Each chain element not yet placed seeds a class, an orbit of image
-    permutations; only representatives are converted back.  A group whose
-    image is not faithful uses its elements.  Overflow first if |G| > cap.
+    permutations; only representatives are converted back.  Overflow first
+    if |G| > cap.
     """
     cached = getattr(G, "_classes", None)
     if cached is not None:
         return cached
-    if G.faithful:
-        stream, key, to = G.chain.elements(cap), _image_key(G), G.from_perm
-    else:
-        stream, key, to = G.elements(cap), serial_key, None
-    maps, total, seen, raw = G.class_maps(), G.order(), set(), []
-    for x in stream:
+    maps, key, total, seen, raw = (G.class_maps(), _image_key(G), G.order(),
+                                   set(), [])
+    for x in G.chain.elements(cap):
         if x in seen:
             continue
-        cls = frozenset(orbit([x], maps, cap, "class"))
+        cls, rep = _perm_class(x, maps, key, cap)
         seen |= cls
-        rep = min(cls, key=key)
         raw.append((element_order(rep), len(cls), key(rep), rep, cls))
         if len(seen) == total:
             break
@@ -161,24 +163,23 @@ def enumerate_classes(G, cap=CLOSURE_CAP):
     for order, size, _, rep, cls in raw:
         label = "%d%s" % (order, _letter(counts[order]))
         counts[order] += 1
-        out.append(ConjClass(G, rep, size, order, label=label, elements=cls)
-                   if to is None else
-                   ConjClass(G, to(rep), size, order, label=label, perms=cls))
+        out.append(ConjClass(G, G.from_perm(rep), size, order, label=label,
+                             perms=cls))
     G._classes = out
     return out
 
 
 def class_of(G, x, cap=CLOSURE_CAP):
     """The class of x: a labeled one from the cache when available, else fresh."""
-    cached = getattr(G, "_classes", None)
-    if cached is not None:
-        p = G.to_perm(x) if G.faithful else x
-        for c in cached:
-            if p in (c.elements if c.perms is None else c.perms):
-                return c
-    cls = G.conjugacy_class(x, cap=cap)
-    rep = min(cls, key=serial_key)
-    return ConjClass(G, rep, len(cls), element_order(rep), elements=cls)
+    p = G.to_perm(x)
+    if p is None:
+        raise ValueError("%r does not act on the group's points" % (x,))
+    for c in getattr(G, "_classes", None) or ():
+        if p in c.perms:
+            return c
+    cls, rep = _perm_class(p, G.class_maps(), _image_key(G), cap)
+    return ConjClass(G, G.from_perm(rep), len(cls), element_order(rep),
+                     perms=cls)
 
 
 def involution_classes_sym(G, n):
@@ -228,19 +229,15 @@ def inverse_set(C):
     """The normal set of inverses; reuses labeled classes when cached."""
     out = []
     for c in _classes_of_arg(C):
-        rep = inverse(c.representative)
-        els = (frozenset(inverse(x) for x in c.elements)
-               if c.elements is not None else None)
+        perms = (frozenset(~p for p in c.perms)
+                 if c.perms is not None else None)
         hit = None
-        cached = getattr(c.group, "_classes", None) if c.group is not None else None
-        if cached is not None and els is not None:
-            for k in cached:
-                if k.size == c.size and k.elements == els:
-                    hit = k
-                    break
+        if perms is not None:
+            hit = next((k for k in getattr(c.group, "_classes", None) or ()
+                        if k.size == c.size and k.perms == perms), None)
         if hit is None:
-            hit = ConjClass(c.group, rep, c.size, c.order,
-                            label="inv(%s)" % c.label, elements=els)
+            hit = ConjClass(c.group, inverse(c.representative), c.size, c.order,
+                            label="inv(%s)" % c.label, perms=perms)
         out.append(hit)
     return NormalSet(out)
 

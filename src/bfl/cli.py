@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from .battery import standard_battery
 from .catalog import FAMILIES, construct, order_formula, parse_blueprint
 from .chartab import TableError, class_mult_count, load_table, product_support
-from .classes import NormalSet, SelectorError, enumerate_classes, select_class
+from .classes import NormalSet, enumerate_classes, select_class
 from .elements import Overflow
 from .genfile import ParseError
 from .modrep import cor22_check, lemma21_check

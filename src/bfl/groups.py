@@ -12,13 +12,13 @@ permutations only.  Matrix and semilinear groups get a permutation image
 from `matrix_action` (the orbit of the standard basis vectors), and their
 elements cross between the two representations only at the edges:
 `Group.to_perm` on the way in (membership), `Group.from_perm` on the way out
-(random elements, class members).  A faithful group's elements stream from
-the chain, and its classes are orbits of image permutations.  A matrix is
-recovered from the images of the basis vectors, which are its columns.  A
-semilinear map A frob^e also sends w*e1,
-for w primitive, to w^(r^e) * A e1, so the action orbits w*e1 too; that
-point pins down e, and it makes the image faithful, since on the basis alone
-the field automorphism acts trivially.
+(random elements, class members).  Every image is faithful, so order,
+membership, the element stream and the classes (orbits of image
+permutations) all come from the one chain.  A matrix is recovered from the
+images of the basis vectors, which are its columns.  A semilinear map
+A frob^e also sends w*e1, for w primitive, to w^(r^e) * A e1, so the action
+orbits w*e1 too; that point pins down e, and it makes the image faithful,
+since on the basis alone the field automorphism acts trivially.
 """
 
 from collections import deque
@@ -172,36 +172,33 @@ class Chain:
 class ActionRecord:
     """Permutation image of a matrix/semilinear generator list on a vector orbit."""
 
-    __slots__ = ("points", "index", "perms", "spanning")
+    __slots__ = ("points", "index", "perms")
 
-    def __init__(self, points, index, perms, spanning):
+    def __init__(self, points, index, perms):
         self.points = points
         self.index = index
         self.perms = perms
-        self.spanning = spanning
 
     @property
     def degree(self):
         return len(self.points)
 
 
-def matrix_action(gens, seeds=None, cap=ORBIT_CAP):
-    """Orbit the seed vectors under the generators; return the permutation image.
+def matrix_action(gens, cap=ORBIT_CAP):
+    """Orbit the standard basis under the generators; return the faithful
+    permutation image.
 
-    Faithful whenever the orbit spans (linear case); non-spanning seeds are
-    flagged via .spanning = False rather than rejected.  Semilinear
-    generators also orbit w*e1 (w primitive) when it is not already a point,
-    after the seeds' orbit, so the seeds' points keep their numbers; its
-    image is what tells the field automorphism apart.  Overflow past cap.
+    Semilinear generators also orbit w*e1 (w primitive) when it is not
+    already a point, after the basis orbit, so the basis points keep their
+    numbers; its image is what tells the field automorphism apart.
+    Overflow past cap.
     """
     if not gens:
         raise ValueError("matrix_action needs at least one generator")
     F = gens[0].field
     n = gens[0].n
-    if seeds is None:
-        seeds = _basis(n)
     maps = [g.apply for g in gens]
-    tree = orbit(map(tuple, seeds), maps, cap)
+    tree = orbit(_basis(n), maps, cap)
     if isinstance(gens[0], SemilinearElement):
         we1 = _scaled_e1(F, n)
         if we1 not in tree:
@@ -212,8 +209,7 @@ def matrix_action(gens, seeds=None, cap=ORBIT_CAP):
     points = tuple(tree)
     index = {v: k for k, v in enumerate(points)}
     perms = [Permutation([index[g.apply(v)] for v in points]) for g in gens]
-    spanning = _rank_of(F, points) == n
-    return ActionRecord(points, index, perms, spanning)
+    return ActionRecord(points, index, perms)
 
 
 def _basis(n):
@@ -222,22 +218,6 @@ def _basis(n):
 
 def _scaled_e1(F, n):
     return (F.primitive(),) + (0,) * (n - 1)
-
-
-def _rank_of(F, vectors):
-    basis = []
-    for v in vectors:
-        v = list(v)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if v[lead]:
-                c = v[lead]
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, b)]
-        if any(v):
-            lead = next(i for i, x in enumerate(v) if x)
-            v = [F.mul(F.inv(v[lead]), x) for x in v]
-            basis.append(v)
-    return len(basis)
 
 
 def _conjugator(g):
@@ -251,7 +231,11 @@ def _conjugator(g):
 
 
 def closure_enumerate(gens, cap=CLOSURE_CAP):
-    """The full set <gens> by breadth-first product closure; Overflow past cap."""
+    """The full set <gens> by breadth-first product closure; Overflow past cap.
+
+    Nothing in the package calls it: `Group.elements` reads the chain.  It is
+    the independent reference the tests check the chain against.
+    """
     if not gens:
         raise ValueError("closure of an empty generator list has no ambient")
     maps = [partial(mul, g) for g in gens if not g.is_identity()]
@@ -261,7 +245,7 @@ def closure_enumerate(gens, cap=CLOSURE_CAP):
 class Group:
     """Generators plus lazily built stabilizer-chain data."""
 
-    def __init__(self, gens, name=None, identity=None, seeds=None, meta=None):
+    def __init__(self, gens, name=None, identity=None, meta=None):
         self.gens = list(gens)
         self.name = name
         self.meta = dict(meta or {})
@@ -271,7 +255,6 @@ class Group:
             self._identity = identity
         else:
             raise ValueError("empty generator list needs an explicit identity")
-        self._seeds = seeds
         self._chain = None
         self._action = None
         self._elements = None
@@ -289,7 +272,7 @@ class Group:
     def action(self):
         """Permutation action record (identity map for permutation groups)."""
         if self._action is None and not isinstance(self._identity, Permutation):
-            self._action = matrix_action(self.gens, seeds=self._seeds)
+            self._action = matrix_action(self.gens or [self._identity])
         return self._action
 
     @property
@@ -303,14 +286,7 @@ class Group:
             self._chain.build(perms)
         return self._chain
 
-    @property
-    def faithful(self):
-        """False when the seeds do not span, so the image may collapse something."""
-        return isinstance(self._identity, Permutation) or self.action.spanning
-
     def order(self):
-        if self._elements is not None:
-            return len(self._elements)
         return self.chain.order()
 
     def to_perm(self, x):
@@ -368,34 +344,27 @@ class Group:
         return self.from_perm(self.chain.random(rng))
 
     def elements(self, cap=CLOSURE_CAP):
-        """Full element set (cached); Overflow if the order exceeds cap.  A
-        group whose image is not faithful is closed instead of read off the chain."""
+        """Full element set (cached), read off the chain's element stream;
+        Overflow before any work if the order exceeds cap."""
         if self._elements is None:
-            if not self.gens:
-                self._elements = frozenset([self._identity])
-            elif self.faithful:
-                self._elements = frozenset(map(self.from_perm,
-                                               self.chain.elements(cap)))
-            else:
-                self._elements = frozenset(closure_enumerate(self.gens, cap=cap))
+            self._elements = frozenset(map(self.from_perm,
+                                           self.chain.elements(cap)))
         return self._elements
 
     def class_maps(self):
-        """Conjugation y -> g^-1 y g by each generator: on the chain's
-        permutations when the image is faithful, else on the elements."""
-        if not self.faithful:
-            return [lambda y, g=g, gi=~g: gi * y * g for g in self.gens]
+        """Conjugation y -> g^-1 y g by each generator, on the chain's
+        permutations."""
         perms = (self.gens if isinstance(self._identity, Permutation)
                  else self.action.perms)
         return [_conjugator(g) for g in perms]
 
     def conjugacy_class(self, x, cap=CLOSURE_CAP):
         """Orbit of x under conjugation by the generators (full class)."""
-        p = self.to_perm(x) if self.faithful else x
+        p = self.to_perm(x)
         if p is None:
             raise ValueError("%r does not act on the group's points" % (x,))
         cls = orbit([p], self.class_maps(), cap, "class")
-        return frozenset(map(self.from_perm, cls) if self.faithful else cls)
+        return frozenset(map(self.from_perm, cls))
 
     def __repr__(self):
         return "Group(%s, %d gens)" % (self.name or self.kind, len(self.gens))

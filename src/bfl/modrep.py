@@ -7,7 +7,7 @@ import time
 
 from .elements import SquareMatrix
 from .report import Verdict, HOLDS, FAILS, INDETERMINATE, SKIPPED
-from .smallgroup import SmallGroup, is_p_group
+from .smallgroup import is_p_group
 from .wreath import wreath_section_detect
 
 SPIN_CAP = 100_000

@@ -10,6 +10,7 @@ so reruns are bit-identical.
 import json
 import random
 import time
+from itertools import product
 
 from .catalog import construct, parse_blueprint, special_element
 from .classes import (PAIR_CAP, ConjClass, NormalSet, enumerate_classes,
@@ -219,6 +220,19 @@ def _enumerated_sorted(C):
     return sorted(els, key=serial_key)
 
 
+def _pairs(elist, sampled):
+    """The pairs (a, b) a check visits: SAMPLE_PAIRS draws from
+    Random(0xBF), a then b, when sampled, else all of elist x elist in order."""
+    if not sampled:
+        yield from product(elist, repeat=2)
+        return
+    rng = random.Random(0xBF)
+    n = len(elist)
+    for _ in range(SAMPLE_PAIRS):
+        a = elist[rng.randrange(n)]
+        yield a, elist[rng.randrange(n)]
+
+
 def commutator_closed_check(G, C, p, max_witnesses=MAX_WITNESSES):
     """Is [c, d] in C or trivial for every pair c, d in the normal set C?
 
@@ -249,34 +263,16 @@ def commutator_closed_check(G, C, p, max_witnesses=MAX_WITNESSES):
     witnesses = []
     image = set()
     pairs = 0
-    if sampled:
-        rng = random.Random(0xBF)
-        for _ in range(SAMPLE_PAIRS):
-            a = elist[rng.randrange(n)]
-            b = elist[rng.randrange(n)]
-            pairs += 1
-            k = commutator(a, b)
-            if k not in ok:
-                witnesses.append({"c": serialize_element(a),
-                                  "d": serialize_element(b),
-                                  "commutator": serialize_element(k)})
-                if len(witnesses) >= max_witnesses:
-                    break
-    else:
-        done = False
-        for a in elist:
-            for b in elist:
-                pairs += 1
-                k = commutator(a, b)
-                image.add(k)
-                if k not in ok:
-                    witnesses.append({"c": serialize_element(a),
-                                      "d": serialize_element(b),
-                                      "commutator": serialize_element(k)})
-                    if len(witnesses) >= max_witnesses:
-                        done = True
-                        break
-            if done:
+    for a, b in _pairs(elist, sampled):
+        pairs += 1
+        k = commutator(a, b)
+        if not sampled:
+            image.add(k)
+        if k not in ok:
+            witnesses.append({"c": serialize_element(a),
+                              "d": serialize_element(b),
+                              "commutator": serialize_element(k)})
+            if len(witnesses) >= max_witnesses:
                 break
     notes = []
     sq = all(a * a in ok for a in elist)
@@ -334,8 +330,8 @@ def cc_inverse_check(C, p, max_witnesses=MAX_WITNESSES):
     sampled = n * n > PAIR_CAP
     witnesses = []
     pairs = 0
-
-    def check(a, b):
+    for a, b in _pairs(elist, sampled):
+        pairs += 1
         x = a * inverse(b)
         m = element_order(x)
         if not is_p_power(m, p):
@@ -343,25 +339,7 @@ def cc_inverse_check(C, p, max_witnesses=MAX_WITNESSES):
                               "d": serialize_element(b),
                               "product": serialize_element(x),
                               "product_order": m})
-            return True
-        return False
-
-    if sampled:
-        rng = random.Random(0xBF)
-        for _ in range(SAMPLE_PAIRS):
-            pairs += 1
-            if (check(elist[rng.randrange(n)], elist[rng.randrange(n)])
-                    and len(witnesses) >= max_witnesses):
-                break
-    else:
-        done = False
-        for a in elist:
-            for b in elist:
-                pairs += 1
-                if check(a, b) and len(witnesses) >= max_witnesses:
-                    done = True
-                    break
-            if done:
+            if len(witnesses) >= max_witnesses:
                 break
     counters = {"pairs": pairs, "set_size": n}
     notes = []

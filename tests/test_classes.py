@@ -295,17 +295,11 @@ def test_cap_checked_before_enumeration():
     assert str(err.value) == "closure exceeds cap 1000"
 
 
-def test_non_faithful_group_falls_back_to_closure():
-    F = GF(5)
-    A = SquareMatrix(F, [[1, 0], [0, 2]])
-    G = Group([A], seeds=[(1, 0)])
-    assert not G.faithful and G.chain.order() == 1
-    cls = enumerate_classes(G)
-    powers = [SquareMatrix.diagonal(F, (1, x)) for x in (1, 2, 4, 3)]
-    assert [(c.label, c.size) for c in cls] == [
-        ("1a", 1), ("2a", 1), ("4a", 1), ("4b", 1)]
-    assert [c.representative for c in cls] == [powers[0], powers[2],
-                                               powers[1], powers[3]]
-    assert all(c.perms is None for c in cls)
-    assert NormalSet(cls).elements == frozenset(powers)
-    assert class_of(G, powers[1]) is cls[2]
+def test_order_does_not_depend_on_call_history():
+    trivial = Group([], identity=SquareMatrix.identity(GF(5), 2))
+    for G, n in ((construct("gl:2:3"), 48), (gammal2_9(), 11520),
+                 (trivial, 1)):
+        assert G.order() == n
+        assert len(G.elements()) == n and G.order() == n
+        enumerate_classes(G)
+        assert G.order() == n

@@ -100,6 +100,14 @@ def test_data_errors(capsys, tmp_path):
     assert code == 65 and err
 
 
+def test_generatorless_matrix_file_is_the_trivial_group(capsys, tmp_path):
+    gens = tmp_path / "e.gens"
+    gens.write_text("group e mat 2 over GF(5)\n")
+    code, body = run_json(capsys, "classes", "--group", "file:%s" % gens)
+    assert code == 0
+    assert [c["label"] for c in body["info"]["classes"]] == ["1a"]
+
+
 # ---- output contract -------------------------------------------------------
 
 def test_json_deterministic_modulo_header(capsys):

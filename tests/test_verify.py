@@ -212,6 +212,55 @@ def test_cc_inverse_inside_a_p_group_holds():
     assert v.counters["pairs"] == 4  # class of size 2
 
 
+# ---- the sampled pair walk -------------------------------------------------
+# 4b of alt:8 has 2520 elements, so 2520^2 pairs pass PAIR_CAP and both checks
+# draw pairs from Random(0xBF).  The verdicts were captured before the two
+# checks shared one pair walk.
+
+def _perm(*images):
+    return {"images": list(images), "kind": "perm"}
+
+
+SAMPLED_PAIRS = [
+    (_perm(6, 4, 0, 2, 1, 5, 3, 7), _perm(7, 0, 2, 5, 1, 3, 6, 4)),
+    (_perm(6, 2, 0, 3, 7, 5, 1, 4), _perm(6, 1, 4, 0, 2, 5, 7, 3)),
+    (_perm(0, 7, 4, 3, 6, 2, 5, 1), _perm(4, 6, 0, 2, 3, 5, 1, 7)),
+]
+SAMPLED_COMMUTATORS = [_perm(2, 0, 4, 6, 7, 3, 5, 1),
+                       _perm(6, 7, 0, 2, 3, 5, 1, 4),
+                       _perm(7, 6, 5, 0, 2, 3, 1, 4)]
+SAMPLED_PRODUCTS = [(_perm(4, 1, 0, 5, 7, 2, 3, 6), 7),
+                    (_perm(3, 2, 7, 4, 0, 5, 6, 1), 3),
+                    (_perm(4, 5, 3, 6, 0, 2, 7, 1), 6)]
+
+
+def _verdict(v):
+    d = v.to_json()
+    d.pop("seconds")
+    return d
+
+
+def test_sampled_pair_walk_verdicts_pinned():
+    G = construct("alt:8")
+    enumerate_classes(G)
+    c = cls_of(G, "4b")
+    assert c.size == 2520
+    assert _verdict(commutator_closed_check(G, c, 2)) == {
+        "scenario": "comm-closed:alt:8,C=4b,p=2", "status": "fails",
+        "sampled": True, "counters": {"pairs": 3, "set_size": 2520},
+        "witnesses": [{"c": a, "d": b, "commutator": k}
+                      for (a, b), k in zip(SAMPLED_PAIRS, SAMPLED_COMMUTATORS)],
+        "notes": ["C is not closed under squares",
+                  "C is closed under inverses"]}
+    assert _verdict(cc_inverse_check(c, 2)) == {
+        "scenario": "cc-inverse:alt:8,C=4b,p=2", "status": "fails",
+        "sampled": True, "counters": {"pairs": 3, "set_size": 2520},
+        "witnesses": [{"c": a, "d": b, "product": x, "product_order": m}
+                      for (a, b), (x, m) in zip(SAMPLED_PAIRS,
+                                                SAMPLED_PRODUCTS)],
+        "notes": []}
+
+
 # ---- l2q_trace_identity ----------------------------------------------------
 
 # q -> number of t with trace != t+3; the shortfall from q counts the roots
