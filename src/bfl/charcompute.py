@@ -1,13 +1,15 @@
 """Brute-force character tables for small fully-enumerable groups.
 
-Structure constants are counted from explicit class-sum products.  The
-irreducible characters are the common eigenvectors of the class matrices,
-computed exactly over a prime field F_ell with ell = 1 (mod exponent) and
-ell > 2|G|, then lifted to cyclotomic integers by Fourier inversion on the
-eigenvalue multiplicities of each power class.
+Structure constants are counted from explicit class-sum products on the
+permutation image.  The irreducible characters are the common eigenvectors of
+the class matrices, computed exactly over a prime field F_ell with ell = 1
+(mod exponent) and ell > 2|G| (over 40000 for alt:8), with eigenvalues split
+off by polynomial gcds, then lifted to cyclotomic integers by Fourier
+inversion on the eigenvalue multiplicities of each power class.
 """
 
 import math
+from itertools import zip_longest
 
 from .classes import enumerate_classes
 from .chartab import CharacterTable
@@ -33,21 +35,18 @@ def structure_constants(G):
 
     e_k is any fixed element of C_k; only one representative c per C_i is
     scanned, since conjugating d by the element carrying rep to c is a
-    bijection of the solution set.
+    bijection of the solution set.  Products run on image tuples, keys of loc.
     """
     cls = enumerate_classes(G)
-    loc = {}
-    for k, C in enumerate(cls):
-        for x in C.elements:
-            loc[x] = k
+    loc = {p.images: k for k, C in enumerate(cls) for p in C.perms}
     r = len(cls)
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
-        rep = cls[i].representative
+        rep = G.to_perm(cls[i].representative).images.__getitem__
         for j in range(r):
             hits = [0] * r
-            for d in cls[j].elements:
-                hits[loc[rep * d]] += 1
+            for d in cls[j].perms:
+                hits[loc[tuple(map(rep, d.images))]] += 1
             for k in range(r):
                 total = cls[i].size * hits[k]
                 if total % cls[k].size:
@@ -101,16 +100,76 @@ def _charpoly(M, ell):
               for t in range(r)] for s in range(r)]
     return coeffs
 
+
+# polynomials over F_ell are coefficient lists c_0..c_d with c_d != 0
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_sub(a, b, ell):
+    return _trim([(x - y) % ell for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _poly_divmod(a, m, ell):
+    """Quotient and remainder of a by a nonzero m."""
+    a, d, inv = a[:], len(m) - 1, pow(m[-1], -1, ell)
+    q = [0] * max(len(a) - d, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = a[k + d] * inv % ell
+        a[k:k + d + 1] = [(x - c * y) % ell for x, y in zip(a[k:], m)]
+    return q, _trim(a[:d])
+
+
+def _poly_gcd(a, b, ell):
+    """A gcd (up to a unit) of a nonzero a and any b."""
+    while b:
+        a, b = b, _poly_divmod(a, b, ell)[1]
+    return a
+
+
+def _poly_powmod(base, e, m, ell):
+    """base^e mod m, by squaring."""
+    def mulmod(a, b):
+        prod = [0] * (len(a) + len(b))
+        for s, x in enumerate(a):
+            for t, y in enumerate(b):
+                prod[s + t] += x * y
+        return _poly_divmod([c % ell for c in prod], m, ell)[1]
+    out, base = [1], _poly_divmod(base, m, ell)[1]
+    while e:
+        if e & 1:
+            out = mulmod(out, base)
+        base, e = mulmod(base, base), e >> 1
+    return out
+
+
 def _poly_roots(coeffs, ell):
-    """All roots in F_ell, by direct scan (ell is a few thousand at most)."""
-    roots = []
-    for x in range(ell):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % ell
-        if acc == 0:
-            roots.append(x)
-    return roots
+    """The distinct roots in F_ell (ell an odd prime) of a nonzero sum c_k x^k,
+    sorted.
+
+    Cantor-Zassenhaus: gcd(f, x^ell - x) is the product of x - r over the
+    roots r.  A factor g of degree > 1 is cut into g / h and
+    h = gcd(g, (x + a)^((ell-1)/2) - 1), whose roots are the r with r + a a
+    nonzero square, for a = 1, 2, ... in turn; a cut that is not proper
+    passes g on to the next a.
+    """
+    f = _trim([c % ell for c in coeffs])
+    todo = [_poly_gcd(f, _poly_sub(_poly_powmod([0, 1], ell, f, ell), [0, 1],
+                                   ell), ell)]
+    roots, a = [], 1
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            roots.append(-g[0] * pow(g[1], -1, ell) % ell)
+        elif len(g) > 2:
+            h = _poly_powmod([a, 1], (ell - 1) // 2, g, ell)
+            h = _poly_gcd(g, _poly_sub(h, [1], ell), ell)
+            todo += [h, _poly_divmod(g, h, ell)[0]]
+            a += 1
+    return sorted(roots)
 
 
 def _nullspace(cols, ell):
@@ -196,10 +255,11 @@ def build_table(G, name, check=True):
     # powers of each representative, as class indices
     powcls = []
     for C in cls:
-        idx, y = [], G.identity
+        rep = G.to_perm(C.representative).images
+        idx, y = [], tuple(range(len(rep)))
         for _ in range(C.order):
             idx.append(loc[y])
-            y = y * C.representative
+            y = tuple(map(rep.__getitem__, y))
         powcls.append(idx)
     inv_idx = [powcls[k][-1] if cls[k].order > 1 else 0 for k in range(r)]
 

@@ -73,7 +73,8 @@ class ConjClass:
         return self.representative == other.representative
 
     def __hash__(self):
-        return hash((self.size, self.order, self.representative))
+        # equal classes may hold different representatives
+        return hash((self.size, self.order))
 
 
 class NormalSet:

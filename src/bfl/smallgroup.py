@@ -4,7 +4,7 @@ import math
 import operator
 from functools import partial
 
-from .elements import Overflow
+from .elements import Overflow, element_order
 from .fields import is_p_power
 from .groups import orbit
 
@@ -16,9 +16,11 @@ class SmallGroup:
     """A finite group as an indexed element list; index 0 is the identity.
 
     Multiplication runs off a full table for small orders, otherwise off the
-    underlying elements with memoization.  Built by generate() (breadth-first
-    closure, recording how each element arose from the generators), induced()
-    (subgroup of an existing SmallGroup) or quotient().
+    underlying elements with memoization; the center, classes and normal
+    closures run on each generator's conjugation as an index tuple.  Built by
+    generate() (breadth-first closure, recording how each element arose from
+    the generators), induced() (subgroup of an existing SmallGroup) or
+    quotient().
     """
 
     def __init__(self, elements, gens, table=None, name="",
@@ -35,6 +37,7 @@ class SmallGroup:
         self._inv = None
         self._orders = None
         self._classes = None
+        self._conj = {}
 
     # -- construction ------------------------------------------------------
 
@@ -127,6 +130,23 @@ class SmallGroup:
                 self._inv[i] = self._index[~self.elements[i]]
         return self._inv[i]
 
+    def _conj_row(self, g):
+        """x -> g^-1 x g as an index tuple, built once: x g read at g^-1 x,
+        with g x and x g off the table or one underlying product each."""
+        row = self._conj.get(g)
+        if row is None:
+            if self.table is not None:
+                left, right = self.table[g], [r[g] for r in self.table]
+            else:
+                y, idx = self.elements[g], self._index
+                left = [idx[y * x] for x in self.elements]
+                right = [idx[x * y] for x in self.elements]
+            inv_left = [0] * self.order
+            for x, gx in enumerate(left):
+                inv_left[gx] = x
+            row = self._conj[g] = tuple(map(right.__getitem__, inv_left))
+        return row
+
     def conj(self, i, g):
         """Index of g^-1 * x_i * g."""
         return self.mul(self.mul(self.inv(g), i), g)
@@ -137,14 +157,19 @@ class SmallGroup:
                         self.mul(i, j))
 
     def element_order(self, i):
+        """Order of element i: read off the element itself when the group has
+        no table, else by stepping through its powers in the table."""
         if self._orders is None:
             self._orders = [None] * self.order
         if self._orders[i] is None:
-            k, y = 1, i
-            while y != 0:
-                y = self.mul(y, i)
-                k += 1
-            self._orders[i] = k
+            if self.table is None:
+                self._orders[i] = element_order(self.elements[i])
+            else:
+                row, k, y = self.table[i], 1, i
+                while y:
+                    y = row[y]
+                    k += 1
+                self._orders[i] = k
         return self._orders[i]
 
     def order_histogram(self):
@@ -165,26 +190,19 @@ class SmallGroup:
 
     def center_indices(self):
         """Commuting with every generator is enough to be central."""
-        out = []
-        for i in range(self.order):
-            if all(self.mul(i, g) == self.mul(g, i) for g in self.gens):
-                out.append(i)
-        return frozenset(out)
+        rows = [self._conj_row(g) for g in self.gens]
+        return frozenset(i for i in range(self.order)
+                         if all(row[i] == i for row in rows))
+
+    def _conj_maps(self):
+        return [self._conj_row(g).__getitem__ for g in self.gens]
 
     def normal_closure(self, seed):
-        """Smallest normal subgroup containing the seed indices."""
-        gens = sorted({s for s in seed if s})
-        while True:
-            got = self.closure(gens)
-            fresh = []
-            for g in self.gens:
-                for x in sorted(got):
-                    y = self.conj(x, g)
-                    if y not in got:
-                        fresh.append(y)
-            if not fresh:
-                return got
-            gens.extend(fresh)
+        """Smallest normal subgroup containing the seed indices: the orbit of
+        the identity under left multiplication by the seeds and conjugation by
+        the generators (closed under the seeds' conjugates, so a subgroup)."""
+        maps = [partial(self.mul, s) for s in set(seed) if s]
+        return frozenset(orbit([0], maps + self._conj_maps()))
 
     def derived_indices(self):
         """The commutator subgroup: normal closure of generator commutators."""
@@ -192,10 +210,11 @@ class SmallGroup:
         return self.normal_closure(seeds)
 
     def class_partition(self):
-        """Conjugacy classes as frozensets of indices, ordered by least index."""
+        """Conjugacy classes as frozensets of indices, ordered by least index:
+        orbits under the generators' conjugation tuples."""
         if self._classes is not None:
             return self._classes
-        maps = [partial(self.conj, g=g) for g in self.gens]
+        maps = self._conj_maps()
         seen = [False] * self.order
         out = []
         for i in range(self.order):
@@ -303,9 +322,8 @@ def quotient(S, N):
             if S.mul(a, b) not in N:
                 raise ValueError("N is not closed under multiplication")
     for g in S.gens:
-        for x in N:
-            if S.conj(x, g) not in N:
-                raise ValueError("N is not normal: conjugation escapes")
+        if not N.issuperset(map(S._conj_row(g).__getitem__, N)):
+            raise ValueError("N is not normal: conjugation escapes")
     coset_id = {}
     reps = []
     cosets = []

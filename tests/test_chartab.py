@@ -6,7 +6,8 @@ import os
 import pytest
 
 from bfl.catalog import construct
-from bfl.charcompute import SHIPPED_TABLES, build_table, table_json
+from bfl.charcompute import (SHIPPED_TABLES, _poly_roots, build_table,
+                              table_json)
 from bfl.chartab import (CharacterTable, TableError, parse_table, load_table,
                          class_mult_count, product_support, inverse_class,
                          bf_pair_table)
@@ -238,3 +239,80 @@ def test_shipped_files_match_regeneration(name, bp):
 def test_generator_rejects_wrong_constants():
     T = build_table(construct("sym:3"), "s3")
     assert T.degrees == (1, 1, 2)
+
+
+def test_every_shipped_table_rebuilds_identically():
+    for name, bp in SHIPPED_TABLES:
+        assert (build_table(construct(bp), name).to_json()
+                == load_table(name).to_json()), name
+
+
+# the table of a matrix group, captured before structure constants moved
+# onto the permutation image; the power maps cross back through to_perm
+GL2_3_TABLE = {
+    "classes": [
+        {"element_order": 1, "powermap": {"2": 0, "3": 0}, "size": 1},
+        {"element_order": 2, "powermap": {"2": 0, "3": 1}, "size": 1},
+        {"element_order": 2, "powermap": {"2": 0, "3": 2}, "size": 12},
+        {"element_order": 3, "powermap": {"2": 3, "3": 0}, "size": 8},
+        {"element_order": 4, "powermap": {"2": 1, "3": 4}, "size": 6},
+        {"element_order": 6, "powermap": {"2": 3, "3": 1}, "size": 8},
+        {"element_order": 8, "powermap": {"2": 4, "3": 6}, "size": 6},
+        {"element_order": 8, "powermap": {"2": 4, "3": 7}, "size": 6}],
+    "irreducibles": [
+        [1, 1, -1, 1, 1, 1, -1, -1],
+        [1, 1, 1, 1, 1, 1, 1, 1],
+        [2, -2, 0, {"c": [0, 1, 1], "m": 3}, 0,
+         {"c": [0, 1, -1, 0, 0, 0], "m": 6},
+         {"c": [0, -1, 0, -1, 0, 0, 0, 0], "m": 8},
+         {"c": [0, 1, 0, 1, 0, 0, 0, 0], "m": 8}],
+        [2, -2, 0, {"c": [0, 1, 1], "m": 3}, 0,
+         {"c": [0, 1, -1, 0, 0, 0], "m": 6},
+         {"c": [0, 1, 0, 1, 0, 0, 0, 0], "m": 8},
+         {"c": [0, -1, 0, -1, 0, 0, 0, 0], "m": 8}],
+        [2, 2, 0, {"c": [0, 1, 1], "m": 3}, 2,
+         {"c": [0, -1, 1, 0, 0, 0], "m": 6}, 0, 0],
+        [3, 3, -1, 0, -1, {"c": [1, -1, 1, 0, 0, 0], "m": 6}, 1, 1],
+        [3, 3, 1, 0, -1, {"c": [1, -1, 1, 0, 0, 0], "m": 6}, -1, -1],
+        [4, -4, 0, 1, 0, {"c": [-2, 1, -1, 0, 0, 0], "m": 6}, 0, 0]],
+    "name": "gl2_3", "order": 48}
+
+
+def test_matrix_group_table_pinned():
+    got = build_table(construct("gl:2:3"), "gl2_3").to_json()
+    assert json.loads(json.dumps(got)) == GL2_3_TABLE
+
+
+def _expand(roots, ell):
+    """Coefficients c_0..c_d of prod (x - r) mod ell."""
+    coeffs = [1]
+    for r in roots:
+        shifted = [0] + coeffs
+        coeffs = [(s - r * c) % ell for s, c in zip(shifted, coeffs + [0])]
+    return coeffs
+
+
+def _scan_roots(coeffs, ell):
+    return [x for x in range(ell)
+            if not sum(c * pow(x, k, ell) for k, c in enumerate(coeffs)) % ell]
+
+
+@pytest.mark.parametrize("ell", [97, 101])
+@pytest.mark.parametrize("roots", [
+    [],  # the constant polynomials 1 and 3
+    [5], [0], [0, 0, 3], [7, 7, 7, 2], [1, 2, 3, 4, 5, 6],
+    [96, 0, 50, 50, 13, 88, 1], list(range(0, 90, 9)),
+])
+def test_poly_roots_match_scan(ell, roots):
+    for lead in (1, 3):
+        coeffs = [(lead * c) % ell for c in _expand(roots, ell)]
+        assert _poly_roots(coeffs, ell) == sorted(set(roots))
+        assert _poly_roots(coeffs, ell) == _scan_roots(coeffs, ell)
+    # a factor with no root in F_ell (x^2 - a non-residue) changes nothing
+    nonres = next(a for a in range(2, ell) if pow(a, (ell - 1) // 2, ell) != 1)
+    coeffs = _expand(roots, ell)
+    mixed = [0] * (len(coeffs) + 2)
+    for k, c in enumerate(coeffs):
+        mixed[k] = (mixed[k] - nonres * c) % ell
+        mixed[k + 2] = (mixed[k + 2] + c) % ell
+    assert _poly_roots(mixed, ell) == _scan_roots(mixed, ell)

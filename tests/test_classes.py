@@ -123,6 +123,16 @@ def test_inverse_set_three_cycles_alt4():
     assert inverse_set(inverse_set(a)).classes[0] is a
 
 
+def test_equal_uncached_classes_hash_alike():
+    # the inverse class's representative is the inverse of C's, not C's own
+    G = construct("sym:4")
+    C = class_of(G, Permutation.from_cycles(4, [(1, 2, 3)], base=1))
+    I = inverse_set(C).classes[0]
+    assert I == C
+    assert hash(I) == hash(C)
+    assert len({I, C}) == 1
+
+
 def test_inverse_set_involutions_self():
     G = construct("sym:4")
     c = select_class(enumerate_classes(G), "order:2,size:6")

@@ -223,3 +223,66 @@ def test_generate_overflow_text():
     with pytest.raises(Overflow) as err:
         SmallGroup.generate(gens, Permutation.identity(6), cap=100)
     assert str(err.value) == "group closure exceeds cap 100"
+
+
+def _digest_indices(parts):
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()[:16]
+
+
+# invariants of an element-backed group (order over TABLE_LIMIT), pinned
+# before element orders, translation rows and normal closures moved to
+# integer arithmetic: (order histogram, center, derived size and digest,
+# class count and digest of the sorted classes)
+ELEMENT_BACKED_PINS = [
+    (lambda: build_wreath(5).small(),
+     {1: 1, 5: 5624, 25: 10000}, [0, 968, 6365, 13600, 15541],
+     625, "76062dc3323ec9e7", 649, "f292463e032fb0df"),
+    (lambda: SmallGroup.from_group(construct("gl:2:5")),
+     {1: 1, 2: 31, 3: 20, 4: 152, 5: 24, 6: 20, 8: 40, 10: 24, 12: 40,
+      20: 48, 24: 80}, [0, 8, 73, 289],
+     120, "b4c7a95f283118ce", 24, "2e305f56d6fc47b2"),
+]
+
+
+@pytest.mark.parametrize("make, hist, center, nder, der, ncls, cls",
+                         ELEMENT_BACKED_PINS)
+def test_element_backed_invariants_pinned(make, hist, center, nder, der,
+                                          ncls, cls):
+    S = make()
+    assert S.table is None
+    assert S.order_histogram() == hist
+    assert sorted(S.center_indices()) == center
+    derived = sorted(S.derived_indices())
+    assert (len(derived), _digest_indices(derived)) == (nder, der)
+    classes = [sorted(c) for c in S.class_partition()]
+    assert (len(classes), _digest_indices(classes)) == (ncls, cls)
+
+
+S4_NORMAL_CLOSURES = [
+    ([], [0]), ([0], [0]),
+    ([3], [0, 3, 4, 5, 11, 12, 13, 14, 15, 21, 22, 23]),
+    ([13], [0, 3, 4, 5, 11, 12, 13, 14, 15, 21, 22, 23]),
+    ([5], [0, 5, 12, 23]), ([23], [0, 5, 12, 23]),
+    ([1], list(range(24))), ([2], list(range(24))),
+    ([7, 11], list(range(24))),
+]
+W3_NORMAL_CLOSURES = [
+    ([], 1, [0]), ([45], 3, [0, 45, 76]), ([76], 3, [0, 45, 76]),
+    ([1], 27, "14c80f77cd329721"), ([3], 27, "14c80f77cd329721"),
+    ([28, 54], 27, "14c80f77cd329721"), ([2], 27, "cca5e844a90e15ec"),
+    ([4], 27, "aed0bb55794f040b"), ([12], 27, "74d8371edf967174"),
+    ([7, 9], 27, "74d8371edf967174"),
+]
+
+
+def test_normal_closures_pinned(s4):
+    for seed, want in S4_NORMAL_CLOSURES:
+        assert sorted(s4.normal_closure(seed)) == want, seed
+    W3 = build_wreath(3).small()
+    for seed, size, want in W3_NORMAL_CLOSURES:
+        got = sorted(W3.normal_closure(seed))
+        assert len(got) == size, seed
+        assert (got if isinstance(want, list)
+                else _digest_indices(got)) == want, seed
+    assert sorted(W3.derived_indices()) == [0, 39, 41, 43, 45, 46, 49, 50, 76]
+    assert sorted(W3.center_indices()) == [0, 45, 76]
