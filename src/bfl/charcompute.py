@@ -10,6 +10,7 @@ inversion on the eigenvalue multiplicities of each power class.
 
 import math
 from itertools import zip_longest
+from operator import mul
 
 from .classes import enumerate_classes
 from .chartab import CharacterTable
@@ -96,8 +97,8 @@ def _charpoly(M, ell):
             break
         for t in range(r):
             A[t][t] = (A[t][t] + c) % ell
-        A = [[sum(M[s][u] * A[u][t] for u in range(r)) % ell
-              for t in range(r)] for s in range(r)]
+        cols = list(zip(*A))
+        A = [[sum(map(mul, row, col)) % ell for col in cols] for row in M]
     return coeffs
 
 

@@ -5,21 +5,31 @@ conjugates of the other -- any pair (c^h, d^g) is simultaneously conjugate to
 (c, d^(g h^-1)), so one orbit of conjugates covers every combination.  Sampled
 plans draw conjugators through the group's stabilizer chain from a fixed seed,
 so reruns are bit-identical.
+
+c and every d' = g^-1 d g are permutations of the ambient group's faithful
+image, and <c, d'> is closed on image tuples.  A subgroup larger than |G|_p
+is not a p-group, so the closure stops past min(|G|_p, PAIR_CLOSURE_CAP)
+and still decides the pair.  Two involutions at p = 2 skip it: they generate
+a dihedral group of order 2 ord(c d').  A stabilizer chain is built only when
+the closure passes its cap, for the exact `closure_order` of a failure
+witness or for an order past PAIR_CLOSURE_CAP, and d' goes back through
+`Group.from_perm` only for a witness.
 """
 
 import json
 import random
 import time
 from itertools import product
+from math import gcd
 
 from .catalog import construct, parse_blueprint, special_element
-from .classes import (PAIR_CAP, ConjClass, NormalSet, enumerate_classes,
-                      involution_classes_sym, serial_key)
+from .classes import (PAIR_CAP, ConjClass, NormalSet, _image_key, class_of,
+                      enumerate_classes, involution_classes_sym, serial_key)
 from .elements import (Overflow, SquareMatrix, commutator, conjugate,
                        deserialize_element, element_order, identity_like,
                        inverse, serialize_element)
 from .fields import GF, is_p_power
-from .groups import Group
+from .groups import Group, orbit
 from .modrep import commutator_dim
 from .report import (FAILS, HOLDS, INDETERMINATE, SKIPPED, ScanPlan, Verdict)
 from .smallgroup import SmallGroup
@@ -27,6 +37,9 @@ from .wreath import wreath_section_detect
 
 MAX_WITNESSES = 3
 SAMPLE_PAIRS = 100_000  # pair budget when a full C x C scan would overflow
+# Largest pair closure enumerated before a chain takes over: at degree 80, a
+# closure past 512 elements costs over 3x a chain build of the same group.
+PAIR_CLOSURE_CAP = 512
 
 
 def _rep(x):
@@ -56,15 +69,39 @@ def replay_pair_witness(witness, p):
     return m == witness["closure_order"] and not is_p_power(m, p)
 
 
-def _conjugates(G, d, d_cls, plan):
-    """Conjugates of d per the plan; exhaustive mode sorts the full class so
-    witness selection is stable."""
+def _conjugate_perms(G, d, d_cls, plan):
+    """Conjugates of d as permutations of G's image, per the plan: the whole
+    class in serial_key order (exhaustive, so witness selection is stable),
+    or g^-1 d g for each g = G.chain.random(rng) from Random(plan.seed)."""
     if plan.mode == "exhaustive":
-        if d_cls is not None and d_cls.elements is not None:
-            return sorted(d_cls.elements, key=serial_key)
-        return sorted(G.conjugacy_class(d), key=serial_key)
+        if d_cls is None or d_cls.group is not G or d_cls.perms is None:
+            d_cls = class_of(G, d)
+        return sorted(d_cls.perms, key=_image_key(G))
     rng = random.Random(plan.seed)
-    return (conjugate(d, G.random_element(rng)) for _ in range(plan.size))
+    dq = G.to_perm(d)
+    return (conjugate(dq, G.chain.random(rng)) for _ in range(plan.size))
+
+
+def _capped_order(cq, dq, p, cap):
+    """|<cq, dq>| for two image permutations, or None once it exceeds cap."""
+    if p == 2 and (cq * cq).is_identity() and (dq * dq).is_identity():
+        m = 2 * (cq * dq).order()  # two involutions generate a dihedral group
+        return m if m <= cap else None
+    maps = [lambda x, g=g.images.__getitem__: tuple(map(g, x))
+            for g in (cq, dq)]
+    try:
+        return len(orbit([tuple(range(cq.degree))], maps, cap, "closure"))
+    except Overflow:
+        return None
+
+
+def _closure_orders(G, cq, perms, p):
+    """(d', |<c, d'>|) for each image permutation d', by the closure capped
+    at min(|G|_p, PAIR_CLOSURE_CAP), or by a chain past that cap."""
+    n = G.order()
+    cap = min(gcd(n, p ** n.bit_length()), PAIR_CLOSURE_CAP)  # gcd: |G|_p
+    for dq in perms:
+        yield dq, _capped_order(cq, dq, p, cap) or Group([cq, dq]).order()
 
 
 def _pair_setup(G, c, d, p):
@@ -92,8 +129,7 @@ def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
     """Is |<c, d'>| a power of p for every d' in the class of d?
 
     c and d may be elements or ConjClass objects.  Fails carry replayable
-    (c, d') witnesses; a closure overflow leaves the verdict indeterminate
-    rather than guessing.
+    (c, d') witnesses.
     """
     t0 = time.perf_counter()
     plan = plan or ScanPlan()
@@ -103,35 +139,28 @@ def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
         return Verdict(scenario, SKIPPED, notes=[skip],
                        seconds=time.perf_counter() - t0)
     try:
-        stream = _conjugates(G, d, d_cls, plan)
+        stream = _conjugate_perms(G, d, d_cls, plan)
     except Overflow as e:
         return Verdict(scenario, INDETERMINATE,
                        notes=["class enumeration overflowed (%s); "
                               "use a sampled plan" % e],
                        seconds=time.perf_counter() - t0)
-    witnesses, notes = [], []
-    scanned = closures = overflows = 0
-    for dp in stream:
+    cq = G.to_perm(c)
+    if cq is None:
+        raise ValueError("c does not act on the group's points")
+    witnesses = []
+    scanned = 0
+    for dp, m in _closure_orders(G, cq, stream, p):
         scanned += 1
-        try:
-            m = Group([c, dp]).order()
-        except Overflow as e:
-            overflows += 1
-            if len(notes) < 3:
-                notes.append("closure overflow at conjugate %d: %s" % (scanned, e))
-            continue
-        closures += 1
         if not is_p_power(m, p):
-            witnesses.append(_pair_witness(c, dp, m))
+            witnesses.append(_pair_witness(c, G.from_perm(dp), m))
             if len(witnesses) >= max_witnesses:
                 break
-    status = FAILS if witnesses else (INDETERMINATE if overflows else HOLDS)
-    counters = {"pairs": scanned, "closures": closures}
-    if overflows:
-        counters["overflows"] = overflows
-    return Verdict(scenario, status, witnesses=witnesses, counters=counters,
+    return Verdict(scenario, FAILS if witnesses else HOLDS,
+                   witnesses=witnesses,
+                   counters={"pairs": scanned, "closures": scanned},
                    seconds=time.perf_counter() - t0,
-                   sampled=plan.mode == "sample", notes=notes)
+                   sampled=plan.mode == "sample")
 
 
 def wreath_free_pair_check(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
@@ -149,7 +178,7 @@ def wreath_free_pair_check(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
         return Verdict(scenario, SKIPPED, notes=[skip],
                        seconds=time.perf_counter() - t0)
     try:
-        stream = _conjugates(G, d, d_cls, plan)
+        stream = map(G.from_perm, _conjugate_perms(G, d, d_cls, plan))
     except Overflow as e:
         return Verdict(scenario, INDETERMINATE,
                        notes=["class enumeration overflowed (%s); "
@@ -619,18 +648,14 @@ def _sl2n3_probe(G, c, plan):
     F = c.field
     neg = F.neg(1)
     d2 = SquareMatrix.diagonal(F, (neg, neg, 1, 1))
-    rng = random.Random(plan.seed + 1)
     size = plan.size if plan.mode == "sample" else 1000
-    for k in range(1, size + 1):
-        dp = conjugate(d2, G.random_element(rng))
-        try:
-            m = Group([c, dp]).order()
-        except Overflow:
-            continue
+    stream = _conjugate_perms(G, d2, None, ScanPlan.sample(size, plan.seed + 1))
+    for k, (dp, m) in enumerate(_closure_orders(G, G.to_perm(c), stream, 2), 1):
         if not is_p_power(m, 2):
             return ("probe: negated-plane involution reached a non-2-group "
                     "closure of order %d at conjugate %d: %s"
-                    % (m, k, json.dumps(serialize_element(dp), sort_keys=True)))
+                    % (m, k, json.dumps(serialize_element(G.from_perm(dp)),
+                                        sort_keys=True)))
     return ("probe: negated-plane involution stayed 2-group through %d "
             "conjugates" % size)
 

@@ -1,5 +1,7 @@
 """The Z_p wr Z_p model, isomorphism testing, and section search."""
 
+from functools import cache
+
 from .elements import Permutation
 from .groups import Group
 from .smallgroup import (SmallGroup, is_p_group, subgroups, normal_subgroups,
@@ -31,15 +33,17 @@ class WreathModel:
         return "WreathModel(p=%d, order %d)" % (self.p, self.order)
 
 
+@cache
 def build_wreath(p):
-    """The model for p in {2, 3, 5}, with its invariants asserted."""
+    """The model for p in {2, 3, 5}, with its invariants asserted; built and
+    checked once per p, and the same model returned after."""
     if p not in (2, 3, 5):
         raise ValueError("supported primes: 2, 3, 5; got %r" % (p,))
     n = p * p
     base = Permutation.from_cycles(n, [tuple(range(p))])
     top = Permutation([(i + p) % n for i in range(n)])
     G = Group([base, top], name="wreath:%d" % p)
-    elems = G.elements()
+    elems = list(G.chain.elements())  # not kept on the cached model
     if len(elems) != p ** (p + 1):
         raise AssertionError("wreath model has order %d" % len(elems))
     center = sum(1 for x in elems

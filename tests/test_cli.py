@@ -12,6 +12,7 @@ import pytest
 
 from bfl.chartab import load_table
 from bfl.cli import main
+from bfl.verify import replay_pair_witness
 
 
 def run(capsys, *argv):
@@ -234,21 +235,30 @@ def test_identity_scan_seeded(capsys):
 
 
 # ---- golden bodies ---------------------------------------------------------
-# Captured (header dropped) before class enumeration moved onto the chain's
-# permutation image; the last three read matrix class members and serialize
-# witnesses from them.
+# Captured (header dropped): cli_bodies.json before class enumeration moved
+# onto the chain's permutation image (the last three read matrix class
+# members and serialize witnesses from them), pair_scan_bodies.json before
+# pair closures moved onto the ambient group's image.
 
-with open(os.path.join(os.path.dirname(__file__), "data", "cli_bodies.json"),
-          encoding="utf-8") as _fh:
-    CLI_BODIES = json.load(_fh)
+def _bodies(name):
+    with open(os.path.join(os.path.dirname(__file__), "data", name),
+              encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-@pytest.mark.parametrize("rec", CLI_BODIES, ids=lambda r: r["argv"][0])
+PINNED_BODIES = _bodies("cli_bodies.json") + _bodies("pair_scan_bodies.json")
+
+
+@pytest.mark.parametrize("rec", PINNED_BODIES, ids=lambda r: r["argv"][0])
 def test_pinned_json_bodies(capsys, rec):
     code, body = run_json(capsys, *rec["argv"])
     body.pop("header")
     assert code == rec["exit"]
     assert body == rec["body"]
+    for v in body.get("verdicts", ()):
+        # every pinned pair scan runs at p = 2
+        assert all(replay_pair_witness(w, 2)
+                   for w in v["witnesses"] if "d_conj" in w)
 
 
 def test_over_cap_class_list_fails_fast(capsys):

@@ -1,15 +1,20 @@
 """Scenario checks: pair scans, closure identities, trace/degree scans."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bfl import verify
 from bfl.catalog import construct, special_element
-from bfl.classes import NormalSet, enumerate_classes, product_set
-from bfl.elements import (Permutation, SquareMatrix, commutator,
+from bfl.classes import NormalSet, enumerate_classes, product_set, serial_key
+from bfl.elements import (Permutation, SquareMatrix, commutator, conjugate,
                           deserialize_element, element_order)
 from bfl.fields import GF, is_p_power
+from bfl.groups import Group
 from bfl.report import ScanPlan
-from bfl.verify import (bf_pair_direct, cc_inverse_check,
+from bfl.verify import (_capped_order, _conjugate_perms, bf_pair_direct,
+                        cc_inverse_check,
                         commutator_closed_check, inversion_identity_scan,
                         l2q_laurent_profile, l2q_laurent_scan,
                         l2q_trace_identity, reflections_o3_scan,
@@ -17,6 +22,7 @@ from bfl.verify import (bf_pair_direct, cc_inverse_check,
                         replay_product_witness, sl2n3_scan, symmetric_bf_scan,
                         wreath_free_pair_check, _interpolate)
 from bfl.verify import MAX_WITNESSES
+from test_groups import gammal2_9
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +91,14 @@ def test_bf_non_p_element_rejected(s6):
         bf_pair_direct(s6, three, c, 2)
 
 
+def test_bf_c_outside_the_group_rejected():
+    G = construct("go_odd:3:5")
+    enumerate_classes(G)
+    c = SquareMatrix.diagonal(G.identity.field, (2, 1, 1))  # scales a norm
+    with pytest.raises(ValueError, match="does not act"):
+        bf_pair_direct(G, c, cls_of(G, "2b"), 2)
+
+
 def test_bf_conjugation_invariance(s6):
     c = special_element("sym:6", "fpf_involution")
     d = special_element("sym:6", "transposition")
@@ -116,6 +130,89 @@ def test_bf_exhaustive_witness_choice_is_stable(a5):
     w1 = bf_pair_direct(a5, five, five, 5, ScanPlan.exhaustive()).witnesses
     w2 = bf_pair_direct(a5, five, five, 5, ScanPlan.exhaustive()).witnesses
     assert w1 == w2 and len(w1) <= MAX_WITNESSES
+
+
+# ---- pair closures on the ambient image -------------------------------------
+
+def _two_part(x):
+    """The 2-part of the permutation x: a 2-element."""
+    m = x.order()
+    y = x
+    while m % 2 == 0:
+        m //= 2
+    for _ in range(m - 1):
+        y = y * x
+    return y
+
+
+@pytest.mark.parametrize("name", ["gl:4:3", "go_odd:3:5", "sym:8"])
+def test_capped_order_matches_the_chain(name):
+    G = construct(name)
+    rng = random.Random(5)
+    dihedral = 0
+    for _ in range(30):
+        cq, dq = (_two_part(G.chain.random(rng)) for _ in range(2))
+        if cq.is_identity() or dq.is_identity():
+            continue
+        dihedral += cq.order() == dq.order() == 2
+        n = Group([cq, dq]).order()
+        for cap in (8, 64, 512):
+            assert _capped_order(cq, dq, 2, cap) == (n if n <= cap else None)
+    assert dihedral  # the involution exit ran
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+def test_chain_fallback_past_a_low_cap_keeps_verdicts(monkeypatch, a5, s6,
+                                                      cap):
+    go = construct("go_odd:3:5")
+    enumerate_classes(go)
+    scans = [
+        lambda: bf_pair_direct(a5, cls_of(a5, "5a"), cls_of(a5, "5a"), 5,
+                               ScanPlan.exhaustive()),
+        lambda: bf_pair_direct(s6, cls_of(s6, "2a"), cls_of(s6, "2c"), 2,
+                               ScanPlan.exhaustive()),
+        lambda: bf_pair_direct(go, cls_of(go, "2a"), cls_of(go, "4a"), 2,
+                               ScanPlan.exhaustive()),
+        lambda: sl2n3_scan(2, ScanPlan.sample(30, 0xBF)),
+    ]
+    before = [core(scan()) for scan in scans]
+    chains = []
+
+    class CountingGroup(Group):
+        def order(self):
+            chains.append(len(self.gens))
+            return Group.order(self)
+
+    monkeypatch.setattr(verify, "PAIR_CLOSURE_CAP", cap)
+    monkeypatch.setattr(verify, "Group", CountingGroup)
+    assert [core(scan()) for scan in scans] == before
+    assert chains and set(chains) == {2}
+
+
+def _old_stream(G, d, n, seed):
+    rng = random.Random(seed)
+    return [conjugate(d, G.random_element(rng)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("make", [lambda: construct("gl:4:3"), gammal2_9],
+                         ids=["gl:4:3", "gammal2_9"])
+def test_sampled_conjugates_are_the_old_stream(make):
+    G = make()
+    d = G.gens[1]
+    new = list(_conjugate_perms(G, d, None, ScanPlan.sample(25, 7)))
+    assert new == [G.to_perm(x) for x in _old_stream(G, d, 25, 7)]
+
+
+@pytest.mark.parametrize("make", [lambda: construct("go_odd:3:5"), gammal2_9],
+                         ids=["go_odd:3:5", "gammal2_9"])
+def test_exhaustive_conjugates_are_in_serial_key_order(make):
+    G = make()
+    plan = ScanPlan.exhaustive()
+    for k in enumerate_classes(G)[1:6]:
+        want = sorted(k.elements, key=serial_key)
+        for d_cls in (k, None):
+            got = _conjugate_perms(G, k.representative, d_cls, plan)
+            assert [G.from_perm(q) for q in got] == want
 
 
 # ---- wreath_free_pair_check ------------------------------------------------

@@ -17,6 +17,7 @@ def test_model_orders_and_invariants():
     assert build_wreath(2).order == 8
     assert build_wreath(3).order == 81
     assert build_wreath(5).order == 15625
+    assert build_wreath(5) is build_wreath(5)  # built and checked once per p
 
 
 def test_build_rejects_other_primes():
