@@ -9,10 +9,9 @@ so reruns are bit-identical.
 c and every d' = g^-1 d g are permutations of the ambient group's faithful
 image, and <c, d'> is closed on image tuples.  A subgroup larger than |G|_p
 is not a p-group, so the closure stops past min(|G|_p, PAIR_CLOSURE_CAP)
-and still decides the pair.  Two involutions at p = 2 skip it: they generate
-a dihedral group of order 2 ord(c d').  A stabilizer chain is built only when
-the closure passes its cap, for the exact `closure_order` of a failure
-witness or for an order past PAIR_CLOSURE_CAP, and d' goes back through
+and still decides the pair.  A stabilizer chain is built only when the
+closure passes its cap, for the exact `closure_order` of a failure witness
+or for an order past PAIR_CLOSURE_CAP, and d' goes back through
 `Group.from_perm` only for a witness.
 """
 
@@ -82,11 +81,8 @@ def _conjugate_perms(G, d, d_cls, plan):
     return (conjugate(dq, G.chain.random(rng)) for _ in range(plan.size))
 
 
-def _capped_order(cq, dq, p, cap):
+def _capped_order(cq, dq, cap):
     """|<cq, dq>| for two image permutations, or None once it exceeds cap."""
-    if p == 2 and (cq * cq).is_identity() and (dq * dq).is_identity():
-        m = 2 * (cq * dq).order()  # two involutions generate a dihedral group
-        return m if m <= cap else None
     maps = [lambda x, g=g.images.__getitem__: tuple(map(g, x))
             for g in (cq, dq)]
     try:
@@ -101,7 +97,7 @@ def _closure_orders(G, cq, perms, p):
     n = G.order()
     cap = min(gcd(n, p ** n.bit_length()), PAIR_CLOSURE_CAP)  # gcd: |G|_p
     for dq in perms:
-        yield dq, _capped_order(cq, dq, p, cap) or Group([cq, dq]).order()
+        yield dq, _capped_order(cq, dq, cap) or Group([cq, dq]).order()
 
 
 def _pair_setup(G, c, d, p):

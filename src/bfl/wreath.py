@@ -77,13 +77,9 @@ class SectionVerdict:
         return "SectionVerdict(%s, tier=%s)" % (state, self.tier)
 
 
-_MODEL_SMALL = {}
-
-
+@cache
 def _model_small(p):
-    if p not in _MODEL_SMALL:
-        _MODEL_SMALL[p] = build_wreath(p).small()
-    return _MODEL_SMALL[p]
+    return build_wreath(p).small()
 
 
 def _as_small(H):

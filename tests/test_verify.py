@@ -149,16 +149,14 @@ def _two_part(x):
 def test_capped_order_matches_the_chain(name):
     G = construct(name)
     rng = random.Random(5)
-    dihedral = 0
-    for _ in range(30):
-        cq, dq = (_two_part(G.chain.random(rng)) for _ in range(2))
-        if cq.is_identity() or dq.is_identity():
-            continue
-        dihedral += cq.order() == dq.order() == 2
+    pairs = [[_two_part(G.chain.random(rng)) for _ in range(2)]
+             for _ in range(30)]
+    one = Permutation.identity(G.chain.degree)
+    pairs += [(one, pairs[0][1]), (one, one)]
+    for cq, dq in pairs:
         n = Group([cq, dq]).order()
         for cap in (8, 64, 512):
-            assert _capped_order(cq, dq, 2, cap) == (n if n <= cap else None)
-    assert dihedral  # the involution exit ran
+            assert _capped_order(cq, dq, cap) == (n if n <= cap else None)
 
 
 @pytest.mark.parametrize("cap", [1, 4])
