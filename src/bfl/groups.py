@@ -4,10 +4,11 @@ Every closure in the package is one breadth-first `orbit` with its Schreier
 tree: chain transversals, the vector orbit behind `matrix_action`,
 conjugacy classes, product closure, and the indexed closures of `smallgroup`.
 
-The stabilizer chain is a deterministic incremental Schreier-Sims: generators
-are sifted in one at a time, every Schreier generator of an extended orbit is
-processed exactly once, and at completion the order is the product of the
-transversal sizes.  Chains are built, sifted and sampled on plain
+The stabilizer chain is a deterministic Schreier-Sims: the generators are
+registered at their depths, then the levels are verified bottom up, and a
+level is rescanned from its first point after every registration (see
+`Chain`).  At completion the order is the product of the transversal
+sizes.  Chains are built, sifted and sampled on plain
 permutations only.  Matrix and semilinear groups get a permutation image
 from `matrix_action` (the orbit of the standard basis vectors), and their
 elements cross between the two representations only at the edges:
@@ -21,7 +22,7 @@ orbits w*e1 too; that point pins down e, and it makes the image faithful,
 since on the basis alone the field automorphism acts trivially.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 from functools import partial
 from itertools import islice
 from math import prod
@@ -76,6 +77,13 @@ class Chain:
     exact depth (which strictly grows that level's group), and resume
     verification there.  Levels deeper than a registration are untouched by
     it, so the sweep terminates with every level clean.
+
+    A registration rebuilds the transversals, so level i is scanned again
+    from its first point.  s = t_q^-1 * g * t_p (q = g(p)) is the identity
+    exactly when g * t_p equals t_q, tested without an inverse.  An s that
+    sifted to the identity is not sifted again in the same build: it is a
+    product of deeper representatives, and the deeper levels only grow and
+    are clean whenever level i is scanned, so the sift would repeat.
     """
 
     def __init__(self, degree):
@@ -89,9 +97,10 @@ class Chain:
     def build(self, perms):
         for w in perms:
             self._register(w)
+        known = defaultdict(set)
         i = len(self.levels) - 1
         while i >= 0:
-            d = self._verify(i)
+            d = self._verify(i, known[i])
             i = i - 1 if d is None else d
 
     def sift(self, w, start=0):
@@ -103,8 +112,16 @@ class Chain:
                 continue
             if pt not in L.transversal:
                 return w, lev
-            w = ~L.transversal[pt] * w
+            w = Permutation(self._strip(L.transversal[pt], w.images))
         return w, len(self.levels)
+
+    def _strip(self, t, images):
+        """The images of t^-1 * w, w given by its images, through a one-pass
+        inverse of t built over the identity's own int objects."""
+        ti = list(self.identity.images)
+        for i, j in zip(self.identity.images, t.images):
+            ti[j] = i
+        return tuple([ti[k] for k in images])
 
     def _register(self, w):
         """Install w as a strong generator at its depth; return that depth."""
@@ -131,18 +148,24 @@ class Chain:
             t[y] = L.gens[i] * t[x]
         L.transversal = t
 
-    def _verify(self, i):
+    def _verify(self, i, known):
         """Scan level i's Schreier generators; register the first dirty residue
         and return its depth, or None when the level is clean."""
         L = self.levels[i]
-        for pt in list(L.transversal):
-            u = L.transversal[pt]
+        T = L.transversal
+        for pt in list(T):
+            ui = T[pt].images
             for g in L.gens:
-                s = ~L.transversal[g(pt)] * (g * u)  # fixes base[:i+1]
-                if s.is_identity():
+                gim = g.images
+                gu = tuple([gim[k] for k in ui])
+                if gu == T[gim[pt]].images:  # s is the identity
                     continue
-                r, _ = self.sift(s, i + 1)
+                s = self._strip(T[gim[pt]], gu)  # fixes base[:i+1]
+                if s in known:
+                    continue
+                r, _ = self.sift(Permutation(s), i + 1)
                 if r.is_identity():
+                    known.add(s)
                     continue
                 return self._register(r)
         return None
@@ -202,6 +225,8 @@ def matrix_action(gens, cap=ORBIT_CAP):
     if isinstance(gens[0], SemilinearElement):
         we1 = _scaled_e1(F, n)
         if we1 not in tree:
+            if len(tree) >= cap:  # orbit() always admits its seed
+                raise Overflow("orbit exceeds cap %d" % cap)
             try:
                 tree.update(orbit([we1], maps, cap - len(tree)))
             except Overflow:

@@ -280,6 +280,86 @@ def test_sp4_3_transversals_pinned():
     assert got == SP4_3_LEVELS
 
 
+def _keys_digest(keys):
+    return hashlib.sha256(json.dumps(list(keys)).encode()).hexdigest()[:16]
+
+
+# per level: base point, digest of the transversal keys in order, digest of
+# the representatives, digest of the level's strong generators; pinned
+# before the Schreier generator loop was rewritten
+CHAIN_LEVELS = {
+    "sl:2:27": [
+        (1, "0b475da628df2903", "6a3ada5de2971859", "c47b5c651ff750ce"),
+        (0, "b461975f1abf06fa", "3cc4f0db25f4f1f7", "ab9ce8fe4129ab8b"),
+    ],
+    "gu:3:3": [
+        (2, "fbedbce12fcbd03c", "70c5563773c09b4f", "bb7846f07e0bfddd"),
+        (1, "f5da33e9e5aed841", "16e302e805c64f75", "02c28214c964c534"),
+        (0, "b511719ddd299581", "993ad95e56fae859", "21320aa52487a860"),
+    ],
+    "go_odd:5:3": [
+        (4, "0e369e709da3e3b3", "d2da6eea0dbe66f5", "64f7325e4cde5f56"),
+        (2, "7d6b852ef3dc0649", "59ac3d1973be298a", "86618fc05fb9b0a7"),
+        (0, "9608e83e63dc5e2e", "bd32ca166ff6c4d5", "f28eeb9a8fac1890"),
+        (1, "f2759a0093030b0d", "4134cd0e00b137d3", "1634be8be1014c5b"),
+    ],
+    "gl:4:3": [
+        (1, "e2437497e571ce06", "9f5d02f3df074d73", "30bd694cb3f1141b"),
+        (0, "c8c5020cba55ba4e", "c9800c9e5665dae4", "b8957222a3bdc184"),
+        (3, "6597790f05508f84", "115ea2f4da97a849", "81b0a45d42d77bc0"),
+        (2, "b30cb518593574fc", "f43e1d2d0537ddbf", "68812aeae1bf8717"),
+    ],
+    "sym:10": [
+        (0, "40252f1ac01f921e", "f7ce5f21bcaf20e9", "51fd4d336a63de08"),
+        (1, "c397668324b0ac7d", "17178cae38feb4d6", "36579cb7d64cf77b"),
+        (2, "581f951804c4896a", "904251120a3b391e", "6da146048886ba7a"),
+        (8, "2bde37021164ba63", "7b2cd00688a9e90a", "0d8690da3fa08fdf"),
+        (7, "3ae102194ab493e1", "03ee4c0f28f4a5ce", "0707cffd946cdc64"),
+        (6, "504a62c477aa2569", "f2a042c405fd4231", "d1ac349d7c334c61"),
+        (5, "cc9726af4bb9afd2", "28b6b7a8cdaedb07", "e8a336b992148362"),
+        (4, "06b790b13fcf4e84", "74a52b7329c33fa6", "9283420b05cc02b7"),
+        (3, "32421daf0f5edcf6", "bac005b79be15c99", "d31d79ecbe9eec77"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_LEVELS))
+def test_chain_levels_pinned(name):
+    got = [(L.point, _keys_digest(L.transversal),
+            _digest(L.transversal.values()), _digest(L.gens))
+           for L in construct(name).chain.levels]
+    assert got == CHAIN_LEVELS[name]
+
+
+def _sift_reference(chain, w, start):
+    """Chain.sift written with a full inverse and product per strip step."""
+    for lev in range(start, len(chain.levels)):
+        L = chain.levels[lev]
+        pt = w(L.point)
+        if pt == L.point:
+            continue
+        if pt not in L.transversal:
+            return w, lev
+        w = ~L.transversal[pt] * w
+    return w, len(chain.levels)
+
+
+@pytest.mark.parametrize("small, big", [("alt:6", "sym:6"),
+                                        ("sl:2:9", "gl:2:9")])
+def test_sift_matches_reference(small, big):
+    H, G = construct(small), construct(big)
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(60):
+        w = H.to_perm(G.random_element(rng))
+        for start in range(len(H.chain.levels) + 1):
+            r, lev = H.chain.sift(w, start)
+            want, want_lev = _sift_reference(H.chain, w, start)
+            assert (r.images, lev) == (want.images, want_lev)
+        verdicts.add(H.contains(H.from_perm(w)))
+    assert verdicts == {True, False}
+
+
 def _overflow_text(call):
     with pytest.raises(Overflow) as err:
         call()
@@ -301,6 +381,10 @@ def test_overflow_texts():
     assert (_overflow_text(lambda: matrix_action([f], cap=3))
             == "orbit exceeds cap 3")
     assert matrix_action([f], cap=4).degree == 4
+    # the basis orbit alone fills the cap, so w*e1 itself passes it
+    e = SemilinearElement(SquareMatrix.identity(GF(9), 2), 0)
+    assert (_overflow_text(lambda: matrix_action([e], cap=2))
+            == "orbit exceeds cap 2")
 
 
 def test_orbit_fifo_order_and_duplicate_seeds():
