@@ -21,7 +21,6 @@ from .elements import Overflow
 from .genfile import ParseError
 from .modrep import cor22_check, lemma21_check
 from .report import ScanPlan, Verdict, emit_report, exit_code
-from .smallgroup import SmallGroup
 from .wreath import wreath_section_detect
 from . import verify
 
@@ -246,8 +245,7 @@ def _cmd_wreath_section(args):
     bp, G = _resolved_group(args)
     if args.dry_run:
         return {"plan": {"group": str(bp), "p": args.p, "tier": args.tier}}
-    S = SmallGroup.from_group(G)
-    sv = wreath_section_detect(S, args.p, tier=args.tier)
+    sv = wreath_section_detect(G, args.p, tier=args.tier)
     scenario = "wreath-section:%s,p=%d,tier=%s" % (str(bp), args.p, args.tier)
     if sv.found:
         v = Verdict(scenario, "fails", witnesses=[sv.witness],

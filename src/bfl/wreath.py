@@ -1,15 +1,25 @@
-"""The Z_p wr Z_p model, isomorphism testing, and section search."""
+"""The Z_p wr Z_p model, isomorphism testing, and section search.
 
-from functools import cache
+Z_p wr Z_p = <a, t | a^p, t^p, [a, a^(t^i)] (1 <= i < p)>, a the base p-cycle
+and t the block shift.  In a group with this presentation the a^(t^i), i < p,
+commute and t permutes them, so they generate a normal elementary abelian
+subgroup of rank at most p with a cyclic quotient of order at most p: the order
+is at most p^(p+1).  So by von Dyck's theorem (Robinson, A Course in the Theory
+of Groups, 2.2.1) a group of order p^(p+1) is the model exactly when two
+elements of order p satisfy the relators and generate it; `iso_to_wreath`
+searches for such a pair.
+"""
+
+from functools import cache, partial, reduce
+from operator import invert, mul
 
 from .elements import Permutation
-from .groups import Group
-from .smallgroup import (SmallGroup, is_p_group, subgroups, normal_subgroups,
-                         quotient)
+from .fields import is_p_power
+from .groups import Group, orbit
+from .smallgroup import SmallGroup, subgroups, normal_subgroups, quotient
 
 FULL_TIER_CAP = {2: 1024, 3: 729}
 QUOTIENT_TIER_CAP = 3 ** 7
-_SMALL_CAP = 32768
 
 
 class WreathModel:
@@ -27,7 +37,7 @@ class WreathModel:
 
     def small(self):
         return SmallGroup.from_group(self.group, name="wreath:%d" % self.p,
-                                     cap=_SMALL_CAP)
+                                     cap=self.order)
 
     def __repr__(self):
         return "WreathModel(p=%d, order %d)" % (self.p, self.order)
@@ -51,8 +61,6 @@ def build_wreath(p):
     if center != p:
         raise AssertionError("wreath center has order %d" % center)
     comm = ~base * ~top * base * top
-    if comm == G.identity:
-        raise AssertionError("wreath model came out abelian")
     # the normal closure of comm, the derived subgroup, is generated by its class
     if Group(G.conjugacy_class(comm)).order() != p ** (p - 1):
         raise AssertionError("wreath derived subgroup has wrong order")
@@ -77,91 +85,81 @@ class SectionVerdict:
         return "SectionVerdict(%s, tier=%s)" % (state, self.tier)
 
 
-@cache
-def _model_small(p):
-    return build_wreath(p).small()
-
-
 def _as_small(H):
-    if isinstance(H, SmallGroup):
-        return H
     if isinstance(H, WreathModel):
         return H.small()
-    return SmallGroup.from_group(H, cap=_SMALL_CAP)
+    return H if isinstance(H, SmallGroup) else SmallGroup.from_group(H)
+
+
+def _order(H):
+    return H.order() if callable(H.order) else H.order
 
 
 def iso_to_wreath(H, p):
-    """True iff H is isomorphic to the Z_p wr Z_p model.
+    """True iff H (a Group, WreathModel or SmallGroup) is Z_p wr Z_p.
 
-    Invariant screen first (order, element orders, center, derived subgroup,
-    class sizes), then a generating-pair search mapping the model's
-    (base-cycle, block-shift) pair onto order-compatible elements of H.
+    Screens: |H| = p^(p+1); |H : Phi(H)| = p^2, the Frattini subgroup Phi(H)
+    being the normal closure of the generators' commutators and p-th powers;
+    exponent p^2.  Then x, y generate H exactly when x is outside Phi(H) and y
+    outside <x>Phi(H) (Burnside's basis theorem), so x runs over class
+    representatives of order p outside Phi(H), y over the elements of order p
+    outside <x>Phi(H): at most k * (p^(p+1) - p^p) pairs for k such classes.
+    A pair is accepted when [x, x^(y^i)] = 1 for 1 <= i <= p/2 (i and p - i
+    give conjugate relators).  A Group is searched on its chain's
+    permutations, a SmallGroup on its indices.
     """
-    H = _as_small(H)
-    M = _model_small(p)
-    if H.order != M.order:
+    if isinstance(H, WreathModel):
+        H = H.group
+    if _order(H) != p ** (p + 1):
         return False
-    if H.order_histogram() != M.order_histogram():
-        return False
-    if len(H.center_indices()) != len(M.center_indices()):
-        return False
-    if len(H.derived_indices()) != len(M.derived_indices()):
-        return False
-    m_classes = M.class_partition()
-    h_classes = H.class_partition()
-    if sorted(len(c) for c in m_classes) != sorted(len(c) for c in h_classes):
-        return False
+    if isinstance(H, SmallGroup):
+        return _presents_wreath(p, range(H.order), 0, H.gens, H.mul, H.inv,
+                                H.element_order)
+    gens = H.gens if H.kind == "Permutation" else H.action.perms
+    return _presents_wreath(p, H.chain.elements(), H.chain.identity, gens,
+                            mul, invert, Permutation.order)
 
-    # profiles (element order, class size) of the model's two generators
-    m_size = _class_size_by_index(m_classes)
-    pa = (M.element_order(M.gens[0]), m_size[M.gens[0]])
-    pt = (M.element_order(M.gens[1]), m_size[M.gens[1]])
-    h_size = _class_size_by_index(h_classes)
-    # the base image only matters up to conjugacy in H, so class reps suffice
-    xs = [min(cls) for cls in h_classes
-          if (H.element_order(min(cls)), len(cls)) == pa]
-    ys = [i for i in range(1, H.order)
-          if (H.element_order(i), h_size[i]) == pt]
-    for x in xs:
-        for y in ys:
-            if _pair_extends(M, H, (x, y)):
+
+def _presents_wreath(p, elements, one, gens, mul, inv, order_of):
+    """The screens and pair search of iso_to_wreath on a group of order
+    p^(p+1), given its elements, identity, generators and operations."""
+    def power(x, k):
+        return reduce(mul, [x] * k, one)
+
+    conj = [lambda x, g=g, gi=inv(g): mul(mul(gi, x), g) for g in gens]
+    seeds = {power(g, p) for g in gens}
+    seeds.update(mul(inv(mul(b, a)), mul(a, b)) for a in gens for b in gens)
+    seeds.discard(one)
+    phi = orbit([one], [partial(mul, s) for s in seeds] + conj)
+    if len(phi) != p ** (p - 1):
+        return False
+    coset, cands, top = {}, [], 1  # coset: element -> first member met
+    for h in elements:
+        o = order_of(h)
+        top = max(top, o)
+        if h not in coset:
+            coset.update((mul(h, f), h) for f in phi)
+        if o == p:
+            cands.append(h)
+    if top != p * p:
+        return False
+    tried = set()
+    for x in cands:
+        if x in phi or x in tried:
+            continue
+        tried.update(orbit([x], conj))
+        span = {coset[power(x, k)] for k in range(p)}
+        for y in cands:
+            if coset[y] in span:
+                continue
+            yi, c = inv(y), x
+            for _ in range(p // 2):
+                c = mul(mul(yi, c), y)
+                if mul(x, c) != mul(c, x):
+                    break
+            else:
                 return True
     return False
-
-
-def _class_size_by_index(classes):
-    size = {}
-    for cls in classes:
-        for i in cls:
-            size[i] = len(cls)
-    return size
-
-
-def _pair_extends(M, H, images):
-    """Do the candidate generator images define an isomorphism M -> H?
-
-    The map is forced along M's derivation tree (every element arose as
-    generator * parent); bijectivity is checked en route, and agreement with
-    right-multiplication by each generator then pins multiplicativity for
-    all pairs (peel generators off the right factor).
-    """
-    n = M.order
-    img = [None] * n
-    img[0] = 0
-    seen = {0}
-    for i in range(1, n):
-        gpos, parent = M.derivations[i]
-        t = H.mul(images[gpos], img[parent])
-        if t in seen:
-            return False
-        img[i] = t
-        seen.add(t)
-    for gpos, mg in enumerate(M.gens):
-        hg = images[gpos]
-        for i in range(n):
-            if img[M.mul(i, mg)] != H.mul(img[i], hg):
-                return False
-    return True
 
 
 def wreath_section_detect(Q, p, tier="quotient"):
@@ -169,13 +167,14 @@ def wreath_section_detect(Q, p, tier="quotient"):
 
     tier=quotient scans quotients of Q by its normal subgroups; tier=full
     scans quotients of every subgroup.  Caps produce an indeterminate verdict
-    rather than a silently incomplete scan.
+    rather than a silently incomplete scan; they are read off the order before
+    a Group is indexed.
     """
     if tier not in ("quotient", "full"):
         raise ValueError("tier must be quotient or full")
-    Q = _as_small(Q)
-    if not is_p_group(Q, p):
-        raise ValueError("input of order %d is not a %d-group" % (Q.order, p))
+    order = _order(Q)
+    if not is_p_power(order, p):
+        raise ValueError("input of order %d is not a %d-group" % (order, p))
     target = p ** (p + 1)
 
     if tier == "full":
@@ -184,10 +183,11 @@ def wreath_section_detect(Q, p, tier="quotient"):
             return SectionVerdict(False, "indeterminate",
                                   note="full-tier search supports p=2,3 only; "
                                        "use tier=quotient")
-        if Q.order > cap:
+        if order > cap:
             return SectionVerdict(False, "indeterminate",
                                   note="order %d exceeds the full-tier cap %d"
-                                       % (Q.order, cap))
+                                       % (order, cap))
+        Q = _as_small(Q)
         for H_set in subgroups(Q):
             if len(H_set) < target or len(H_set) % target:
                 continue
@@ -201,10 +201,11 @@ def wreath_section_detect(Q, p, tier="quotient"):
                                                                 for i in hit)})
         return SectionVerdict(False, "full")
 
-    if Q.order > QUOTIENT_TIER_CAP:
+    if order > QUOTIENT_TIER_CAP:
         return SectionVerdict(False, "indeterminate",
                               note="order %d exceeds the quotient-tier cap %d"
-                                   % (Q.order, QUOTIENT_TIER_CAP))
+                                   % (order, QUOTIENT_TIER_CAP))
+    Q = _as_small(Q)
     hit = _quotient_scan(Q, p, target)
     if hit is not None:
         return SectionVerdict(True, "quotient",

@@ -207,6 +207,20 @@ def test_wreath_section_exits(capsys):
     assert code == 0
 
 
+def test_wreath_section_caps_before_indexing(capsys):
+    # order 5^6 is read off the chain; the group is never indexed
+    code, body = run_json(capsys, "wreath-section", "--group", "wreath:5",
+                          "--p", "5", "--tier", "quotient")
+    assert code == 2
+    (v,) = body["verdicts"]
+    assert v["status"] == "indeterminate"
+    assert v["notes"] == ["order 15625 exceeds the quotient-tier cap 2187"]
+    code, body = run_json(capsys, "wreath-section", "--group", "wreath:5",
+                          "--p", "5")
+    assert code == 2  # the default full tier stops at its p = 2, 3 rule
+    assert "p=2,3" in body["verdicts"][0]["notes"][0]
+
+
 def test_catalog_listing(capsys):
     code, body = run_json(capsys, "catalog")
     assert code == 0

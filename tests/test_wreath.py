@@ -1,8 +1,13 @@
-"""The wreath model, isomorphism screen, and section search."""
+"""The wreath model, isomorphism test, and section search."""
+
+import time
+from functools import partial
 
 import pytest
 
 from bfl.catalog import construct
+from bfl.elements import Permutation
+from bfl.groups import Group, orbit
 from bfl.smallgroup import SmallGroup, normal_subgroups, quotient
 from bfl.wreath import (build_wreath, iso_to_wreath, wreath_section_detect,
                         reconstruct_section, SectionVerdict)
@@ -10,6 +15,44 @@ from bfl.wreath import (build_wreath, iso_to_wreath, wreath_section_detect,
 
 def small(name):
     return SmallGroup.from_group(construct(name), name=name)
+
+
+def cycles(*lengths):
+    """The direct product of cyclic groups, one disjoint cycle each."""
+    n, gens = sum(lengths), []
+    for k, m in enumerate(lengths):
+        start = sum(lengths[:k])
+        gens.append(Permutation.from_cycles(n, [tuple(range(start,
+                                                          start + m))]))
+    return Group(gens)
+
+
+def regular(law, gens):
+    """The left-regular permutation group of <gens> under the product law."""
+    elements = list(orbit(gens, [partial(law, g) for g in gens]))
+    index = {x: i for i, x in enumerate(elements)}
+    return Group([Permutation([index[law(g, x)] for x in elements])
+                  for g in gens])
+
+
+def semidirect(mods, act, c=None):
+    """The words n t^k, n in N = Z_mods (additive) and k mod 3, with t acting
+    on N as act and t^3 = c, a fixed point of act (0 by default), as a
+    regular permutation group."""
+    zero = (0,) * len(mods)
+    c = c or zero
+
+    def plus(a, b):
+        return tuple((x + y) % m for x, y, m in zip(a, b, mods))
+
+    def law(a, b):
+        (n, k), (m, l) = a, b
+        for _ in range(k):
+            m = act(m)
+        return plus(plus(n, m), c if k + l >= 3 else zero), (k + l) % 3
+    basis = [tuple(int(i == j) for j in range(len(mods)))
+             for i in range(len(mods))]
+    return regular(law, [(e, 0) for e in basis] + [(zero, 1)])
 
 
 def test_model_orders_and_invariants():
@@ -104,7 +147,8 @@ def test_detect_dihedral16_proper_quotient():
     assert v.found and v.tier == "quotient"
     assert len(v.witness["normal"]) == 2  # kill the center, keep a D8
     assert reconstruct_section(d16, v.witness, 2)
-    assert wreath_section_detect(d16, 2, tier="full").found
+    v = wreath_section_detect(d16, 2, tier="full")
+    assert v.found and reconstruct_section(d16, v.witness, 2)
 
 
 def test_detect_cyclic_none_both_tiers():
@@ -163,3 +207,88 @@ def test_input_validation():
         wreath_section_detect(small("sym:3"), 2)  # not a 2-group
     with pytest.raises(ValueError):
         SectionVerdict(True, "quotient")  # found needs a witness
+
+
+# verdicts of the order, invariant and pair-extension search that the
+# presentation search replaced, captured on the same inputs
+ORDER_8 = [
+    (lambda: construct("cyclic:8"), False),
+    (lambda: cycles(4, 2), False),
+    (lambda: cycles(2, 2, 2), False),
+    (lambda: construct("dihedral:8"), True),
+    (lambda: construct("q8"), False),
+]
+
+
+def _j3(n):
+    return (n[0] + n[1]) % 3, (n[1] + n[2]) % 3, n[2]
+
+
+ORDER_81 = [
+    # C9 x| C9, y^-1 x y = x^4: 2-generated, exponent 9, no order-3
+    # element outside the Frattini subgroup
+    (lambda: regular(lambda a, b: ((a[0] + pow(4, a[1], 9) * b[0]) % 9,
+                                   (a[1] + b[1]) % 9), [(1, 0), (0, 1)]),
+     False),
+    # (C9 x C3) x| C3, t: u -> u v, v -> u^6 v: passes every screen, and
+    # the search tries all 4 classes x against all 54 y
+    (lambda: semidirect((9, 3), lambda n: ((n[0] + 6 * n[1]) % 9,
+                                           (n[0] + n[1]) % 3)), False),
+    # C3 x Heis(27): three generators, |H : Phi(H)| = 27
+    (lambda: semidirect((3, 3, 3), lambda n: ((n[0] + n[1]) % 3, n[1], n[2])),
+     False),
+    (lambda: cycles(27, 3), False),  # abelian, exponent 27
+    # C3^3 . C3 with t acting as a Jordan block and t^3 = (1, 0, 0) a fixed
+    # vector: not split on that t, still the model
+    (lambda: semidirect((3, 3, 3), _j3, c=(1, 0, 0)), True),
+    (lambda: semidirect((3, 3, 3), _j3), True),
+]
+
+
+@pytest.mark.parametrize("p, cases", [(2, ORDER_8), (3, ORDER_81)])
+def test_iso_verdicts_at_order_p_p1(p, cases):
+    for make, want in cases:
+        G = make()
+        assert G.order() == p ** (p + 1)
+        assert iso_to_wreath(G, p) is want, G
+        assert iso_to_wreath(SmallGroup.from_group(G), p) is want, G
+
+
+def test_iso_p5_frattini_screen_rejects_without_enumerating():
+    def unread(*args):
+        pytest.fail("elements enumerated")
+        yield
+
+    G = cycles(*[5] * 6)  # order 5^6, Phi(G) = 1
+    G.chain.elements = unread
+    t0 = time.perf_counter()
+    assert not iso_to_wreath(G, 5)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_iso_input_kinds_agree(p):
+    W = build_wreath(p)
+    S = SmallGroup.from_group(W.group, cap=W.order)
+    assert iso_to_wreath(W.group, p) is iso_to_wreath(W, p) is \
+        iso_to_wreath(S, p) is True
+
+
+@pytest.mark.parametrize("tier", ["quotient", "full"])
+def test_detect_group_input_matches_indexed(tier):
+    G = construct("dihedral:16")
+    v = wreath_section_detect(G, 2, tier=tier)
+    assert v.witness == wreath_section_detect(small("dihedral:16"), 2,
+                                              tier=tier).witness
+    assert reconstruct_section(G, v.witness, 2)
+
+
+def test_caps_read_before_indexing():
+    G = cycles(*[3] * 10)  # order 3^10, far past every cap
+    t0 = time.perf_counter()
+    assert G.order() == 3 ** 10
+    for tier in ("quotient", "full"):
+        v = wreath_section_detect(G, 3, tier=tier)
+        assert v.tier == "indeterminate" and "exceeds the" in v.note
+    assert iso_to_wreath(G, 3) is False
+    assert time.perf_counter() - t0 < 1.0
