@@ -123,13 +123,13 @@ def _letter(i):
 
 
 def _image_key(G):
-    """serial_key of the element an image permutation stands for; a matrix
-    key is read straight off the permutation, with no matrix built."""
+    """serial_key of the element an image permutation stands for, read
+    straight off the permutation, with no element built."""
     if isinstance(G.identity, Permutation):
         return lambda p: (p.images,)
     if isinstance(G.identity, SquareMatrix):
         return lambda p: (tuple(zip(*G.columns(p))), 0)
-    return lambda p: serial_key(G.from_perm(p))
+    return lambda p: (tuple(zip(*G.columns(p))), G.frobenius_exponent(p))
 
 
 def _perm_class(p, maps, key, cap):

@@ -14,14 +14,18 @@ from `matrix_action` (the orbit of the standard basis vectors), and their
 elements cross between the two representations only at the edges:
 `Group.to_perm` on the way in (membership), `Group.from_perm` on the way out
 (random elements, class members).  Every image is faithful, so order,
-membership, the element stream and the classes (orbits of image
-permutations) all come from the one chain.  A matrix is recovered from the
-images of the basis vectors, which are its columns.  A semilinear map
-A frob^e also sends w*e1, for w primitive, to w^(r^e) * A e1, so the action
-orbits w*e1 too; that point pins down e, and it makes the image faithful,
-since on the basis alone the field automorphism acts trivially.
+membership, the element stream and the classes all come from the one chain.
+A class is an orbit of image permutations under conjugation by the
+generating pair: two chain elements, drawn from a privately seeded stream,
+whose own chain reaches the group's order (`Group.generating_pair`).  A
+matrix is recovered from the images of the basis vectors, which are its
+columns.  A semilinear map A frob^e also sends w*e1, for w primitive, to
+w^(r^e) * A e1, so the action orbits w*e1 too; that point pins down e
+(`Group.frobenius_exponent`), and it makes the image faithful, since on
+the basis alone the field automorphism acts trivially.
 """
 
+import random
 from collections import defaultdict, deque
 from functools import partial
 from itertools import islice
@@ -33,6 +37,8 @@ from .elements import (Permutation, SquareMatrix, SemilinearElement, Overflow,
 
 CLOSURE_CAP = 2_000_000
 ORBIT_CAP = 200_000
+PAIR_SEED = 0xBF
+PAIR_DRAWS = 16
 
 
 def orbit(seeds, maps, cap=None, what="orbit"):
@@ -284,6 +290,8 @@ class Group:
         self._action = None
         self._elements = None
         self._basis_at = None
+        self._frob_at = None
+        self._pair = None
 
     @property
     def kind(self):
@@ -338,25 +346,37 @@ class Group:
                 raise ValueError("the basis vectors are not all action points") from None
         return [act.points[p.images[k]] for k in self._basis_at]
 
+    def frobenius_exponent(self, p):
+        """The e of the semilinear map A frob^e whose image is p.
+
+        The map sends e1 to v = A e1 and w*e1 to w^(r^e) * v, so e is read
+        off the images of those two points in one dict (cached): (index of
+        v, index of w^(r^e) * v) -> e over the action points.
+        """
+        if self._frob_at is None:
+            act, F, n = self.action, self._identity.field, self._identity.n
+            powers = [F.frobenius(F.primitive(), e) for e in range(F.k)]
+            table = {}
+            for i, v in enumerate(act.points):
+                for e, s in enumerate(powers):
+                    j = act.index.get(tuple([F.mul(s, x) for x in v]))
+                    if j is not None:
+                        table[i, j] = e
+            self._frob_at = (act.index[_basis(n)[0]],
+                             act.index[_scaled_e1(F, n)], table)
+        e1, we1, table = self._frob_at
+        return table[p.images[e1], p.images[we1]]
+
     def from_perm(self, p):
         """The element whose image is p, read off the images of the basis
         vectors (its columns) and, for a semilinear map, of w*e1."""
         ident = self._identity
         if isinstance(ident, Permutation):
             return p
-        cols = self.columns(p)
-        F, n = ident.field, ident.n
-        mat = SquareMatrix(F, list(zip(*cols)))
+        mat = SquareMatrix(ident.field, list(zip(*self.columns(p))))
         if isinstance(ident, SquareMatrix):
             return mat
-        # A frob^e sends w*e1 to w^(r^e) * A e1
-        act = self.action
-        img = act.points[p(act.index[_scaled_e1(F, n)])]
-        r = next(i for i, x in enumerate(cols[0]) if x)
-        t = F.mul(img[r], F.inv(cols[0][r]))
-        w = F.primitive()
-        return SemilinearElement(mat, next(e for e in range(F.k)
-                                           if F.frobenius(w, e) == t))
+        return SemilinearElement(mat, self.frobenius_exponent(p))
 
     def contains(self, x):
         p = self.to_perm(x)
@@ -376,15 +396,38 @@ class Group:
                                            self.chain.elements(cap)))
         return self._elements
 
+    def generating_pair(self):
+        """Image permutations that generate the group, two when a pair is
+        found (cached).
+
+        When the faithful image has more than two generators, pairs are drawn
+        by `Chain.random` from a private generator seeded with PAIR_SEED, so
+        no caller's stream moves, and the first pair whose own chain reaches
+        the group's order is kept.  After PAIR_DRAWS misses, as for a group
+        that is not 2-generated, the image's own generators are kept.
+        """
+        if self._pair is None:
+            perms = (self.gens if isinstance(self._identity, Permutation)
+                     else self.action.perms)
+            if len(perms) > 2:
+                rng, order = random.Random(PAIR_SEED), self.order()
+                for _ in range(PAIR_DRAWS):
+                    pair = [self.chain.random(rng), self.chain.random(rng)]
+                    sub = Chain(self.chain.degree)
+                    sub.build(pair)
+                    if sub.order() == order:
+                        perms = pair
+                        break
+            self._pair = list(perms)
+        return self._pair
+
     def class_maps(self):
-        """Conjugation y -> g^-1 y g by each generator, on the chain's
-        permutations."""
-        perms = (self.gens if isinstance(self._identity, Permutation)
-                 else self.action.perms)
-        return [_conjugator(g) for g in perms]
+        """Conjugation y -> g^-1 y g by each permutation of the generating
+        pair: a class is the same orbit under any generating set."""
+        return [_conjugator(g) for g in self.generating_pair()]
 
     def conjugacy_class(self, x, cap=CLOSURE_CAP):
-        """Orbit of x under conjugation by the generators (full class)."""
+        """Orbit of x under conjugation by the generating pair (full class)."""
         p = self.to_perm(x)
         if p is None:
             raise ValueError("%r does not act on the group's points" % (x,))

@@ -31,7 +31,6 @@ from .fields import GF, is_p_power
 from .groups import Group, orbit
 from .modrep import commutator_dim
 from .report import (FAILS, HOLDS, INDETERMINATE, SKIPPED, ScanPlan, Verdict)
-from .smallgroup import SmallGroup
 from .wreath import wreath_section_detect
 
 MAX_WITNESSES = 3
@@ -200,14 +199,7 @@ def wreath_free_pair_check(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
             if len(witnesses) >= max_witnesses:
                 break
             continue
-        try:
-            S = SmallGroup.from_group(J)
-        except Overflow as e:
-            overflows += 1
-            if len(notes) < 3:
-                notes.append("closure of order %d too large to index: %s" % (m, e))
-            continue
-        sv = wreath_section_detect(S, p, tier="full")
+        sv = wreath_section_detect(J, p, tier="full")
         sections += 1
         if sv.found:
             w = _pair_witness(c, dp, m)

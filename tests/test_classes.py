@@ -1,6 +1,7 @@
 """Class enumeration, labels, normal-set algebra."""
 
 import hashlib
+import importlib.util
 import json
 import os
 
@@ -15,6 +16,7 @@ from bfl.classes import (
     ConjClass, NormalSet, SelectorError, enumerate_classes, class_of,
     involution_classes_sym, is_p_element, inverse_set, product_set,
     commutator_pairs_set, largest_element_order, select_class, serial_key,
+    _image_key,
 )
 
 from test_groups import gammal2_9
@@ -284,7 +286,8 @@ def test_members_convert_lazily():
 
 
 def test_conjugacy_class_matches_enumeration():
-    for G in (construct("gl:2:3"), gammal2_9()):
+    # sp:4:3 orbits under its generating pair, not its 5 generators
+    for G in (construct("gl:2:3"), gammal2_9(), construct("sp:4:3")):
         for c in enumerate_classes(G):
             assert G.conjugacy_class(c.representative) == c.elements
 
@@ -313,3 +316,28 @@ def test_order_does_not_depend_on_call_history():
         assert len(G.elements()) == n and G.order() == n
         enumerate_classes(G)
         assert G.order() == n
+
+
+def _semilinear_file_group(seed, tmp_path):
+    """The benchmark's seeded Gamma-L(2,9) generator file, as a group."""
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / ("gammal2_9_%d.gens" % seed)
+    path.write_text(workloads.semilinear_text(seed))
+    return construct("file:%s" % path)
+
+
+@pytest.mark.parametrize("seed", [3, 0xBF])
+def test_semilinear_key_read_off_the_image(seed, tmp_path):
+    G = _semilinear_file_group(seed, tmp_path)
+    key = _image_key(G)
+    n = 0
+    for p in G.chain.elements():
+        x = G.from_perm(p)
+        assert key(p) == serial_key(x)
+        assert G.to_perm(x) == p
+        n += 1
+    assert n == G.order() == 11520

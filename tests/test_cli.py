@@ -12,6 +12,7 @@ import pytest
 
 from bfl.chartab import load_table
 from bfl.cli import main
+from bfl.smallgroup import SmallGroup
 from bfl.verify import replay_pair_witness
 
 
@@ -219,6 +220,34 @@ def test_wreath_section_caps_before_indexing(capsys):
                           "--p", "5")
     assert code == 2  # the default full tier stops at its p = 2, 3 rule
     assert "p=2,3" in body["verdicts"][0]["notes"][0]
+
+
+def test_wreath_free_reads_caps_before_indexing(capsys, monkeypatch):
+    # every closure is all of W5, order 5^6: the full tier stops at its
+    # p = 2, 3 rule before any closure is indexed
+    def refuse(cls, G, *args, **kwargs):
+        raise AssertionError("a pair closure was indexed")
+    monkeypatch.setattr(SmallGroup, "from_group", classmethod(refuse))
+    code, body = run_json(capsys, "wreath-free", "--group", "wreath:5",
+                          "--c-class", "5e", "--d-class", "5xe", "--p", "5",
+                          "--plan", "sample", "--samples", "5")
+    body.pop("header")
+    note = ("section search inconclusive at order 15625: full-tier search "
+            "supports p=2,3 only; use tier=quotient")
+    assert code == 2
+    assert body == {
+        "command": "wreath-free",
+        "exit_code": 2,
+        "verdicts": [{
+            "counters": {"closures": 5, "inconclusive": 5, "pairs": 5,
+                         "sections": 5},
+            "notes": [note] * 3,
+            "sampled": True,
+            "scenario": "wreath-free:wreath:5,c=5e,d=5xe,p=5",
+            "status": "indeterminate",
+            "witnesses": [],
+        }],
+    }
 
 
 def test_catalog_listing(capsys):

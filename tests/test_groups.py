@@ -12,6 +12,7 @@ from bfl.elements import Permutation, SquareMatrix, SemilinearElement, Overflow
 from bfl.groups import (Group, build_chain, closure_enumerate, matrix_action,
                         orbit)
 from bfl.catalog import construct
+from bfl.classes import enumerate_classes
 from bfl.genfile import parse_generator_text
 
 
@@ -418,3 +419,44 @@ def test_orbit_overflow_at_cap():
     assert str(err.value) == "widget exceeds cap 9"
     # seeds always enter; the cap stops only the points found from them
     assert list(orbit([0, 1, 2], [lambda x: x], cap=1)) == [0, 1, 2]
+
+
+# ---- the generating pair behind class orbits --------------------------------
+
+def test_generating_pair_of_sp4_3():
+    G = construct("sp:4:3")
+    assert len(G.gens) == 5
+    pair = G.generating_pair()
+    assert len(pair) == 2 and all(isinstance(p, Permutation) for p in pair)
+    assert Group(pair).order() == G.order() == 51840
+    assert construct("sp:4:3").generating_pair() == pair
+
+
+def _elementary_abelian(p, rank):
+    """C_p^rank on rank disjoint p-cycles: no two elements generate it."""
+    n = p * rank
+    return Group([Permutation.from_cycles(n, [tuple(range(i * p, i * p + p))])
+                  for i in range(rank)])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_generating_pair_falls_back_to_the_generators(p):
+    G = _elementary_abelian(p, 3)
+    assert G.generating_pair() == G.gens
+    cls = enumerate_classes(G)
+    assert len(cls) == G.order() == p ** 3
+    assert all(c.size == 1 for c in cls)
+    assert {next(iter(c.perms)) for c in cls} == set(G.chain.elements())
+
+
+def test_generating_pair_leaves_caller_streams_alone():
+    G = construct("gl:3:3")
+    rng, state = random.Random(11), random.getstate()
+    first = [G.chain.random(rng) for _ in range(3)]
+    enumerate_classes(G)
+    assert len(G.generating_pair()) == 2
+    rest = [G.chain.random(rng) for _ in range(3)]
+    assert random.getstate() == state
+    rng = random.Random(11)
+    H = construct("gl:3:3")
+    assert [H.chain.random(rng) for _ in range(6)] == first + rest
