@@ -131,12 +131,10 @@ def _build_parser():
     return p
 
 
-def _plan_from(args, default=None):
+def _plan_from(args):
     if getattr(args, "plan", None) == "exhaustive":
         return ScanPlan.exhaustive()
-    if getattr(args, "plan", None) == "sample" or default is None:
-        return ScanPlan.sample(args.samples, args.seed)
-    return default
+    return ScanPlan.sample(args.samples, args.seed)
 
 
 def _plan_dict(plan):

@@ -105,17 +105,6 @@ def _insert(vec, basis, F):
             return row
     return None
 
-def _apply(M, v):
-    F = M.field
-    out = []
-    for row in M.rows:
-        s = 0
-        for a, b in zip(row, v):
-            if a and b:
-                s = F.add(s, F.mul(a, b))
-        out.append(s)
-    return tuple(out)
-
 def spin(action, v):
     """Echelon basis of the smallest invariant subspace containing v."""
     F, n = action.field, action.dim
@@ -125,7 +114,7 @@ def spin(action, v):
     while queue and len(basis) < n:
         w = queue.pop()
         for M in action.mats:
-            row = _insert(_apply(M, w), basis, F)
+            row = _insert(M.apply(w), basis, F)
             if row:
                 queue.append(row)
     return basis

@@ -6,13 +6,16 @@ conjugates of the other -- any pair (c^h, d^g) is simultaneously conjugate to
 plans draw conjugators through the group's stabilizer chain from a fixed seed,
 so reruns are bit-identical.
 
-c and every d' = g^-1 d g are permutations of the ambient group's faithful
-image, and <c, d'> is closed on image tuples.  A subgroup larger than |G|_p
-is not a p-group, so the closure stops past min(|G|_p, PAIR_CLOSURE_CAP)
-and still decides the pair.  A stabilizer chain is built only when the
-closure passes its cap, for the exact `closure_order` of a failure witness
-or for an order past PAIR_CLOSURE_CAP, and d' goes back through
-`Group.from_perm` only for a witness.
+Every pair check runs on the ambient group's faithful permutation image, and
+an element goes back through `Group.from_perm` only for a witness.  The two
+conjugate scans, bf-pair and wreath-free, share one driver: c and every
+d' = g^-1 d g are image permutations.  bf-pair closes <c, d'> on image
+tuples; a subgroup larger than |G|_p is not a p-group, so the closure stops
+past min(|G|_p, PAIR_CLOSURE_CAP) and still decides the pair, and a
+stabilizer chain is built only past that cap.  wreath-free builds one chain
+per closure, which gives its order and serves the section search.  The
+normal-set checks, comm-closed and cc-inverse, share one pair walk over the
+classes' image permutations.
 """
 
 import json
@@ -23,7 +26,7 @@ from math import gcd
 
 from .catalog import construct, parse_blueprint, special_element
 from .classes import (PAIR_CAP, ConjClass, NormalSet, _image_key, class_of,
-                      enumerate_classes, involution_classes_sym, serial_key)
+                      enumerate_classes, involution_classes_sym)
 from .elements import (Overflow, SquareMatrix, commutator, conjugate,
                        deserialize_element, element_order, identity_like,
                        inverse, serialize_element)
@@ -57,6 +60,11 @@ def _desc(cls, order):
 def _pair_witness(c, dp, order):
     return {"c": serialize_element(c), "d_conj": serialize_element(dp),
             "closure_order": order}
+
+
+def _serial(G, q):
+    """The serialized element whose image permutation is q."""
+    return serialize_element(G.from_perm(q))
 
 
 def replay_pair_witness(witness, p):
@@ -120,16 +128,19 @@ def _pair_setup(G, c, d, p):
     return c, d, d_cls, core, None
 
 
-def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
-    """Is |<c, d'>| a power of p for every d' in the class of d?
+def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, judge):
+    """The driver of the conjugate scans: c against every d' in the class of d.
 
-    c and d may be elements or ConjClass objects.  Fails carry replayable
-    (c, d') witnesses.
+    After `_pair_setup`, c and the d' from `_conjugate_perms` are image
+    permutations cq and dq.  judge(c, cq, perms, tally, notes) yields one
+    witness or None per d', in order, and may add counters to tally and
+    notes; a tallied "inconclusive" makes a clean scan indeterminate.  Every
+    d' is one pair and one closure.
     """
     t0 = time.perf_counter()
     plan = plan or ScanPlan()
     c, d, d_cls, core, skip = _pair_setup(G, c, d, p)
-    scenario = "bf-pair:" + core
+    scenario = name + ":" + core
     if skip:
         return Verdict(scenario, SKIPPED, notes=[skip],
                        seconds=time.perf_counter() - t0)
@@ -143,19 +154,33 @@ def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
     cq = G.to_perm(c)
     if cq is None:
         raise ValueError("c does not act on the group's points")
-    witnesses = []
+    witnesses, notes, tally = [], [], {}
     scanned = 0
-    for dp, m in _closure_orders(G, cq, stream, p):
+    for w in judge(c, cq, stream, tally, notes):
         scanned += 1
-        if not is_p_power(m, p):
-            witnesses.append(_pair_witness(c, G.from_perm(dp), m))
+        if w:
+            witnesses.append(w)
             if len(witnesses) >= max_witnesses:
                 break
-    return Verdict(scenario, FAILS if witnesses else HOLDS,
-                   witnesses=witnesses,
-                   counters={"pairs": scanned, "closures": scanned},
+    counters = {"pairs": scanned, "closures": scanned, **tally}
+    status = (FAILS if witnesses else
+              INDETERMINATE if tally.get("inconclusive") else HOLDS)
+    return Verdict(scenario, status, witnesses=witnesses, counters=counters,
                    seconds=time.perf_counter() - t0,
-                   sampled=plan.mode == "sample")
+                   sampled=plan.mode == "sample", notes=notes)
+
+
+def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
+    """Is |<c, d'>| a power of p for every d' in the class of d?
+
+    c and d may be elements or ConjClass objects.  Fails carry replayable
+    (c, d') witnesses.
+    """
+    def judge(c, cq, perms, tally, notes):
+        for dq, m in _closure_orders(G, cq, perms, p):
+            yield (None if is_p_power(m, p)
+                   else _pair_witness(c, G.from_perm(dq), m))
+    return _scan_conjugates("bf-pair", G, c, d, p, plan, max_witnesses, judge)
 
 
 def wreath_free_pair_check(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
@@ -163,63 +188,32 @@ def wreath_free_pair_check(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
 
     Each witness names the first hypothesis that broke: "p-group" when some
     closure order is not a p-power, "wreath-free" when a closure contains a
-    wreath section (the section witness rides along).
+    wreath section (the section witness rides along).  One chain on the
+    image pair gives the order and serves the section search.
     """
-    t0 = time.perf_counter()
-    plan = plan or ScanPlan()
-    c, d, d_cls, core, skip = _pair_setup(G, c, d, p)
-    scenario = "wreath-free:" + core
-    if skip:
-        return Verdict(scenario, SKIPPED, notes=[skip],
-                       seconds=time.perf_counter() - t0)
-    try:
-        stream = map(G.from_perm, _conjugate_perms(G, d, d_cls, plan))
-    except Overflow as e:
-        return Verdict(scenario, INDETERMINATE,
-                       notes=["class enumeration overflowed (%s); "
-                              "use a sampled plan" % e],
-                       seconds=time.perf_counter() - t0)
-    witnesses, notes = [], []
-    scanned = closures = sections = overflows = 0
-    for dp in stream:
-        scanned += 1
-        J = Group([c, dp])
-        try:
+    def judge(c, cq, perms, tally, notes):
+        tally["sections"] = 0
+        for dq in perms:
+            J = Group([cq, dq])
             m = J.order()
-        except Overflow as e:
-            overflows += 1
-            if len(notes) < 3:
-                notes.append("closure overflow at conjugate %d: %s" % (scanned, e))
-            continue
-        closures += 1
-        if not is_p_power(m, p):
-            w = _pair_witness(c, dp, m)
-            w["hypothesis"] = "p-group"
-            witnesses.append(w)
-            if len(witnesses) >= max_witnesses:
-                break
-            continue
-        sv = wreath_section_detect(J, p, tier="full")
-        sections += 1
-        if sv.found:
-            w = _pair_witness(c, dp, m)
-            w["hypothesis"] = "wreath-free"
-            w["section"] = sv.witness
-            witnesses.append(w)
-            if len(witnesses) >= max_witnesses:
-                break
-        elif sv.note:
-            overflows += 1
-            if len(notes) < 3:
-                notes.append("section search inconclusive at order %d: %s"
-                             % (m, sv.note))
-    status = FAILS if witnesses else (INDETERMINATE if overflows else HOLDS)
-    counters = {"pairs": scanned, "closures": closures, "sections": sections}
-    if overflows:
-        counters["inconclusive"] = overflows
-    return Verdict(scenario, status, witnesses=witnesses, counters=counters,
-                   seconds=time.perf_counter() - t0,
-                   sampled=plan.mode == "sample", notes=notes)
+            if not is_p_power(m, p):
+                yield dict(_pair_witness(c, G.from_perm(dq), m),
+                           hypothesis="p-group")
+                continue
+            sv = wreath_section_detect(J, p, tier="full")
+            tally["sections"] += 1
+            if sv.found:
+                yield dict(_pair_witness(c, G.from_perm(dq), m),
+                           hypothesis="wreath-free", section=sv.witness)
+                continue
+            if sv.note:
+                tally["inconclusive"] = tally.get("inconclusive", 0) + 1
+                if len(notes) < 3:
+                    notes.append("section search inconclusive at order %d: %s"
+                                 % (m, sv.note))
+            yield None
+    return _scan_conjugates("wreath-free", G, c, d, p, plan, max_witnesses,
+                            judge)
 
 
 def _as_normal_set(C):
@@ -228,13 +222,6 @@ def _as_normal_set(C):
     if isinstance(C, NormalSet):
         return C
     raise TypeError("expected ConjClass or NormalSet, got %r" % (C,))
-
-
-def _enumerated_sorted(C):
-    els = C.elements
-    if els is None:
-        raise ValueError("the normal set must be fully enumerated")
-    return sorted(els, key=serial_key)
 
 
 def _pairs(elist, sampled):
@@ -250,62 +237,46 @@ def _pairs(elist, sampled):
         yield a, elist[rng.randrange(n)]
 
 
-def commutator_closed_check(G, C, p, max_witnesses=MAX_WITNESSES):
-    """Is [c, d] in C or trivial for every pair c, d in the normal set C?
+def _scan_normal_set(name, G, C, p, max_witnesses, judge):
+    """The pair walk of the normal-set checks over C x C.
 
-    Notes report whether C is closed under squares and under inverses, and
-    whether the commutator image fills all of C plus the identity.  A pair
-    count past PAIR_CAP falls back to a seeded sample, which can refute but
-    not certify (indeterminate on a clean pass).
+    The members are the classes' image permutations (`ConjClass.perms`) of
+    G, the classes' group, sorted by `_image_key`: serial_key order on the
+    elements, so `_pairs` draws the same pairs.  judge(G, members, sampled)
+    returns (step, summary): step(a, b) gives a witness or None, and
+    summary(witnesses) the notes and counters known after the walk.  Past
+    PAIR_CAP pairs the walk is a seeded sample, which can refute but not
+    certify (indeterminate on a clean pass).
     """
     t0 = time.perf_counter()
     if p < 2:
         raise ValueError("p must be at least 2")
     C = _as_normal_set(C)
-    labels = "+".join(l or "?" for l in C.labels)
-    scenario = "comm-closed:%s,C=%s,p=%d" % (_gname(G), labels, p)
-    for k in C.classes:
-        if not is_p_power(k.order, p):
-            raise ValueError("class %s has element order %d, not a power of %d"
-                             % (k.label, k.order, p))
-    elist = _enumerated_sorted(C)
-    if not elist:
+    if G is None and C.classes:
+        G = C.classes[0].group
+    scenario = "%s:%s,C=%s,p=%d" % (name, _gname(G) if G else "?",
+                                    "+".join(l or "?" for l in C.labels), p)
+    if any(k.perms is None for k in C.classes):
+        raise ValueError("the normal set must be fully enumerated")
+    members = set().union(*(k.perms for k in C.classes))
+    if not members:
         return Verdict(scenario, HOLDS, notes=["empty set"],
                        seconds=time.perf_counter() - t0)
-    base = set(elist)
-    ident = identity_like(elist[0])
-    ok = base | {ident}
-    n = len(elist)
+    members = sorted(members, key=_image_key(G))
+    n = len(members)
     sampled = n * n > PAIR_CAP
+    step, summary = judge(G, members, sampled)
     witnesses = []
-    image = set()
     pairs = 0
-    for a, b in _pairs(elist, sampled):
+    for a, b in _pairs(members, sampled):
         pairs += 1
-        k = commutator(a, b)
-        if not sampled:
-            image.add(k)
-        if k not in ok:
-            witnesses.append({"c": serialize_element(a),
-                              "d": serialize_element(b),
-                              "commutator": serialize_element(k)})
+        w = step(a, b)
+        if w:
+            witnesses.append(w)
             if len(witnesses) >= max_witnesses:
                 break
-    notes = []
-    sq = all(a * a in ok for a in elist)
-    inv = all(inverse(a) in base for a in elist)
-    notes.append("C is closed under squares" if sq
-                 else "C is not closed under squares")
-    notes.append("C is closed under inverses" if inv
-                 else "C is not closed under inverses")
-    counters = {"pairs": pairs, "set_size": n}
-    if not sampled and not witnesses:
-        counters["image_size"] = len(image)
-        if image == ok:
-            notes.append("commutator image is exactly C plus the identity")
-        else:
-            notes.append("commutator image covers %d of %d elements"
-                         % (len(image), len(ok)))
+    notes, tally = summary(witnesses)
+    counters = {"pairs": pairs, "set_size": n, **tally}
     if witnesses:
         status = FAILS
     elif sampled:
@@ -317,6 +288,49 @@ def commutator_closed_check(G, C, p, max_witnesses=MAX_WITNESSES):
     return Verdict(scenario, status, witnesses=witnesses, counters=counters,
                    seconds=time.perf_counter() - t0, sampled=sampled,
                    notes=notes)
+
+
+def commutator_closed_check(G, C, p, max_witnesses=MAX_WITNESSES):
+    """Is [c, d] in C or trivial for every pair c, d in the normal set C of G?
+
+    Notes report whether C is closed under squares and under inverses, and
+    whether the commutator image fills all of C plus the identity.
+    """
+    C = _as_normal_set(C)
+
+    def judge(G, members, sampled):
+        for k in C.classes:
+            if not is_p_power(k.order, p):
+                raise ValueError("class %s has element order %d, not a power "
+                                 "of %d" % (k.label, k.order, p))
+        base = set(members)
+        ok = base | {identity_like(members[0])}
+        image = set()
+
+        def step(a, b):
+            k = commutator(a, b)
+            if not sampled:
+                image.add(k)
+            if k not in ok:
+                return {"c": _serial(G, a), "d": _serial(G, b),
+                        "commutator": _serial(G, k)}
+
+        def summary(witnesses):
+            sq = all(a * a in ok for a in members)
+            inv = all(~a in base for a in members)
+            notes = ["C is closed under squares" if sq
+                     else "C is not closed under squares",
+                     "C is closed under inverses" if inv
+                     else "C is not closed under inverses"]
+            if sampled or witnesses:
+                return notes, {}
+            notes.append("commutator image is exactly C plus the identity"
+                         if image == ok else
+                         "commutator image covers %d of %d elements"
+                         % (len(image), len(ok)))
+            return notes, {"image_size": len(image)}
+        return step, summary
+    return _scan_normal_set("comm-closed", G, C, p, max_witnesses, judge)
 
 
 def replay_commutator_witness(witness, C):
@@ -332,45 +346,15 @@ def replay_commutator_witness(witness, C):
 
 def cc_inverse_check(C, p, max_witnesses=MAX_WITNESSES):
     """Is every product c * d^-1 over the normal set C a p-element?"""
-    t0 = time.perf_counter()
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    C = _as_normal_set(C)
-    labels = "+".join(l or "?" for l in C.labels)
-    gname = _gname(C.classes[0].group) if C.classes else "?"
-    scenario = "cc-inverse:%s,C=%s,p=%d" % (gname, labels, p)
-    elist = _enumerated_sorted(C)
-    if not elist:
-        return Verdict(scenario, HOLDS, notes=["empty set"],
-                       seconds=time.perf_counter() - t0)
-    n = len(elist)
-    sampled = n * n > PAIR_CAP
-    witnesses = []
-    pairs = 0
-    for a, b in _pairs(elist, sampled):
-        pairs += 1
-        x = a * inverse(b)
-        m = element_order(x)
-        if not is_p_power(m, p):
-            witnesses.append({"c": serialize_element(a),
-                              "d": serialize_element(b),
-                              "product": serialize_element(x),
-                              "product_order": m})
-            if len(witnesses) >= max_witnesses:
-                break
-    counters = {"pairs": pairs, "set_size": n}
-    notes = []
-    if witnesses:
-        status = FAILS
-    elif sampled:
-        status = INDETERMINATE
-        notes.append("sampled %d of %d pairs; a clean pass is not a certificate"
-                     % (pairs, n * n))
-    else:
-        status = HOLDS
-    return Verdict(scenario, status, witnesses=witnesses, counters=counters,
-                   seconds=time.perf_counter() - t0, sampled=sampled,
-                   notes=notes)
+    def judge(G, members, sampled):
+        def step(a, b):
+            x = a * ~b
+            m = element_order(x)
+            if not is_p_power(m, p):
+                return {"c": _serial(G, a), "d": _serial(G, b),
+                        "product": _serial(G, x), "product_order": m}
+        return step, lambda witnesses: ([], {})
+    return _scan_normal_set("cc-inverse", None, C, p, max_witnesses, judge)
 
 
 def replay_product_witness(witness, p):
@@ -642,8 +626,7 @@ def _sl2n3_probe(G, c, plan):
         if not is_p_power(m, 2):
             return ("probe: negated-plane involution reached a non-2-group "
                     "closure of order %d at conjugate %d: %s"
-                    % (m, k, json.dumps(serialize_element(G.from_perm(dp)),
-                                        sort_keys=True)))
+                    % (m, k, json.dumps(_serial(G, dp), sort_keys=True)))
     return ("probe: negated-plane involution stayed 2-group through %d "
             "conjugates" % size)
 

@@ -12,8 +12,11 @@ import pytest
 
 from bfl.chartab import load_table
 from bfl.cli import main
+from bfl.elements import deserialize_element
+from bfl.groups import Group
 from bfl.smallgroup import SmallGroup
 from bfl.verify import replay_pair_witness
+from bfl.wreath import reconstruct_section
 
 
 def run(capsys, *argv):
@@ -278,10 +281,13 @@ def test_identity_scan_seeded(capsys):
 
 
 # ---- golden bodies ---------------------------------------------------------
-# Captured (header dropped): cli_bodies.json before class enumeration moved
-# onto the chain's permutation image (the last three read matrix class
-# members and serialize witnesses from them), pair_scan_bodies.json before
-# pair closures moved onto the ambient group's image.
+# Captured (header dropped): cli_bodies.json's first four before class
+# enumeration moved onto the chain's permutation image (the last three of
+# them read matrix class members and serialize witnesses from them), and its
+# last four (wreath-free on gl:2:3 and sp:4:3, comm-closed and cc-inverse on
+# q8) before wreath-free and the normal-set checks moved off matrices onto
+# the ambient group's image; pair_scan_bodies.json before pair closures
+# moved onto the ambient group's image.
 
 def _bodies(name):
     with open(os.path.join(os.path.dirname(__file__), "data", name),
@@ -292,7 +298,19 @@ def _bodies(name):
 PINNED_BODIES = _bodies("cli_bodies.json") + _bodies("pair_scan_bodies.json")
 
 
-@pytest.mark.parametrize("rec", PINNED_BODIES, ids=lambda r: r["argv"][0])
+def _pin_ids(recs):
+    """The subcommand, with its --group appended after the subcommand's
+    first pin."""
+    seen, out = set(), []
+    for r in recs:
+        cmd = r["argv"][0]
+        out.append("%s:%s" % (cmd, r["argv"][r["argv"].index("--group") + 1])
+                   if cmd in seen else cmd)
+        seen.add(cmd)
+    return out
+
+
+@pytest.mark.parametrize("rec", PINNED_BODIES, ids=_pin_ids(PINNED_BODIES))
 def test_pinned_json_bodies(capsys, rec):
     code, body = run_json(capsys, *rec["argv"])
     body.pop("header")
@@ -300,8 +318,15 @@ def test_pinned_json_bodies(capsys, rec):
     assert body == rec["body"]
     for v in body.get("verdicts", ()):
         # every pinned pair scan runs at p = 2
-        assert all(replay_pair_witness(w, 2)
-                   for w in v["witnesses"] if "d_conj" in w)
+        for w in v["witnesses"]:
+            if w.get("hypothesis") == "wreath-free":
+                # a 2-group closure: replay its section on the matrix pair
+                J = Group([deserialize_element(w["c"]),
+                           deserialize_element(w["d_conj"])])
+                assert J.order() == w["closure_order"]
+                assert reconstruct_section(J, w["section"], 2)
+            elif "d_conj" in w:
+                assert replay_pair_witness(w, 2)
 
 
 def test_over_cap_class_list_fails_fast(capsys):

@@ -26,3 +26,38 @@ def test_no_unused_imports():
               for p in sorted(glob.glob(os.path.join(SRC, "*.py")))
               if os.path.basename(p) != "__init__.py"}
     assert {m: names for m, names in unused.items() if names} == {}
+
+
+def _top_level_refs(path):
+    """Per top-level statement of a module: (name it defines or None, the
+    identifiers it references as names, attributes or imports)."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    out = []
+    for stmt in tree.body:
+        refs = set()
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name):
+                refs.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                refs.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                refs |= {a.name for a in n.names}
+        defined = (stmt.name if isinstance(stmt, (ast.FunctionDef,
+                                                  ast.ClassDef)) else None)
+        out.append((defined, refs))
+    return out
+
+
+def test_no_orphaned_private_helpers():
+    # a module-private function or class must be referenced somewhere in the
+    # package outside its own definition (recursion alone does not count)
+    stmts = [(os.path.basename(p), i, name, refs)
+             for p in sorted(glob.glob(os.path.join(SRC, "*.py")))
+             for i, (name, refs) in enumerate(_top_level_refs(p))]
+    orphans = sorted(
+        "%s:%s" % (mod, name) for mod, i, name, _ in stmts
+        if name and name.startswith("_") and not name.startswith("__")
+        and not any(name in refs for m, j, _, refs in stmts
+                    if (m, j) != (mod, i)))
+    assert orphans == []

@@ -99,10 +99,10 @@ def test_spin_is_invariant():
     line = spin(act2, (1, 0))
     assert len(line) == 1  # e1 spans an invariant line
     # membership: every image of the basis row reduces to nothing new
-    from bfl.modrep import _apply, _insert
+    from bfl.modrep import _insert
     for M in act2.mats:
         probe = dict(line)
-        assert _insert(_apply(M, line[0]), probe, F3) is None
+        assert _insert(M.apply(line[0]), probe, F3) is None
 
 
 def test_irreducibility_verdicts():

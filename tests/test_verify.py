@@ -91,12 +91,14 @@ def test_bf_non_p_element_rejected(s6):
         bf_pair_direct(s6, three, c, 2)
 
 
-def test_bf_c_outside_the_group_rejected():
+@pytest.mark.parametrize("check", [bf_pair_direct, wreath_free_pair_check],
+                         ids=lambda f: f.__name__)
+def test_bf_c_outside_the_group_rejected(check):
     G = construct("go_odd:3:5")
     enumerate_classes(G)
     c = SquareMatrix.diagonal(G.identity.field, (2, 1, 1))  # scales a norm
     with pytest.raises(ValueError, match="does not act"):
-        bf_pair_direct(G, c, cls_of(G, "2b"), 2)
+        check(G, c, cls_of(G, "2b"), 2)
 
 
 def test_bf_conjugation_invariance(s6):
