@@ -10,7 +10,7 @@ import itertools
 import math
 from math import factorial, prod
 
-from .fields import GF, FIELD_SIZES
+from .fields import GF, FIELD_SIZES, projective_points
 from .elements import Permutation, SquareMatrix
 from .groups import Group
 
@@ -247,35 +247,26 @@ def _hermitian(F, bar_e, x, y):
     return acc
 
 
+def _unit(n, *idx):
+    """The vector of length n with 1 at the positions idx, 0 elsewhere."""
+    return tuple(int(k in idx) for k in range(n))
+
+
+def _rank_one(F, v, coef):
+    """The matrix of x |-> x + coef(x) v; coef is linear, read on the basis."""
+    n = len(v)
+    cs = [coef(_unit(n, j)) for j in range(n)]
+    return SquareMatrix(F, [[F.add(int(i == j), F.mul(c, v[i]))
+                             for j, c in enumerate(cs)] for i in range(n)])
+
+
 def reflection_matrix(F, gram, v):
     """x |-> x - 2 B(x,v)/B(v,v) * v; v must be non-isotropic."""
-    n = gram.n
     nv = bilinear(F, gram, v, v)
     if nv == 0:
         raise ValueError("reflection vector %r is isotropic" % (v,))
-    c = F.div(F.add(1, 1), nv)  # 2 / B(v,v)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        coef = F.mul(c, bilinear(F, gram, e, v))
-        cols.append(tuple(F.sub(e[i], F.mul(coef, v[i])) for i in range(n)))
-    return SquareMatrix(F, list(zip(*cols)))
-
-
-def _normalized_vectors(F, n):
-    """One representative per projective line, lexicographic by code tuple."""
-    def rec(prefix, started):
-        if len(prefix) == n:
-            if started:
-                yield tuple(prefix)
-            return
-        if not started:
-            yield from rec(prefix + [0], False)
-            yield from rec(prefix + [1], True)
-        else:
-            for c in range(F.q):
-                yield from rec(prefix + [c], True)
-    yield from rec([], False)
+    c = F.neg(F.div(F.add(1, 1), nv))  # -2 / B(v,v)
+    return _rank_one(F, v, lambda e: F.mul(c, bilinear(F, gram, e, v)))
 
 
 def _grow_to_order(pool, target, name):
@@ -427,13 +418,8 @@ def _build_psl2(bp):
 
 
 def _sl_gens(F, n):
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows[0][1] = 1
-    gens = [SquareMatrix(F, rows)]
-    if F.k > 1:
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        rows[0][1] = F.primitive()
-        gens.append(SquareMatrix(F, rows))
+    coeffs = [1, F.primitive()] if F.k > 1 else [1]
+    gens = [_rank_one(F, _unit(n, 0), lambda e: F.mul(c, e[1])) for c in coeffs]
     cyc = [[0] * n for _ in range(n)]
     for j in range(n - 1):
         cyc[j + 1][j] = 1
@@ -457,23 +443,12 @@ def _build_gl(bp):
 
 def _transvection_pool_sp(F, n, gram):
     """Symplectic transvections x -> x + c B(x,v) v over a deterministic pool."""
-    vecs = []
-    for i in range(n):
-        vecs.append(tuple(1 if k == i else 0 for k in range(n)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            vecs.append(tuple(1 if k in (i, j) else 0 for k in range(n)))
-    coeffs = [1]
-    if F.k > 1:
-        coeffs.append(F.primitive())
+    vecs = [_unit(n, i) for i in range(n)]
+    vecs += [_unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
+    coeffs = [1, F.primitive()] if F.k > 1 else [1]
     for v in vecs:
         for c in coeffs:
-            cols = []
-            for j in range(n):
-                e = tuple(1 if i == j else 0 for i in range(n))
-                coef = F.mul(c, bilinear(F, gram, e, v))
-                cols.append(tuple(F.add(e[i], F.mul(coef, v[i])) for i in range(n)))
-            T = SquareMatrix(F, list(zip(*cols)))
+            T = _rank_one(F, v, lambda e: F.mul(c, bilinear(F, gram, e, v)))
             if not T.is_identity():
                 assert preserves_bilinear(T, gram)
                 yield T
@@ -490,7 +465,7 @@ def _build_sp(bp):
 
 
 def _reflection_pool(F, n, gram):
-    for v in _normalized_vectors(F, n):
+    for v in projective_points(F, n):
         if bilinear(F, gram, v, v) != 0:
             yield reflection_matrix(F, gram, v)
 
@@ -520,17 +495,12 @@ def _unitary_reflections(F, bar, n):
     """Pseudo-reflections fixing v-perp, scaling v by a norm-one alpha."""
     q = math.isqrt(F.q)
     alpha = F.pow(F.primitive(), q - 1)  # generates the norm-one subgroup
-    for v in _normalized_vectors(F, n):
+    for v in projective_points(F, n):
         nv = _hermitian(F, bar, v, v)
         if nv == 0:
             continue
-        cols = []
-        coef0 = F.div(F.sub(alpha, 1), nv)
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            coef = F.mul(coef0, _hermitian(F, bar, e, v))
-            cols.append(tuple(F.add(e[i], F.mul(coef, v[i])) for i in range(n)))
-        yield SquareMatrix(F, list(zip(*cols)))
+        c = F.div(F.sub(alpha, 1), nv)
+        yield _rank_one(F, v, lambda e: F.mul(c, _hermitian(F, bar, e, v)))
 
 
 def _perm_matrices(F, n):
@@ -562,17 +532,11 @@ def _build_su(bp):
 
     def transvections():
         # unitary transvections need isotropic v
-        for v in _normalized_vectors(F, n):
+        for v in projective_points(F, n):
             if _hermitian(F, bar, v, v) != 0:
                 continue
             for c in trace_zero:
-                cols = []
-                for j in range(n):
-                    e = tuple(1 if i == j else 0 for i in range(n))
-                    coef = F.mul(c, _hermitian(F, bar, e, v))
-                    cols.append(tuple(F.add(e[i], F.mul(coef, v[i]))
-                                      for i in range(n)))
-                T = SquareMatrix(F, list(zip(*cols)))
+                T = _rank_one(F, v, lambda e: F.mul(c, _hermitian(F, bar, e, v)))
                 if not T.is_identity():
                     yield T
 
@@ -617,10 +581,7 @@ def special_element(bp, kind, v=None):
         return Permutation.from_cycles(n, [(i, i + 1) for i in range(0, n, 2)])
     if kind == "transvection":
         if f in ("sl", "gl"):
-            F = GF(bp.q)
-            rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            rows[0][1] = 1
-            return SquareMatrix(F, rows)
+            return _rank_one(GF(bp.q), _unit(n, 0), lambda e: e[1])
         if f == "sp":
             return _sp_root(bp)
         raise ValueError("transvection lives in sl/gl/sp")
@@ -642,10 +603,7 @@ def special_element(bp, kind, v=None):
         return SquareMatrix(F, rows)
     if kind == "long_root_proxy":
         if f in ("sl", "gl"):
-            F = GF(bp.q)
-            rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            rows[0][n - 1] = 1
-            return SquareMatrix(F, rows)
+            return _rank_one(GF(bp.q), _unit(n, 0), lambda e: e[n - 1])
         if f == "sp":
             return _sp_root(bp)
         raise ValueError("long_root_proxy lives in sl/gl/sp")
@@ -653,16 +611,8 @@ def special_element(bp, kind, v=None):
 
 
 def _sp_root(bp):
-    F = GF(bp.q)
-    gram = gram_matrix(bp)
-    n = bp.n
-    v = tuple(1 if i == 0 else 0 for i in range(n))
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        coef = bilinear(F, gram, e, v)
-        cols.append(tuple(F.add(e[i], F.mul(coef, v[i])) for i in range(n)))
-    return SquareMatrix(F, list(zip(*cols)))
+    """x |-> x + B(x, e_0) e_0, the first transvection of the sp pool."""
+    return next(_transvection_pool_sp(GF(bp.q), bp.n, gram_matrix(bp)))
 
 
 def _gram_or_euclid(bp):
@@ -688,11 +638,10 @@ def _reflection_special(bp, v):
 def _default_reflection_vector(bp):
     f, n = bp.family, bp.n
     if f in ("gl", "go_minus"):
-        i = 0 if f == "gl" else n - 2
-        return tuple(1 if k == i else 0 for k in range(n))
+        return _unit(n, 0 if f == "gl" else n - 2)
     if f == "go_odd":
-        return tuple(1 if k == n - 1 else 0 for k in range(n))
-    return tuple(1 if k in (0, 1) else 0 for k in range(n))  # go_plus: e0+e1
+        return _unit(n, n - 1)
+    return _unit(n, 0, 1)  # go_plus: e0+e1
 
 
 def _bireflection_vectors(bp):
@@ -701,19 +650,15 @@ def _bireflection_vectors(bp):
     if f == "gl":
         if n < 2:
             raise ValueError("bireflection needs dimension >= 2")
-        return (tuple(1 if k == 0 else 0 for k in range(n)),
-                tuple(1 if k == 1 else 0 for k in range(n)))
+        return _unit(n, 0), _unit(n, 1)
     if f == "go_odd":
         if n < 3:
             raise ValueError("bireflection needs dimension >= 3")
-        return (tuple(1 if k == n - 1 else 0 for k in range(n)),
-                tuple(1 if k in (0, 1) else 0 for k in range(n)))
+        return _unit(n, n - 1), _unit(n, 0, 1)
     if f == "go_plus":
         if n == 2:
             return ((1, 1), (1, F.neg(1)))
-        return (tuple(1 if k in (0, 1) else 0 for k in range(n)),
-                tuple(1 if k in (2, 3) else 0 for k in range(n)))
+        return _unit(n, 0, 1), _unit(n, 2, 3)
     if f == "go_minus":
-        return (tuple(1 if k == n - 2 else 0 for k in range(n)),
-                tuple(1 if k == n - 1 else 0 for k in range(n)))
+        return _unit(n, n - 2), _unit(n, n - 1)
     raise ValueError("bireflection lives in gl/go families")

@@ -13,9 +13,9 @@ from itertools import zip_longest
 from operator import mul
 
 from .classes import enumerate_classes
-from .chartab import CharacterTable
+from .chartab import CharacterTable, class_mult_count
 from .cyclotomic import Cyclotomic
-from .fields import _is_prime
+from .fields import _is_prime, factorize
 
 # shipped table name -> catalog blueprint
 SHIPPED_TABLES = (
@@ -67,16 +67,7 @@ def _working_prime(order, exponent):
 
 
 def _primitive_root(ell):
-    fac = []
-    n, f = ell - 1, 2
-    while f * f <= n:
-        if n % f == 0:
-            fac.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        fac.append(n)
+    fac = factorize(ell - 1)
     g = 2
     while any(pow(g, (ell - 1) // p, ell) == 1 for p in fac):
         g += 1
@@ -242,8 +233,9 @@ def _eigen_split(class_mats, ell):
 
 # -- table assembly ---------------------------------------------------------
 
-def build_table(G, name, check=True):
-    """Compute the full character table of an enumerable group."""
+def build_table(G, name):
+    """Compute the full character table of an enumerable group, cross-checked
+    against the counted structure constants."""
     cls, loc, a = structure_constants(G)
     r = len(cls)
     sizes = [C.size for C in cls]
@@ -307,14 +299,12 @@ def build_table(G, name, check=True):
                         "powermap": pm})
 
     T = CharacterTable(name, grp_order, classes, rows)
-    if check:
-        _cross_check(T, a)
+    _cross_check(T, a)
     return T
 
 
 def _cross_check(T, a):
     """Every structure constant from the table must match the counted one."""
-    from .chartab import class_mult_count
     r = T.n_classes
     for i in range(r):
         for j in range(r):
@@ -324,7 +314,3 @@ def _cross_check(T, a):
                     raise AssertionError(
                         "%s: table gives %d for (%d,%d,%d), counting gives %d"
                         % (T.name, got, i, j, k, a[i][j][k]))
-
-
-def table_json(G, name, check=True):
-    return build_table(G, name, check=check).to_json()

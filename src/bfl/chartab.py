@@ -28,7 +28,7 @@ class CharacterTable:
         self.order = int(order)
         self.classes = classes
         self.irreducibles = irreducibles
-        self._validate()
+        self.degrees = self._validate()
         # one complex evaluation per entry, reused by every query
         self.X = [[v.value() for v in row] for row in irreducibles]
         self._check_orthogonality()
@@ -45,11 +45,8 @@ class CharacterTable:
     def element_order(self, k):
         return self.classes[k]["element_order"]
 
-    @property
-    def degrees(self):
-        return tuple(row[0].as_int() for row in self.irreducibles)
-
     def _validate(self):
+        """TableError on a malformed table; else the degrees, as a tuple."""
         r = len(self.classes)
         if self.order < 1 or r < 1:
             raise TableError("%s: empty table" % self.name)
@@ -83,6 +80,7 @@ class CharacterTable:
         if sum(d * d for d in degs) != self.order:
             raise TableError("%s: sum of squared degrees %d != order %d"
                              % (self.name, sum(d * d for d in degs), self.order))
+        return tuple(degs)
 
     def _check_orthogonality(self):
         r = self.n_classes

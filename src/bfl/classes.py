@@ -85,6 +85,15 @@ class NormalSet:
     def __init__(self, classes):
         self.classes = tuple(classes)
 
+    @classmethod
+    def of(cls, S):
+        """S itself, or the one-class set of a ConjClass."""
+        if isinstance(S, NormalSet):
+            return S
+        if isinstance(S, ConjClass):
+            return cls([S])
+        raise TypeError("expected ConjClass or NormalSet, got %r" % (S,))
+
     @property
     def labels(self):
         return tuple(c.label for c in self.classes)
@@ -208,14 +217,6 @@ def is_p_element(x, p):
     return is_p_power(element_order(x), p)
 
 
-def _classes_of_arg(S):
-    if isinstance(S, NormalSet):
-        return list(S.classes)
-    if isinstance(S, ConjClass):
-        return [S]
-    raise TypeError("expected ConjClass or NormalSet, got %r" % (S,))
-
-
 def _elements_of(S):
     """Element list of a ConjClass / NormalSet / plain iterable of elements."""
     if isinstance(S, (ConjClass, NormalSet)):
@@ -229,7 +230,7 @@ def _elements_of(S):
 def inverse_set(C):
     """The normal set of inverses; reuses labeled classes when cached."""
     out = []
-    for c in _classes_of_arg(C):
+    for c in NormalSet.of(C).classes:
         perms = (frozenset(~p for p in c.perms)
                  if c.perms is not None else None)
         hit = None

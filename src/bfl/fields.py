@@ -8,6 +8,7 @@ fast enough for every field this package ships (q <= 81 by default).
 """
 
 from functools import lru_cache
+from itertools import product
 
 # monic irreducible moduli, coefficients low degree first, constant term first
 DEFAULT_MODULI = {
@@ -269,6 +270,14 @@ def GF(q):
         raise ValueError("%d is not a prime power" % q)
     [(r, k)] = fac.items()
     return FieldSpec(r, k)
+
+
+def projective_points(F, n):
+    """One vector per line of F^n, its first nonzero coordinate 1, in
+    lexicographic order of the code tuples."""
+    for lead in reversed(range(n)):
+        for tail in product(range(F.q), repeat=n - 1 - lead):
+            yield (0,) * lead + (1,) + tail
 
 
 class FieldElement:

@@ -2,10 +2,10 @@
 irreducibility by spinning lines, and the generator fixed-space checks,
 cross-validated against the wreath-section search."""
 
-import itertools
 import time
 
 from .elements import SquareMatrix
+from .fields import projective_points
 from .report import Verdict, HOLDS, FAILS, INDETERMINATE, SKIPPED
 from .smallgroup import is_p_group
 from .wreath import wreath_section_detect
@@ -118,13 +118,6 @@ def spin(action, v):
             if row:
                 queue.append(row)
     return basis
-
-def projective_points(F, n):
-    """One representative per line: first nonzero coordinate equals 1."""
-    codes = list(range(F.q))
-    for lead in range(n):
-        for tail in itertools.product(codes, repeat=n - 1 - lead):
-            yield (0,) * lead + (1,) + tail
 
 def is_irreducible(action, cap=SPIN_CAP):
     """Spin every line; None (undecided) when the line count exceeds cap."""

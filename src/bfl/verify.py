@@ -216,14 +216,6 @@ def wreath_free_pair_check(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
                             judge)
 
 
-def _as_normal_set(C):
-    if isinstance(C, ConjClass):
-        return NormalSet([C])
-    if isinstance(C, NormalSet):
-        return C
-    raise TypeError("expected ConjClass or NormalSet, got %r" % (C,))
-
-
 def _pairs(elist, sampled):
     """The pairs (a, b) a check visits: SAMPLE_PAIRS draws from
     Random(0xBF), a then b, when sampled, else all of elist x elist in order."""
@@ -251,7 +243,7 @@ def _scan_normal_set(name, G, C, p, max_witnesses, judge):
     t0 = time.perf_counter()
     if p < 2:
         raise ValueError("p must be at least 2")
-    C = _as_normal_set(C)
+    C = NormalSet.of(C)
     if G is None and C.classes:
         G = C.classes[0].group
     scenario = "%s:%s,C=%s,p=%d" % (name, _gname(G) if G else "?",
@@ -296,7 +288,7 @@ def commutator_closed_check(G, C, p, max_witnesses=MAX_WITNESSES):
     Notes report whether C is closed under squares and under inverses, and
     whether the commutator image fills all of C plus the identity.
     """
-    C = _as_normal_set(C)
+    C = NormalSet.of(C)
 
     def judge(G, members, sampled):
         for k in C.classes:
@@ -340,7 +332,7 @@ def replay_commutator_witness(witness, C):
     k = commutator(a, b)
     if k != deserialize_element(witness["commutator"]):
         return False
-    els = _as_normal_set(C).elements
+    els = NormalSet.of(C).elements
     return not k.is_identity() and k not in els
 
 

@@ -13,6 +13,7 @@ searches for such a pair.
 from functools import cache, partial, reduce
 from operator import invert, mul
 
+from .catalog import construct
 from .elements import Permutation
 from .fields import is_p_power
 from .groups import Group, orbit
@@ -45,21 +46,15 @@ class WreathModel:
 
 @cache
 def build_wreath(p):
-    """The model for p in {2, 3, 5}, with its invariants asserted; built and
-    checked once per p, and the same model returned after."""
+    """The model for p in {2, 3, 5}, the catalog's "wreath:<p>", with its order
+    and derived subgroup asserted; built and checked once per p, and the same
+    model returned after."""
     if p not in (2, 3, 5):
         raise ValueError("supported primes: 2, 3, 5; got %r" % (p,))
-    n = p * p
-    base = Permutation.from_cycles(n, [tuple(range(p))])
-    top = Permutation([(i + p) % n for i in range(n)])
-    G = Group([base, top], name="wreath:%d" % p)
-    elems = list(G.chain.elements())  # not kept on the cached model
-    if len(elems) != p ** (p + 1):
-        raise AssertionError("wreath model has order %d" % len(elems))
-    center = sum(1 for x in elems
-                 if x * base == base * x and x * top == top * x)
-    if center != p:
-        raise AssertionError("wreath center has order %d" % center)
+    G = construct("wreath:%d" % p)
+    if G.order() != p ** (p + 1):
+        raise AssertionError("wreath model has order %d" % G.order())
+    base, top = G.gens
     comm = ~base * ~top * base * top
     # the normal closure of comm, the derived subgroup, is generated by its class
     if Group(G.conjugacy_class(comm)).order() != p ** (p - 1):

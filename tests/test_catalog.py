@@ -208,6 +208,16 @@ GROWN_GENERATORS = {
                '100101010000001101000100000010000001'],
     "gu:3:3": ['100010006', '100060001', '100054045', '600010001',
                '504010405'],
+    # pinned before the su and go pools shared one rank-one matrix builder
+    "su:3:2": ['100001010', '100003020', '001010100', '322232331',
+               '321231111'],
+    "su:3:3": ['100044057', '100047087', '404010507'],
+    "go_plus:4:3": ['1000010000020020', '1000010000010010',
+                    '1000212220022020', '1000112110012010',
+                    '1222010002020220'],
+    "go_minus:4:3": ['1000010000100002', '1000010000200001',
+                     '1000010000020020', '1000110100101002',
+                     '1101010000100102'],
 }
 
 

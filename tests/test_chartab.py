@@ -6,8 +6,7 @@ import os
 import pytest
 
 from bfl.catalog import construct
-from bfl.charcompute import (SHIPPED_TABLES, _poly_roots, build_table,
-                              table_json)
+from bfl.charcompute import SHIPPED_TABLES, _poly_roots, build_table
 from bfl.chartab import (CharacterTable, TableError, parse_table, load_table,
                          class_mult_count, product_support, inverse_class,
                          bf_pair_table)
@@ -109,7 +108,7 @@ def brute_count(G, cls, i, j, e):
 def test_counts_match_brute_force_everywhere(bp):
     G = construct(bp)
     cls = enumerate_classes(G)
-    T = build_table(G, bp, check=False)
+    T = build_table(G, bp)
     for i in range(T.n_classes):
         for j in range(T.n_classes):
             for k in range(T.n_classes):
@@ -120,7 +119,7 @@ def test_counts_match_brute_force_everywhere(bp):
 def test_s4_transposition_pair_count():
     G = construct("sym:4")
     cls = enumerate_classes(G)
-    T = build_table(G, "s4", check=False)
+    T = build_table(G, "s4")
     i = next(k for k, C in enumerate(cls) if C.order == 2 and C.size == 6)
     e = next(k for k, C in enumerate(cls) if C.order == 3)
     want = brute_count(G, cls, i, i, cls[e].representative)
@@ -230,7 +229,7 @@ def test_m10_has_exactly_six_holding_pairs():
 
 @pytest.mark.parametrize("name,bp", [("a5", "alt:5"), ("l2_7", "psl2:7")])
 def test_shipped_files_match_regeneration(name, bp):
-    obj = table_json(construct(bp), name)
+    obj = build_table(construct(bp), name).to_json()
     text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
     with open(os.path.join(TABLE_DIR, name + ".json"), encoding="utf-8") as fh:
         assert fh.read() == text

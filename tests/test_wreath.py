@@ -56,11 +56,17 @@ def semidirect(mods, act, c=None):
 
 
 def test_model_orders_and_invariants():
-    # the constructor itself asserts order, center, and derived subgroup
+    # the constructor itself asserts order and derived subgroup
     assert build_wreath(2).order == 8
     assert build_wreath(3).order == 81
     assert build_wreath(5).order == 15625
     assert build_wreath(5) is build_wreath(5)  # built and checked once per p
+    for p in (2, 3, 5):
+        G = build_wreath(p).group
+        base, top = G.gens
+        center = sum(1 for x in G.chain.elements()
+                     if x * base == base * x and x * top == top * x)
+        assert center == p
 
 
 def test_build_rejects_other_primes():

@@ -11,7 +11,7 @@ import os
 import sys
 
 from bfl.catalog import construct
-from bfl.charcompute import SHIPPED_TABLES, table_json
+from bfl.charcompute import SHIPPED_TABLES, build_table
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src", "bfl", "tables")
@@ -20,7 +20,7 @@ OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
     for name, blueprint in SHIPPED_TABLES:
-        obj = table_json(construct(blueprint), name)
+        obj = build_table(construct(blueprint), name).to_json()
         path = os.path.join(OUT_DIR, name + ".json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=1, sort_keys=True)
