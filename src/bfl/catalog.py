@@ -121,22 +121,19 @@ def parse_blueprint(text):
         if len(parts) != 1:
             raise ValueError("q8 takes no parameters")
         return GroupBlueprint("q8")
-    try:
-        if family == "psl2":
-            if len(parts) not in (2, 3):
-                raise ValueError("psl2 takes q and an optional extension")
-            ext = parts[2] if len(parts) == 3 else None
-            return GroupBlueprint("psl2", n=2, q=int(parts[1]), ext=ext)
-        if family in PERM_FAMILIES:
-            if len(parts) != 2:
-                raise ValueError("%s takes one parameter" % family)
-            return GroupBlueprint(family, n=int(parts[1]))
-        if family in MATRIX_FAMILIES:
-            if len(parts) != 3:
-                raise ValueError("%s takes dimension and field size" % family)
-            return GroupBlueprint(family, n=int(parts[1]), q=int(parts[2]))
-    except ValueError:
-        raise
+    if family == "psl2":
+        if len(parts) not in (2, 3):
+            raise ValueError("psl2 takes q and an optional extension")
+        ext = parts[2] if len(parts) == 3 else None
+        return GroupBlueprint("psl2", n=2, q=int(parts[1]), ext=ext)
+    if family in PERM_FAMILIES:
+        if len(parts) != 2:
+            raise ValueError("%s takes one parameter" % family)
+        return GroupBlueprint(family, n=int(parts[1]))
+    if family in MATRIX_FAMILIES:
+        if len(parts) != 3:
+            raise ValueError("%s takes dimension and field size" % family)
+        return GroupBlueprint(family, n=int(parts[1]), q=int(parts[2]))
     raise ValueError("cannot parse blueprint %r" % text)
 
 
@@ -203,8 +200,7 @@ def gram_matrix(bp):
     if f.startswith("go"):
         F = GF(q)
         rows = [[0] * n for _ in range(n)]
-        pairs = {"go_odd": (n - 1) // 2, "go_plus": n // 2, "go_minus": n // 2 - 1}[f]
-        for i in range(pairs):
+        for i in range(_hyperbolic_planes(bp)):
             rows[2 * i][2 * i + 1] = 1
             rows[2 * i + 1][2 * i] = 1
         if f == "go_odd":
@@ -214,6 +210,11 @@ def gram_matrix(bp):
             rows[n - 1][n - 1] = F.neg(_nonsquare(F))
         return SquareMatrix(F, rows)
     return None
+
+
+def _hyperbolic_planes(bp):
+    """Hyperbolic planes of the go_* Gram matrix: n // 2, less one for go_minus."""
+    return bp.n // 2 - (bp.family == "go_minus")
 
 
 def _nonsquare(F):
@@ -471,9 +472,7 @@ def _reflection_pool(F, n, gram):
 
 
 def _go_form_note(bp):
-    pairs = {"go_odd": (bp.n - 1) // 2, "go_plus": bp.n // 2,
-             "go_minus": bp.n // 2 - 1}[bp.family]
-    note = "symmetric, %d hyperbolic plane(s)" % pairs
+    note = "symmetric, %d hyperbolic plane(s)" % _hyperbolic_planes(bp)
     if bp.family == "go_odd":
         note += " + anisotropic [1]"
     elif bp.family == "go_minus":

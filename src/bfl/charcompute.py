@@ -5,17 +5,18 @@ permutation image.  The irreducible characters are the common eigenvectors of
 the class matrices, computed exactly over a prime field F_ell with ell = 1
 (mod exponent) and ell > 2|G| (over 40000 for alt:8), with eigenvalues split
 off by polynomial gcds, then lifted to cyclotomic integers by Fourier
-inversion on the eigenvalue multiplicities of each power class.
+inversion on the eigenvalue multiplicities of each power class.  The prime,
+its primitive root and the polynomial arithmetic over F_ell come from fields.
 """
 
 import math
-from itertools import zip_longest
 from operator import mul
 
 from .classes import enumerate_classes
 from .chartab import CharacterTable, class_mult_count
 from .cyclotomic import Cyclotomic
-from .fields import _is_prime, factorize
+from .fields import (factorize, poly_divmod, poly_gcd, poly_powmod, poly_sub,
+                     poly_trim, primitive_root, working_prime)
 
 # shipped table name -> catalog blueprint
 SHIPPED_TABLES = (
@@ -58,22 +59,6 @@ def structure_constants(G):
 
 # -- modular linear algebra -------------------------------------------------
 
-def _working_prime(order, exponent):
-    """Smallest prime ell = 1 (mod exponent) with ell > 2*order."""
-    k = (2 * order) // exponent + 1
-    while not _is_prime(k * exponent + 1):
-        k += 1
-    return k * exponent + 1
-
-
-def _primitive_root(ell):
-    fac = factorize(ell - 1)
-    g = 2
-    while any(pow(g, (ell - 1) // p, ell) == 1 for p in fac):
-        g += 1
-    return g
-
-
 def _charpoly(M, ell):
     """Coefficients c_0..c_r of det(xI - M) mod ell (Faddeev-LeVerrier)."""
     r = len(M)
@@ -93,51 +78,6 @@ def _charpoly(M, ell):
     return coeffs
 
 
-# polynomials over F_ell are coefficient lists c_0..c_d with c_d != 0
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_sub(a, b, ell):
-    return _trim([(x - y) % ell for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _poly_divmod(a, m, ell):
-    """Quotient and remainder of a by a nonzero m."""
-    a, d, inv = a[:], len(m) - 1, pow(m[-1], -1, ell)
-    q = [0] * max(len(a) - d, 0)
-    for k in reversed(range(len(q))):
-        c = q[k] = a[k + d] * inv % ell
-        a[k:k + d + 1] = [(x - c * y) % ell for x, y in zip(a[k:], m)]
-    return q, _trim(a[:d])
-
-
-def _poly_gcd(a, b, ell):
-    """A gcd (up to a unit) of a nonzero a and any b."""
-    while b:
-        a, b = b, _poly_divmod(a, b, ell)[1]
-    return a
-
-
-def _poly_powmod(base, e, m, ell):
-    """base^e mod m, by squaring."""
-    def mulmod(a, b):
-        prod = [0] * (len(a) + len(b))
-        for s, x in enumerate(a):
-            for t, y in enumerate(b):
-                prod[s + t] += x * y
-        return _poly_divmod([c % ell for c in prod], m, ell)[1]
-    out, base = [1], _poly_divmod(base, m, ell)[1]
-    while e:
-        if e & 1:
-            out = mulmod(out, base)
-        base, e = mulmod(base, base), e >> 1
-    return out
-
-
 def _poly_roots(coeffs, ell):
     """The distinct roots in F_ell (ell an odd prime) of a nonzero sum c_k x^k,
     sorted.
@@ -148,18 +88,18 @@ def _poly_roots(coeffs, ell):
     nonzero square, for a = 1, 2, ... in turn; a cut that is not proper
     passes g on to the next a.
     """
-    f = _trim([c % ell for c in coeffs])
-    todo = [_poly_gcd(f, _poly_sub(_poly_powmod([0, 1], ell, f, ell), [0, 1],
-                                   ell), ell)]
+    f = poly_trim([c % ell for c in coeffs])
+    todo = [poly_gcd(f, poly_sub(poly_powmod([0, 1], ell, f, ell), [0, 1], ell),
+                     ell)]
     roots, a = [], 1
     while todo:
         g = todo.pop()
         if len(g) == 2:
             roots.append(-g[0] * pow(g[1], -1, ell) % ell)
         elif len(g) > 2:
-            h = _poly_powmod([a, 1], (ell - 1) // 2, g, ell)
-            h = _poly_gcd(g, _poly_sub(h, [1], ell), ell)
-            todo += [h, _poly_divmod(g, h, ell)[0]]
+            h = poly_powmod([a, 1], (ell - 1) // 2, g, ell)
+            h = poly_gcd(g, poly_sub(h, [1], ell), ell)
+            todo += [h, poly_divmod(g, h, ell)[0]]
             a += 1
     return sorted(roots)
 
@@ -242,8 +182,8 @@ def build_table(G, name):
     orders = [C.order for C in cls]
     exponent = math.lcm(*orders)
     grp_order = sum(sizes)
-    ell = _working_prime(grp_order, exponent)
-    g0 = _primitive_root(ell)
+    ell = working_prime(grp_order, exponent)
+    g0 = primitive_root(ell)
 
     # powers of each representative, as class indices
     powcls = []
@@ -291,8 +231,7 @@ def build_table(G, name):
     rows.sort(key=lambda row: (row[0].as_int(), [v.key() for v in row]))
 
     classes = []
-    primes = sorted({p for p in range(2, grp_order + 1)
-                     if grp_order % p == 0 and _is_prime(p)})
+    primes = sorted(factorize(grp_order))
     for k, C in enumerate(cls):
         pm = {p: powcls[k][p % C.order] for p in primes}
         classes.append({"size": C.size, "element_order": C.order,

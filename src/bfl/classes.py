@@ -131,7 +131,7 @@ def _letter(i):
     return out
 
 
-def _image_key(G):
+def image_key(G):
     """serial_key of the element an image permutation stands for, read
     straight off the permutation, with no element built."""
     if isinstance(G.identity, Permutation):
@@ -157,7 +157,7 @@ def enumerate_classes(G, cap=CLOSURE_CAP):
     cached = getattr(G, "_classes", None)
     if cached is not None:
         return cached
-    maps, key, total, seen, raw = (G.class_maps(), _image_key(G), G.order(),
+    maps, key, total, seen, raw = (G.class_maps(), image_key(G), G.order(),
                                    set(), [])
     for x in G.chain.elements(cap):
         if x in seen:
@@ -187,7 +187,7 @@ def class_of(G, x, cap=CLOSURE_CAP):
     for c in getattr(G, "_classes", None) or ():
         if p in c.perms:
             return c
-    cls, rep = _perm_class(p, G.class_maps(), _image_key(G), cap)
+    cls, rep = _perm_class(p, G.class_maps(), image_key(G), cap)
     return ConjClass(G, G.from_perm(rep), len(cls), element_order(rep),
                      perms=cls)
 

@@ -1,14 +1,18 @@
-"""Finite field arithmetic GF(q), q = r^k, with table-driven operations.
+"""Finite field arithmetic GF(q), q = r^k, and polynomials over F_p.
 
 Field elements are plain ints in range(q).  For extension fields the int
 packs the coefficient vector of the residue polynomial in base r, least
 significant coefficient first, so the residue class of x itself has code r.
-All binary operations go through precomputed q x q lookup tables, which is
-fast enough for every field this package ships (q <= 81 by default).
+Fields of up to _TABLE_CAP elements run off q x q lookup tables (every
+shipped size, q <= 81); larger ones reduce each product by the modulus.
+The module is the one home of prime-field arithmetic: coefficient-list
+polynomials over F_p, Ben-Or's irreducibility test for a modulus,
+primality, factorization, and the working prime ell = 1 (mod m) with its
+least primitive root.
 """
 
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
+from itertools import count, product, zip_longest
 
 # monic irreducible moduli, coefficients low degree first, constant term first
 DEFAULT_MODULI = {
@@ -24,18 +28,7 @@ DEFAULT_MODULI = {
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 49, 81)
 
-_TABLE_CAP = 2048  # build full q x q tables only below this
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+_TABLE_CAP = 2048  # build full q x q tables up to this size
 
 
 def is_p_power(n, p):
@@ -62,22 +55,78 @@ def factorize(n):
     return out
 
 
-def _polydivmod(num, den, r):
-    """Divide coefficient lists over Z_r (monic den), return (quot, rem)."""
-    num = list(num)
-    dd = len(den) - 1
-    while len(den) > 1 and den[-1] == 0:
-        raise ValueError("denominator not normalized")
-    quot = [0] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - dd] = c
-            for j, dc in enumerate(den):
-                num[i - dd + j] = (num[i - dd + j] - c * dc) % r
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _is_prime(n):
+    return n > 1 and factorize(n) == {n: 1}
+
+
+def working_prime(order, exponent):
+    """Smallest prime ell = 1 (mod exponent) with ell > 2*order."""
+    k = (2 * order) // exponent + 1
+    while not _is_prime(k * exponent + 1):
+        k += 1
+    return k * exponent + 1
+
+
+def _least_generator(n, power):
+    """The least a >= 1 of order n in a cyclic group of order n, given its
+    powering: power(a, n // p) != 1 for every prime p dividing n."""
+    fac = factorize(n)
+    return next(a for a in count(1)
+                if all(power(a, n // p) != 1 for p in fac))
+
+
+def primitive_root(ell):
+    """The least primitive root modulo the prime ell."""
+    return _least_generator(ell - 1, partial(pow, mod=ell))
+
+
+# polynomials over F_p are coefficient lists c_0..c_d with c_d != 0
+
+def poly_trim(a):
+    """Drop a's trailing zero coefficients, in place; return a."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def poly_sub(a, b, p):
+    return poly_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def poly_divmod(a, m, p):
+    """Quotient and remainder of a by a nonzero m."""
+    a, d, inv = list(a), len(m) - 1, pow(m[-1], -1, p)
+    q = [0] * max(len(a) - d, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = a[k + d] * inv % p
+        a[k:k + d + 1] = [(x - c * y) % p for x, y in zip(a[k:], m)]
+    return q, poly_trim(a[:d])
+
+
+def poly_gcd(a, b, p):
+    """A gcd (up to a unit) of a nonzero a and any b."""
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    return a
+
+
+def poly_mulmod(a, b, m, p):
+    """a * b mod m."""
+    prod = [0] * (len(a) + len(b))
+    for s, x in enumerate(a):
+        for t, y in enumerate(b):
+            prod[s + t] += x * y
+    return poly_divmod([c % p for c in prod], m, p)[1]
+
+
+def poly_powmod(base, e, m, p):
+    """base^e mod m, by squaring."""
+    out, base = [1], poly_divmod(base, m, p)[1]
+    while e:
+        if e & 1:
+            out = poly_mulmod(out, base, m, p)
+        base, e = poly_mulmod(base, base, m, p), e >> 1
+    return out
 
 
 class FieldSpec:
@@ -114,21 +163,14 @@ class FieldSpec:
 
     @staticmethod
     def _check_irreducible(modulus, r, k):
-        # no root in the prime field
-        for a in range(r):
-            acc = 0
-            for c in reversed(modulus):
-                acc = (acc * a + c) % r
-            if acc == 0:
-                raise ValueError("modulus has root %d mod %d" % (a, r))
-        # for k = 4: also rule out quadratic factors (k=2,3 done by the root scan)
-        if k == 4:
-            for b in range(r):
-                for c in range(r):
-                    den = (c, b, 1)
-                    _, rem = _polydivmod(modulus, den, r)
-                    if all(x == 0 for x in rem):
-                        raise ValueError("modulus has a quadratic factor")
+        """Ben-Or: a degree-k f over F_r is irreducible iff
+        gcd(f, x^(r^i) - x) = 1 for 1 <= i <= k/2."""
+        f, h = list(modulus), [0, 1]
+        for i in range(1, k // 2 + 1):
+            h = poly_powmod(h, r, f, r)
+            if len(poly_gcd(f, poly_sub(h, [0, 1], r), r)) > 1:
+                raise ValueError("modulus %r is reducible mod %d: a factor "
+                                 "has degree dividing %d" % (modulus, r, i))
 
     # ---- codec -------------------------------------------------------
 
@@ -150,21 +192,13 @@ class FieldSpec:
         """The image of the integer n (lands in the prime subfield)."""
         return n % self.r
 
-    # ---- raw polynomial arithmetic (used to build the tables) --------
+    # ---- raw arithmetic (builds the tables; serves fields above the cap)
 
     def _mul_raw(self, a, b):
-        r, k = self.r, self.k
-        if k == 1:
-            return (a * b) % r
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % r
-        _, rem = _polydivmod(prod, self.modulus, r)
-        rem += [0] * (k - len(rem))
-        return self.encode(rem)
+        if self.k == 1:
+            return (a * b) % self.r
+        return self.encode(poly_mulmod(self.coeffs(a), self.coeffs(b),
+                                       self.modulus, self.r))
 
     def _add_raw(self, a, b):
         r, k = self.r, self.k
@@ -243,10 +277,7 @@ class FieldSpec:
     def primitive(self):
         """A fixed generator of the multiplicative group (smallest code)."""
         if self._prim is None:
-            for a in range(1, self.q):
-                if self.element_mult_order(a) == self.q - 1:
-                    self._prim = a
-                    break
+            self._prim = _least_generator(self.q - 1, self.pow)
         return self._prim
 
     # ---- identity ----------------------------------------------------

@@ -246,70 +246,59 @@ def _minimal_gens_for_table(table):
     return gens or [0]
 
 
+def group_order(H):
+    """The order of a Group (a method) or a SmallGroup (an attribute)."""
+    return H.order() if callable(H.order) else H.order
+
+
 def is_p_group(H, p):
     """Order is a power of p; H may be a Group or a SmallGroup."""
-    return is_p_power(H.order() if callable(H.order) else H.order, p)
+    return is_p_power(group_order(H), p)
 
 
-# -- subgroup enumeration ---------------------------------------------------
+# -- subgroup lattices --------------------------------------------------------
+
+def _by_order(A):
+    return len(A), sorted(A)
+
 
 def subgroups(S, cap=1024):
-    """All subgroups as index-frozensets, by closing joins of cyclic ones."""
+    """All subgroups as index-frozensets, sorted by (order, members): the
+    orbit of the trivial subgroup under the join with each cyclic subgroup.
+    A join is the closure of the generators its subgroup was first reached
+    by, plus the cyclic subgroup's generator, so each join is closed once."""
     if S.order > cap:
         raise Overflow("subgroup enumeration capped at order %d, group has %d"
                        % (cap, S.order))
     cyclic = {}
     for i in range(S.order):
-        c = S.closure([i])
-        if c not in cyclic:
-            cyclic[c] = (i,)
-    subs = {frozenset([0]): ()}
-    subs.update(cyclic)
-    while True:
-        fresh = {}
-        for A, agens in sorted(subs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-            for C, cgens in sorted(cyclic.items(),
-                                   key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-                if C <= A:
-                    continue
-                join = S.closure(agens + cgens)
-                if join not in subs and join not in fresh:
-                    fresh[join] = agens + cgens
-        if not fresh:
-            break
-        subs.update(fresh)
-    return sorted(subs, key=lambda A: (len(A), sorted(A)))
+        cyclic.setdefault(S.closure([i]), i)
+    gens = {frozenset([0]): ()}
+
+    def join(C, c, A):
+        if C <= A:
+            return A
+        B = S.closure(gens[A] + (c,))
+        gens.setdefault(B, gens[A] + (c,))
+        return B
+
+    maps = [partial(join, C, c) for C, c in cyclic.items()]
+    return sorted(orbit(list(gens), maps), key=_by_order)
 
 
 def normal_subgroups(S):
-    """Subgroups closed under conjugation by the generators.
+    """All normal subgroups, sorted by (order, members): the orbit of the
+    trivial subgroup under the join with the normal closure of each
+    non-identity class.  For A normal and x a class representative outside
+    A, that join is the orbit of A under left multiplication by x and
+    conjugation by the generators."""
+    conj = S._conj_maps()
 
-    Enumerated directly as joins of normal closures of classes, which agrees
-    with filtering subgroups() but does not need the full lattice.
-    """
-    atoms = []
-    for cls in S.class_partition():
-        rep = min(cls)
-        if rep == 0:
-            continue
-        nc = S.normal_closure([rep])
-        if nc not in atoms:
-            atoms.append(nc)
-    out = {frozenset([0]), frozenset(range(S.order))}
-    out.update(atoms)
-    while True:
-        fresh = set()
-        for A in out:
-            for B in atoms:
-                if B <= A:
-                    continue
-                join = S.normal_closure(A | B)
-                if join not in out:
-                    fresh.add(join)
-        if not fresh:
-            break
-        out.update(fresh)
-    return sorted(out, key=lambda A: (len(A), sorted(A)))
+    def join(x, A):
+        return A if x in A else frozenset(orbit(A, [partial(S.mul, x)] + conj))
+
+    maps = [partial(join, min(c)) for c in S.class_partition() if 0 not in c]
+    return sorted(orbit([frozenset([0])], maps), key=_by_order)
 
 
 def quotient(S, N):

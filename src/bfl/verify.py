@@ -25,12 +25,12 @@ from itertools import product
 from math import gcd
 
 from .catalog import construct, parse_blueprint, special_element
-from .classes import (PAIR_CAP, ConjClass, NormalSet, _image_key, class_of,
-                      enumerate_classes, involution_classes_sym)
+from .classes import (PAIR_CAP, ConjClass, NormalSet, class_of,
+                      enumerate_classes, image_key, involution_classes_sym)
 from .elements import (Overflow, SquareMatrix, commutator, conjugate,
                        deserialize_element, element_order, identity_like,
                        inverse, serialize_element)
-from .fields import GF, is_p_power
+from .fields import GF, is_p_power, poly_trim
 from .groups import Group, orbit
 from .modrep import commutator_dim
 from .report import (FAILS, HOLDS, INDETERMINATE, SKIPPED, ScanPlan, Verdict)
@@ -82,7 +82,7 @@ def _conjugate_perms(G, d, d_cls, plan):
     if plan.mode == "exhaustive":
         if d_cls is None or d_cls.group is not G or d_cls.perms is None:
             d_cls = class_of(G, d)
-        return sorted(d_cls.perms, key=_image_key(G))
+        return sorted(d_cls.perms, key=image_key(G))
     rng = random.Random(plan.seed)
     dq = G.to_perm(d)
     return (conjugate(dq, G.chain.random(rng)) for _ in range(plan.size))
@@ -233,7 +233,7 @@ def _scan_normal_set(name, G, C, p, max_witnesses, judge):
     """The pair walk of the normal-set checks over C x C.
 
     The members are the classes' image permutations (`ConjClass.perms`) of
-    G, the classes' group, sorted by `_image_key`: serial_key order on the
+    G, the classes' group, sorted by `image_key`: serial_key order on the
     elements, so `_pairs` draws the same pairs.  judge(G, members, sampled)
     returns (step, summary): step(a, b) gives a witness or None, and
     summary(witnesses) the notes and counters known after the walk.  Past
@@ -254,7 +254,7 @@ def _scan_normal_set(name, G, C, p, max_witnesses, judge):
     if not members:
         return Verdict(scenario, HOLDS, notes=["empty set"],
                        seconds=time.perf_counter() - t0)
-    members = sorted(members, key=_image_key(G))
+    members = sorted(members, key=image_key(G))
     n = len(members)
     sampled = n * n > PAIR_CAP
     step, summary = judge(G, members, sampled)
@@ -412,13 +412,6 @@ def _interpolate(F, xs, ys):
     return poly
 
 
-def _poly_degree(poly):
-    for k in range(len(poly) - 1, -1, -1):
-        if poly[k]:
-            return k
-    return -1
-
-
 def l2q_laurent_profile(q, x):
     """(coefficients, degree) of the polynomial s^4 * tr[x, x^g(s)] on GF(q)*,
     where g(s) = diag(s, 1/s)."""
@@ -432,7 +425,7 @@ def l2q_laurent_profile(q, x):
         f = commutator(x, conjugate(x, g)).trace()
         ys.append(F.mul(F.pow(s, 4), f))
     poly = _interpolate(F, xs, ys)
-    return poly, _poly_degree(poly)
+    return poly, len(poly_trim(poly[:])) - 1
 
 
 def _random_sl2(F, rng):

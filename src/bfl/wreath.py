@@ -17,7 +17,8 @@ from .catalog import construct
 from .elements import Permutation
 from .fields import is_p_power
 from .groups import Group, orbit
-from .smallgroup import SmallGroup, subgroups, normal_subgroups, quotient
+from .smallgroup import (SmallGroup, group_order, normal_subgroups, quotient,
+                         subgroups)
 
 FULL_TIER_CAP = {2: 1024, 3: 729}
 QUOTIENT_TIER_CAP = 3 ** 7
@@ -86,10 +87,6 @@ def _as_small(H):
     return H if isinstance(H, SmallGroup) else SmallGroup.from_group(H)
 
 
-def _order(H):
-    return H.order() if callable(H.order) else H.order
-
-
 def iso_to_wreath(H, p):
     """True iff H (a Group, WreathModel or SmallGroup) is Z_p wr Z_p.
 
@@ -105,7 +102,7 @@ def iso_to_wreath(H, p):
     """
     if isinstance(H, WreathModel):
         H = H.group
-    if _order(H) != p ** (p + 1):
+    if group_order(H) != p ** (p + 1):
         return False
     if isinstance(H, SmallGroup):
         return _presents_wreath(p, range(H.order), 0, H.gens, H.mul, H.inv,
@@ -167,7 +164,7 @@ def wreath_section_detect(Q, p, tier="quotient"):
     """
     if tier not in ("quotient", "full"):
         raise ValueError("tier must be quotient or full")
-    order = _order(Q)
+    order = group_order(Q)
     if not is_p_power(order, p):
         raise ValueError("input of order %d is not a %d-group" % (order, p))
     target = p ** (p + 1)

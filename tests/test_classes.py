@@ -16,7 +16,7 @@ from bfl.classes import (
     ConjClass, NormalSet, SelectorError, enumerate_classes, class_of,
     involution_classes_sym, is_p_element, inverse_set, product_set,
     commutator_pairs_set, largest_element_order, select_class, serial_key,
-    _image_key,
+    image_key,
 )
 
 from test_groups import gammal2_9
@@ -333,7 +333,7 @@ def _semilinear_file_group(seed, tmp_path):
 @pytest.mark.parametrize("seed", [3, 0xBF])
 def test_semilinear_key_read_off_the_image(seed, tmp_path):
     G = _semilinear_file_group(seed, tmp_path)
-    key = _image_key(G)
+    key = image_key(G)
     n = 0
     for p in G.chain.elements():
         x = G.from_perm(p)

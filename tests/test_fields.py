@@ -1,13 +1,18 @@
 """Field arithmetic: axioms, Frobenius, orders, codecs."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from bfl.fields import (GF, FIELD_SIZES, FieldSpec, FieldElement, factorize,
-                        is_p_power)
+from bfl.fields import (DEFAULT_MODULI, GF, FIELD_SIZES, FieldSpec, FieldElement,
+                        factorize, is_p_power)
 
 
 def test_all_shipped_sizes_construct():
+    # every shipped modulus passes the irreducibility check
+    assert set(DEFAULT_MODULI) <= set(FIELD_SIZES)
     for q in FIELD_SIZES:
         F = GF(q)
         assert F.q == q
@@ -23,10 +28,15 @@ def test_bad_sizes_rejected():
         FieldSpec(2, 2, modulus=(0, 0, 1))  # x^2, reducible
 
 
-def test_reducible_modulus_rejected():
-    # x^2 - 1 = (x-1)(x+1) over GF(3)
-    with pytest.raises(ValueError):
-        FieldSpec(3, 2, modulus=(2, 0, 1))
+@pytest.mark.parametrize("r, k, modulus", [
+    (3, 2, (2, 0, 1)),                     # x^2 - 1 = (x - 1)(x + 1)
+    (2, 12, (1, 0, 1) + (0,) * 9 + (1,)),  # x^12 + x^2 + 1 = (x^6 + x + 1)^2
+    (2, 6, (1,) * 7),                      # (x^3 + x + 1)(x^3 + x^2 + 1)
+    (2, 5, (1, 1, 0, 0, 0, 1)),            # x^5 + x + 1, a quadratic factor
+], ids=["x2-1_gf3", "square_gf4096", "phi7_gf64", "x5+x+1_gf32"])
+def test_reducible_modulus_rejected(r, k, modulus):
+    with pytest.raises(ValueError, match="modulus"):
+        FieldSpec(r, k, modulus=modulus)
 
 
 @given(st.sampled_from([2, 3, 5, 7, 9, 8, 16, 25, 27]), st.data())
@@ -118,3 +128,24 @@ def test_is_p_power():
     for n, p in ((0, 2), (-4, 2), (8, 1)):
         with pytest.raises(ValueError):
             is_p_power(n, p)
+
+
+# digest of (ADD, MUL, NEG, INV, primitive()) per shipped size, pinned before
+# the table reduction moved onto the shared F_p polynomial helpers
+FIELD_TABLE_PINS = {
+    2: "f19667db814442f4", 3: "9c9e72e96b9db824", 4: "9dee1dc9e92224f4",
+    5: "084fe1a5673828b5", 7: "6d116f1febb201c1", 8: "07557619f2cccae4",
+    9: "85a8a1141095eaec", 11: "e5fb74b6fed799c2", 13: "9107b76297fe91a7",
+    16: "26cfab92adddbe89", 17: "7119a570c20c0301", 19: "eeb34d013cdaefbc",
+    23: "2417cb8db284391e", 25: "6f607fb476fe042f", 27: "a019caa94c381c02",
+    49: "8d9c79bf188fc862", 81: "7dd974f969fea9ba",
+}
+
+
+def test_field_tables_pinned():
+    assert sorted(FIELD_TABLE_PINS) == sorted(FIELD_SIZES)
+    for q in FIELD_SIZES:
+        F = GF(q)
+        text = json.dumps([F.ADD, F.MUL, F.NEG, F.INV, F.primitive()])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+            FIELD_TABLE_PINS[q], q

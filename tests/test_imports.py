@@ -1,4 +1,5 @@
-"""Every name a bfl module imports is used in that module."""
+"""Every name a bfl module imports is used in that module, and no module
+imports another's private names."""
 
 import ast
 import glob
@@ -61,3 +62,18 @@ def test_no_orphaned_private_helpers():
         and not any(name in refs for m, j, _, refs in stmts
                     if (m, j) != (mod, i)))
     assert orphans == []
+
+
+def test_no_private_imports_across_modules():
+    # a module's _names are its own: no bfl module imports one from another
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("bfl")):
+                found += ["%s: %s.%s" % (os.path.basename(path),
+                                         node.module, a.name)
+                          for a in node.names if a.name.startswith("_")]
+    assert found == []

@@ -286,3 +286,32 @@ def test_normal_closures_pinned(s4):
                 else _digest_indices(got)) == want, seed
     assert sorted(W3.derived_indices()) == [0, 39, 41, 43, 45, 46, 49, 50, 76]
     assert sorted(W3.center_indices()) == [0, 45, 76]
+
+
+# (order count and digest of subgroups(), then of normal_subgroups()),
+# pinned before the lattices became orbits of the trivial subgroup
+LATTICE_PINS = [
+    ("dihedral:8", lambda: small("dihedral:8"),
+     10, "8c8324ed02ddee6e", 6, "6baafbbf26648947"),
+    ("q8", lambda: small("q8"), 6, "6baafbbf26648947", 6, "6baafbbf26648947"),
+    ("dihedral:16", lambda: small("dihedral:16"),
+     19, "05fde5e1c803a609", 7, "4eb00c48b251b076"),
+    ("dihedral:32", lambda: small("dihedral:32"),
+     36, "e7d87c1e39c0d243", 8, "b41d2af044967f32"),
+    ("sym:4", lambda: small("sym:4"),
+     30, "e375f4c226ea349b", 4, "dbd05b236db7fe37"),
+    ("wreath:3", lambda: build_wreath(3).small(),
+     50, "1f1e34cc17c8f29f", 8, "13121599b207cdd2"),
+    ("heis-27", lambda: _matrix_group(_heis(GF(4)), "heis-27"),
+     19, "547570934ce23c0e", 7, "98b46758efce027b"),
+]
+
+
+@pytest.mark.parametrize("name, make, nsub, sub, nnor, nor", LATTICE_PINS,
+                         ids=[pin[0] for pin in LATTICE_PINS])
+def test_lattices_pinned(name, make, nsub, sub, nnor, nor):
+    S = make()
+    subs = [sorted(A) for A in subgroups(S)]
+    normals = [sorted(N) for N in normal_subgroups(S)]
+    assert (len(subs), _digest_indices(subs)) == (nsub, sub), name
+    assert (len(normals), _digest_indices(normals)) == (nnor, nor), name
