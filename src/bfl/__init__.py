@@ -7,22 +7,20 @@ p-groups, over permutation, matrix and semilinear representations.
 
 __version__ = "0.1.0"
 
-from .fields import GF, FieldSpec, FieldElement
+from .fields import GF, FieldSpec
 from .elements import (Permutation, SquareMatrix, SemilinearElement,
                        compose, inverse, conjugate, commutator,
                        element_order, identity_like, Overflow)
-from .groups import Group, build_chain, closure_enumerate, matrix_action
+from .groups import Group, closure_enumerate, matrix_action
 from .classes import (ConjClass, NormalSet, SelectorError, enumerate_classes,
-                      class_of, is_p_element, inverse_set, product_set,
-                      commutator_pairs_set, largest_element_order, select_class)
+                      class_of, select_class)
 from .catalog import (GroupBlueprint, parse_blueprint, construct,
                       special_element, order_formula)
 from .genfile import ParseError, parse_generator_file
 from .cyclotomic import Cyclotomic
 from .report import Verdict, ScanPlan, emit_report, exit_code
 from .chartab import (CharacterTable, TableError, parse_table, load_table,
-                      class_mult_count, product_support, inverse_class,
-                      bf_pair_table)
+                      class_mult_count, product_support, bf_pair_table)
 from .charcompute import build_table
 from .smallgroup import (SmallGroup, is_p_group, subgroups, normal_subgroups,
                          quotient)

@@ -74,8 +74,8 @@ def _check_ranges(bp):
         if not 1 <= n <= 10000:
             raise ValueError("cyclic order %r out of range" % (n,))
     elif f == "dihedral":
-        if n < 4 or n % 2:
-            raise ValueError("dihedral takes an even group order >= 4")
+        if not 4 <= n <= 20000 or n % 2:
+            raise ValueError("dihedral takes an even group order in 4..20000")
     elif f == "wreath":
         if n not in (2, 3, 5):
             raise ValueError("wreath supports p in {2, 3, 5}")

@@ -194,18 +194,6 @@ def product_support(T, i, j):
     return out
 
 
-def inverse_class(T, i):
-    """Index of the class of inverses, found by conjugate character columns."""
-    hits = []
-    for k in range(T.n_classes):
-        if all(abs(row[k] - row[i].conjugate()) <= TOL for row in T.X):
-            hits.append(k)
-    if len(hits) != 1:
-        raise TableError("%s: inverse class of %d not unique: %r"
-                         % (T.name, i, hits))
-    return hits[0]
-
-
 def bf_pair_table(T, i, j, p):
     """Class-level test: everything in the support of C_i*C_j is a p-element.
 

@@ -8,9 +8,8 @@ labeling is stable across runs and machines.
 from collections import Counter
 from math import factorial
 
-from .elements import Permutation, SquareMatrix, element_order, inverse, compose
-from .fields import is_p_power
-from .groups import CLOSURE_CAP, Overflow, orbit
+from .elements import Permutation, SquareMatrix, element_order
+from .groups import CLOSURE_CAP, orbit
 
 PAIR_CAP = 2_000_000
 
@@ -112,11 +111,6 @@ class NormalSet:
     def size(self):
         return sum(c.size for c in self.classes)
 
-    def largest_element_order(self):
-        if not self.classes:
-            raise ValueError("empty normal set has no element orders")
-        return max(c.order for c in self.classes)
-
     def __repr__(self):
         return "NormalSet(%s)" % ", ".join(self.labels)
 
@@ -210,72 +204,6 @@ def involution_classes_sym(G, n):
         c = ConjClass(G, rep, size, 2, label="2%s" % _letter(i))
         out.append(c)
     return out
-
-
-def is_p_element(x, p):
-    """True iff the order of x is a power of p (1 counts)."""
-    return is_p_power(element_order(x), p)
-
-
-def _elements_of(S):
-    """Element list of a ConjClass / NormalSet / plain iterable of elements."""
-    if isinstance(S, (ConjClass, NormalSet)):
-        els = S.elements
-        if els is None:
-            raise ValueError("element list not available for %r" % (S,))
-        return list(els)
-    return list(S)
-
-
-def inverse_set(C):
-    """The normal set of inverses; reuses labeled classes when cached."""
-    out = []
-    for c in NormalSet.of(C).classes:
-        perms = (frozenset(~p for p in c.perms)
-                 if c.perms is not None else None)
-        hit = None
-        if perms is not None:
-            hit = next((k for k in getattr(c.group, "_classes", None) or ()
-                        if k.size == c.size and k.perms == perms), None)
-        if hit is None:
-            hit = ConjClass(c.group, inverse(c.representative), c.size, c.order,
-                            label="inv(%s)" % c.label, perms=perms)
-        out.append(hit)
-    return NormalSet(out)
-
-
-def product_set(C, D, cap=PAIR_CAP):
-    """The multiset {c * d}: a Counter keyed by element."""
-    cs = _elements_of(C)
-    ds = _elements_of(D)
-    if len(cs) * len(ds) > cap:
-        raise Overflow("pair count %d exceeds cap %d" % (len(cs) * len(ds), cap))
-    out = Counter()
-    for c in cs:
-        for d in ds:
-            out[compose(c, d)] += 1
-    return out
-
-
-def commutator_pairs_set(C, D, cap=PAIR_CAP):
-    """The set {[c, d] : c in C, d in D}."""
-    cs = _elements_of(C)
-    ds = _elements_of(D)
-    if len(cs) * len(ds) > cap:
-        raise Overflow("pair count %d exceeds cap %d" % (len(cs) * len(ds), cap))
-    out = set()
-    for c in cs:
-        ci = inverse(c)
-        for d in ds:
-            out.add(ci * inverse(d) * c * d)
-    return frozenset(out)
-
-
-def largest_element_order(S):
-    """Largest element order in a ConjClass or NormalSet."""
-    if isinstance(S, ConjClass):
-        return S.order
-    return S.largest_element_order()
 
 
 def select_class(classes, spec):

@@ -23,11 +23,6 @@ class Cyclotomic:
     def integer(cls, n):
         return cls(1, (n,))
 
-    @classmethod
-    def root(cls, m, k=1):
-        """zeta_m^k as a cyclotomic."""
-        return cls(m, tuple(1 if i == k % m else 0 for i in range(m)))
-
     def value(self):
         """Complex evaluation; summation order is fixed, so deterministic."""
         tau = 2.0 * cmath.pi / self.m
@@ -36,11 +31,6 @@ class Cyclotomic:
             if ck:
                 out += ck * cmath.exp(1j * tau * k)
         return out
-
-    def conjugate(self):
-        """Complex conjugate: zeta^k -> zeta^(m-k)."""
-        m, c = self.m, self.c
-        return Cyclotomic(m, (c[0],) + tuple(c[m - k] for k in range(1, m)))
 
     def normalized(self):
         """Tidy the coefficients without changing the value.

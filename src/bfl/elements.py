@@ -82,12 +82,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_type(self):
-        """Sorted cycle lengths including fixed points (a partition of n)."""
-        lens = [len(c) for c in self.cycles()]
-        lens += [1] * (len(self.images) - sum(lens))
-        return tuple(sorted(lens))
-
     def order(self):
         return lcm(1, *(len(c) for c in self.cycles()))
 

@@ -141,7 +141,10 @@ class FieldSpec:
         if q > 2 ** 20:
             raise ValueError("field size %d exceeds cap 2^20" % q)
         if k == 1:
-            modulus = (0, 1) if modulus is None else tuple(m % r for m in modulus)
+            if modulus is not None:
+                raise ValueError("GF(%d) is a prime field and takes no "
+                                 "modulus, got %r" % (r, modulus))
+            modulus = (0, 1)
         else:
             if modulus is None:
                 if q not in DEFAULT_MODULI:
@@ -264,16 +267,6 @@ class FieldSpec:
     def elements(self):
         return range(self.q)
 
-    def element_mult_order(self, a):
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        n = self.q - 1
-        order = n
-        for p in factorize(n):
-            while order % p == 0 and self.pow(a, order // p) == 1:
-                order //= p
-        return order
-
     def primitive(self):
         """A fixed generator of the multiplicative group (smallest code)."""
         if self._prim is None:
@@ -309,68 +302,3 @@ def projective_points(F, n):
     for lead in reversed(range(n)):
         for tail in product(range(F.q), repeat=n - 1 - lead):
             yield (0,) * lead + (1,) + tail
-
-
-class FieldElement:
-    """Operator sugar over (FieldSpec, code); handy in scripts and parsers."""
-
-    __slots__ = ("F", "a")
-
-    def __init__(self, F, a):
-        self.F = F
-        self.a = a % F.q if isinstance(a, int) else a
-
-    def _lift(self, other):
-        if isinstance(other, FieldElement):
-            if other.F != self.F:
-                raise ValueError("mixed fields %r / %r" % (self.F, other.F))
-            return other.a
-        if isinstance(other, int):
-            return other % self.F.r  # ints embed through the prime field
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._lift(other)
-        return FieldElement(self.F, self.F.add(self.a, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._lift(other)
-        return FieldElement(self.F, self.F.sub(self.a, b))
-
-    def __rsub__(self, other):
-        b = self._lift(other)
-        return FieldElement(self.F, self.F.sub(b, self.a))
-
-    def __mul__(self, other):
-        b = self._lift(other)
-        return FieldElement(self.F, self.F.mul(self.a, b))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.F, self.F.neg(self.a))
-
-    def __truediv__(self, other):
-        b = self._lift(other)
-        return FieldElement(self.F, self.F.div(self.a, b))
-
-    def __pow__(self, n):
-        return FieldElement(self.F, self.F.pow(self.a, n))
-
-    def frob(self, e=1):
-        return FieldElement(self.F, self.F.frobenius(self.a, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.F == other.F and self.a == other.a
-        if isinstance(other, int):
-            return self.a == other % self.F.r  # ints embed via the prime field
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.F.q, self.a))
-
-    def __repr__(self):
-        return "FieldElement(%r, %d)" % (self.F, self.a)

@@ -288,7 +288,6 @@ class Group:
             raise ValueError("empty generator list needs an explicit identity")
         self._chain = None
         self._action = None
-        self._elements = None
         self._basis_at = None
         self._frob_at = None
         self._pair = None
@@ -388,14 +387,6 @@ class Group:
         """Uniformly random element, in the generators' own representation."""
         return self.from_perm(self.chain.random(rng))
 
-    def elements(self, cap=CLOSURE_CAP):
-        """Full element set (cached), read off the chain's element stream;
-        Overflow before any work if the order exceeds cap."""
-        if self._elements is None:
-            self._elements = frozenset(map(self.from_perm,
-                                           self.chain.elements(cap)))
-        return self._elements
-
     def generating_pair(self):
         """Image permutations that generate the group, two when a pair is
         found (cached).
@@ -436,8 +427,3 @@ class Group:
 
     def __repr__(self):
         return "Group(%s, %d gens)" % (self.name or self.kind, len(self.gens))
-
-
-def build_chain(G):
-    """Force the stabilizer chain and return the exact group order."""
-    return G.order()

@@ -58,10 +58,6 @@ class Verdict:
         self.notes = list(notes)
 
     @property
-    def ok(self):
-        return self.status == HOLDS
-
-    @property
     def display_status(self):
         if self.status == HOLDS and self.sampled:
             return "holds (sampled)"

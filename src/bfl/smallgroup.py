@@ -1,6 +1,5 @@
 """Indexed small groups: full element tables, subgroups, quotients."""
 
-import math
 import operator
 from functools import partial
 
@@ -16,8 +15,8 @@ class SmallGroup:
     """A finite group as an indexed element list; index 0 is the identity.
 
     Multiplication runs off a full table for small orders, otherwise off the
-    underlying elements with memoization; the center, classes and normal
-    closures run on each generator's conjugation as an index tuple.  Built by
+    underlying elements with memoization; classes and normal closures run
+    on each generator's conjugation as an index tuple.  Built by
     generate() (breadth-first closure, recording how each element arose from
     the generators), induced() (subgroup of an existing SmallGroup) or
     quotient().
@@ -147,10 +146,6 @@ class SmallGroup:
             row = self._conj[g] = tuple(map(right.__getitem__, inv_left))
         return row
 
-    def conj(self, i, g):
-        """Index of g^-1 * x_i * g."""
-        return self.mul(self.mul(self.inv(g), i), g)
-
     def comm(self, i, j):
         """Index of the commutator x_i^-1 x_j^-1 x_i x_j."""
         return self.mul(self.mul(self.inv(i), self.inv(j)),
@@ -172,27 +167,11 @@ class SmallGroup:
                 self._orders[i] = k
         return self._orders[i]
 
-    def order_histogram(self):
-        hist = {}
-        for i in range(self.order):
-            o = self.element_order(i)
-            hist[o] = hist.get(o, 0) + 1
-        return hist
-
-    def exponent(self):
-        return math.lcm(*(self.element_order(i) for i in range(self.order)))
-
     # -- structure ---------------------------------------------------------
 
     def closure(self, seed):
         """Indices of the subgroup generated by the seed indices."""
         return frozenset(orbit([0], [partial(self.mul, g) for g in seed if g]))
-
-    def center_indices(self):
-        """Commuting with every generator is enough to be central."""
-        rows = [self._conj_row(g) for g in self.gens]
-        return frozenset(i for i in range(self.order)
-                         if all(row[i] == i for row in rows))
 
     def _conj_maps(self):
         return [self._conj_row(g).__getitem__ for g in self.gens]

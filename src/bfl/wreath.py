@@ -33,17 +33,6 @@ class WreathModel:
         self.p = p
         self.group = group
 
-    @property
-    def order(self):
-        return self.p ** (self.p + 1)
-
-    def small(self):
-        return SmallGroup.from_group(self.group, name="wreath:%d" % self.p,
-                                     cap=self.order)
-
-    def __repr__(self):
-        return "WreathModel(p=%d, order %d)" % (self.p, self.order)
-
 
 @cache
 def build_wreath(p):
@@ -82,13 +71,11 @@ class SectionVerdict:
 
 
 def _as_small(H):
-    if isinstance(H, WreathModel):
-        return H.small()
     return H if isinstance(H, SmallGroup) else SmallGroup.from_group(H)
 
 
 def iso_to_wreath(H, p):
-    """True iff H (a Group, WreathModel or SmallGroup) is Z_p wr Z_p.
+    """True iff H (a Group or SmallGroup) is Z_p wr Z_p.
 
     Screens: |H| = p^(p+1); |H : Phi(H)| = p^2, the Frattini subgroup Phi(H)
     being the normal closure of the generators' commutators and p-th powers;
@@ -100,8 +87,6 @@ def iso_to_wreath(H, p):
     give conjugate relators).  A Group is searched on its chain's
     permutations, a SmallGroup on its indices.
     """
-    if isinstance(H, WreathModel):
-        H = H.group
     if group_order(H) != p ** (p + 1):
         return False
     if isinstance(H, SmallGroup):

@@ -8,15 +8,13 @@ import os
 import pytest
 
 from bfl.elements import (Overflow, Permutation, SquareMatrix, element_order,
-                          inverse, identity_like)
+                          inverse)
 from bfl.fields import GF
 from bfl.groups import Group, closure_enumerate
 from bfl.catalog import construct
 from bfl.classes import (
     ConjClass, NormalSet, SelectorError, enumerate_classes, class_of,
-    involution_classes_sym, is_p_element, inverse_set, product_set,
-    commutator_pairs_set, largest_element_order, select_class, serial_key,
-    image_key,
+    involution_classes_sym, select_class, serial_key, image_key,
 )
 
 from test_groups import gammal2_9
@@ -78,9 +76,10 @@ def test_sym6_involution_labels():
     cls = enumerate_classes(construct("sym:6"))
     by_label = {c.label: c for c in cls}
     assert by_label["2a"].size == 15
-    assert by_label["2a"].representative.cycle_type() == (1, 1, 1, 1, 2)
+    assert by_label["2a"].representative.cycles() == [(4, 5)]
     assert by_label["2b"].size == 15
-    assert by_label["2b"].representative.cycle_type() == (2, 2, 2)
+    assert by_label["2b"].representative.cycles() == [(0, 1), (2, 3),
+                                                         (4, 5)]
     assert by_label["2c"].size == 45
 
 
@@ -103,81 +102,14 @@ def test_involution_classes_sym10():
     assert len(fpf) == 1 and fpf[0].label == "2c"
 
 
-def test_is_p_element():
-    G = construct("sym:6")
-    e = identity_like(G.gens[0])
-    assert is_p_element(e, 7)
-    assert is_p_element(Permutation.from_cycles(6, [(0, 1), (2, 3)]), 2)
-    assert is_p_element(Permutation.from_cycles(6, [(0, 1, 2, 3)]), 2)
-    assert not is_p_element(Permutation.from_cycles(6, [(0, 1, 2), (3, 4)]), 2)
-    assert not is_p_element(Permutation.from_cycles(6, [(0, 1, 2)]), 2)
-
-
-def test_inverse_set_three_cycles_alt4():
-    G = construct("alt:4")
-    cls = enumerate_classes(G)
-    threes = [c for c in cls if c.order == 3]
-    assert len(threes) == 2
-    a, b = threes
-    assert inverse_set(a).classes[0] is b
-    assert inverse_set(b).classes[0] is a
-    # double inverse comes back to the same labeled class
-    assert inverse_set(inverse_set(a)).classes[0] is a
-
-
 def test_equal_uncached_classes_hash_alike():
-    # the inverse class's representative is the inverse of C's, not C's own
+    # the same members under another representative, the inverse of C's
     G = construct("sym:4")
     C = class_of(G, Permutation.from_cycles(4, [(1, 2, 3)], base=1))
-    I = inverse_set(C).classes[0]
+    I = ConjClass(G, ~C.representative, C.size, C.order, perms=C.perms)
     assert I == C
     assert hash(I) == hash(C)
     assert len({I, C}) == 1
-
-
-def test_inverse_set_involutions_self():
-    G = construct("sym:4")
-    c = select_class(enumerate_classes(G), "order:2,size:6")
-    assert inverse_set(c).classes[0] is c
-
-
-def test_product_set_with_identity():
-    G = construct("alt:5")
-    cls = enumerate_classes(G)
-    c = select_class(cls, "5a")
-    one = select_class(cls, "1a")
-    prod = product_set(c, one)
-    assert set(prod) == c.elements
-    assert all(v == 1 for v in prod.values())
-    assert sum(prod.values()) == c.size * 1
-
-
-def test_commutator_pairs_inside_inverse_product_support():
-    G = construct("sym:4")
-    cls = enumerate_classes(G)
-    c = select_class(cls, "order:4,size:6")
-    d = select_class(cls, "order:2,size:6")
-    comm = commutator_pairs_set(c, d)
-    support = set(product_set(inverse_set(c), c))
-    # [c, d] = c^-1 * c^d lands in C^-1 C
-    assert comm <= {x for x in support}
-
-
-def test_alt5_five_class_commutators():
-    G = construct("alt:5")
-    c = select_class(enumerate_classes(G), "5a")
-    comm = commutator_pairs_set(c, c)
-    assert comm == c.elements | {identity_like(c.representative)}
-
-
-def test_largest_element_order():
-    G = construct("sym:6")
-    cls = enumerate_classes(G)
-    one = select_class(cls, "1a")
-    assert largest_element_order(one) == 1
-    assert largest_element_order(NormalSet(cls)) == 6
-    A = construct("alt:5")
-    assert largest_element_order(select_class(enumerate_classes(A), "5a")) == 5
 
 
 def test_normal_set_union():
@@ -186,7 +118,6 @@ def test_normal_set_union():
     S = NormalSet([c for c in cls if c.order == 2])
     assert S.size == 6 + 3
     assert len(S.elements) == 9
-    assert S.largest_element_order() == 2
 
 
 def test_class_of_uses_cache():
@@ -296,7 +227,7 @@ def test_chain_streams_each_element_once():
     for G in (construct("gl:2:3"), construct("alt:5"), gammal2_9()):
         perms = list(G.chain.elements())
         assert len(perms) == len(set(perms)) == G.order()
-        assert G.elements() == closure_enumerate(G.gens)
+        assert frozenset(map(G.from_perm, perms)) == closure_enumerate(G.gens)
 
 
 def test_cap_checked_before_enumeration():
@@ -304,7 +235,7 @@ def test_cap_checked_before_enumeration():
         enumerate_classes(construct("gl:3:3"), cap=1000)
     assert str(err.value) == "closure exceeds cap 1000"
     with pytest.raises(Overflow) as err:
-        construct("gl:3:3").elements(cap=1000)
+        construct("gl:3:3").chain.elements(cap=1000)
     assert str(err.value) == "closure exceeds cap 1000"
 
 
@@ -313,7 +244,8 @@ def test_order_does_not_depend_on_call_history():
     for G, n in ((construct("gl:2:3"), 48), (gammal2_9(), 11520),
                  (trivial, 1)):
         assert G.order() == n
-        assert len(G.elements()) == n and G.order() == n
+        assert len(frozenset(map(G.from_perm, G.chain.elements()))) == n
+        assert G.order() == n
         enumerate_classes(G)
         assert G.order() == n
 

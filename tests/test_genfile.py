@@ -31,7 +31,7 @@ def test_empty_generator_list_is_trivial_group():
 
 def test_multi_cycle_line():
     pg = parse_generator_text("group k perm 4\nx = (1,2)(3,4)\n")
-    assert pg.elements["x"].cycle_type() == (2, 2)
+    assert pg.elements["x"].cycles() == [(0, 1), (2, 3)]
 
 
 def test_identity_line():

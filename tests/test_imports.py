@@ -1,11 +1,12 @@
-"""Every name a bfl module imports is used in that module, and no module
-imports another's private names."""
+"""Every name a bfl module imports is used in that module, no module
+imports another's private names, and every export has a caller."""
 
 import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "bfl")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "bfl")
 
 
 def _unused_imports(path):
@@ -62,6 +63,29 @@ def test_no_orphaned_private_helpers():
         and not any(name in refs for m, j, _, refs in stmts
                     if (m, j) != (mod, i)))
     assert orphans == []
+
+
+# exported although only the tests call them: the reference the chain tests
+# compare against, the witness replays README's quickstart promises, and the
+# composition convention the elements docstring names
+TEST_ONLY_EXPORTS = {"closure_enumerate", "replay_commutator_witness",
+                     "replay_product_witness", "reconstruct_section",
+                     "compose"}
+
+
+def test_every_export_has_a_caller():
+    # a name bfl/__init__.py exports is referenced by another bfl module, a
+    # demo, a tool or the benchmark; the tests alone do not keep it alive
+    with open(os.path.join(SRC, "__init__.py"), encoding="utf-8") as fh:
+        exports = {a.name for n in ast.walk(ast.parse(fh.read()))
+                   if isinstance(n, ast.ImportFrom) for a in n.names}
+    callers = [p for p in glob.glob(os.path.join(SRC, "*.py"))
+               if os.path.basename(p) != "__init__.py"]
+    for sub in ("demos", "tools", "perfbench"):
+        callers += glob.glob(os.path.join(ROOT, sub, "*.py"))
+    used = set().union(*(refs for p in callers
+                         for _, refs in _top_level_refs(p)))
+    assert sorted(exports - used - TEST_ONLY_EXPORTS) == []
 
 
 def test_no_private_imports_across_modules():

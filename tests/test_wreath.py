@@ -1,6 +1,7 @@
 """The wreath model, isomorphism test, and section search."""
 
 import time
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -15,6 +16,10 @@ from bfl.wreath import (build_wreath, iso_to_wreath, wreath_section_detect,
 
 def small(name):
     return SmallGroup.from_group(construct(name), name=name)
+
+
+def wreath_small(p):
+    return SmallGroup.from_group(build_wreath(p).group, cap=p ** (p + 1))
 
 
 def cycles(*lengths):
@@ -57,9 +62,9 @@ def semidirect(mods, act, c=None):
 
 def test_model_orders_and_invariants():
     # the constructor itself asserts order and derived subgroup
-    assert build_wreath(2).order == 8
-    assert build_wreath(3).order == 81
-    assert build_wreath(5).order == 15625
+    assert build_wreath(2).group.order() == 8
+    assert build_wreath(3).group.order() == 81
+    assert build_wreath(5).group.order() == 15625
     assert build_wreath(5) is build_wreath(5)  # built and checked once per p
     for p in (2, 3, 5):
         G = build_wreath(p).group
@@ -77,8 +82,8 @@ def test_build_rejects_other_primes():
 
 
 def test_model_two_is_dihedral():
-    W = build_wreath(2).small()
-    assert W.order_histogram() == {1: 1, 2: 5, 4: 2}
+    W = wreath_small(2)
+    assert Counter(map(W.element_order, range(W.order))) == {1: 1, 2: 5, 4: 2}
 
 
 def test_iso_accepts_the_models():
@@ -140,7 +145,7 @@ def test_detect_quaternion_none():
 
 
 def test_detect_model3_as_its_own_quotient():
-    w3 = build_wreath(3).small()
+    w3 = wreath_small(3)
     v = wreath_section_detect(w3, 3)
     assert v.found and v.tier == "quotient"
     assert v.witness["normal"] == [0]
@@ -274,10 +279,8 @@ def test_iso_p5_frattini_screen_rejects_without_enumerating():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_iso_input_kinds_agree(p):
-    W = build_wreath(p)
-    S = SmallGroup.from_group(W.group, cap=W.order)
-    assert iso_to_wreath(W.group, p) is iso_to_wreath(W, p) is \
-        iso_to_wreath(S, p) is True
+    W = build_wreath(p).group
+    assert iso_to_wreath(W, p) is iso_to_wreath(wreath_small(p), p) is True
 
 
 @pytest.mark.parametrize("tier", ["quotient", "full"])
