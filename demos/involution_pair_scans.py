@@ -47,7 +47,7 @@ for q in (3, 5, 7, 9):
 # in GL4(3) the full d-class is out of reach, so the scan samples 1000
 # seeded conjugates; same seed, same verdict, every run
 print()
-v = sl2n3_scan(2, ScanPlan.sample(1000, 0xBF))
+v = sl2n3_scan(ScanPlan.sample(1000, 0xBF))
 print(v.display_status, v.scenario, v.counters)
 for note in v.notes:
     print("  ", note)

@@ -200,7 +200,7 @@ def gram_matrix(bp):
     if f.startswith("go"):
         F = GF(q)
         rows = [[0] * n for _ in range(n)]
-        for i in range(_hyperbolic_planes(bp)):
+        for i in range(n // 2 - (f == "go_minus")):  # hyperbolic planes
             rows[2 * i][2 * i + 1] = 1
             rows[2 * i + 1][2 * i] = 1
         if f == "go_odd":
@@ -210,11 +210,6 @@ def gram_matrix(bp):
             rows[n - 1][n - 1] = F.neg(_nonsquare(F))
         return SquareMatrix(F, rows)
     return None
-
-
-def _hyperbolic_planes(bp):
-    """Hyperbolic planes of the go_* Gram matrix: n // 2, less one for go_minus."""
-    return bp.n // 2 - (bp.family == "go_minus")
 
 
 def _nonsquare(F):
@@ -306,9 +301,7 @@ def construct(bp):
         "gu": _build_gu, "su": _build_su, "go_plus": _build_go,
         "go_minus": _build_go, "go_odd": _build_go, "file": _build_file,
     }[f]
-    G = builder(bp)
-    G.meta.setdefault("blueprint", str(bp))
-    return G
+    return builder(bp)
 
 
 def _build_sym(bp):
@@ -397,7 +390,6 @@ def _build_psl2(bp):
         return F.neg(F.inv(z))
 
     gens = [moebius(translate), moebius(scale_sq), moebius(inv_neg)]
-    names = ["t", "h", "s"]
     if bp.ext in ("diag", "diagfrob"):
         def scale(z):
             return F.mul(w, z) if z is not None else None
@@ -406,16 +398,11 @@ def _build_psl2(bp):
             return F.frobenius(z, 1) if z is not None else None
     if bp.ext == "diag":
         gens.append(moebius(scale))
-        names.append("delta")
     elif bp.ext == "frob":
         gens.append(moebius(frob))
-        names.append("phi")
     elif bp.ext == "diagfrob":
         gens.append(moebius(lambda z: scale(frob(z))))
-        names.append("deltaphi")
-    G = Group(gens, name=str(bp))
-    G.meta["generator_names"] = names
-    return G
+    return Group(gens, name=str(bp))
 
 
 def _sl_gens(F, n):
@@ -456,13 +443,8 @@ def _transvection_pool_sp(F, n, gram):
 
 
 def _build_sp(bp):
-    F = GF(bp.q)
-    gram = gram_matrix(bp)
-    G = _grow_to_order(_transvection_pool_sp(F, bp.n, gram),
-                       order_formula(bp), str(bp))
-    G.meta["gram"] = [list(r) for r in gram.rows]
-    G.meta["form"] = "alternating, antidiagonal"
-    return G
+    pool = _transvection_pool_sp(GF(bp.q), bp.n, gram_matrix(bp))
+    return _grow_to_order(pool, order_formula(bp), str(bp))
 
 
 def _reflection_pool(F, n, gram):
@@ -471,23 +453,9 @@ def _reflection_pool(F, n, gram):
             yield reflection_matrix(F, gram, v)
 
 
-def _go_form_note(bp):
-    note = "symmetric, %d hyperbolic plane(s)" % _hyperbolic_planes(bp)
-    if bp.family == "go_odd":
-        note += " + anisotropic [1]"
-    elif bp.family == "go_minus":
-        note += " + anisotropic diag(1, -nonsquare)"
-    return note
-
-
 def _build_go(bp):
-    F = GF(bp.q)
-    gram = gram_matrix(bp)
-    G = _grow_to_order(_reflection_pool(F, bp.n, gram),
-                       order_formula(bp), str(bp))
-    G.meta["gram"] = [list(r) for r in gram.rows]
-    G.meta["form"] = _go_form_note(bp)
-    return G
+    pool = _reflection_pool(GF(bp.q), bp.n, gram_matrix(bp))
+    return _grow_to_order(pool, order_formula(bp), str(bp))
 
 
 def _unitary_reflections(F, bar, n):
@@ -518,9 +486,7 @@ def _build_gu(bp):
     # Reflections alone can miss small char-2 cases (e.g. q=2, n=2, where all
     # mixed vectors are isotropic), so fall back to swap matrices after them.
     pool = itertools.chain(_unitary_reflections(F, bar, n), _perm_matrices(F, n))
-    G = _grow_to_order(pool, order_formula(bp), str(bp))
-    G.meta["form"] = "hermitian, identity Gram over GF(%d)" % (q * q)
-    return G
+    return _grow_to_order(pool, order_formula(bp), str(bp))
 
 
 def _build_su(bp):
@@ -549,9 +515,7 @@ def _build_su(bp):
                     yield a * ~b
 
     pool = itertools.chain(transvections(), reflection_pairs())
-    G = _grow_to_order(pool, order_formula(bp), str(bp))
-    G.meta["form"] = "hermitian, identity Gram over GF(%d)" % (q * q)
-    return G
+    return _grow_to_order(pool, order_formula(bp), str(bp))
 
 
 def _build_file(bp):
@@ -561,36 +525,13 @@ def _build_file(bp):
 
 # ---- distinguished elements ------------------------------------------------
 
-def special_element(bp, kind, v=None):
-    """A named element of construct(bp); kind must fit the family."""
+def special_element(bp, kind):
+    """A named element of construct(bp): "pm_i_element", blockwise
+    [[0, 1], [-1, 0]] in sl/gl of even dimension (its square is -1), or
+    "reflection", the reflection of gl (q odd) in e_0 for the identity form."""
     if isinstance(bp, str):
         bp = parse_blueprint(bp)
     f, n = bp.family, bp.n
-    if kind == "transposition":
-        if f != "sym" or n < 2:
-            raise ValueError("transposition lives in sym(n), n >= 2")
-        return Permutation.from_cycles(n, [(0, 1)])
-    if kind == "fpf_involution":
-        if f == "sym" and n % 2 == 0:
-            pass
-        elif f == "alt" and n % 4 == 0:
-            pass
-        else:
-            raise ValueError("fpf_involution needs sym(even) or alt(4k)")
-        return Permutation.from_cycles(n, [(i, i + 1) for i in range(0, n, 2)])
-    if kind == "transvection":
-        if f in ("sl", "gl"):
-            return _rank_one(GF(bp.q), _unit(n, 0), lambda e: e[1])
-        if f == "sp":
-            return _sp_root(bp)
-        raise ValueError("transvection lives in sl/gl/sp")
-    if kind == "reflection":
-        return _reflection_special(bp, v)
-    if kind == "bireflection":
-        v1, v2 = _bireflection_vectors(bp)
-        F = GF(bp.q)
-        gram = _gram_or_euclid(bp)
-        return reflection_matrix(F, gram, v1) * reflection_matrix(F, gram, v2)
     if kind == "pm_i_element":
         if f not in ("sl", "gl") or n % 2:
             raise ValueError("pm_i_element needs sl/gl of even dimension")
@@ -600,64 +541,9 @@ def special_element(bp, kind, v=None):
             rows[2 * b][2 * b + 1] = 1
             rows[2 * b + 1][2 * b] = F.neg(1)
         return SquareMatrix(F, rows)
-    if kind == "long_root_proxy":
-        if f in ("sl", "gl"):
-            return _rank_one(GF(bp.q), _unit(n, 0), lambda e: e[n - 1])
-        if f == "sp":
-            return _sp_root(bp)
-        raise ValueError("long_root_proxy lives in sl/gl/sp")
+    if kind == "reflection":
+        if f != "gl" or bp.q % 2 == 0:  # in characteristic 2 it is the identity
+            raise ValueError("reflection lives in gl over an odd field")
+        F = GF(bp.q)
+        return reflection_matrix(F, SquareMatrix.identity(F, n), _unit(n, 0))
     raise ValueError("unknown special element kind %r" % kind)
-
-
-def _sp_root(bp):
-    """x |-> x + B(x, e_0) e_0, the first transvection of the sp pool."""
-    return next(_transvection_pool_sp(GF(bp.q), bp.n, gram_matrix(bp)))
-
-
-def _gram_or_euclid(bp):
-    gram = gram_matrix(bp)
-    if gram is None:
-        if bp.family not in ("gl",):
-            raise ValueError("no quadratic form for family %r" % bp.family)
-        gram = SquareMatrix.identity(GF(bp.q), bp.n)
-    return gram
-
-
-def _reflection_special(bp, v):
-    f, n = bp.family, bp.n
-    if f not in ("gl", "go_odd", "go_plus", "go_minus"):
-        raise ValueError("reflection lives in gl/go families")
-    F = GF(bp.q)
-    gram = _gram_or_euclid(bp)
-    if v is None:
-        v = _default_reflection_vector(bp)
-    return reflection_matrix(F, gram, tuple(v))
-
-
-def _default_reflection_vector(bp):
-    f, n = bp.family, bp.n
-    if f in ("gl", "go_minus"):
-        return _unit(n, 0 if f == "gl" else n - 2)
-    if f == "go_odd":
-        return _unit(n, n - 1)
-    return _unit(n, 0, 1)  # go_plus: e0+e1
-
-
-def _bireflection_vectors(bp):
-    f, n = bp.family, bp.n
-    F = GF(bp.q)
-    if f == "gl":
-        if n < 2:
-            raise ValueError("bireflection needs dimension >= 2")
-        return _unit(n, 0), _unit(n, 1)
-    if f == "go_odd":
-        if n < 3:
-            raise ValueError("bireflection needs dimension >= 3")
-        return _unit(n, n - 1), _unit(n, 0, 1)
-    if f == "go_plus":
-        if n == 2:
-            return ((1, 1), (1, F.neg(1)))
-        return _unit(n, 0, 1), _unit(n, 2, 3)
-    if f == "go_minus":
-        return _unit(n, n - 2), _unit(n, n - 1)
-    raise ValueError("bireflection lives in gl/go families")

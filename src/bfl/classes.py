@@ -173,7 +173,7 @@ def enumerate_classes(G, cap=CLOSURE_CAP):
     return out
 
 
-def class_of(G, x, cap=CLOSURE_CAP):
+def class_of(G, x):
     """The class of x: a labeled one from the cache when available, else fresh."""
     p = G.to_perm(x)
     if p is None:
@@ -181,7 +181,7 @@ def class_of(G, x, cap=CLOSURE_CAP):
     for c in getattr(G, "_classes", None) or ():
         if p in c.perms:
             return c
-    cls, rep = _perm_class(p, G.class_maps(), image_key(G), cap)
+    cls, rep = _perm_class(p, G.class_maps(), image_key(G), CLOSURE_CAP)
     return ConjClass(G, G.from_perm(rep), len(cls), element_order(rep),
                      perms=cls)
 

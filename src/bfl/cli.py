@@ -301,7 +301,7 @@ def _cmd_scan_sl2n3(args):
     plan = _plan_from(args)
     if args.dry_run:
         return {"plan": {"dimension": 4, "scan": _plan_dict(plan)}}
-    return {"verdicts": [verify.sl2n3_scan(2, plan)]}
+    return {"verdicts": [verify.sl2n3_scan(plan)]}
 
 
 def _cmd_l2q_trace(args):

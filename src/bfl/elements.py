@@ -378,14 +378,13 @@ def serialize_element(x):
     return x.serialize()
 
 
-def deserialize_element(d, field=None):
+def deserialize_element(d):
     """Rebuild an element from its serialized dict (see each .serialize)."""
     from .fields import GF
     kind = d["kind"]
     if kind == "perm":
         return Permutation(d["images"])
-    F = field if field is not None else GF(d["q"])
-    mat = SquareMatrix(F, d["rows"])
+    mat = SquareMatrix(GF(d["q"]), d["rows"])
     if kind == "mat":
         return mat
     if kind == "semilinear":

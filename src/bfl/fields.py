@@ -55,14 +55,14 @@ def factorize(n):
     return out
 
 
-def _is_prime(n):
+def is_prime(n):
     return n > 1 and factorize(n) == {n: 1}
 
 
 def working_prime(order, exponent):
     """Smallest prime ell = 1 (mod exponent) with ell > 2*order."""
     k = (2 * order) // exponent + 1
-    while not _is_prime(k * exponent + 1):
+    while not is_prime(k * exponent + 1):
         k += 1
     return k * exponent + 1
 
@@ -133,7 +133,7 @@ class FieldSpec:
     """GF(q) with q = r^k: arithmetic tables plus the element codec."""
 
     def __init__(self, r, k=1, modulus=None):
-        if not _is_prime(r):
+        if not is_prime(r):
             raise ValueError("characteristic %r is not prime" % (r,))
         if k < 1:
             raise ValueError("degree must be >= 1")

@@ -24,17 +24,18 @@ class ParseError(ValueError):
 
 
 class ParsedGroup:
-    """Header data, the Group, and the name -> element map."""
+    """The Group and the name -> element map."""
 
-    __slots__ = ("name", "group", "elements", "kind", "degree", "field")
+    __slots__ = ("group", "elements")
 
-    def __init__(self, name, group, elements, kind, degree, field):
-        self.name = name
+    def __init__(self, group, elements):
         self.group = group
         self.elements = elements
-        self.kind = kind
-        self.degree = degree
-        self.field = field
+
+    @property
+    def name(self):
+        """The header's group name, which the Group carries."""
+        return self.group.name
 
 
 _HEADER_PERM = re.compile(r"group\s+(\S+)\s+perm\s+(\d+)\s*$")
@@ -88,7 +89,6 @@ def parse_generator_text(text):
             raise ParseError("dimension must be >= 1", header_no, 1)
 
     elements = {}
-    order = []
     for no, line in enumerate(lines, 1):
         if no <= header_no:
             continue
@@ -108,7 +108,6 @@ def parse_generator_text(text):
         else:
             el = _parse_matrix(rest, degree, field, fieldauto, no, col0)
         elements[gname] = el
-        order.append(gname)
 
     if kind == "perm":
         identity = Permutation.identity(degree)
@@ -116,8 +115,8 @@ def parse_generator_text(text):
         identity = SemilinearElement.identity(field, degree)
     else:
         identity = SquareMatrix.identity(field, degree)
-    G = Group([elements[n] for n in order], name=name, identity=identity)
-    return ParsedGroup(name, G, elements, kind, degree, field)
+    G = Group(list(elements.values()), name=name, identity=identity)
+    return ParsedGroup(G, elements)
 
 
 def _parse_perm(text, degree, no, col0):

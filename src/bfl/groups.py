@@ -264,8 +264,8 @@ def _conjugator(g):
 def closure_enumerate(gens, cap=CLOSURE_CAP):
     """The full set <gens> by breadth-first product closure; Overflow past cap.
 
-    Nothing in the package calls it: `Group.elements` reads the chain.  It is
-    the independent reference the tests check the chain against.
+    Nothing in the package calls it: the element stream is `Chain.elements`.
+    It is the independent reference the tests check the chain against.
     """
     if not gens:
         raise ValueError("closure of an empty generator list has no ambient")
@@ -276,10 +276,9 @@ def closure_enumerate(gens, cap=CLOSURE_CAP):
 class Group:
     """Generators plus lazily built stabilizer-chain data."""
 
-    def __init__(self, gens, name=None, identity=None, meta=None):
+    def __init__(self, gens, name=None, identity=None):
         self.gens = list(gens)
         self.name = name
-        self.meta = dict(meta or {})
         if self.gens:
             self._identity = identity_like(self.gens[0])
         elif identity is not None:
@@ -308,23 +307,29 @@ class Group:
         return self._action
 
     @property
+    def image_gens(self):
+        """The generators' images in the chain's permutation representation."""
+        if isinstance(self._identity, Permutation):
+            return self.gens
+        return self.action.perms
+
+    @property
     def chain(self):
         if self._chain is None:
-            if isinstance(self._identity, Permutation):
-                degree, perms = self._identity.degree, self.gens
-            else:
-                degree, perms = self.action.degree, self.action.perms
-            self._chain = Chain(degree)
-            self._chain.build(perms)
+            self._chain = Chain(self._identity.degree
+                                if isinstance(self._identity, Permutation)
+                                else self.action.degree)
+            self._chain.build(self.image_gens)
         return self._chain
 
     def order(self):
         return self.chain.order()
 
     def to_perm(self, x):
-        """Image of x in the chain's permutation representation (None if it escapes)."""
+        """Image of x in the chain's permutation representation (None if it
+        escapes, or if a permutation's degree is not the image's)."""
         if isinstance(x, Permutation):
-            return x
+            return x if x.degree == self.chain.degree else None
         act = self.action
         images = []
         for v in act.points:
@@ -379,9 +384,7 @@ class Group:
 
     def contains(self, x):
         p = self.to_perm(x)
-        if p is None or p.degree != self.chain.degree:
-            return False
-        return self.chain.sift(p)[0].is_identity()
+        return p is not None and self.chain.sift(p)[0].is_identity()
 
     def random_element(self, rng):
         """Uniformly random element, in the generators' own representation."""
@@ -398,8 +401,7 @@ class Group:
         that is not 2-generated, the image's own generators are kept.
         """
         if self._pair is None:
-            perms = (self.gens if isinstance(self._identity, Permutation)
-                     else self.action.perms)
+            perms = self.image_gens
             if len(perms) > 2:
                 rng, order = random.Random(PAIR_SEED), self.order()
                 for _ in range(PAIR_DRAWS):
@@ -416,14 +418,6 @@ class Group:
         """Conjugation y -> g^-1 y g by each permutation of the generating
         pair: a class is the same orbit under any generating set."""
         return [_conjugator(g) for g in self.generating_pair()]
-
-    def conjugacy_class(self, x, cap=CLOSURE_CAP):
-        """Orbit of x under conjugation by the generating pair (full class)."""
-        p = self.to_perm(x)
-        if p is None:
-            raise ValueError("%r does not act on the group's points" % (x,))
-        cls = orbit([p], self.class_maps(), cap, "class")
-        return frozenset(map(self.from_perm, cls))
 
     def __repr__(self):
         return "Group(%s, %d gens)" % (self.name or self.kind, len(self.gens))

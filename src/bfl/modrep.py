@@ -119,13 +119,13 @@ def spin(action, v):
                 queue.append(row)
     return basis
 
-def is_irreducible(action, cap=SPIN_CAP):
-    """Spin every line; None (undecided) when the line count exceeds cap."""
+def is_irreducible(action):
+    """Spin every line; None (undecided) past SPIN_CAP lines."""
     F, n = action.field, action.dim
     if n == 1:
         return True
     lines = (F.q ** n - 1) // (F.q - 1)
-    if lines > cap:
+    if lines > SPIN_CAP:
         return None
     for v in projective_points(F, n):
         if len(spin(action, v)) < n:

@@ -23,13 +23,12 @@ class SmallGroup:
     """
 
     def __init__(self, elements, gens, table=None, name="",
-                 derivations=None, parent=None, parent_indices=None):
+                 derivations=None, parent_indices=None):
         self.elements = list(elements)
         self.gens = list(gens)
         self.table = table
         self.name = name
         self.derivations = derivations  # per element: None or (gen_pos, parent)
-        self._parent = parent
         self._parent_indices = parent_indices
         self._index = None
         self._memo = {}
@@ -66,8 +65,10 @@ class SmallGroup:
 
     @classmethod
     def from_group(cls, G, name="", cap=8192):
-        return cls.generate(list(G.gens), G.identity, name=name or G.name,
-                            cap=cap)
+        """G indexed on its faithful permutation image: the breadth-first
+        indices are those of G's own elements."""
+        return cls.generate(G.image_gens, G.chain.identity,
+                            name=name or G.name, cap=cap)
 
     def _build_table(self, raw_gens):
         """Rows by composition along the derivation tree: one underlying
@@ -98,8 +99,7 @@ class SmallGroup:
         table = [tuple(remap[self.mul(a, b)] for b in sub) for a in sub]
         gens = _minimal_gens_for_table(table)
         S = SmallGroup([self.elements[q] for q in sub], gens, table=table,
-                       name="%s|%d" % (self.name, n),
-                       parent=self, parent_indices=sub)
+                       name="%s|%d" % (self.name, n), parent_indices=sub)
         return S
 
     # -- arithmetic --------------------------------------------------------

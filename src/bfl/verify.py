@@ -30,7 +30,7 @@ from .classes import (PAIR_CAP, ConjClass, NormalSet, class_of,
 from .elements import (Overflow, SquareMatrix, commutator, conjugate,
                        deserialize_element, element_order, identity_like,
                        inverse, serialize_element)
-from .fields import GF, is_p_power, poly_trim
+from .fields import GF, is_p_power, is_prime, poly_trim
 from .groups import Group, orbit
 from .modrep import commutator_dim
 from .report import (FAILS, HOLDS, INDETERMINATE, SKIPPED, ScanPlan, Verdict)
@@ -85,6 +85,8 @@ def _conjugate_perms(G, d, d_cls, plan):
         return sorted(d_cls.perms, key=image_key(G))
     rng = random.Random(plan.seed)
     dq = G.to_perm(d)
+    if dq is None:
+        raise ValueError("d does not act on the group's points")
     return (conjugate(dq, G.chain.random(rng)) for _ in range(plan.size))
 
 
@@ -110,8 +112,8 @@ def _closure_orders(G, cq, perms, p):
 def _pair_setup(G, c, d, p):
     """Unwrap class arguments and validate orders; returns
     (c, d, d_cls, scenario_core, skip_reason)."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %r" % (p,))
     c_cls = c if isinstance(c, ConjClass) else None
     d_cls = d if isinstance(d, ConjClass) else None
     c, d = _rep(c), _rep(d)
@@ -183,7 +185,7 @@ def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
     return _scan_conjugates("bf-pair", G, c, d, p, plan, max_witnesses, judge)
 
 
-def wreath_free_pair_check(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
+def wreath_free_pair_check(G, c, d, p, plan=None):
     """Is every <c, d'> a p-group with no Z_p wr Z_p section?
 
     Each witness names the first hypothesis that broke: "p-group" when some
@@ -212,7 +214,7 @@ def wreath_free_pair_check(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
                     notes.append("section search inconclusive at order %d: %s"
                                  % (m, sv.note))
             yield None
-    return _scan_conjugates("wreath-free", G, c, d, p, plan, max_witnesses,
+    return _scan_conjugates("wreath-free", G, c, d, p, plan, MAX_WITNESSES,
                             judge)
 
 
@@ -229,7 +231,7 @@ def _pairs(elist, sampled):
         yield a, elist[rng.randrange(n)]
 
 
-def _scan_normal_set(name, G, C, p, max_witnesses, judge):
+def _scan_normal_set(name, G, C, p, judge):
     """The pair walk of the normal-set checks over C x C.
 
     The members are the classes' image permutations (`ConjClass.perms`) of
@@ -241,8 +243,8 @@ def _scan_normal_set(name, G, C, p, max_witnesses, judge):
     certify (indeterminate on a clean pass).
     """
     t0 = time.perf_counter()
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %r" % (p,))
     C = NormalSet.of(C)
     if G is None and C.classes:
         G = C.classes[0].group
@@ -265,7 +267,7 @@ def _scan_normal_set(name, G, C, p, max_witnesses, judge):
         w = step(a, b)
         if w:
             witnesses.append(w)
-            if len(witnesses) >= max_witnesses:
+            if len(witnesses) >= MAX_WITNESSES:
                 break
     notes, tally = summary(witnesses)
     counters = {"pairs": pairs, "set_size": n, **tally}
@@ -282,7 +284,7 @@ def _scan_normal_set(name, G, C, p, max_witnesses, judge):
                    notes=notes)
 
 
-def commutator_closed_check(G, C, p, max_witnesses=MAX_WITNESSES):
+def commutator_closed_check(G, C, p):
     """Is [c, d] in C or trivial for every pair c, d in the normal set C of G?
 
     Notes report whether C is closed under squares and under inverses, and
@@ -322,7 +324,7 @@ def commutator_closed_check(G, C, p, max_witnesses=MAX_WITNESSES):
                          % (len(image), len(ok)))
             return notes, {"image_size": len(image)}
         return step, summary
-    return _scan_normal_set("comm-closed", G, C, p, max_witnesses, judge)
+    return _scan_normal_set("comm-closed", G, C, p, judge)
 
 
 def replay_commutator_witness(witness, C):
@@ -336,7 +338,7 @@ def replay_commutator_witness(witness, C):
     return not k.is_identity() and k not in els
 
 
-def cc_inverse_check(C, p, max_witnesses=MAX_WITNESSES):
+def cc_inverse_check(C, p):
     """Is every product c * d^-1 over the normal set C a p-element?"""
     def judge(G, members, sampled):
         def step(a, b):
@@ -346,7 +348,7 @@ def cc_inverse_check(C, p, max_witnesses=MAX_WITNESSES):
                 return {"c": _serial(G, a), "d": _serial(G, b),
                         "product": _serial(G, x), "product_order": m}
         return step, lambda witnesses: ([], {})
-    return _scan_normal_set("cc-inverse", None, C, p, max_witnesses, judge)
+    return _scan_normal_set("cc-inverse", None, C, p, judge)
 
 
 def replay_product_witness(witness, p):
@@ -447,6 +449,8 @@ def l2q_laurent_scan(q, samples=100, seed=0xBF):
     if q < 11:
         raise ValueError("need q >= 11: nine interpolation points "
                          "must fit in GF(q)*")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
     witnesses = []
     worst = -1
@@ -576,8 +580,9 @@ def symmetric_bf_scan(n, plan=None):
                    sampled=plan.mode == "sample", notes=notes)
 
 
-def reflections_o3_scan(q, plan=None):
-    """bf-pair scan at p = 2 of the two reflection classes of GO3(q)."""
+def reflections_o3_scan(q):
+    """Exhaustive bf-pair scan at p = 2 of the two reflection classes of
+    GO3(q)."""
     t0 = time.perf_counter()
     if q not in (3, 5, 7, 9):
         raise ValueError("q must be one of 3, 5, 7, 9")
@@ -590,7 +595,7 @@ def reflections_o3_scan(q, plan=None):
                          % (q, len(refl)))
     a, b = refl
     big, small = (a, b) if a.size >= b.size else (b, a)
-    v = bf_pair_direct(G, big, small, 2, plan or ScanPlan.exhaustive())
+    v = bf_pair_direct(G, big, small, 2, ScanPlan.exhaustive())
     notes = ["reflection classes: %s (size %d), %s (size %d)"
              % (a.label, a.size, b.label, b.size)] + v.notes
     return Verdict("o3-reflections:q=%d" % q, v.status, witnesses=v.witnesses,
@@ -616,7 +621,7 @@ def _sl2n3_probe(G, c, plan):
             "conjugates" % size)
 
 
-def sl2n3_scan(n=2, plan=None):
+def sl2n3_scan(plan=None):
     """In GL4(3): is <c, d^g> a 2-group for sampled g, with c the blockwise
     fourth root of the identity (c^2 = -1) and d a reflection?
 
@@ -624,17 +629,15 @@ def sl2n3_scan(n=2, plan=None):
     involution negating a plane, expecting to surface a non-2-group closure.
     """
     t0 = time.perf_counter()
-    if n != 2:
-        raise ValueError("only n = 2 (dimension 4) is constructed")
     plan = plan or ScanPlan()
-    bp = parse_blueprint("gl:%d:3" % (2 * n))
+    bp = parse_blueprint("gl:4:3")
     G = construct(bp)
     c = special_element(bp, "pm_i_element")
     d = special_element(bp, "reflection")
     v = bf_pair_direct(G, c, d, 2, plan)
     notes = list(v.notes)
     notes.append(_sl2n3_probe(G, c, plan))
-    return Verdict("sl2n3:dim=%d" % (2 * n), v.status, witnesses=v.witnesses,
+    return Verdict("sl2n3:dim=4", v.status, witnesses=v.witnesses,
                    counters=dict(v.counters),
                    seconds=time.perf_counter() - t0, sampled=v.sampled,
                    notes=notes)

@@ -14,8 +14,9 @@ from functools import cache, partial, reduce
 from operator import invert, mul
 
 from .catalog import construct
+from .classes import class_of
 from .elements import Permutation
-from .fields import is_p_power
+from .fields import is_p_power, is_prime
 from .groups import Group, orbit
 from .smallgroup import (SmallGroup, group_order, normal_subgroups, quotient,
                          subgroups)
@@ -47,7 +48,7 @@ def build_wreath(p):
     base, top = G.gens
     comm = ~base * ~top * base * top
     # the normal closure of comm, the derived subgroup, is generated by its class
-    if Group(G.conjugacy_class(comm)).order() != p ** (p - 1):
+    if Group(class_of(G, comm).elements).order() != p ** (p - 1):
         raise AssertionError("wreath derived subgroup has wrong order")
     return WreathModel(p, G)
 
@@ -92,9 +93,8 @@ def iso_to_wreath(H, p):
     if isinstance(H, SmallGroup):
         return _presents_wreath(p, range(H.order), 0, H.gens, H.mul, H.inv,
                                 H.element_order)
-    gens = H.gens if H.kind == "Permutation" else H.action.perms
-    return _presents_wreath(p, H.chain.elements(), H.chain.identity, gens,
-                            mul, invert, Permutation.order)
+    return _presents_wreath(p, H.chain.elements(), H.chain.identity,
+                            H.image_gens, mul, invert, Permutation.order)
 
 
 def _presents_wreath(p, elements, one, gens, mul, inv, order_of):
@@ -149,6 +149,8 @@ def wreath_section_detect(Q, p, tier="quotient"):
     """
     if tier not in ("quotient", "full"):
         raise ValueError("tier must be quotient or full")
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %r" % (p,))
     order = group_order(Q)
     if not is_p_power(order, p):
         raise ValueError("input of order %d is not a %d-group" % (order, p))

@@ -231,7 +231,7 @@ def test_universal_identities_across_group_kinds():
 
 
 def test_gl4_3_pair_holds_sampled():
-    v, dt = timed(sl2n3_scan, 2, ScanPlan.sample(1000, 0xBF))
+    v, dt = timed(sl2n3_scan, ScanPlan.sample(1000, 0xBF))
     assert v.display_status == "holds (sampled)"
     assert v.counters == {"pairs": 1000, "closures": 1000}
     assert not v.witnesses

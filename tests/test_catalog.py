@@ -3,10 +3,11 @@
 import pytest
 
 from bfl.fields import GF
-from bfl.elements import SquareMatrix, element_order, compose, inverse
+from bfl.elements import SquareMatrix, compose
 from bfl.catalog import (
     GroupBlueprint, parse_blueprint, construct, special_element,
     order_formula, gram_matrix, bilinear, preserves_bilinear,
+    reflection_matrix,
 )
 from bfl.classes import enumerate_classes
 
@@ -89,34 +90,14 @@ def test_wreath2_is_dihedral8():
     assert sizes == sorted(c.size for c in enumerate_classes(H))
 
 
-def test_special_transposition_and_fpf():
-    t = special_element("sym:6", "transposition")
-    assert t.cycles() == [(0, 1)]
-    f = special_element("sym:6", "fpf_involution")
-    assert f.cycles() == [(0, 1), (2, 3), (4, 5)]
-    assert all(f(i) != i for i in range(6))
-    with pytest.raises(ValueError):
-        special_element("alt:6", "transposition")
-    with pytest.raises(ValueError):
-        special_element("sym:5", "fpf_involution")
-
-
-def test_special_transvection():
-    T = special_element("sl:4:3", "transvection")
-    assert element_order(T) == 3
-    diff = T.add(SquareMatrix.identity(GF(3), 4).scale(2))  # T - I
-    assert diff.rank() == 1
-    assert construct("sl:4:3").contains(T)
-
-
 def test_special_reflection_fixes_perp():
     bp = parse_blueprint("go_odd:3:3")
     F = GF(3)
     gram = gram_matrix(bp)
-    R = special_element(bp, "reflection")
+    v = (0, 0, 1)
+    R = reflection_matrix(F, gram, v)
     assert compose(R, R).is_identity()
     assert R.det() == F.neg(1)
-    v = (0, 0, 1)
     perp = [w for w in
             ((a, b, c) for a in range(3) for b in range(3) for c in range(3))
             if bilinear(F, gram, w, v) == 0]
@@ -125,8 +106,9 @@ def test_special_reflection_fixes_perp():
 
 
 def test_special_reflection_isotropic_rejected():
+    gram = gram_matrix(parse_blueprint("go_odd:3:3"))
     with pytest.raises(ValueError):
-        special_element("go_odd:3:3", "reflection", v=(1, 0, 0))  # B(e0,e0)=0
+        reflection_matrix(GF(3), gram, (1, 0, 0))  # B(e0,e0)=0
 
 
 def test_special_pm_i():
@@ -139,24 +121,17 @@ def test_special_pm_i():
         special_element("sl:3:3", "pm_i_element")
 
 
-def test_special_bireflection():
-    b = special_element("go_odd:3:3", "bireflection")
-    assert element_order(b) == 2
-    assert b.det() == 1
+def test_special_gl_reflection():
+    # the reflection in e_0 for the identity form: diag(-1, 1, 1, 1)
     F = GF(3)
-    diff = b.add(SquareMatrix.identity(F, 3).scale(F.neg(1)))
-    assert diff.rank() == 2
-
-
-def test_special_long_root_sp():
-    bp = parse_blueprint("sp:4:3")
-    T = special_element(bp, "long_root_proxy")
-    gram = gram_matrix(bp)
-    assert preserves_bilinear(T, gram)
-    F = GF(3)
-    diff = T.add(SquareMatrix.identity(F, 4).scale(2))
-    assert diff.rank() == 1
-    assert construct(bp).contains(T)
+    R = special_element("gl:4:3", "reflection")
+    assert R == SquareMatrix.diagonal(F, [F.neg(1), 1, 1, 1])
+    assert construct("gl:4:3").contains(R)
+    # gl:4:2's "reflection" was the identity: x - 2 B(x, v) v is x when 2 = 0
+    for bp, kind in (("go_odd:3:3", "reflection"), ("gl:4:2", "reflection"),
+                     ("sym:6", "transposition")):
+        with pytest.raises(ValueError):
+            special_element(bp, kind)
 
 
 def test_sp_generators_preserve_form():
@@ -172,7 +147,6 @@ def test_go_generators_preserve_form_and_meta():
         G = construct(bp)
         gram = gram_matrix(bp)
         assert all(preserves_bilinear(g, gram) for g in G.gens)
-        assert "gram" in G.meta and "form" in G.meta
 
 
 def test_go_odd_3_3_has_pgl2_3_shape():
@@ -189,7 +163,6 @@ def test_go_odd_3_3_has_pgl2_3_shape():
 def test_blueprint_equality_and_meta():
     assert parse_blueprint("sl:2:7") == GroupBlueprint("sl", n=2, q=7)
     G = construct("sym:6")
-    assert G.meta["blueprint"] == "sym:6"
     assert G.name == "sym:6"
 
 

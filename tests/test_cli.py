@@ -88,6 +88,14 @@ def test_usage_errors(capsys):
         ["structconst", "--table", "a5", "--i", "99", "--j", "0"],
         ["scan-sym", "--n", "7"],                  # odd n rejected
         ["nosuchcommand"],
+        # p = 4 is not prime
+        ["bf-pair", "--group", "sym:4", "--c-class", "4a", "--d-class", "4a",
+         "--p", "4"],
+        ["cc-inverse", "--group", "sym:4", "--class", "4a", "--p", "4"],
+        ["wreath-section", "--group", "dihedral:16", "--p", "4"],
+        # no sampled x is no evidence, not a vacuous "holds (sampled)"
+        ["l2q-laurent", "--samples", "0"],
+        ["l2q-laurent", "--samples", "-3"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 64, argv

@@ -18,7 +18,9 @@ b = (3,4,5)
 
 def test_perm_file_alt5():
     pg = parse_generator_text(ALT5)
-    assert pg.name == "a5" and pg.kind == "perm" and pg.degree == 5
+    G = pg.group
+    assert G.name == "a5" and G.kind == "Permutation"
+    assert G.identity.degree == 5
     assert pg.group.order() == 60
     assert pg.elements["b"] == Permutation.from_cycles(5, [(2, 3, 4)])
 
@@ -75,7 +77,7 @@ def test_matrix_file():
         "group m mat 2 over GF(3)\n"
         "t = [[1,1],[0,1]]\n"
         "s = [[0,1],[-1,0]]\n")
-    assert pg.kind == "mat" and pg.field is GF(3)
+    assert pg.group.kind == "SquareMatrix" and pg.group.identity.field is GF(3)
     assert pg.group.order() == 24
     assert pg.elements["s"] == SquareMatrix(GF(3), [[0, 1], [2, 0]])
 

@@ -11,7 +11,8 @@ from bfl.fields import GF
 from bfl.elements import Permutation, SquareMatrix, SemilinearElement, Overflow
 from bfl.groups import Group, closure_enumerate, matrix_action, orbit
 from bfl.catalog import construct
-from bfl.classes import enumerate_classes
+from bfl import classes
+from bfl.classes import class_of, enumerate_classes
 from bfl.genfile import parse_generator_text
 
 
@@ -131,9 +132,9 @@ def test_elements_matches_chain_order():
 def test_conjugacy_class_sizes():
     G = sym(5)
     t = Permutation.from_cycles(5, [(0, 1)])
-    assert len(G.conjugacy_class(t)) == 10
+    assert len(class_of(G, t).elements) == 10
     c5 = Permutation.from_cycles(5, [tuple(range(5))])
-    assert len(G.conjugacy_class(c5)) == 24
+    assert len(class_of(G, c5).elements) == 24
 
 
 def test_to_perm_roundtrip():
@@ -367,12 +368,13 @@ def _overflow_text(call):
     return str(err.value)
 
 
-def test_overflow_texts():
+def test_overflow_texts(monkeypatch):
     # verify copies these texts into verdict notes, which are part of the JSON
     gens = sym(6).gens
     assert (_overflow_text(lambda: closure_enumerate(gens, cap=100))
             == "closure exceeds cap 100")
-    assert (_overflow_text(lambda: sym(6).conjugacy_class(gens[0], cap=10))
+    monkeypatch.setattr(classes, "CLOSURE_CAP", 10)
+    assert (_overflow_text(lambda: class_of(sym(6), gens[0]))
             == "class exceeds cap 10")
     gl3 = construct("gl:3:3").gens
     assert (_overflow_text(lambda: matrix_action(gl3, cap=20))

@@ -247,6 +247,17 @@ def _digest_indices(parts):
 
 # invariants of an element-backed group (order over TABLE_LIMIT), pinned
 # before element orders, translation rows and normal closures moved to
+def test_from_group_indexes_the_permutation_image():
+    # the matrices' own closure gives the same breadth-first indices
+    G = construct("gl:2:3")
+    S = SmallGroup.from_group(G)
+    M = SmallGroup.generate(G.gens, G.identity)
+    assert all(isinstance(x, Permutation) for x in S.elements)
+    assert list(map(G.from_perm, S.elements)) == M.elements
+    assert (S.gens, S.table, S.derivations) == (M.gens, M.table,
+                                                M.derivations)
+
+
 # integer arithmetic: (order histogram, center, derived size and digest,
 # class count and digest of the sorted classes)
 ELEMENT_BACKED_PINS = [

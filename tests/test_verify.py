@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bfl import verify
 from bfl.catalog import construct, special_element
-from bfl.classes import NormalSet, enumerate_classes, serial_key
+from bfl.classes import NormalSet, class_of, enumerate_classes, serial_key
 from bfl.elements import (Permutation, SquareMatrix, commutator, conjugate,
                           deserialize_element, element_order)
 from bfl.fields import GF, is_p_power
@@ -51,8 +51,8 @@ def core(v):
 # ---- bf_pair_direct --------------------------------------------------------
 
 def test_bf_s6_fpf_transposition_holds(s6):
-    c = special_element("sym:6", "fpf_involution")
-    d = special_element("sym:6", "transposition")
+    c = Permutation.from_cycles(6, [(0, 1), (2, 3), (4, 5)])
+    d = Permutation.from_cycles(6, [(0, 1)])
     v = bf_pair_direct(s6, c, d, 2, ScanPlan.exhaustive())
     assert v.status == "holds"
     assert v.counters["pairs"] == 15  # the full transposition class
@@ -76,14 +76,14 @@ def test_bf_class_labels_reach_the_scenario(a5):
 
 
 def test_bf_trivial_d_skipped(s6):
-    c = special_element("sym:6", "transposition")
+    c = Permutation.from_cycles(6, [(0, 1)])
     v = bf_pair_direct(s6, c, Permutation.identity(6), 2)
     assert v.status == "skipped"
     assert v.notes == ["trivial d"]
 
 
 def test_bf_non_p_element_rejected(s6):
-    c = special_element("sym:6", "transposition")
+    c = Permutation.from_cycles(6, [(0, 1)])
     three = Permutation.from_cycles(6, [(0, 1, 2)])
     with pytest.raises(ValueError):
         bf_pair_direct(s6, c, three, 2)
@@ -101,9 +101,28 @@ def test_bf_c_outside_the_group_rejected(check):
         check(G, c, cls_of(G, "2b"), 2)
 
 
+def test_other_degree_permutations_rejected():
+    # a permutation of another degree is no element of sym:6: no 16-member
+    # "class" of (0 1)(6 7), no verdict over it, no IndexError or TypeError
+    G = construct("sym:6")
+    t = Permutation.from_cycles(6, [(0, 1)])
+    d8 = Permutation.from_cycles(8, [(0, 1), (6, 7)])
+    t5 = Permutation.from_cycles(5, [(0, 1)])
+    exhaustive, sampled = ScanPlan.exhaustive(), ScanPlan.sample(5, 0xBF)
+    calls = [lambda: class_of(G, d8),
+             lambda: bf_pair_direct(G, t, d8, 2, exhaustive),
+             lambda: bf_pair_direct(G, t5, t, 2, exhaustive),
+             lambda: bf_pair_direct(G, t, t5, 2, exhaustive),
+             lambda: bf_pair_direct(G, t, d8, 2, sampled)]
+    for call in calls:
+        with pytest.raises(ValueError, match="does not act"):
+            call()
+    assert not G.contains(d8) and not G.contains(t5) and G.contains(t)
+
+
 def test_bf_conjugation_invariance(s6):
-    c = special_element("sym:6", "fpf_involution")
-    d = special_element("sym:6", "transposition")
+    c = Permutation.from_cycles(6, [(0, 1), (2, 3), (4, 5)])
+    d = Permutation.from_cycles(6, [(0, 1)])
     base = bf_pair_direct(s6, c, d, 2, ScanPlan.exhaustive())
     h = Permutation.from_cycles(6, [(0, 3, 4)])
     moved = bf_pair_direct(s6, (~h) * c * h, d, 2, ScanPlan.exhaustive())
@@ -173,7 +192,7 @@ def test_chain_fallback_past_a_low_cap_keeps_verdicts(monkeypatch, a5, s6,
                                ScanPlan.exhaustive()),
         lambda: bf_pair_direct(go, cls_of(go, "2a"), cls_of(go, "4a"), 2,
                                ScanPlan.exhaustive()),
-        lambda: sl2n3_scan(2, ScanPlan.sample(30, 0xBF)),
+        lambda: sl2n3_scan(ScanPlan.sample(30, 0xBF)),
     ]
     before = [core(scan()) for scan in scans]
     chains = []
@@ -220,8 +239,8 @@ def test_exhaustive_conjugates_are_in_serial_key_order(make):
 def test_wreath_free_s6_pair_fails_on_section_hypothesis(s6):
     # the 2-group half survives, but some closure is dihedral of order 8,
     # which is exactly the p = 2 wreath group
-    c = special_element("sym:6", "fpf_involution")
-    d = special_element("sym:6", "transposition")
+    c = Permutation.from_cycles(6, [(0, 1), (2, 3), (4, 5)])
+    d = Permutation.from_cycles(6, [(0, 1)])
     v = wreath_free_pair_check(s6, c, d, 2, ScanPlan.exhaustive())
     assert v.status == "fails"
     assert {w["hypothesis"] for w in v.witnesses} == {"wreath-free"}
@@ -237,7 +256,7 @@ def test_wreath_free_reports_p_group_break_first(a5):
 
 
 def test_wreath_free_trivial_skip(s6):
-    d = special_element("sym:6", "transposition")
+    d = Permutation.from_cycles(6, [(0, 1)])
     v = wreath_free_pair_check(s6, Permutation.identity(6), d, 2)
     assert v.status == "skipped"
 
@@ -534,15 +553,15 @@ def test_sl2n3_identity_conjugate_is_a_2_group():
 
 def test_sl2n3_sampled_scan_holds():
     plan = ScanPlan.sample(60, 0xBF)
-    v = sl2n3_scan(2, plan)
+    v = sl2n3_scan(plan)
     assert v.status == "holds"
     assert v.display_status == "holds (sampled)"
     assert v.counters["closures"] == 60
-    assert core(v) == core(sl2n3_scan(2, plan))
+    assert core(v) == core(sl2n3_scan(plan))
 
 
 def test_sl2n3_probe_surfaces_a_non_2_group():
-    v = sl2n3_scan(2, ScanPlan.sample(60, 0xBF))
+    v = sl2n3_scan(ScanPlan.sample(60, 0xBF))
     probe = [n for n in v.notes if n.startswith("probe:")]
     assert len(probe) == 1
     assert "non-2-group closure of order 48" in probe[0]
@@ -550,18 +569,13 @@ def test_sl2n3_probe_surfaces_a_non_2_group():
 
 def test_sl2n3_probe_witness_replays():
     import json
-    v = sl2n3_scan(2, ScanPlan.sample(60, 0xBF))
+    v = sl2n3_scan(ScanPlan.sample(60, 0xBF))
     note = next(n for n in v.notes if n.startswith("probe:"))
     blob = note[note.index("{"):]
     dp = deserialize_element(json.loads(blob))
     from bfl.groups import Group
     c = special_element("gl:4:3", "pm_i_element")
     assert not is_p_power(Group([c, dp]).order(), 2)
-
-
-def test_sl2n3_rejects_other_dimensions():
-    with pytest.raises(ValueError):
-        sl2n3_scan(3)
 
 
 # ---- witness invariants ----------------------------------------------------
