@@ -1,12 +1,14 @@
 """Brute-force character tables for small fully-enumerable groups.
 
 Structure constants are counted from explicit class-sum products on the
-permutation image.  The irreducible characters are the common eigenvectors of
-the class matrices, computed exactly over a prime field F_ell with ell = 1
-(mod exponent) and ell > 2|G| (over 40000 for alt:8), with eigenvalues split
-off by polynomial gcds, then lifted to cyclotomic integers by Fourier
-inversion on the eigenvalue multiplicities of each power class.  The prime,
-its primitive root and the polynomial arithmetic over F_ell come from fields.
+permutation image, once per unordered class pair over the smaller class,
+since class sums commute.  The irreducible characters are the common
+eigenvectors of the class matrices, computed exactly over a prime field F_ell
+with ell = 1 (mod exponent) and ell > 2|G| (over 40000 for alt:8), with
+eigenvalues split off by polynomial gcds, then lifted to cyclotomic integers
+by Fourier inversion on the eigenvalue multiplicities of each power class.
+The prime, its primitive root and the polynomial arithmetic over F_ell come
+from fields.
 """
 
 import math
@@ -37,23 +39,32 @@ def structure_constants(G):
 
     e_k is any fixed element of C_k; only one representative c per C_i is
     scanned, since conjugating d by the element carrying rep to c is a
-    bijection of the solution set.  Products run on image tuples, keys of loc.
+    bijection of the solution set.  Class sums commute, so a[i][j] = a[j][i]:
+    each unordered pair is counted once, the larger class's representative
+    against the members of the smaller.  Products run on image tuples, keys
+    of loc.
     """
     cls = enumerate_classes(G)
     loc = {p.images: k for k, C in enumerate(cls) for p in C.perms}
     r = len(cls)
+    reps = [G.to_perm(C.representative).images.__getitem__ for C in cls]
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
-        rep = G.to_perm(cls[i].representative).images.__getitem__
-        for j in range(r):
+        for j in range(i, r):
+            big, small = (i, j) if cls[i].size >= cls[j].size else (j, i)
+            rep = reps[big]
             hits = [0] * r
-            for d in cls[j].perms:
+            for d in cls[small].perms:
                 hits[loc[tuple(map(rep, d.images))]] += 1
             for k in range(r):
-                total = cls[i].size * hits[k]
+                total = cls[big].size * hits[k]
                 if total % cls[k].size:
-                    raise AssertionError("class-sum count not divisible")
-                a[i][j][k] = total // cls[k].size
+                    raise AssertionError(
+                        "(%d,%d,%d): %d hits times class size %d is not "
+                        "divisible by class size %d"
+                        % (big, small, k, hits[k], cls[big].size,
+                           cls[k].size))
+                a[i][j][k] = a[j][i][k] = total // cls[k].size
     return cls, loc, a
 
 
@@ -150,12 +161,10 @@ def _eigen_split(class_mats, ell):
                 refined.append(B)
                 continue
             found = 0
+            Mbs = [[sum(map(mul, row, b)) % ell for row in M] for b in B]
             for lam in roots:
-                cols = []
-                for b in B:
-                    Mb = [sum(M[s][t] * b[t] for t in range(r)) % ell
-                          for s in range(r)]
-                    cols.append([(Mb[s] - lam * b[s]) % ell for s in range(r)])
+                cols = [[(Mb[s] - lam * b[s]) % ell for s in range(r)]
+                        for Mb, b in zip(Mbs, B)]
                 piece = []
                 for u in _nullspace(cols, ell):
                     piece.append([sum(u[t] * B[t][s] for t in range(len(B)))

@@ -5,8 +5,10 @@ import os
 
 import pytest
 
+from bfl import charcompute
 from bfl.catalog import construct
-from bfl.charcompute import SHIPPED_TABLES, _poly_roots, build_table
+from bfl.charcompute import (SHIPPED_TABLES, _poly_roots, build_table,
+                             structure_constants)
 from bfl.chartab import (CharacterTable, TableError, parse_table, load_table,
                          class_mult_count, product_support, bf_pair_table)
 from bfl.classes import enumerate_classes, serial_key
@@ -214,9 +216,51 @@ def test_shipped_files_match_regeneration(name, bp):
         assert fh.read() == text
 
 
-def test_generator_rejects_wrong_constants():
+def test_generator_rejects_wrong_constants(monkeypatch):
     T = build_table(construct("sym:3"), "s3")
     assert T.degrees == (1, 1, 2)
+    # sym:3 classes: 1, the transpositions (3), the 3-cycles (2); (2,1,2)
+    # is the mirror of the counted (1,2,2), (2,2,0) a diagonal constant
+    for (i, j, k), message in (((2, 1, 2), r"table gives 0 for \(2,1,2\), "
+                                           r"counting gives 1"),
+                               ((2, 2, 0), None)):
+        def off_by_one(G):
+            cls, loc, a = structure_constants(G)
+            a[i][j][k] += 1
+            return cls, loc, a
+        monkeypatch.setattr(charcompute, "structure_constants", off_by_one)
+        with pytest.raises(AssertionError, match=message):
+            build_table(construct("sym:3"), "s3")
+
+
+@pytest.mark.parametrize("bp", ["psl2:7", "sym:5", "gl:2:3"])
+def test_structure_constants_either_orientation(bp):
+    """Each pair is counted over one class; both orders equal the count of
+    |C_i| * #{d in C_j : x_i d in C_k} / |C_k| over every member of C_j."""
+    G = construct(bp)
+    cls, _, a = structure_constants(G)
+    assert len({C.size for C in cls}) > 2
+    loc = {p.images: k for k, C in enumerate(cls) for p in C.perms}
+    r = len(cls)
+    for i in range(r):
+        x = G.to_perm(cls[i].representative).images
+        for j in range(r):
+            hits = [0] * r
+            for d in cls[j].perms:
+                hits[loc[tuple(x[t] for t in d.images)]] += 1
+            for k in range(r):
+                assert a[i][j][k] * cls[k].size == cls[i].size * hits[k], \
+                    (i, j, k)
+
+
+def test_indivisible_count_names_the_constant():
+    G = construct("sym:3")
+    cls = enumerate_classes(G)
+    assert [C.size for C in cls] == [1, 3, 2]
+    cls[2].size = 4  # a transposition times the 3 transpositions: 2 3-cycles
+    with pytest.raises(AssertionError, match=r"^\(1,1,2\): 2 hits times class "
+                       r"size 3 is not divisible by class size 4$"):
+        structure_constants(G)
 
 
 def test_every_shipped_table_rebuilds_identically():
