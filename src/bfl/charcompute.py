@@ -3,12 +3,13 @@
 Structure constants are counted from explicit class-sum products on the
 permutation image, once per unordered class pair over the smaller class,
 since class sums commute.  The irreducible characters are the common
-eigenvectors of the class matrices, computed exactly over a prime field F_ell
-with ell = 1 (mod exponent) and ell > 2|G| (over 40000 for alt:8), with
-eigenvalues split off by polynomial gcds, then lifted to cyclotomic integers
-by Fourier inversion on the eigenvalue multiplicities of each power class.
-The prime, its primitive root and the polynomial arithmetic over F_ell come
-from fields.
+eigenvectors of the class matrices (Dixon 1967; Schneider 1990), computed
+exactly over a prime field F_ell with ell = 1 (mod exponent) and ell above
+2|G| and 2r^3 (over 40000 for alt:8) as the eigenvectors of one generic
+combination of them, whose roots Cantor-Zassenhaus splits off by polynomial
+gcds; they are lifted to cyclotomic integers by Fourier inversion on the
+eigenvalue multiplicities of each power class.  The prime, a root of unity
+mod it and the polynomial arithmetic over F_ell come from fields.
 """
 
 import math
@@ -18,7 +19,7 @@ from .classes import enumerate_classes
 from .chartab import CharacterTable, class_mult_count
 from .cyclotomic import Cyclotomic
 from .fields import (factorize, poly_divmod, poly_gcd, poly_powmod, poly_sub,
-                     poly_trim, primitive_root, working_prime)
+                     poly_trim, root_of_unity, working_prime)
 
 # shipped table name -> catalog blueprint
 SHIPPED_TABLES = (
@@ -115,69 +116,51 @@ def _poly_roots(coeffs, ell):
     return sorted(roots)
 
 
-def _nullspace(cols, ell):
-    """Basis of {u : sum_t u_t cols[t] = 0} over F_ell, echelon order."""
-    ncols = len(cols)
-    nrows = len(cols[0]) if cols else 0
-    A = [[cols[t][s] for t in range(ncols)] for s in range(nrows)]
+def _null_vector(rows, ell):
+    """A nonzero u with sum_t rows[s][t] u_t = 0 for every s, over F_ell:
+    Gauss-Jordan until the first free column f, then u_f = 1 (later pivots
+    leave column f alone); None if there is no free column."""
+    A = [row[:] for row in rows]
     pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((s for s in range(row, nrows) if A[s][col]), None)
+    for col in range(len(A[0])):
+        row = len(pivots)
+        piv = next((s for s in range(row, len(A)) if A[s][col]), None)
         if piv is None:
-            continue
+            u = [0] * len(A[0])
+            u[col] = 1
+            for s, c in enumerate(pivots):
+                u[c] = -A[s][col] % ell
+            return u
         A[row], A[piv] = A[piv], A[row]
         inv = pow(A[row][col], -1, ell)
-        A[row] = [(v * inv) % ell for v in A[row]]
-        for s in range(nrows):
+        A[row] = [v * inv % ell for v in A[row]]
+        for s in range(len(A)):
             if s != row and A[s][col]:
                 f = A[s][col]
-                A[s] = [(A[s][t] - f * A[row][t]) % ell for t in range(ncols)]
+                A[s] = [(x - f * y) % ell for x, y in zip(A[s], A[row])]
         pivots.append(col)
-        row += 1
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        u = [0] * ncols
-        u[free] = 1
-        for s, col in enumerate(pivots):
-            u[col] = (-A[s][free]) % ell
-        basis.append(u)
-    return basis
+    return None
 
 
-def _eigen_split(class_mats, ell):
-    """Common eigenvectors (up to scale) of the commuting class matrices."""
+def _eigenvectors(class_mats, ell):
+    """Common eigenvectors (up to scale) of commuting r x r matrices M_i:
+    the eigenvectors of the first M_t = sum_i t^i M_i, t >= 2, with r distinct
+    roots mod ell.  (t = 1 is the whole group's class sum; distinct central
+    characters agree at < r values of t mod ell, so < r^3 / 2 values of t
+    fail, and for ell > r^3 + 1 some t in [2, r^3 + 1] succeeds.)"""
     r = len(class_mats[0])
-    blocks = [[[1 if t == s else 0 for t in range(r)] for s in range(r)]]
-    for M in class_mats:
-        if all(len(B) == 1 for B in blocks):
-            break
-        roots = _poly_roots(_charpoly(M, ell), ell)
-        refined = []
-        for B in blocks:
-            if len(B) == 1:
-                refined.append(B)
-                continue
-            found = 0
-            Mbs = [[sum(map(mul, row, b)) % ell for row in M] for b in B]
-            for lam in roots:
-                cols = [[(Mb[s] - lam * b[s]) % ell for s in range(r)]
-                        for Mb, b in zip(Mbs, B)]
-                piece = []
-                for u in _nullspace(cols, ell):
-                    piece.append([sum(u[t] * B[t][s] for t in range(len(B)))
-                                  % ell for s in range(r)])
-                if piece:
-                    refined.append(piece)
-                    found += len(piece)
-            if found != len(B):
-                raise AssertionError("eigen split lost dimensions")
-        blocks = refined
-    if not all(len(B) == 1 for B in blocks):
-        raise AssertionError("class matrices failed to separate characters")
-    return [B[0] for B in blocks]
+    for t in range(2, 2 + r ** 3):
+        ts = [pow(t, i, ell) for i in range(len(class_mats))]
+        Mt = [[sum(c * M[j][k] for c, M in zip(ts, class_mats)) % ell
+               for k in range(r)] for j in range(r)]
+        roots = _poly_roots(_charpoly(Mt, ell), ell)
+        if len(roots) == r:
+            return [_null_vector([[(v - lam * (j == k)) % ell
+                                   for k, v in enumerate(row)]
+                                  for j, row in enumerate(Mt)], ell)
+                    for lam in roots]
+    raise AssertionError("no M_t for t in [2, %d] has %d distinct roots mod %d"
+                         % (1 + r ** 3, r, ell))
 
 
 # -- table assembly ---------------------------------------------------------
@@ -191,8 +174,9 @@ def build_table(G, name):
     orders = [C.order for C in cls]
     exponent = math.lcm(*orders)
     grp_order = sum(sizes)
-    ell = working_prime(grp_order, exponent)
-    g0 = primitive_root(ell)
+    # ell > 2 r^3 keeps the r^3 values of t in _eigenvectors apart mod ell
+    ell = working_prime(max(grp_order, r ** 3), exponent)
+    z_exp = root_of_unity(ell, exponent)
 
     # powers of each representative, as class indices
     powcls = []
@@ -205,10 +189,8 @@ def build_table(G, name):
         powcls.append(idx)
     inv_idx = [powcls[k][-1] if cls[k].order > 1 else 0 for k in range(r)]
 
-    class_mats = [[[a[i][j][k] % ell for k in range(r)] for j in range(r)]
-                  for i in range(1, r)]
     rows = []
-    for w in _eigen_split(class_mats, ell):
+    for w in _eigenvectors(a, ell):
         if w[0] == 0:
             raise AssertionError("central character vanishes on the identity")
         scale = pow(w[0], -1, ell)
@@ -223,7 +205,7 @@ def build_table(G, name):
         values = []
         for k in range(r):
             o = orders[k]
-            z = pow(g0, (ell - 1) // o, ell)
+            z = pow(z_exp, exponent // o, ell)
             inv_o = pow(o, -1, ell)
             mu = []
             for t in range(o):

@@ -1,13 +1,16 @@
-"""Character tables and class-multiplication structure constants."""
+"""Character tables and class-multiplication structure constants, in one
+exact arithmetic: every value is reduced once into F_ell (CharacterTable),
+and a structure constant, an integer below ell / 2, is its own residue."""
 
 import json
+import math
 import os
+from operator import mul
 
 from .cyclotomic import Cyclotomic
-from .fields import is_p_power
+from .fields import is_p_power, is_prime, root_of_unity, working_prime
 from .report import Verdict, HOLDS, FAILS
 
-TOL = 1e-6
 _PACKAGED_DIR = os.path.join(os.path.dirname(__file__), "tables")
 
 
@@ -21,6 +24,10 @@ class CharacterTable:
     classes: list of dicts {"size", "element_order", "powermap": {p: index}};
     irreducibles: rows of Cyclotomic values, one row per character, columns
     in class order with class 0 the identity.
+    ell = 1 (mod M), M the lcm of the conductors, and ell > 2|G|; chi: the
+    rows' residues mod ell at zeta_M -> z, a primitive M-th root of unity;
+    weights: the residues of conj(chi) / (chi(1) |G|), conj(chi) taken at
+    zeta_M -> 1/z.
     """
 
     def __init__(self, name, order, classes, irreducibles):
@@ -29,8 +36,14 @@ class CharacterTable:
         self.classes = classes
         self.irreducibles = irreducibles
         self.degrees = self._validate()
-        # one complex evaluation per entry, reused by every query
-        self.X = [[v.value() for v in row] for row in irreducibles]
+        M = math.lcm(*(v.m for row in irreducibles for v in row))
+        ell = self.ell = working_prime(self.order, M)
+        z = root_of_unity(ell, M)
+        self.chi, conj = ([[v.residue(pow(w, M // v.m, ell), ell)
+                            for v in row] for row in irreducibles]
+                          for w in (z, pow(z, -1, ell)))
+        self.weights = [[x * pow(d * self.order, -1, ell) % ell for x in row]
+                        for row, d in zip(conj, self.degrees)]
         self._check_orthogonality()
 
     # -- basic shape -------------------------------------------------------
@@ -67,7 +80,11 @@ class CharacterTable:
             if c["size"] < 1 or c["element_order"] < 1:
                 raise TableError("%s: bad class data %r" % (self.name, c))
             for p, img in c["powermap"].items():
-                if self.order % p != 0 or not 0 <= img < r:
+                if p < 2 or self.order % p or not is_prime(p):
+                    raise TableError("%s: powermap key %r is not a prime "
+                                     "dividing the order %d"
+                                     % (self.name, p, self.order))
+                if not 0 <= img < r:
                     raise TableError("%s: bad powermap entry %r -> %r"
                                      % (self.name, p, img))
         degs = []
@@ -83,19 +100,19 @@ class CharacterTable:
         return tuple(degs)
 
     def _check_orthogonality(self):
-        r = self.n_classes
+        """sum_k |C_k| chi_a(k) weights_b(k) = 1/chi_b(1) if a = b, else 0,
+        at the one embedding zeta_M -> z: a screen, not a proof over
+        Q(zeta_M)."""
         sizes = [c["size"] for c in self.classes]
-        for a in range(r):
-            for b in range(a, r):
-                acc = 0j
-                for k in range(r):
-                    acc += sizes[k] * self.X[a][k] * self.X[b][k].conjugate()
-                acc /= self.order
-                want = 1.0 if a == b else 0.0
-                if abs(acc - want) > TOL:
+        for a, row in enumerate(self.chi):
+            sized = list(map(mul, sizes, row))
+            for b, (w, d) in enumerate(zip(self.weights, self.degrees)):
+                got = sum(map(mul, sized, w)) % self.ell
+                if got != (pow(d, -1, self.ell) if a == b else 0):
                     raise TableError(
                         "%s: row orthogonality violated for characters "
-                        "(%d, %d): got %r" % (self.name, a, b, acc))
+                        "(%d, %d): got %d mod %d"
+                        % (self.name, a, b, got, self.ell))
 
     # -- serialization -----------------------------------------------------
 
@@ -145,12 +162,8 @@ def parse_table(path):
 
 def table_search_path():
     """Directories searched for tables by name; BFL_TABLE_DIR goes first."""
-    dirs = []
     env = os.environ.get("BFL_TABLE_DIR")
-    if env:
-        dirs.extend(env.split(os.pathsep))
-    dirs.append(_PACKAGED_DIR)
-    return dirs
+    return (env.split(os.pathsep) if env else []) + [_PACKAGED_DIR]
 
 def load_table(name_or_path):
     """Load a table by file path, or by name from the search path."""
@@ -170,28 +183,22 @@ def class_mult_count(T, i, j, e_class):
     """Number of pairs (c, d) in C_i x C_j with c*d = e, for one fixed e.
 
     Classical column formula: |C_i||C_j|/|G| * sum over characters of
-    chi(c_i) chi(c_j) conj(chi(e)) / chi(1); must land within 1e-6 of an
-    integer or the table is declared bad.
+    chi(c_i) chi(c_j) conj(chi(e)) / chi(1), evaluated mod ell.  The count
+    lies in [0, min(|C_i|, |C_j|)] and ell > 2|G|, so the residue is the
+    count; a residue outside that range means the table is bad.
     """
-    acc = 0j
-    for row, d in zip(T.X, T.degrees):
-        acc += row[i] * row[j] * row[e_class].conjugate() / d
-    val = T.size(i) * T.size(j) / T.order * acc
-    n = round(val.real)
-    if abs(val - n) > TOL:
-        raise TableError("%s: structure constant (%d,%d,%d) evaluates to %r, "
-                         "not near an integer" % (T.name, i, j, e_class, val))
+    n = (sum(row[i] * row[j] * w[e_class] for row, w in zip(T.chi, T.weights))
+         * T.size(i) * T.size(j) % T.ell)
+    if n > min(T.size(i), T.size(j)):
+        raise TableError("%s: structure constant (%d,%d,%d) is %d mod %d, "
+                         "not a count" % (T.name, i, j, e_class, n, T.ell))
     return n
 
 
 def product_support(T, i, j):
     """Class indices hit by C_i * C_j, with their per-element pair counts."""
-    out = {}
-    for k in range(T.n_classes):
-        n = class_mult_count(T, i, j, k)
-        if n:
-            out[k] = n
-    return out
+    return {k: n for k in range(T.n_classes)
+            if (n := class_mult_count(T, i, j, k))}
 
 
 def bf_pair_table(T, i, j, p):
@@ -203,12 +210,9 @@ def bf_pair_table(T, i, j, p):
     whose order is read off the product order, making the test equivalent.
     """
     support = product_support(T, i, j)
-    offenders = []
-    for k in sorted(support):
-        o = T.element_order(k)
-        if not is_p_power(o, p):
-            offenders.append({"class": k, "element_order": o,
-                              "count": support[k]})
+    offenders = [{"class": k, "element_order": T.element_order(k),
+                  "count": n} for k, n in sorted(support.items())
+                 if not is_p_power(T.element_order(k), p)]
     notes = ["necessary-only class-level test"]
     if p == 2 and T.element_order(i) == 2 and T.element_order(j) == 2:
         notes = ["both classes are involutions: product-order test is "

@@ -1,6 +1,5 @@
-"""Exact cyclotomic integers: Z-linear combinations of m-th roots of unity."""
-
-import cmath
+"""Exact cyclotomic integers: Z-linear combinations of m-th roots of unity,
+read through their residues mod a prime (a ring map), never as floats."""
 
 
 class Cyclotomic:
@@ -23,14 +22,9 @@ class Cyclotomic:
     def integer(cls, n):
         return cls(1, (n,))
 
-    def value(self):
-        """Complex evaluation; summation order is fixed, so deterministic."""
-        tau = 2.0 * cmath.pi / self.m
-        out = 0j
-        for k, ck in enumerate(self.c):
-            if ck:
-                out += ck * cmath.exp(1j * tau * k)
-        return out
+    def residue(self, w, ell):
+        """The image mod ell when zeta_m maps to w, an m-th root of unity."""
+        return sum(ck * pow(w, k, ell) for k, ck in enumerate(self.c)) % ell
 
     def normalized(self):
         """Tidy the coefficients without changing the value.

@@ -7,11 +7,11 @@ Fields of up to _TABLE_CAP elements run off q x q lookup tables (every
 shipped size, q <= 81); larger ones reduce each product by the modulus.
 The module is the one home of prime-field arithmetic: coefficient-list
 polynomials over F_p, Ben-Or's irreducibility test for a modulus,
-primality, factorization, and the working prime ell = 1 (mod m) with its
-least primitive root.
+primality, factorization, and the working prime ell = 1 (mod m) with a
+primitive m-th root of unity mod ell.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import count, product, zip_longest
 
 # monic irreducible moduli, coefficients low degree first, constant term first
@@ -55,8 +55,19 @@ def factorize(n):
     return out
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n):
-    return n > 1 and factorize(n) == {n: 1}
+    """Miller-Rabin to the prime bases up to 41: exact for n below
+    3.3e24 (Sorenson and Webster 2015), a strong probable-prime test above."""
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << j, n) == n - 1
+                                        for j in range(s))
+               for a in _MR_BASES)
 
 
 def working_prime(order, exponent):
@@ -75,9 +86,12 @@ def _least_generator(n, power):
                 if all(power(a, n // p) != 1 for p in fac))
 
 
-def primitive_root(ell):
-    """The least primitive root modulo the prime ell."""
-    return _least_generator(ell - 1, partial(pow, mod=ell))
+def root_of_unity(ell, m):
+    """A primitive m-th root of unity mod the prime ell = 1 (mod m): the
+    (ell-1)/m-th power of the least a for which that power has order m.
+    Only m is factored, so a large ell costs nothing extra."""
+    e = (ell - 1) // m
+    return pow(_least_generator(m, lambda a, n: pow(a, e * n, ell)), e, ell)
 
 
 # polynomials over F_p are coefficient lists c_0..c_d with c_d != 0

@@ -1,17 +1,20 @@
 """Character tables: validation, structure constants, class-level pair test."""
 
 import json
+import math
 import os
+import random
 
 import pytest
 
 from bfl import charcompute
 from bfl.catalog import construct
-from bfl.charcompute import (SHIPPED_TABLES, _poly_roots, build_table,
-                             structure_constants)
+from bfl.charcompute import (SHIPPED_TABLES, _eigenvectors, _poly_roots,
+                             build_table, structure_constants)
 from bfl.chartab import (CharacterTable, TableError, parse_table, load_table,
                          class_mult_count, product_support, bf_pair_table)
 from bfl.classes import enumerate_classes, serial_key
+from bfl.cyclotomic import Cyclotomic
 from bfl.report import HOLDS
 
 TABLE_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -80,6 +83,16 @@ def test_degree_sum_enforced():
         CharacterTable.from_json(obj)
 
 
+@pytest.mark.parametrize("key", ["0", "4"])
+def test_powermap_key_must_be_a_prime_dividing_the_order(key):
+    # 0 must not divide by zero; 4 divides 60 but is not a prime
+    obj = json.loads(json.dumps(shipped("a5").to_json()))
+    obj["classes"][1]["powermap"][key] = 0
+    with pytest.raises(TableError, match=r"^a5: powermap key %s is not a "
+                       r"prime dividing the order 60$" % key):
+        CharacterTable.from_json(obj)
+
+
 def test_parse_errors():
     with pytest.raises(TableError, match="cannot read"):
         parse_table("/nonexistent/nowhere.json")
@@ -134,6 +147,18 @@ def test_identity_column_normalization():
     for i in range(T.n_classes):
         for e in range(T.n_classes):
             assert class_mult_count(T, i, 0, e) == (1 if e == i else 0)
+
+
+def test_residue_out_of_range_is_not_a_count():
+    # a5's ell is 151; one more in a weight of the degree-3 character adds
+    # chi(2a)^2 |2a|^2 = 225 = 74 (mod 151) to the 15 of (1,1,0)
+    T = shipped("a5")
+    assert (T.ell, T.size(1), class_mult_count(T, 1, 1, 0)) == (151, 15, 15)
+    assert T.degrees[1] == 3 and T.chi[1][1] == 150
+    T.weights[1][0] = (T.weights[1][0] + 1) % T.ell
+    with pytest.raises(TableError, match=r"^a5: structure constant \(1,1,0\) "
+                       r"is 89 mod 151, not a count$"):
+        class_mult_count(T, 1, 1, 0)
 
 
 def test_a5_five_class_self_product_positive():
@@ -221,8 +246,10 @@ def test_generator_rejects_wrong_constants(monkeypatch):
     assert T.degrees == (1, 1, 2)
     # sym:3 classes: 1, the transpositions (3), the 3-cycles (2); (2,1,2)
     # is the mirror of the counted (1,2,2), (2,2,0) a diagonal constant
-    for (i, j, k), message in (((2, 1, 2), r"table gives 0 for \(2,1,2\), "
-                                           r"counting gives 1"),
+    # a corrupted (2,1,2) enters M_t, so the degrees go wrong before the
+    # cross-check
+    for (i, j, k), message in (((2, 1, 2), r"^degree squared 23 is not a "
+                                           r"square$"),
                                ((2, 2, 0), None)):
         def off_by_one(G):
             cls, loc, a = structure_constants(G)
@@ -261,6 +288,68 @@ def test_indivisible_count_names_the_constant():
     with pytest.raises(AssertionError, match=r"^\(1,1,2\): 2 hits times class "
                        r"size 3 is not divisible by class size 4$"):
         structure_constants(G)
+
+
+def test_eigenvectors_of_a_generic_combination():
+    # neither matrix separates the three lines alone; M_2 = M_0 + 2 M_1
+    # has roots 3, 5, 6 mod 7, each with one unit eigenvector
+    M0 = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+    M1 = [[1, 0, 0], [0, 2, 0], [0, 0, 2]]
+    assert _eigenvectors([M0, M1], 7) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_abelian_table_needs_ell_above_r_cubed():
+    # at ell = working_prime(20, 20) = 61 no t separates cyclic:20's 20
+    # characters; ell > 2 r^3 keeps [2, r^3 + 1] apart mod ell
+    T = build_table(construct("cyclic:20"), "c20")
+    assert T.n_classes == 20 and T.degrees == (1,) * 20
+
+
+def test_eigenvectors_reject_inseparable_matrices():
+    eye = [[1, 0], [0, 1]]
+    with pytest.raises(AssertionError, match=r"^no M_t for t in \[2, 9\] has "
+                       r"2 distinct roots mod 13$"):
+        _eigenvectors([eye, eye], 13)
+
+
+def _times(x, y):
+    """The product of two cyclotomic integers, over the lcm conductor."""
+    m = math.lcm(x.m, y.m)
+    c = [0] * m
+    for s, a in enumerate(x.c):
+        for t, b in enumerate(y.c):
+            c[(s * (m // x.m) + t * (m // y.m)) % m] += a * b
+    return Cyclotomic(m, c)
+
+
+def _direct_product(T, U):
+    """The table of T's group times U's: classes and characters are pairs,
+    and values multiply; power maps play no part in the class algebra."""
+    classes = [{"size": c["size"] * d["size"],
+                "element_order": math.lcm(c["element_order"],
+                                          d["element_order"]),
+                "powermap": {}} for c in T.classes for d in U.classes]
+    rows = [[_times(x, y) for x in row for y in col]
+            for row in T.irreducibles for col in U.irreducibles]
+    return CharacterTable(T.name + "x" + U.name, T.order * U.order, classes,
+                          rows)
+
+
+def test_direct_product_constants_are_exact():
+    T, U = build_table(construct("psl2:27"), "l2_27"), shipped("a6")
+    P = _direct_product(T, U)
+    assert (P.order, P.n_classes) == (3538080, 112)
+    rng = random.Random(0xBF)
+    hits = 0
+    for _ in range(400):
+        ijk = [rng.randrange(T.n_classes) for _ in range(3)]
+        uvw = [rng.randrange(U.n_classes) for _ in range(3)]
+        want = class_mult_count(T, *ijk) * class_mult_count(U, *uvw)
+        got = class_mult_count(P, *(a * U.n_classes + b
+                                    for a, b in zip(ijk, uvw)))
+        assert got == want, (ijk, uvw)
+        hits += want > 0
+    assert hits > 100
 
 
 def test_every_shipped_table_rebuilds_identically():

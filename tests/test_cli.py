@@ -113,6 +113,18 @@ def test_data_errors(capsys, tmp_path):
     assert code == 65 and err
 
 
+def test_bad_powermap_key_is_a_data_error(capsys, tmp_path):
+    # a key 0 must not escape validation as a ZeroDivisionError (exit 1)
+    obj = load_table("a5").to_json()
+    obj["classes"][1]["powermap"]["0"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "structconst", "--table", str(bad),
+                       "--i", "0", "--j", "0")
+    assert code == 65
+    assert "powermap key 0 is not a prime dividing the order 60" in err
+
+
 def test_generatorless_matrix_file_is_the_trivial_group(capsys, tmp_path):
     gens = tmp_path / "e.gens"
     gens.write_text("group e mat 2 over GF(5)\n")

@@ -1,11 +1,17 @@
-"""Cyclotomic value arithmetic and serialization."""
+"""Cyclotomic residues and serialization."""
 
-import cmath
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bfl.cyclotomic import Cyclotomic
+from bfl.fields import root_of_unity, working_prime
+
+
+def at(x, w, m, ell):
+    """x's residue when zeta_m maps to w; x's conductor divides m."""
+    return x.residue(pow(w, m // x.m, ell), ell)
 
 
 def test_integer_roundtrip():
@@ -16,10 +22,11 @@ def test_integer_roundtrip():
 
 
 def test_root_values():
-    i = Cyclotomic(4, (0, 1, 0, 0))
-    assert abs(i.value() - 1j) < 1e-12
-    minus_one = Cyclotomic(2, (0, 1))
-    assert abs(minus_one.value() + 1.0) < 1e-12
+    z = root_of_unity(13, 4)
+    assert z == 8 and z * z % 13 == 12
+    assert Cyclotomic(4, (0, 1, 0, 0)).residue(z, 13) == z
+    assert Cyclotomic(4, (3, 0, 2, 0)).residue(z, 13) == 1
+    assert Cyclotomic(2, (0, 1)).residue(12, 13) == 12
 
 
 def test_bad_shapes():
@@ -52,11 +59,23 @@ cyclos = st.integers(1, 12).flatmap(
                         st.lists(st.integers(-9, 9), min_size=m, max_size=m)))
 
 
+def unit_roots(m):
+    """(ell, w) for every primitive m-th root w mod two working primes."""
+    for order in (1, 10 ** 6):
+        ell = working_prime(order, m)
+        z = root_of_unity(ell, m)
+        for u in range(1, m + 1):
+            if math.gcd(u, m) == 1:
+                yield ell, pow(z, u, ell)
+
+
 @given(cyclos)
 def test_normalized_preserves_value(mc):
     m, c = mc
     x = Cyclotomic(m, c)
-    assert abs(x.normalized().value() - x.value()) < 1e-9
+    y = x.normalized()
+    for ell, w in unit_roots(m):
+        assert at(y, w, m, ell) == x.residue(w, ell)
 
 
 @given(cyclos)
@@ -64,7 +83,8 @@ def test_json_roundtrip(mc):
     m, c = mc
     x = Cyclotomic(m, c)
     back = Cyclotomic.from_json(x.to_json())
-    assert abs(back.value() - x.value()) < 1e-9
+    for ell, w in unit_roots(m):
+        assert at(back, w, m, ell) == x.residue(w, ell)
     y = x.normalized()
     assert Cyclotomic.from_json(y.to_json()) == y
 
@@ -79,4 +99,5 @@ def test_normalized_folds_to_integers():
 def test_value_of_full_orbit_sums_to_zero():
     for m in (2, 3, 5, 7, 12):
         x = Cyclotomic(m, (1,) * m)
-        assert abs(x.value()) < 1e-9
+        for ell, w in unit_roots(m):
+            assert x.residue(w, ell) == 0

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bfl.fields import (DEFAULT_MODULI, GF, FIELD_SIZES, FieldSpec, factorize,
-                        is_p_power)
+                        is_p_power, is_prime, root_of_unity, working_prime)
 
 
 def test_all_shipped_sizes_construct():
@@ -107,6 +108,34 @@ def test_factorize():
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(720) == {2: 4, 3: 2, 5: 1}
     assert factorize(97) == {97: 1}
+
+
+def test_is_prime():
+    assert all(is_prime(n) == (factorize(n) == {n: 1})
+               for n in range(-5, 5000))
+    # strong pseudoprimes to the bases up to 2, 7, 23 and 37, and
+    # Carmichael numbers (211 * 421 * 631 is a Fermat pseudoprime to
+    # every base up to 41)
+    for n in (2047, 3215031751, 3825123056546413051,
+              318665857834031151167461, 561, 41041, 211 * 421 * 631):
+        assert not is_prime(n)
+    for e in (31, 61, 89, 127):
+        assert is_prime(2 ** e - 1)
+
+
+@pytest.mark.parametrize("fac", [
+    {2: 21, 3: 9, 5: 4, 7: 2, 11: 1, 13: 1, 23: 1},
+    {2: 46, 3: 20, 5: 9, 7: 6, 11: 2, 13: 3, 17: 1, 19: 1, 23: 1, 29: 1,
+     31: 1, 41: 1, 47: 1, 59: 1, 71: 1}], ids=["Co1", "M"])
+def test_working_prime_and_root_at_sporadic_orders(fac):
+    # what loading a character table computes: by trial division these
+    # took hours (|Co1| ~ 4e18) or forever (|M| ~ 8e53)
+    order, m = math.prod(p ** e for p, e in fac.items()), math.prod(fac)
+    ell = working_prime(order, m)
+    assert ell % m == 1 and ell > 2 * order
+    z = root_of_unity(ell, m)
+    assert pow(z, m, ell) == 1
+    assert all(pow(z, m // p, ell) != 1 for p in fac)
 
 
 def test_field_identity_map_is_cached():

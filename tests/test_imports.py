@@ -1,5 +1,6 @@
 """Every name a bfl module imports is used in that module, no module
-imports another's private names, and every export has a caller."""
+imports another's private names or cmath, and every export has a
+caller."""
 
 import ast
 import glob
@@ -88,16 +89,29 @@ def test_every_export_has_a_caller():
     assert sorted(exports - used - TEST_ONLY_EXPORTS) == []
 
 
-def test_no_private_imports_across_modules():
-    # a module's _names are its own: no bfl module imports one from another
-    found = []
+def _import_nodes():
+    """(file name, import statement) for every import in a bfl module."""
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").startswith("bfl")):
-                found += ["%s: %s.%s" % (os.path.basename(path),
-                                         node.module, a.name)
-                          for a in node.names if a.name.startswith("_")]
+        yield from ((os.path.basename(path), node) for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def test_no_private_imports_across_modules():
+    # a module's _names are its own: no bfl module imports one from another
+    found = ["%s: %s.%s" % (mod, node.module, a.name)
+             for mod, node in _import_nodes()
+             if isinstance(node, ast.ImportFrom) and (
+                 node.level or (node.module or "").startswith("bfl"))
+             for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
+def test_no_module_imports_cmath():
+    # class algebra is exact: nothing evaluates a character in complex floats
+    found = ["%s: %s" % (mod, name) for mod, node in _import_nodes()
+             for name in ([a.name for a in node.names]
+                          if isinstance(node, ast.Import) else [node.module])
+             if (name or "").split(".")[0] == "cmath"]
     assert found == []
