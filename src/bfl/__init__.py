@@ -22,8 +22,7 @@ from .report import Verdict, ScanPlan, emit_report, exit_code
 from .chartab import (CharacterTable, TableError, parse_table, load_table,
                       class_mult_count, product_support, bf_pair_table)
 from .charcompute import build_table
-from .smallgroup import (SmallGroup, is_p_group, subgroups, normal_subgroups,
-                         quotient)
+from .smallgroup import SmallGroup, is_p_group, normal_subgroups, quotient
 from .wreath import (WreathModel, build_wreath, iso_to_wreath,
                      wreath_section_detect, reconstruct_section, SectionVerdict)
 from .modrep import (ModuleAction, representation, fixed_dim, commutator_dim,

@@ -188,6 +188,11 @@ def build_table(G, name):
             y = tuple(map(rep.__getitem__, y))
         powcls.append(idx)
     inv_idx = [powcls[k][-1] if cls[k].order > 1 else 0 for k in range(r)]
+    # per class, the o powers of z^-1, z = z_exp^(exponent/o) of order o
+    zinv = []
+    for o in orders:
+        zi = pow(z_exp, exponent - exponent // o, ell)
+        zinv.append([pow(zi, j, ell) for j in range(o)])
 
     rows = []
     for w in _eigenvectors(a, ell):
@@ -204,12 +209,11 @@ def build_table(G, name):
         chi = [(d * w[k] * pow(sizes[k], -1, ell)) % ell for k in range(r)]
         values = []
         for k in range(r):
-            o = orders[k]
-            z = pow(z_exp, exponent // o, ell)
+            o, zk = orders[k], zinv[k]
             inv_o = pow(o, -1, ell)
             mu = []
             for t in range(o):
-                m = sum(chi[powcls[k][s_]] * pow(z, (-s_ * t) % (ell - 1), ell)
+                m = sum(chi[powcls[k][s_]] * zk[s_ * t % o]
                         for s_ in range(o)) * inv_o % ell
                 if m > d:
                     raise AssertionError("eigenvalue multiplicity %d out of "

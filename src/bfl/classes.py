@@ -141,22 +141,22 @@ def _perm_class(p, maps, key, cap):
     return cls, min(cls, key=key)
 
 
-def enumerate_classes(G, cap=CLOSURE_CAP):
+def enumerate_classes(G):
     """All conjugacy classes of G, labeled; cached on the group.
 
     Each chain element not yet placed seeds a class, an orbit of image
     permutations; only representatives are converted back.  Overflow first
-    if |G| > cap.
+    if |G| > CLOSURE_CAP.
     """
     cached = getattr(G, "_classes", None)
     if cached is not None:
         return cached
     maps, key, total, seen, raw = (G.class_maps(), image_key(G), G.order(),
                                    set(), [])
-    for x in G.chain.elements(cap):
+    for x in G.chain.elements(CLOSURE_CAP):
         if x in seen:
             continue
-        cls, rep = _perm_class(x, maps, key, cap)
+        cls, rep = _perm_class(x, maps, key, CLOSURE_CAP)
         seen |= cls
         raw.append((element_order(rep), len(cls), key(rep), rep, cls))
         if len(seen) == total:

@@ -9,6 +9,8 @@ computation do, so it is asserted by tests against the action on points.
 
 from math import lcm
 
+ORDER_CAP = 10 ** 6
+
 
 class Overflow(Exception):
     """A cap was exceeded (element order, closure size, orbit size...)."""
@@ -357,20 +359,20 @@ def identity_like(x):
     raise ValueError("unsupported element %r" % (x,))
 
 
-def element_order(x, cap=10 ** 6):
-    """Least m >= 1 with x^m = identity; Overflow past cap."""
+def element_order(x):
+    """Least m >= 1 with x^m = identity; Overflow past ORDER_CAP."""
     if isinstance(x, Permutation):
         m = x.order()
-        if m > cap:
-            raise Overflow("order %d exceeds cap %d" % (m, cap))
+        if m > ORDER_CAP:
+            raise Overflow("order %d exceeds cap %d" % (m, ORDER_CAP))
         return m
     acc = x
     m = 1
     while not acc.is_identity():
         acc = acc * x
         m += 1
-        if m > cap:
-            raise Overflow("element order exceeds cap %d" % cap)
+        if m > ORDER_CAP:
+            raise Overflow("element order exceeds cap %d" % ORDER_CAP)
     return m
 
 

@@ -3,7 +3,7 @@
 import operator
 from functools import partial
 
-from .elements import Overflow, element_order
+from .elements import element_order
 from .fields import is_p_power
 from .groups import orbit
 
@@ -23,13 +23,12 @@ class SmallGroup:
     """
 
     def __init__(self, elements, gens, table=None, name="",
-                 derivations=None, parent_indices=None):
+                 derivations=None):
         self.elements = list(elements)
         self.gens = list(gens)
         self.table = table
         self.name = name
         self.derivations = derivations  # per element: None or (gen_pos, parent)
-        self._parent_indices = parent_indices
         self._index = None
         self._memo = {}
         self._inv = None
@@ -90,17 +89,16 @@ class SmallGroup:
         self.table = rows
 
     def induced(self, indices):
-        """The subgroup on a closed set of indices, as its own SmallGroup."""
+        """The subgroup on a closed set of indices, as its own SmallGroup:
+        member k is sorted(indices)[k] of this group."""
         sub = sorted(indices)
         if sub[0] != 0:
             raise ValueError("subgroup must contain the identity")
         remap = {q: s for s, q in enumerate(sub)}
-        n = len(sub)
         table = [tuple(remap[self.mul(a, b)] for b in sub) for a in sub]
-        gens = _minimal_gens_for_table(table)
-        S = SmallGroup([self.elements[q] for q in sub], gens, table=table,
-                       name="%s|%d" % (self.name, n), parent_indices=sub)
-        return S
+        return SmallGroup([self.elements[q] for q in sub],
+                          _minimal_gens_for_table(table), table=table,
+                          name="%s|%d" % (self.name, len(sub)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -241,28 +239,16 @@ def _by_order(A):
     return len(A), sorted(A)
 
 
-def subgroups(S, cap=1024):
-    """All subgroups as index-frozensets, sorted by (order, members): the
-    orbit of the trivial subgroup under the join with each cyclic subgroup.
-    A join is the closure of the generators its subgroup was first reached
-    by, plus the cyclic subgroup's generator, so each join is closed once."""
-    if S.order > cap:
-        raise Overflow("subgroup enumeration capped at order %d, group has %d"
-                       % (cap, S.order))
+def two_generated(S):
+    """Every subgroup generated by at most two elements, as index-frozensets
+    sorted by (order, members): the closure of each pair of cyclic
+    subgroups, each cyclic subgroup named by its least generator."""
     cyclic = {}
     for i in range(S.order):
         cyclic.setdefault(S.closure([i]), i)
-    gens = {frozenset([0]): ()}
-
-    def join(C, c, A):
-        if C <= A:
-            return A
-        B = S.closure(gens[A] + (c,))
-        gens.setdefault(B, gens[A] + (c,))
-        return B
-
-    maps = [partial(join, C, c) for C, c in cyclic.items()]
-    return sorted(orbit(list(gens), maps), key=_by_order)
+    gens = list(cyclic.values())
+    return sorted({S.closure([x, y]) for k, x in enumerate(gens)
+                   for y in gens[k:]}, key=_by_order)
 
 
 def normal_subgroups(S):

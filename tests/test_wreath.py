@@ -1,5 +1,7 @@
 """The wreath model, isomorphism test, and section search."""
 
+import hashlib
+import json
 import time
 from collections import Counter
 from functools import partial
@@ -301,3 +303,74 @@ def test_caps_read_before_indexing():
         assert v.tier == "indeterminate" and "exceeds the" in v.note
     assert iso_to_wreath(G, 3) is False
     assert time.perf_counter() - t0 < 1.0
+
+
+# each of these used to raise or, for the repeated identity, replay True
+BAD_D8_WITNESSES = [
+    ("not closed", [0, 1, 2], [0]),
+    ("repeated", [0] * 8, [0]),
+    ("out of range", [0, 9], [0]),
+    ("negative", [0, -1], [0]),
+    ("normal out of range", list(range(8)), [0, 9]),
+    ("normal leaves the subgroup", [0, 1, 3, 6], [0, 2]),
+    ("normal not a subgroup", list(range(8)), [0, 1]),
+    ("normal not normal", list(range(8)), [0, 2]),
+]
+
+
+@pytest.mark.parametrize("subgroup, normal",
+                         [case[1:] for case in BAD_D8_WITNESSES],
+                         ids=[case[0] for case in BAD_D8_WITNESSES])
+def test_reconstruct_rejects_bad_witnesses(subgroup, normal):
+    d8 = small("dihedral:8")
+    assert d8.element_order(1) == 4 and sorted(d8.closure([1])) == [0, 1, 3, 6]
+    assert reconstruct_section(d8, {"subgroup": subgroup, "normal": normal},
+                               2) is False
+
+
+def _perms(n, *cycle_lists):
+    return Group([Permutation.from_cycles(n, list(c)) for c in cycle_lists])
+
+
+# full-tier witnesses captured while the tier still walked every subgroup:
+# (group, p, order, subgroup size, subgroup, or its digest, normal)
+FULL_TIER_WITNESSES = [
+    ("sylow2-s8", lambda: _perms(8, [(0, 1)], [(2, 3)], [(0, 2), (1, 3)],
+                                 [(4, 5)], [(6, 7)], [(4, 6), (5, 7)],
+                                 [(0, 4), (1, 5), (2, 6), (3, 7)]),
+     2, 128, [0, 1, 2, 3, 8, 9, 14, 29], [0]),
+    ("d8xd8", lambda: _perms(8, [(0, 1, 2, 3)], [(0, 2)], [(4, 5, 6, 7)],
+                             [(4, 6)]),
+     2, 64, [0, 1, 2, 5, 6, 9, 15, 16], [0]),
+    ("sylow3-s9xz3", lambda: _perms(12, [(0, 1, 2)], [(3, 4, 5)],
+                                    [(6, 7, 8)],
+                                    [(0, 3, 6), (1, 4, 7), (2, 5, 8)],
+                                    [(9, 10, 11)]),
+     3, 243, "b4aa2e44937f15dd", [0]),
+]
+
+
+@pytest.mark.parametrize("make, p, order, subgroup, normal",
+                         [pin[1:] for pin in FULL_TIER_WITNESSES],
+                         ids=[pin[0] for pin in FULL_TIER_WITNESSES])
+def test_full_tier_witnesses_pinned(make, p, order, subgroup, normal):
+    G = make()
+    assert G.order() == order
+    v = wreath_section_detect(G, p, tier="full")
+    assert v.found and v.tier == "full"
+    got = v.witness["subgroup"]
+    if isinstance(subgroup, str):
+        assert len(got) == p ** (p + 1)
+        got = hashlib.sha256(json.dumps(got).encode()).hexdigest()[:16]
+    assert (got, v.witness["normal"]) == (subgroup, normal)
+    assert reconstruct_section(G, v.witness, p)
+
+
+def test_full_tier_elementary_abelian_is_quick():
+    # (Z2)^6 has 2825 subgroups, but the tier closes only the 2080 pairs of
+    # its 64 cyclic subgroups, each closure of order at most 4
+    G = cycles(*[2] * 6)
+    t0 = time.perf_counter()
+    v = wreath_section_detect(G, 2, tier="full")
+    assert not v.found and v.tier == "full"
+    assert time.perf_counter() - t0 < 5.0
