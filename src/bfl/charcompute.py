@@ -16,6 +16,7 @@ import math
 from operator import mul
 
 from .classes import enumerate_classes
+from .groups import image_kernel
 from .chartab import CharacterTable, class_mult_count
 from .cyclotomic import Cyclotomic
 from .fields import (factorize, poly_divmod, poly_gcd, poly_powmod, poly_sub,
@@ -42,21 +43,22 @@ def structure_constants(G):
     scanned, since conjugating d by the element carrying rep to c is a
     bijection of the solution set.  Class sums commute, so a[i][j] = a[j][i]:
     each unordered pair is counted once, the larger class's representative
-    against the members of the smaller.  Products run on image tuples, keys
-    of loc.
+    against the members of the smaller.  Products run on raw images
+    (`groups.image_kernel`), keys of loc: no member becomes a permutation.
     """
     cls = enumerate_classes(G)
-    loc = {p.images: k for k, C in enumerate(cls) for p in C.perms}
+    loc = {x: k for k, C in enumerate(cls) for x in C.raw}
     r = len(cls)
-    reps = [G.to_perm(C.representative).images.__getitem__ for C in cls]
+    encode, times, _ = image_kernel(G.chain.degree)
+    reps = [times(encode(G.to_perm(C.representative).images)) for C in cls]
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
             big, small = (i, j) if cls[i].size >= cls[j].size else (j, i)
             rep = reps[big]
             hits = [0] * r
-            for d in cls[small].perms:
-                hits[loc[tuple(map(rep, d.images))]] += 1
+            for x in map(rep, cls[small].raw):
+                hits[loc[x]] += 1
             for k in range(r):
                 total = cls[big].size * hits[k]
                 if total % cls[k].size:
@@ -180,12 +182,13 @@ def build_table(G, name):
 
     # powers of each representative, as class indices
     powcls = []
+    encode, times, _ = image_kernel(G.chain.degree)
     for C in cls:
-        rep = G.to_perm(C.representative).images
-        idx, y = [], tuple(range(len(rep)))
+        rep = times(encode(G.to_perm(C.representative).images))
+        idx, y = [], cls[0].raw[0]  # class 0 is the identity's
         for _ in range(C.order):
             idx.append(loc[y])
-            y = tuple(map(rep.__getitem__, y))
+            y = rep(y)
         powcls.append(idx)
     inv_idx = [powcls[k][-1] if cls[k].order > 1 else 0 for k in range(r)]
     # per class, the o powers of z^-1, z = z_exp^(exponent/o) of order o

@@ -9,7 +9,7 @@ from collections import Counter
 from math import factorial
 
 from .elements import Permutation, SquareMatrix, element_order
-from .groups import CLOSURE_CAP, orbit
+from .groups import CLOSURE_CAP, image_kernel, orbit
 
 PAIR_CAP = 2_000_000
 
@@ -30,25 +30,32 @@ def serial_key(x):
 class ConjClass:
     """One conjugacy class: representative, size, order, optional members.
 
-    An enumerated class keeps `perms`, its members' permutations on the
-    group's faithful image, and converts them to `.elements` through
-    `group.from_perm` on first read (the same set for a permutation group).
-    A class known only by its size, as from `involution_classes_sym`, has
-    neither.
+    An enumerated class keeps `raw`, its members' raw images in the order
+    its orbit met them (`groups.image_kernel`), and builds `perms`, their
+    permutations, and `.elements` from those through `group.from_perm` on
+    first read (the same set for a permutation group).  A class may be given
+    `perms` alone; one known only by its size has neither.
     """
 
-    __slots__ = ("group", "representative", "size", "order", "label", "perms",
-                 "_elements")
+    __slots__ = ("group", "representative", "size", "order", "label", "raw",
+                 "_perms", "_elements")
 
     def __init__(self, group, representative, size, order, label=None,
-                 perms=None):
+                 perms=None, raw=None):
         self.group = group
         self.representative = representative
         self.size = size
         self.order = order
         self.label = label
-        self.perms = perms
+        self.raw = raw
+        self._perms = perms
         self._elements = None
+
+    @property
+    def perms(self):  # through a dict, as from the orbit, for the same layout
+        if self._perms is None and self.raw is not None:
+            self._perms = frozenset(dict.fromkeys(map(Permutation, self.raw)))
+        return self._perms
 
     @property
     def elements(self):
@@ -126,38 +133,38 @@ def _letter(i):
 
 
 def image_key(G):
-    """serial_key of the element an image permutation stands for, read
-    straight off the permutation, with no element built."""
+    """serial_key of the element an image permutation or raw image stands
+    for, read straight off its images, with no element built."""
     if isinstance(G.identity, Permutation):
-        return lambda p: (p.images,)
+        return lambda p: (getattr(p, "images", p),)
     if isinstance(G.identity, SquareMatrix):
         return lambda p: (tuple(zip(*G.columns(p))), 0)
     return lambda p: (tuple(zip(*G.columns(p))), G.frobenius_exponent(p))
 
 
-def _perm_class(p, maps, key, cap):
-    """The class of the image permutation p, and its member with the least key."""
-    cls = frozenset(orbit([p], maps, cap, "class"))
-    return cls, min(cls, key=key)
+def _raw_class(x, maps, key):
+    """The raw image x's class, in orbit order, and its least-key member."""
+    cls = tuple(orbit([x], maps, CLOSURE_CAP, "class"))
+    return cls, Permutation(min(cls, key=key))
 
 
 def enumerate_classes(G):
     """All conjugacy classes of G, labeled; cached on the group.
 
-    Each chain element not yet placed seeds a class, an orbit of image
-    permutations; only representatives are converted back.  Overflow first
-    if |G| > CLOSURE_CAP.
+    Each element of the chain's raw stream not yet placed seeds a class, an
+    orbit of raw images; only representatives are converted back.  Overflow
+    first if |G| > CLOSURE_CAP.
     """
     cached = getattr(G, "_classes", None)
     if cached is not None:
         return cached
     maps, key, total, seen, raw = (G.class_maps(), image_key(G), G.order(),
                                    set(), [])
-    for x in G.chain.elements(CLOSURE_CAP):
+    for x in G.chain.raw_elements(CLOSURE_CAP):
         if x in seen:
             continue
-        cls, rep = _perm_class(x, maps, key, CLOSURE_CAP)
-        seen |= cls
+        cls, rep = _raw_class(x, maps, key)
+        seen.update(cls)
         raw.append((element_order(rep), len(cls), key(rep), rep, cls))
         if len(seen) == total:
             break
@@ -168,7 +175,7 @@ def enumerate_classes(G):
         label = "%d%s" % (order, _letter(counts[order]))
         counts[order] += 1
         out.append(ConjClass(G, G.from_perm(rep), size, order, label=label,
-                             perms=cls))
+                             raw=cls))
     G._classes = out
     return out
 
@@ -178,12 +185,13 @@ def class_of(G, x):
     p = G.to_perm(x)
     if p is None:
         raise ValueError("%r does not act on the group's points" % (x,))
+    x = image_kernel(G.chain.degree)[0](p.images)
     for c in getattr(G, "_classes", None) or ():
-        if p in c.perms:
+        if x in c.raw:
             return c
-    cls, rep = _perm_class(p, G.class_maps(), image_key(G), CLOSURE_CAP)
+    cls, rep = _raw_class(x, G.class_maps(), image_key(G))
     return ConjClass(G, G.from_perm(rep), len(cls), element_order(rep),
-                     perms=cls)
+                     raw=cls)
 
 
 def involution_classes_sym(G, n):

@@ -7,18 +7,20 @@ conjugacy classes, product closure, and the indexed closures of `smallgroup`.
 The stabilizer chain is a deterministic Schreier-Sims: the generators are
 registered at their depths, then the levels are verified bottom up, and a
 level is rescanned from its first point after every registration (see
-`Chain`).  At completion the order is the product of the transversal
-sizes.  Chains are built, sifted and sampled on plain
-permutations only.  Matrix and semilinear groups get a permutation image
-from `matrix_action` (the orbit of the standard basis vectors), and their
-elements cross between the two representations only at the edges:
-`Group.to_perm` on the way in (membership), `Group.from_perm` on the way out
-(random elements, class members).  Every image is faithful, so order,
-membership, the element stream and the classes all come from the one chain.
-A class is an orbit of image permutations under conjugation by the
-generating pair: two chain elements, drawn from a privately seeded stream,
-whose own chain reaches the group's order (`Group.generating_pair`).  A
-matrix is recovered from the images of the basis vectors, which are its
+`Chain`).  At completion the order is the product of the transversal sizes.
+Chains are built, sifted and sampled on plain permutations only.  Matrix and
+semilinear groups get a permutation image from `matrix_action` (the orbit
+of the standard basis vectors), and their elements cross between the two
+representations only at the edges: `Group.to_perm` on the way in
+(membership), `Group.from_perm` on the way out (random elements, class
+representatives).  Every image is faithful, so order, membership, the
+element stream and the classes all come from the one chain.  The stream,
+class orbits and pair closures compose raw images (`image_kernel`): bytes
+up to 256 points, tuples past that.  A class is an orbit of raw images under
+conjugation by the generating pair: two chain elements, drawn from a
+privately seeded stream, whose own chain reaches the group's order
+(`Group.generating_pair`); its members become permutations only when read.
+A matrix is recovered from the images of the basis vectors, which are its
 columns.  A semilinear map A frob^e also sends w*e1, for w primitive, to
 w^(r^e) * A e1, so the action orbits w*e1 too; that point pins down e
 (`Group.frobenius_exponent`), and it makes the image faithful, since on
@@ -30,7 +32,7 @@ from collections import defaultdict, deque
 from functools import partial
 from itertools import islice
 from math import prod
-from operator import mul
+from operator import methodcaller, mul
 
 from .elements import (Permutation, SquareMatrix, SemilinearElement, Overflow,
                        identity_like)
@@ -62,6 +64,30 @@ def orbit(seeds, maps, cap=None, what="orbit"):
                 tree[y] = (i, x)
                 queue.append(y)
     return tree
+
+
+def image_kernel(degree):
+    """(encode, times, conj) on raw images of permutations of {0..degree-1}:
+    bytes composed by `bytes.translate` up to 256 points, tuples past that.
+    encode(images) is a raw image, times(g) maps x to g x, conj(g) maps y to
+    g^-1 y g; raw images order like images tuples, Permutation(x) decodes."""
+    if degree > 256:
+        def times(g):
+            return lambda x: tuple([g[k] for k in x])
+
+        def conj(g):
+            gi = tuple(sorted(range(degree), key=g.__getitem__))
+            return lambda y: tuple([gi[y[j]] for j in g])
+        return tuple, times, conj
+    pad = bytes(256 - degree)
+
+    def times(g):
+        return methodcaller("translate", g + pad)
+
+    def conj(g):
+        gi = bytes(sorted(range(degree), key=g.__getitem__)) + pad
+        return lambda y: g.translate(y + pad).translate(gi)
+    return bytes, times, conj
 
 
 class _Level:
@@ -186,16 +212,24 @@ class Chain:
     def elements(self, cap=None):
         """Every element once, lazily, as the products t_0 * t_1 * ... * t_k
         of transversal representatives; Overflow first if the order > cap."""
+        return map(Permutation, self.raw_elements(cap))
+
+    def raw_elements(self, cap=None):
+        """`elements` as raw images (`image_kernel`), no permutation built."""
         if cap is not None and self.order() > cap:
             raise Overflow("closure exceeds cap %d" % cap)
+        encode, times, _ = image_kernel(self.degree)
+        levels = [[encode(t.images) for t in L.transversal.values()]
+                  for L in self.levels]
 
         def walk(w, k):
-            if k == len(self.levels):
+            if k == len(levels):
                 yield w
                 return
-            for t in self.levels[k].transversal.values():
-                yield from walk(w * t, k + 1)
-        return walk(self.identity, 0)
+            f = times(w)
+            for t in levels[k]:
+                yield from walk(f(t), k + 1)
+        return walk(encode(self.identity.images), 0)
 
 
 class ActionRecord:
@@ -249,16 +283,6 @@ def _basis(n):
 
 def _scaled_e1(F, n):
     return (F.primitive(),) + (0,) * (n - 1)
-
-
-def _conjugator(g):
-    """y -> g^-1 y g on permutations, in one pass over the images."""
-    gim, gi = g.images, (~g).images
-
-    def conj(y):
-        yi = y.images
-        return Permutation([gi[yi[j]] for j in gim])
-    return conj
 
 
 def closure_enumerate(gens, cap=CLOSURE_CAP):
@@ -341,17 +365,17 @@ class Group:
         return Permutation(images)
 
     def columns(self, p):
-        """The columns of the matrix whose image is p: the basis vectors' images."""
-        act = self.action
+        """The columns of the matrix with image (or raw image) p: the basis vectors' images."""
+        act, images = self.action, getattr(p, "images", p)
         if self._basis_at is None:
             try:
                 self._basis_at = [act.index[v] for v in _basis(self._identity.n)]
             except KeyError:
                 raise ValueError("the basis vectors are not all action points") from None
-        return [act.points[p.images[k]] for k in self._basis_at]
+        return [act.points[images[k]] for k in self._basis_at]
 
     def frobenius_exponent(self, p):
-        """The e of the semilinear map A frob^e whose image is p.
+        """The e of the semilinear map A frob^e with image (or raw image) p.
 
         The map sends e1 to v = A e1 and w*e1 to w^(r^e) * v, so e is read
         off the images of those two points in one dict (cached): (index of
@@ -368,8 +392,8 @@ class Group:
                         table[i, j] = e
             self._frob_at = (act.index[_basis(n)[0]],
                              act.index[_scaled_e1(F, n)], table)
-        e1, we1, table = self._frob_at
-        return table[p.images[e1], p.images[we1]]
+        (e1, we1, table), images = self._frob_at, getattr(p, "images", p)
+        return table[images[e1], images[we1]]
 
     def from_perm(self, p):
         """The element whose image is p, read off the images of the basis
@@ -415,9 +439,10 @@ class Group:
         return self._pair
 
     def class_maps(self):
-        """Conjugation y -> g^-1 y g by each permutation of the generating
-        pair: a class is the same orbit under any generating set."""
-        return [_conjugator(g) for g in self.generating_pair()]
+        """Conjugation y -> g^-1 y g on raw images by each permutation of the
+        generating pair: a class is the same orbit under any generating set."""
+        encode, _, conj = image_kernel(self.chain.degree)
+        return [conj(encode(g.images)) for g in self.generating_pair()]
 
     def __repr__(self):
         return "Group(%s, %d gens)" % (self.name or self.kind, len(self.gens))

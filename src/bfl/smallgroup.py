@@ -89,13 +89,17 @@ class SmallGroup:
         self.table = rows
 
     def induced(self, indices):
-        """The subgroup on a closed set of indices, as its own SmallGroup:
-        member k is sorted(indices)[k] of this group."""
+        """The subgroup on a closed set of indices (else ValueError), as its
+        own SmallGroup: member k is sorted(indices)[k] of this group."""
         sub = sorted(indices)
         if sub[0] != 0:
             raise ValueError("subgroup must contain the identity")
         remap = {q: s for s, q in enumerate(sub)}
-        table = [tuple(remap[self.mul(a, b)] for b in sub) for a in sub]
+        try:
+            table = [tuple(remap[self.mul(a, b)] for b in sub) for a in sub]
+        except KeyError as e:
+            raise ValueError("indices are not closed: the product %d of two "
+                             "of them is missing" % e.args[0]) from None
         return SmallGroup([self.elements[q] for q in sub],
                           _minimal_gens_for_table(table), table=table,
                           name="%s|%d" % (self.name, len(sub)))

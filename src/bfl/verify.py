@@ -9,8 +9,8 @@ so reruns are bit-identical.
 Every pair check runs on the ambient group's faithful permutation image, and
 an element goes back through `Group.from_perm` only for a witness.  The two
 conjugate scans, bf-pair and wreath-free, share one driver: c and every
-d' = g^-1 d g are image permutations.  bf-pair closes <c, d'> on image
-tuples; a subgroup larger than |G|_p is not a p-group, so the closure stops
+d' = g^-1 d g are image permutations.  bf-pair closes <c, d'> on raw
+images; a subgroup larger than |G|_p is not a p-group, so the closure stops
 past min(|G|_p, PAIR_CLOSURE_CAP) and still decides the pair, and a
 stabilizer chain is built only past that cap.  wreath-free builds one chain
 per closure, which gives its order and serves the section search.  The
@@ -31,7 +31,7 @@ from .elements import (Overflow, SquareMatrix, commutator, conjugate,
                        deserialize_element, element_order, identity_like,
                        inverse, serialize_element)
 from .fields import GF, is_p_power, is_prime, poly_trim
-from .groups import Group, orbit
+from .groups import Group, image_kernel, orbit
 from .modrep import commutator_dim
 from .report import (FAILS, HOLDS, INDETERMINATE, SKIPPED, ScanPlan, Verdict)
 from .wreath import wreath_section_detect
@@ -92,10 +92,10 @@ def _conjugate_perms(G, d, d_cls, plan):
 
 def _capped_order(cq, dq, cap):
     """|<cq, dq>| for two image permutations, or None once it exceeds cap."""
-    maps = [lambda x, g=g.images.__getitem__: tuple(map(g, x))
-            for g in (cq, dq)]
+    encode, times, _ = image_kernel(cq.degree)
+    maps = [times(encode(g.images)) for g in (cq, dq)]
     try:
-        return len(orbit([tuple(range(cq.degree))], maps, cap, "closure"))
+        return len(orbit([encode(range(cq.degree))], maps, cap, "closure"))
     except Overflow:
         return None
 

@@ -1,5 +1,6 @@
 """Character tables: validation, structure constants, class-level pair test."""
 
+import hashlib
 import json
 import math
 import os
@@ -239,6 +240,18 @@ def test_shipped_files_match_regeneration(name, bp):
     text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
     with open(os.path.join(TABLE_DIR, name + ".json"), encoding="utf-8") as fh:
         assert fh.read() == text
+
+
+def test_sl2_17_constants_and_table_pinned():
+    # 288 points: products run on tuples, past the bytes kernel's 256
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "pinned_sl2_17.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    G = construct(pinned["blueprint"])
+    assert G.chain.degree == pinned["degree"] > 256
+    assert structure_constants(G)[2] == pinned["structure_constants"]
+    text = json.dumps(build_table(G, "sl2_17").to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned["table_sha256"]
 
 
 def test_generator_rejects_wrong_constants(monkeypatch):

@@ -196,6 +196,17 @@ def test_pinned_class_lists(name):
     assert json.loads(json.dumps(got)) == PINNED[name]["classes"]
 
 
+def test_sl2_17_class_list_pinned():
+    # 288 points: class orbits run on tuples, past the bytes kernel's 256
+    with open(os.path.join(DATA, "pinned_sl2_17.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    G = construct(pinned["blueprint"])
+    assert (G.chain.degree, G.order()) == (pinned["degree"], pinned["order"])
+    got = [[c.label, c.size, c.order, serial_key(c.representative)]
+           for c in enumerate_classes(G)]
+    assert json.loads(json.dumps(got)) == pinned["classes"]
+
+
 @pytest.mark.parametrize("name", [n for n in PINNED
                                   if PINNED[n]["digests"] is not None])
 def test_pinned_class_members(name):

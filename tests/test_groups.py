@@ -3,13 +3,18 @@
 import hashlib
 import json
 import random
+from functools import reduce
+from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfl.fields import GF
-from bfl.elements import Permutation, SquareMatrix, SemilinearElement, Overflow
-from bfl.groups import Group, closure_enumerate, matrix_action, orbit
+from bfl.elements import (Permutation, SquareMatrix, SemilinearElement,
+                          Overflow, conjugate)
+from bfl.groups import (Group, closure_enumerate, image_kernel, matrix_action,
+                        orbit)
 from bfl.catalog import construct
 from bfl import classes
 from bfl.classes import class_of, enumerate_classes
@@ -421,6 +426,41 @@ def test_orbit_overflow_at_cap():
     assert str(err.value) == "widget exceeds cap 9"
     # seeds always enter; the cap stops only the points found from them
     assert list(orbit([0, 1, 2], [lambda x: x], cap=1)) == [0, 1, 2]
+
+
+# ---- the raw-image kernel ---------------------------------------------------
+
+def _random_perm(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
+@pytest.mark.parametrize("n, kind", [(1, bytes), (2, bytes), (8, bytes),
+                                     (80, bytes), (255, bytes), (256, bytes),
+                                     (257, tuple), (288, tuple)])
+def test_image_kernel_matches_permutation_products(n, kind):
+    rng = random.Random(0x21 + n)
+    encode, times, conj = image_kernel(n)
+    for _ in range(5):
+        g, x = _random_perm(rng, n), _random_perm(rng, n)
+        gr, xr = encode(g.images), encode(x.images)
+        assert type(gr) is kind and Permutation(gr) == g
+        assert Permutation(times(gr)(xr)) == g * x
+        assert Permutation(conj(gr)(xr)) == conjugate(x, g)
+    # raw images order like the images tuples
+    perms = [_random_perm(rng, n) for _ in range(20)]
+    assert (sorted(perms, key=lambda p: encode(p.images))
+            == sorted(perms, key=lambda p: p.images))
+
+
+@pytest.mark.parametrize("name", ["sym:5", "gl:3:3", "sl:2:17"])
+def test_element_stream_is_the_transversal_products(name):
+    # raw images below 257 points (gl:3:3 has 26), tuples past (sl:2:17, 288)
+    chain = construct(name).chain
+    levels = [list(L.transversal.values()) for L in chain.levels]
+    want = [reduce(mul, ts, chain.identity) for ts in product(*levels)]
+    assert list(chain.elements()) == want
 
 
 # ---- the generating pair behind class orbits --------------------------------

@@ -141,6 +141,16 @@ def test_induced_subgroup(s4):
                for k, q in enumerate(members))
 
 
+def test_induced_names_the_missing_product():
+    D = small("dihedral:8")
+    assert D.mul(1, 1) == 3
+    with pytest.raises(ValueError, match=r"^indices are not closed: the "
+                       r"product 3 of two of them is missing$"):
+        D.induced([0, 1, 2])
+    with pytest.raises(ValueError, match="identity"):
+        D.induced([1, 2])
+
+
 def test_is_p_group_both_input_kinds():
     assert is_p_group(small("dihedral:8"), 2)
     assert not is_p_group(small("dihedral:8"), 3)
