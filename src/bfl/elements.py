@@ -8,6 +8,7 @@ computation do, so it is asserted by tests against the action on points.
 """
 
 from math import lcm
+from operator import itemgetter
 
 ORDER_CAP = 10 ** 6
 
@@ -53,9 +54,12 @@ class Permutation:
 
     def __mul__(self, other):
         # (self*other)(v) = self(other(v))
-        im = other.images
-        s = self.images
-        return Permutation([s[im[i]] for i in range(len(s))])
+        s, im = self.images, other.images
+        if len(s) != len(im):
+            raise TypeError("degree mismatch %d / %d" % (len(s), len(im)))
+        if len(im) < 2:  # the identity; itemgetter needs two indices for a tuple
+            return Permutation(im)
+        return Permutation(itemgetter(*im)(s))
 
     def __invert__(self):
         inv = [0] * len(self.images)

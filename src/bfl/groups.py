@@ -14,9 +14,11 @@ of the standard basis vectors), and their elements cross between the two
 representations only at the edges: `Group.to_perm` on the way in
 (membership), `Group.from_perm` on the way out (random elements, class
 representatives).  Every image is faithful, so order, membership, the
-element stream and the classes all come from the one chain.  The stream,
-class orbits and pair closures compose raw images (`image_kernel`): bytes
-up to 256 points, tuples past that.  A class is an orbit of raw images under
+element stream and the classes all come from the one chain.  The chain
+sifts without inverting a representative, and the stream, class orbits and
+pair closures compose raw images (`image_kernel`): bytes up to 256 points,
+tuples composed by `operator.itemgetter` past that, as in
+`Permutation.__mul__`.  A class is an orbit of raw images under
 conjugation by the generating pair: two chain elements, drawn from a
 privately seeded stream, whose own chain reaches the group's order
 (`Group.generating_pair`); its members become permutations only when read.
@@ -28,11 +30,11 @@ the basis alone the field automorphism acts trivially.
 """
 
 import random
-from collections import defaultdict, deque
+from collections import deque
 from functools import partial
 from itertools import islice
 from math import prod
-from operator import methodcaller, mul
+from operator import itemgetter, methodcaller, mul
 
 from .elements import (Permutation, SquareMatrix, SemilinearElement, Overflow,
                        identity_like)
@@ -68,16 +70,18 @@ def orbit(seeds, maps, cap=None, what="orbit"):
 
 def image_kernel(degree):
     """(encode, times, conj) on raw images of permutations of {0..degree-1}:
-    bytes composed by `bytes.translate` up to 256 points, tuples past that.
-    encode(images) is a raw image, times(g) maps x to g x, conj(g) maps y to
-    g^-1 y g; raw images order like images tuples, Permutation(x) decodes."""
+    bytes composed by `bytes.translate` up to 256 points, tuples composed by
+    `operator.itemgetter` past that.  encode(images) is a raw image, times(g)
+    maps x to g x, conj(g) maps y to g^-1 y g; raw images order like images
+    tuples, Permutation(x) decodes."""
     if degree > 256:
         def times(g):
-            return lambda x: tuple([g[k] for k in x])
+            return lambda x: itemgetter(*x)(g)
 
         def conj(g):
             gi = tuple(sorted(range(degree), key=g.__getitem__))
-            return lambda y: tuple([gi[y[j]] for j in g])
+            pick = itemgetter(*g)
+            return lambda y: pick(itemgetter(*y)(gi))
         return tuple, times, conj
     pad = bytes(256 - degree)
 
@@ -111,11 +115,13 @@ class Chain:
     it, so the sweep terminates with every level clean.
 
     A registration rebuilds the transversals, so level i is scanned again
-    from its first point.  s = t_q^-1 * g * t_p (q = g(p)) is the identity
-    exactly when g * t_p equals t_q, tested without an inverse.  An s that
-    sifted to the identity is not sifted again in the same build: it is a
-    product of deeper representatives, and the deeper levels only grow and
-    are clean whenever level i is scanned, so the sift would repeat.
+    from its first point.  A sift never inverts a representative: it keeps
+    the product left = t_a * t_b * ... of the representatives stripped so
+    far, so the residue is left^-1 * w, its image of a base point b is
+    left.index(w(b)), and it is the identity exactly when left == w.  A
+    Schreier generator s = t_q^-1 * g * t_p (q = g(p)) is sifted as g * t_p
+    from left = t_q, and an inverse is built only for a residue that is
+    registered or returned as not the identity.
     """
 
     def __init__(self, degree):
@@ -129,31 +135,36 @@ class Chain:
     def build(self, perms):
         for w in perms:
             self._register(w)
-        known = defaultdict(set)
         i = len(self.levels) - 1
         while i >= 0:
-            d = self._verify(i, known[i])
+            d = self._verify(i)
             i = i - 1 if d is None else d
 
     def sift(self, w, start=0):
         """Strip w through the chain; return (residue, level it got stuck at)."""
+        left, lev = self._descend(self.identity.images, w.images, start)
+        return self._residue(left, w.images), lev
+
+    def _descend(self, left, w, start):
+        """Strip left^-1 * w from level start on, left and w given by their
+        images; return the grown left and the level it got stuck at."""
         for lev in range(start, len(self.levels)):
             L = self.levels[lev]
-            pt = w(L.point)
-            if pt == L.point:
-                continue
-            if pt not in L.transversal:
-                return w, lev
-            w = Permutation(self._strip(L.transversal[pt], w.images))
-        return w, len(self.levels)
+            pt = left.index(w[L.point])
+            if pt != L.point:
+                t = L.transversal.get(pt)
+                if t is None:
+                    return left, lev
+                left = itemgetter(*t.images)(left)
+        return left, len(self.levels)
 
-    def _strip(self, t, images):
-        """The images of t^-1 * w, w given by its images, through a one-pass
-        inverse of t built over the identity's own int objects."""
-        ti = list(self.identity.images)
-        for i, j in zip(self.identity.images, t.images):
-            ti[j] = i
-        return tuple([ti[k] for k in images])
+    def _residue(self, left, w):
+        """left^-1 * w, through an inverse of left built over the identity's
+        own int objects; the identity itself when left == w."""
+        if left == w:
+            return self.identity
+        inv = sorted(self.identity.images, key=left.__getitem__)
+        return Permutation(itemgetter(*w)(inv))
 
     def _register(self, w):
         """Install w as a strong generator at its depth; return that depth."""
@@ -180,26 +191,18 @@ class Chain:
             t[y] = L.gens[i] * t[x]
         L.transversal = t
 
-    def _verify(self, i, known):
+    def _verify(self, i):
         """Scan level i's Schreier generators; register the first dirty residue
         and return its depth, or None when the level is clean."""
         L = self.levels[i]
         T = L.transversal
         for pt in list(T):
-            ui = T[pt].images
+            times_u = itemgetter(*T[pt].images)
             for g in L.gens:
-                gim = g.images
-                gu = tuple([gim[k] for k in ui])
-                if gu == T[gim[pt]].images:  # s is the identity
-                    continue
-                s = self._strip(T[gim[pt]], gu)  # fixes base[:i+1]
-                if s in known:
-                    continue
-                r, _ = self.sift(Permutation(s), i + 1)
-                if r.is_identity():
-                    known.add(s)
-                    continue
-                return self._register(r)
+                gu = times_u(g.images)  # g * t_p
+                left, _ = self._descend(T[g(pt)].images, gu, i + 1)
+                if left != gu:
+                    return self._register(self._residue(left, gu))
         return None
 
     def random(self, rng):

@@ -1,5 +1,7 @@
 """Group elements: composition conventions, orders, serialization."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,23 @@ def test_perm_group_axioms(data):
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
     assert compose(a, inverse(a)).is_identity()
     assert compose(inverse(a), a).is_identity()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 80, 256, 257, 728])
+def test_perm_product_point_by_point(n):
+    rng = random.Random(0x22 + n)
+    for _ in range(3):
+        a, b = (Permutation(rng.sample(range(n), n)) for _ in range(2))
+        want = [a.images[b.images[v]] for v in range(n)]
+        assert list((a * b).images) == want
+
+
+def test_perm_product_degree_mismatch():
+    a, b = Permutation(range(3)), Permutation([1, 0, 2, 3, 4])
+    with pytest.raises(TypeError, match="degree mismatch 3 / 5"):
+        a * b
+    with pytest.raises(TypeError, match="degree mismatch 5 / 3"):
+        b * a
 
 
 # --- matrices ---

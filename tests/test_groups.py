@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bfl.fields import GF
 from bfl.elements import (Permutation, SquareMatrix, SemilinearElement,
-                          Overflow, conjugate)
+                          Overflow)
 from bfl.groups import (Group, closure_enumerate, image_kernel, matrix_action,
                         orbit)
 from bfl.catalog import construct
@@ -352,19 +352,26 @@ def _sift_reference(chain, w, start):
 
 
 @pytest.mark.parametrize("small, big", [("alt:6", "sym:6"),
-                                        ("sl:2:9", "gl:2:9")])
+                                        ("sl:2:9", "gl:2:9"),
+                                        ("sl:2:27", "gl:2:27")])  # 728 points
 def test_sift_matches_reference(small, big):
     H, G = construct(small), construct(big)
+    depth = len(H.chain.levels)
     rng = random.Random(11)
-    verdicts = set()
+    verdicts, outcomes = set(), set()
     for _ in range(60):
         w = H.to_perm(G.random_element(rng))
-        for start in range(len(H.chain.levels) + 1):
+        for start in range(depth + 1):
             r, lev = H.chain.sift(w, start)
             want, want_lev = _sift_reference(H.chain, w, start)
             assert (r.images, lev) == (want.images, want_lev)
+            if start < depth:
+                outcomes.add("stuck" if lev < depth else
+                             "member" if r.is_identity() else "residue")
         verdicts.add(H.contains(H.from_perm(w)))
     assert verdicts == {True, False}
+    # stuck at a level, and through every level with or without a residue
+    assert outcomes == {"stuck", "member", "residue"}
 
 
 def _overflow_text(call):
@@ -436,18 +443,30 @@ def _random_perm(rng, n):
     return Permutation(images)
 
 
+def _product_by_points(*perms):
+    """Images of the product of perms, the last applied first, point by point."""
+    n = len(perms[0].images)
+    images = list(range(n))
+    for p in reversed(perms):
+        images = [p.images[v] for v in images]
+    return tuple(images)
+
+
 @pytest.mark.parametrize("n, kind", [(1, bytes), (2, bytes), (8, bytes),
                                      (80, bytes), (255, bytes), (256, bytes),
-                                     (257, tuple), (288, tuple)])
+                                     (257, tuple), (288, tuple), (728, tuple)])
 def test_image_kernel_matches_permutation_products(n, kind):
     rng = random.Random(0x21 + n)
     encode, times, conj = image_kernel(n)
     for _ in range(5):
         g, x = _random_perm(rng, n), _random_perm(rng, n)
         gr, xr = encode(g.images), encode(x.images)
+        ginv = [0] * n
+        for v in range(n):
+            ginv[g(v)] = v
         assert type(gr) is kind and Permutation(gr) == g
-        assert Permutation(times(gr)(xr)) == g * x
-        assert Permutation(conj(gr)(xr)) == conjugate(x, g)
+        assert tuple(times(gr)(xr)) == _product_by_points(g, x)
+        assert tuple(conj(gr)(xr)) == _product_by_points(Permutation(ginv), x, g)
     # raw images order like the images tuples
     perms = [_random_perm(rng, n) for _ in range(20)]
     assert (sorted(perms, key=lambda p: encode(p.images))
