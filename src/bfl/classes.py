@@ -6,9 +6,11 @@ labeling is stable across runs and machines.
 """
 
 from collections import Counter
+from itertools import filterfalse
 from math import factorial
+from operator import getitem, itemgetter
 
-from .elements import Permutation, SquareMatrix, element_order
+from .elements import Permutation, element_order
 from .groups import CLOSURE_CAP, image_kernel, orbit
 
 PAIR_CAP = 2_000_000
@@ -133,17 +135,29 @@ def _letter(i):
 
 
 def image_key(G):
-    """serial_key of the element an image permutation or raw image stands
-    for, read straight off its images, with no element built."""
+    """An integer rank of image permutations or raw images that orders them
+    like serial_key of the elements they stand for, read off per-point
+    tables (`Group.rank_tables`) with no element built; for a permutation
+    group, the images themselves."""
     if isinstance(G.identity, Permutation):
-        return lambda p: (getattr(p, "images", p),)
-    if isinstance(G.identity, SquareMatrix):
-        return lambda p: (tuple(zip(*G.columns(p))), 0)
-    return lambda p: (tuple(zip(*G.columns(p))), G.frobenius_exponent(p))
+        return lambda p: getattr(p, "images", p)
+    at, weights, frob = G.rank_tables()
+    # itemgetter of one index gives no tuple
+    pick = itemgetter(*at) if len(at) > 1 else lambda im: (im[at[0]],)
+    if frob is None:
+        return lambda p: sum(map(getitem, weights,
+                                 pick(getattr(p, "images", p))))
+    e1_we1, table = itemgetter(*frob[:2]), frob[2]
+
+    def rank(p):
+        images = getattr(p, "images", p)
+        return (sum(map(getitem, weights, pick(images)))
+                + table[e1_we1(images)])
+    return rank
 
 
 def _raw_class(x, maps, key):
-    """The raw image x's class, in orbit order, and its least-key member."""
+    """The raw image x's class, in orbit order, and its least-rank member."""
     cls = tuple(orbit([x], maps, CLOSURE_CAP, "class"))
     return cls, Permutation(min(cls, key=key))
 
@@ -160,9 +174,8 @@ def enumerate_classes(G):
         return cached
     maps, key, total, seen, raw = (G.class_maps(), image_key(G), G.order(),
                                    set(), [])
-    for x in G.chain.raw_elements(CLOSURE_CAP):
-        if x in seen:
-            continue
+    for x in filterfalse(seen.__contains__,
+                         G.chain.raw_elements(CLOSURE_CAP)):
         cls, rep = _raw_class(x, maps, key)
         seen.update(cls)
         raw.append((element_order(rep), len(cls), key(rep), rep, cls))

@@ -175,7 +175,7 @@ class FieldSpec:
         if q <= _TABLE_CAP:
             self._build_tables()
         else:
-            self.ADD = self.MUL = None
+            self.ADD = self.MUL = self.FROB = None
         self._prim = None
 
     @staticmethod
@@ -233,6 +233,10 @@ class FieldSpec:
         for a in range(1, q):
             inv[a] = self.MUL[a].index(1)
         self.INV = inv
+        frob = [list(range(q))]  # frob[e][a] = a^(r^e)
+        for _ in range(1, self.k):
+            frob.append([self.pow(a, self.r) for a in frob[-1]])
+        self.FROB = frob
 
     # ---- public ops --------------------------------------------------
 
@@ -273,6 +277,8 @@ class FieldSpec:
 
     def frobenius(self, a, e=1):
         """a ^ (r^e), the field automorphism applied e times."""
+        if self.FROB:
+            return self.FROB[e % self.k][a]
         out = a
         for _ in range(e % self.k):
             out = self.pow(out, self.r)

@@ -23,16 +23,17 @@ conjugation by the generating pair: two chain elements, drawn from a
 privately seeded stream, whose own chain reaches the group's order
 (`Group.generating_pair`); its members become permutations only when read.
 A matrix is recovered from the images of the basis vectors, which are its
-columns.  A semilinear map A frob^e also sends w*e1, for w primitive, to
-w^(r^e) * A e1, so the action orbits w*e1 too; that point pins down e
-(`Group.frobenius_exponent`), and it makes the image faithful, since on
-the basis alone the field automorphism acts trivially.
+columns, and ranked by them (`Group.rank_tables`) without being built.  A
+semilinear map A frob^e also sends w*e1, for w primitive, to w^(r^e) * A e1,
+so the action orbits w*e1 too; that point pins down e
+(`Group.frobenius_exponent`), and it makes the image faithful, since on the
+basis alone the field automorphism acts trivially.
 """
 
 import random
 from collections import deque
 from functools import partial
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import prod
 from operator import itemgetter, methodcaller, mul
 
@@ -218,21 +219,17 @@ class Chain:
         return map(Permutation, self.raw_elements(cap))
 
     def raw_elements(self, cap=None):
-        """`elements` as raw images (`image_kernel`), no permutation built."""
+        """`elements` as raw images (`image_kernel`), no permutation built:
+        each level's prefixes times its representatives, by C-level maps."""
         if cap is not None and self.order() > cap:
             raise Overflow("closure exceeds cap %d" % cap)
         encode, times, _ = image_kernel(self.degree)
-        levels = [[encode(t.images) for t in L.transversal.values()]
-                  for L in self.levels]
-
-        def walk(w, k):
-            if k == len(levels):
-                yield w
-                return
-            f = times(w)
-            for t in levels[k]:
-                yield from walk(f(t), k + 1)
-        return walk(encode(self.identity.images), 0)
+        stream = iter([encode(self.identity.images)])
+        for L in self.levels:
+            reps = [encode(t.images) for t in L.transversal.values()]
+            stream = chain.from_iterable(map(map, map(times, stream),
+                                             repeat(reps)))
+        return stream
 
 
 class ActionRecord:
@@ -314,8 +311,7 @@ class Group:
             raise ValueError("empty generator list needs an explicit identity")
         self._chain = None
         self._action = None
-        self._basis_at = None
-        self._frob_at = None
+        self._rank = None
         self._pair = None
 
     @property
@@ -369,33 +365,48 @@ class Group:
 
     def columns(self, p):
         """The columns of the matrix with image (or raw image) p: the basis vectors' images."""
-        act, images = self.action, getattr(p, "images", p)
-        if self._basis_at is None:
+        points, images = self.action.points, getattr(p, "images", p)
+        return [points[images[k]] for k in self.rank_tables()[0]]
+
+    def rank_tables(self):
+        """(at, weights, frob): per-point tables of an integer rank that
+        orders image permutations like the (rows, e) of their elements
+        (cached).
+
+        Codes lie in range(q), so the row-major entries of an n x n matrix
+        read as the base-q integer sum_j weights[j][p[at[j]]], at[j] the
+        action index of e_j and weights[j][c] = sum_i points[c][i] *
+        q^(n*n-1-(i*n+j)).  A semilinear map's rank is that integer times k
+        plus its e: its weights come times k, and frob is (e1, we1, table)
+        with e = table[p[e1], p[we1]], since A frob^e sends e1 to v = A e1
+        and w*e1 to w^(r^e) * v; frob is None for a linear group.
+        """
+        if self._rank is None:
+            act, F, n = self.action, self._identity.field, self._identity.n
             try:
-                self._basis_at = [act.index[v] for v in _basis(self._identity.n)]
+                at = [act.index[v] for v in _basis(n)]
             except KeyError:
                 raise ValueError("the basis vectors are not all action points") from None
-        return [act.points[images[k]] for k in self._basis_at]
+            frob = None
+            if isinstance(self._identity, SemilinearElement):
+                powers = [F.frobenius(F.primitive(), e) for e in range(F.k)]
+                table = {}
+                for i, v in enumerate(act.points):
+                    for e, s in enumerate(powers):
+                        j = act.index.get(tuple([F.mul(s, x) for x in v]))
+                        if j is not None:
+                            table[i, j] = e
+                frob = (at[0], act.index[_scaled_e1(F, n)], table)
+            scale = 1 if frob is None else F.k
+            weights = [[sum(c * F.q ** (n * n - 1 - (i * n + j))
+                            for i, c in enumerate(v)) * scale
+                        for v in act.points] for j in range(n)]
+            self._rank = (at, weights, frob)
+        return self._rank
 
     def frobenius_exponent(self, p):
-        """The e of the semilinear map A frob^e with image (or raw image) p.
-
-        The map sends e1 to v = A e1 and w*e1 to w^(r^e) * v, so e is read
-        off the images of those two points in one dict (cached): (index of
-        v, index of w^(r^e) * v) -> e over the action points.
-        """
-        if self._frob_at is None:
-            act, F, n = self.action, self._identity.field, self._identity.n
-            powers = [F.frobenius(F.primitive(), e) for e in range(F.k)]
-            table = {}
-            for i, v in enumerate(act.points):
-                for e, s in enumerate(powers):
-                    j = act.index.get(tuple([F.mul(s, x) for x in v]))
-                    if j is not None:
-                        table[i, j] = e
-            self._frob_at = (act.index[_basis(n)[0]],
-                             act.index[_scaled_e1(F, n)], table)
-        (e1, we1, table), images = self._frob_at, getattr(p, "images", p)
+        """The e of the semilinear map A frob^e with image (or raw image) p."""
+        (e1, we1, table), images = self.rank_tables()[2], getattr(p, "images", p)
         return table[images[e1], images[we1]]
 
     def from_perm(self, p):

@@ -8,8 +8,8 @@ import os
 import pytest
 
 from bfl import classes
-from bfl.elements import (Overflow, Permutation, SquareMatrix, element_order,
-                          inverse)
+from bfl.elements import (Overflow, Permutation, SemilinearElement,
+                          SquareMatrix, element_order, inverse)
 from bfl.fields import GF
 from bfl.groups import Group, closure_enumerate
 from bfl.catalog import construct
@@ -279,14 +279,49 @@ def _semilinear_file_group(seed, tmp_path):
     return construct("file:%s" % path)
 
 
+def _assert_rank_orders_like_serial_key(G):
+    """Sorting every image permutation by image_key gives the serial_key
+    order of the elements, and no two ranks are equal; returns the pairs."""
+    key = image_key(G)
+    pairs = [(p, G.from_perm(p)) for p in G.chain.elements()]
+    ranks = [key(p) for p, _ in pairs]
+    assert all(isinstance(r, int) for r in ranks)
+    assert len(set(ranks)) == len(pairs) == G.order()
+    assert ([p for p, _ in sorted(pairs, key=lambda t: key(t[0]))]
+            == [p for p, _ in sorted(pairs, key=lambda t: serial_key(t[1]))])
+    return pairs
+
+
 @pytest.mark.parametrize("seed", [3, 0xBF])
 def test_semilinear_key_read_off_the_image(seed, tmp_path):
     G = _semilinear_file_group(seed, tmp_path)
-    key = image_key(G)
-    n = 0
-    for p in G.chain.elements():
-        x = G.from_perm(p)
-        assert key(p) == serial_key(x)
-        assert G.to_perm(x) == p
-        n += 1
-    assert n == G.order() == 11520
+    pairs = _assert_rank_orders_like_serial_key(G)
+    assert len(pairs) == 11520
+    assert all(G.to_perm(x) == p for p, x in pairs)
+
+
+def _gammal1_9():
+    """Gamma-L(1,9) on w*frob: one basis point, so the rank reads one column."""
+    F = GF(9)
+    return Group([SemilinearElement(SquareMatrix(F, [[F.primitive()]]), 1)])
+
+
+@pytest.mark.parametrize("make", [lambda: construct("sp:4:3"),
+                                  lambda: construct("gl:3:3"), _gammal1_9],
+                         ids=["sp:4:3", "gl:3:3", "gammal1_9"])
+def test_matrix_key_read_off_the_image(make):
+    _assert_rank_orders_like_serial_key(make())
+
+
+def test_stream_base_cases():
+    # no level: the trivial group streams exactly its identity
+    G = construct("sym:1")
+    assert list(G.chain.raw_elements()) == [b"\x00"]
+    assert list(G.chain.elements()) == [Permutation.identity(1)]
+    assert [c.label for c in enumerate_classes(G)] == ["1a"]
+    # one level: the transversal, in its own order
+    chain = construct("cyclic:7").chain
+    [level] = chain.levels
+    assert list(chain.elements()) == list(level.transversal.values())
+    assert (list(chain.raw_elements())
+            == [bytes(t.images) for t in level.transversal.values()])

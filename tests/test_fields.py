@@ -66,6 +66,17 @@ def test_frobenius_is_pth_power(q, data):
     assert F.frobenius(a, F.k) == a
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_frobenius_table_is_the_pow_loop(q):
+    F = GF(q)
+    for e in range(-1, 2 * F.k):
+        for a in range(q):
+            want = a
+            for _ in range(e % F.k):
+                want = F.pow(want, F.r)
+            assert F.frobenius(a, e) == want
+
+
 def test_frobenius_fixed_field_is_prime_field():
     F = GF(9)
     fixed = [a for a in F.elements() if F.frobenius(a, 1) == a]
