@@ -271,6 +271,8 @@ def _grow_to_order(pool, target, name):
     Membership sifts through the chain already built, so a redundant
     candidate costs one permutation image, not a chain; the image is
     faithful, so the accepted generators are exactly the order-raising ones.
+    The pool lies in the group, so target is each candidate's order hint
+    (`Chain.build`): one below it is verified in full and stays exact.
     """
     gens = []
     G = None
@@ -278,7 +280,7 @@ def _grow_to_order(pool, target, name):
         if G is not None and G.contains(cand):
             continue  # redundant generator; keep the set small
         gens.append(cand)
-        G = Group(gens, name=name)
+        G = Group(gens, name=name, order=target)
         got = G.order()
         if got == target:
             return G
@@ -417,7 +419,8 @@ def _sl_gens(F, n):
 
 
 def _build_sl(bp):
-    return Group(_sl_gens(GF(bp.q), bp.n), name=str(bp))
+    return Group(_sl_gens(GF(bp.q), bp.n), name=str(bp),
+                 order=order_formula(bp))
 
 
 def _build_gl(bp):
@@ -426,7 +429,7 @@ def _build_gl(bp):
     if F.q > 2:
         gens.append(SquareMatrix.diagonal(
             F, [F.primitive()] + [1] * (bp.n - 1)))
-    return Group(gens, name=str(bp))
+    return Group(gens, name=str(bp), order=order_formula(bp))
 
 
 def _transvection_pool_sp(F, n, gram):

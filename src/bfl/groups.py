@@ -7,7 +7,9 @@ conjugacy classes, product closure, and the indexed closures of `smallgroup`.
 The stabilizer chain is a deterministic Schreier-Sims: the generators are
 registered at their depths, then the levels are verified bottom up, and a
 level is rescanned from its first point after every registration (see
-`Chain`).  At completion the order is the product of the transversal sizes.
+`Chain`).  The order is the product of the orbit sizes, and a build stops
+once it reaches a known upper bound (an order formula, |G| for a pair drawn
+from G); representatives are built from the orbit trees only when read.
 Chains are built, sifted and sampled on plain permutations only.  Matrix and
 semilinear groups get a permutation image from `matrix_action` (the orbit
 of the standard basis vectors), and their elements cross between the two
@@ -96,12 +98,25 @@ def image_kernel(degree):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    """Base point, strong generators and their orbit tree; the representatives
+    t_y = gens[i] * t_x (tree edge (i, x)) are built on first read."""
+    __slots__ = ("point", "gens", "tree", "identity", "_reps")
 
     def __init__(self, point, identity):
         self.point = point
         self.gens = []
-        self.transversal = {point: identity}
+        self.tree = {point: None}
+        self.identity = identity
+        self._reps = {point: identity}
+
+    @property
+    def transversal(self):
+        if self._reps is None:
+            t = {self.point: self.identity}
+            for y, (i, x) in islice(self.tree.items(), 1, None):
+                t[y] = self.gens[i] * t[x]
+            self._reps = t
+        return self._reps
 
 
 class Chain:
@@ -115,8 +130,18 @@ class Chain:
     verification there.  Levels deeper than a registration are untouched by
     it, so the sweep terminates with every level clean.
 
-    A registration rebuilds the transversals, so level i is scanned again
-    from its first point.  A sift never inverts a representative: it keeps
+    A registration rebuilds the orbit trees of the levels it joins, so level
+    i is scanned again from its first point; representatives are built from
+    a tree on first read after that (`_Level.transversal`).
+
+    `build` stops at a known upper bound on |<perms>|: with H_i the group of
+    level i's strong generators, H_(i+1) <= Stab_(H_i)(b_i), so |<perms>| =
+    |H_0| >= the product of the orbit sizes, with equality only when each
+    H_(i+1) is that stabilizer.  At the bound the chain is complete, every
+    Schreier generator sifts to the identity, and nothing differs from the
+    fully verified chain.
+
+    A sift never inverts a representative: it keeps
     the product left = t_a * t_b * ... of the representatives stripped so
     far, so the residue is left^-1 * w, its image of a base point b is
     left.index(w(b)), and it is the identity exactly when left == w.  A
@@ -131,13 +156,15 @@ class Chain:
         self.levels = []
 
     def order(self):
-        return prod(len(L.transversal) for L in self.levels) if self.levels else 1
+        return prod(len(L.tree) for L in self.levels)
 
-    def build(self, perms):
+    def build(self, perms, order=None):
+        """Register perms and verify bottom up, in full unless the order
+        reaches order, which must then be an upper bound on |<perms>|."""
         for w in perms:
             self._register(w)
         i = len(self.levels) - 1
-        while i >= 0:
+        while i >= 0 and self.order() != order:
             d = self._verify(i)
             i = i - 1 if d is None else d
 
@@ -187,10 +214,8 @@ class Chain:
         return depth
 
     def _recompute_orbit(self, L):
-        t = {L.point: self.identity}
-        for y, (i, x) in islice(orbit([L.point], L.gens).items(), 1, None):
-            t[y] = L.gens[i] * t[x]
-        L.transversal = t
+        L.tree = orbit([L.point], L.gens)
+        L._reps = None
 
     def _verify(self, i):
         """Scan level i's Schreier generators; register the first dirty residue
@@ -298,9 +323,11 @@ def closure_enumerate(gens, cap=CLOSURE_CAP):
 
 
 class Group:
-    """Generators plus lazily built stabilizer-chain data."""
+    """Generators plus lazily built stabilizer-chain data; order, when given,
+    must be an upper bound on the group's order, at which the chain build
+    stops verifying (`Chain.build`)."""
 
-    def __init__(self, gens, name=None, identity=None):
+    def __init__(self, gens, name=None, identity=None, order=None):
         self.gens = list(gens)
         self.name = name
         if self.gens:
@@ -309,6 +336,7 @@ class Group:
             self._identity = identity
         else:
             raise ValueError("empty generator list needs an explicit identity")
+        self._order_hint = order
         self._chain = None
         self._action = None
         self._rank = None
@@ -342,7 +370,7 @@ class Group:
             self._chain = Chain(self._identity.degree
                                 if isinstance(self._identity, Permutation)
                                 else self.action.degree)
-            self._chain.build(self.image_gens)
+            self._chain.build(self.image_gens, self._order_hint)
         return self._chain
 
     def order(self):
@@ -445,7 +473,7 @@ class Group:
                 for _ in range(PAIR_DRAWS):
                     pair = [self.chain.random(rng), self.chain.random(rng)]
                     sub = Chain(self.chain.degree)
-                    sub.build(pair)
+                    sub.build(pair, order)
                     if sub.order() == order:
                         perms = pair
                         break

@@ -7,8 +7,9 @@ from bfl.elements import SquareMatrix, compose
 from bfl.catalog import (
     GroupBlueprint, parse_blueprint, construct, special_element,
     order_formula, gram_matrix, bilinear, preserves_bilinear,
-    reflection_matrix,
+    reflection_matrix, _grow_to_order,
 )
+from bfl.groups import Chain
 from bfl.classes import enumerate_classes
 
 
@@ -54,7 +55,13 @@ KNOWN_ORDERS = [
 def test_known_orders(bp, expected):
     blueprint = parse_blueprint(bp)
     assert order_formula(blueprint) == expected
-    assert construct(blueprint).order() == expected
+    G = construct(blueprint)
+    assert G.order() == expected
+    # sl, gl and the grown groups build with the formula as an order hint;
+    # a chain without it checks the formula instead of assuming it
+    chain = Chain(G.chain.degree)
+    chain.build(G.image_gens)
+    assert chain.order() == expected
 
 
 def test_gl4_3_is_sl4_3_extended_by_two():
@@ -201,3 +208,11 @@ def test_grown_generator_lists_pinned(bp):
            for g in G.gens]
     assert got == GROWN_GENERATORS[bp]
     assert G.order() == order_formula(parse_blueprint(bp))
+
+
+def test_grow_to_order_reports_an_exhausted_pool():
+    # the order hint never lets a pool that misses its target pass
+    pool = construct("sl:2:27").gens[:2]  # they generate C3 x C3
+    with pytest.raises(RuntimeError,
+                       match="pool exhausted below order 19656"):
+        _grow_to_order(pool, 19656, "sl:2:27")

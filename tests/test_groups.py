@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from bfl.fields import GF
 from bfl.elements import (Permutation, SquareMatrix, SemilinearElement,
                           Overflow)
-from bfl.groups import (Group, closure_enumerate, image_kernel, matrix_action,
-                        orbit)
+from bfl.groups import (Chain, Group, closure_enumerate, image_kernel,
+                        matrix_action, orbit)
 from bfl.catalog import construct
 from bfl import classes
 from bfl.classes import class_of, enumerate_classes
@@ -336,6 +336,88 @@ def test_chain_levels_pinned(name):
             _digest(L.transversal.values()), _digest(L.gens))
            for L in construct(name).chain.levels]
     assert got == CHAIN_LEVELS[name]
+
+
+# ---- the known-order stop and deferred representatives ----------------------
+
+# the six blueprints of the benchmark's build workload
+BUILD_BLUEPRINTS = ("go_odd:5:3", "go_odd:3:9", "sp:6:2", "gl:4:3",
+                    "sl:2:27", "gu:3:3")
+
+
+def _chain_shape(chain):
+    """Level points, strong generators, tree key order and representatives."""
+    return [(L.point, L.gens, list(L.tree), list(L.transversal.items()))
+            for L in chain.levels]
+
+
+def _unhinted(degree, perms):
+    chain = Chain(degree)
+    chain.build(perms)
+    return chain
+
+
+def _count_calls(monkeypatch, *targets):
+    """Count the calls of each (class, method name); returns the live counts."""
+    counts = [0] * len(targets)
+
+    def counter(k, f):
+        def counted(*args):
+            counts[k] += 1
+            return f(*args)
+        return counted
+    for k, (cls, name) in enumerate(targets):
+        monkeypatch.setattr(cls, name, counter(k, getattr(cls, name)))
+    return counts
+
+
+@pytest.mark.parametrize("bp, pair", [(bp, False) for bp in BUILD_BLUEPRINTS]
+                         + [("sp:4:3", True), ("gl:3:3", True)])
+def test_order_hint_leaves_the_chain_unchanged(bp, pair):
+    G = construct(bp)
+    if pair:  # as Group.generating_pair builds its trial chains
+        perms = G.generating_pair()
+        hinted = Chain(G.chain.degree)
+        hinted.build(perms, G.order())
+    else:
+        perms, hinted = G.image_gens, G.chain
+    assert hinted.order() == G.order()
+    assert _chain_shape(hinted) == _chain_shape(_unhinted(hinted.degree, perms))
+
+
+def test_order_hint_above_the_order_verifies_in_full(monkeypatch):
+    # two transvections of sl:2:27 generate only C3 x C3
+    gens = construct("sl:2:27").gens
+    verify = _count_calls(monkeypatch, (Chain, "_verify"))
+    G = Group(gens[:2], order=19656)
+    assert G.order() == 9
+    passes = verify[0]
+    unhinted = _unhinted(G.chain.degree, G.image_gens)
+    assert verify[0] - passes == passes  # the passes of a build without hint
+    assert _chain_shape(G.chain) == _chain_shape(unhinted)
+    assert not G.contains(gens[2])
+
+
+# per build blueprint: Chain._descend calls, Chain._verify passes and
+# Permutation.__mul__ calls of construct(bp).order().  A full verification
+# with every representative rebuilt on registration took 16,018, 148 and
+# 7,616 over the six.
+BUILD_WORK = {
+    "go_odd:5:3": (840, 29, 537),
+    "go_odd:3:9": (840, 13, 573),
+    "sp:6:2": (970, 52, 345),
+    "gl:4:3": (1066, 21, 753),
+    "sl:2:27": (351, 5, 2191),
+    "gu:3:3": (265, 11, 321),
+}
+
+
+@pytest.mark.parametrize("bp", BUILD_BLUEPRINTS)
+def test_build_work_pinned(bp, monkeypatch):
+    counts = _count_calls(monkeypatch, (Chain, "_descend"), (Chain, "_verify"),
+                          (Permutation, "__mul__"))
+    construct(bp).order()
+    assert tuple(counts) == BUILD_WORK[bp]
 
 
 def _sift_reference(chain, w, start):
