@@ -99,8 +99,9 @@ def image_kernel(degree):
 
 class _Level:
     """Base point, strong generators and their orbit tree; the representatives
-    t_y = gens[i] * t_x (tree edge (i, x)) are built on first read."""
-    __slots__ = ("point", "gens", "tree", "identity", "_reps")
+    t_y = gens[i] * t_x (tree edge (i, x)) and the sorted orbit points
+    (`Chain.random`) are built on first read."""
+    __slots__ = ("point", "gens", "tree", "identity", "_reps", "_points")
 
     def __init__(self, point, identity):
         self.point = point
@@ -108,6 +109,7 @@ class _Level:
         self.tree = {point: None}
         self.identity = identity
         self._reps = {point: identity}
+        self._points = None
 
     @property
     def transversal(self):
@@ -215,7 +217,7 @@ class Chain:
 
     def _recompute_orbit(self, L):
         L.tree = orbit([L.point], L.gens)
-        L._reps = None
+        L._reps = L._points = None
 
     def _verify(self, i):
         """Scan level i's Schreier generators; register the first dirty residue
@@ -235,7 +237,9 @@ class Chain:
         """Uniformly random element (product of transversal reps)."""
         w = self.identity
         for L in self.levels:
-            w = w * L.transversal[rng.choice(sorted(L.transversal))]
+            if L._points is None:
+                L._points = sorted(L.tree)
+            w = w * L.transversal[rng.choice(L._points)]
         return w
 
     def elements(self, cap=None):
@@ -285,21 +289,30 @@ def matrix_action(gens, cap=ORBIT_CAP):
         raise ValueError("matrix_action needs at least one generator")
     F = gens[0].field
     n = gens[0].n
-    maps = [g.apply for g in gens]
+    index = {v: k for k, v in enumerate(_basis(n))}
+    images = [[] for _ in gens]  # per generator, the numbers of the images
+    maps = [partial(_numbered, g.apply, index, out.append)
+            for g, out in zip(gens, images)]
     tree = orbit(_basis(n), maps, cap)
     if isinstance(gens[0], SemilinearElement):
         we1 = _scaled_e1(F, n)
         if we1 not in tree:
             if len(tree) >= cap:  # orbit() always admits its seed
                 raise Overflow("orbit exceeds cap %d" % cap)
+            index[we1] = len(index)
             try:
-                tree.update(orbit([we1], maps, cap - len(tree)))
+                orbit([we1], maps, cap - len(tree))
             except Overflow:
                 raise Overflow("orbit exceeds cap %d" % cap) from None
-    points = tuple(tree)
-    index = {v: k for k, v in enumerate(points)}
-    perms = [Permutation([index[g.apply(v)] for v in points]) for g in gens]
-    return ActionRecord(points, index, perms)
+    return ActionRecord(tuple(index), index, list(map(Permutation, images)))
+
+
+def _numbered(apply, index, put, v):
+    """apply(v), its point number handed to put: the orbit numbers points in
+    the order it meets them, so a point not yet in index gets the next."""
+    w = apply(v)
+    put(index.setdefault(w, len(index)))
+    return w
 
 
 def _basis(n):

@@ -49,14 +49,8 @@ class SmallGroup:
         elements = list(tree)
         index = {x: k for k, x in enumerate(elements)}
         derivations = [d and (d[0], index[d[1]]) for d in tree.values()]
-        gen_idx = []
-        for g in gens:
-            gi = index[g]
-            if gi and gi not in gen_idx:
-                gen_idx.append(gi)
-        if not gen_idx:
-            gen_idx = [0]
-        S = cls(elements, gen_idx, name=name, derivations=derivations)
+        gen_idx = [i for i in dict.fromkeys(map(index.__getitem__, gens)) if i]
+        S = cls(elements, gen_idx or [0], name=name, derivations=derivations)
         S._index = index
         if len(elements) <= TABLE_LIMIT:
             S._build_table(gens)
@@ -148,54 +142,51 @@ class SmallGroup:
             row = self._conj[g] = tuple(map(right.__getitem__, inv_left))
         return row
 
-    def comm(self, i, j):
-        """Index of the commutator x_i^-1 x_j^-1 x_i x_j."""
-        return self.mul(self.mul(self.inv(i), self.inv(j)),
-                        self.mul(i, j))
+    def left(self, g):
+        """x -> g x on indices: a lookup in g's table row, else `mul`."""
+        return (self.table[g].__getitem__ if self.table is not None
+                else partial(self.mul, g))
+
+    def conj(self, g):
+        """x -> g^-1 x g on indices, off g's conjugation row."""
+        return self._conj_row(g).__getitem__
 
     def element_order(self, i):
         """Order of element i: read off the element itself when the group has
-        no table, else by stepping through its powers in the table."""
+        no table, else the size of the cyclic subgroup it generates."""
         if self._orders is None:
             self._orders = [None] * self.order
         if self._orders[i] is None:
-            if self.table is None:
-                self._orders[i] = element_order(self.elements[i])
-            else:
-                row, k, y = self.table[i], 1, i
-                while y:
-                    y = row[y]
-                    k += 1
-                self._orders[i] = k
+            self._orders[i] = (element_order(self.elements[i])
+                               if self.table is None
+                               else len(self.closure([i])))
         return self._orders[i]
 
     # -- structure ---------------------------------------------------------
 
     def closure(self, seed):
         """Indices of the subgroup generated by the seed indices."""
-        return frozenset(orbit([0], [partial(self.mul, g) for g in seed if g]))
-
-    def _conj_maps(self):
-        return [self._conj_row(g).__getitem__ for g in self.gens]
+        return frozenset(orbit([0], [self.left(g) for g in seed if g]))
 
     def normal_closure(self, seed):
         """Smallest normal subgroup containing the seed indices: the orbit of
         the identity under left multiplication by the seeds and conjugation by
         the generators (closed under the seeds' conjugates, so a subgroup)."""
-        maps = [partial(self.mul, s) for s in set(seed) if s]
-        return frozenset(orbit([0], maps + self._conj_maps()))
+        maps = [self.left(s) for s in set(seed) if s]
+        return frozenset(orbit([0], maps + list(map(self.conj, self.gens))))
 
     def derived_indices(self):
         """The commutator subgroup: normal closure of generator commutators."""
-        seeds = {self.comm(a, b) for a in self.gens for b in self.gens}
-        return self.normal_closure(seeds)
+        mul, inv = self.mul, self.inv
+        return self.normal_closure({mul(mul(inv(a), inv(b)), mul(a, b))
+                                    for a in self.gens for b in self.gens})
 
     def class_partition(self):
         """Conjugacy classes as frozensets of indices, ordered by least index:
         orbits under the generators' conjugation tuples."""
         if self._classes is not None:
             return self._classes
-        maps = self._conj_maps()
+        maps = list(map(self.conj, self.gens))
         seen = [False] * self.order
         out = []
         for i in range(self.order):
@@ -214,16 +205,11 @@ class SmallGroup:
 
 def _minimal_gens_for_table(table):
     """Greedy generating set for a table-backed group."""
-    n = len(table)
-    gens = []
-    got = {0}
-    for i in range(1, n):
-        if i in got:
-            continue
-        gens.append(i)
-        got = orbit([0], [table[g].__getitem__ for g in gens])
-        if len(got) == n:
-            break
+    gens, got = [], {0}
+    for i in range(1, len(table)):
+        if i not in got:
+            gens.append(i)
+            got = orbit([0], [table[g].__getitem__ for g in gens])
     return gens or [0]
 
 
@@ -244,15 +230,18 @@ def _by_order(A):
 
 
 def two_generated(S):
-    """Every subgroup generated by at most two elements, as index-frozensets
-    sorted by (order, members): the closure of each pair of cyclic
-    subgroups, each cyclic subgroup named by its least generator."""
+    """Every subgroup generated by at most two elements, as a dict from its
+    index-frozenset to a generating pair, in (order, members) order: the
+    closure of each pair of cyclic subgroups, each cyclic subgroup named by
+    its least generator, keyed to the first pair that closes to it."""
     cyclic = {}
     for i in range(S.order):
         cyclic.setdefault(S.closure([i]), i)
-    gens = list(cyclic.values())
-    return sorted({S.closure([x, y]) for k, x in enumerate(gens)
-                   for y in gens[k:]}, key=_by_order)
+    gens, pairs = list(cyclic.values()), {}
+    for k, x in enumerate(gens):
+        for y in gens[k:]:
+            pairs.setdefault(S.closure([x, y]), (x, y))
+    return {H: pairs[H] for H in sorted(pairs, key=_by_order)}
 
 
 def normal_subgroups(S):
@@ -261,10 +250,10 @@ def normal_subgroups(S):
     non-identity class.  For A normal and x a class representative outside
     A, that join is the orbit of A under left multiplication by x and
     conjugation by the generators."""
-    conj = S._conj_maps()
+    conj = list(map(S.conj, S.gens))
 
     def join(x, A):
-        return A if x in A else frozenset(orbit(A, [partial(S.mul, x)] + conj))
+        return A if x in A else frozenset(orbit(A, [S.left(x)] + conj))
 
     maps = [partial(join, min(c)) for c in S.class_partition() if 0 not in c]
     return sorted(orbit([frozenset([0])], maps), key=_by_order)
@@ -275,34 +264,19 @@ def quotient(S, N):
     N = frozenset(N)
     if 0 not in N:
         raise ValueError("N must contain the identity")
-    for a in N:
-        for b in N:
-            if S.mul(a, b) not in N:
-                raise ValueError("N is not closed under multiplication")
-    for g in S.gens:
-        if not N.issuperset(map(S._conj_row(g).__getitem__, N)):
-            raise ValueError("N is not normal: conjugation escapes")
-    coset_id = {}
-    reps = []
-    cosets = []
+    if not all(N.issuperset(map(S.left(a), N)) for a in N):
+        raise ValueError("N is not closed under multiplication")
+    if not all(N.issuperset(map(S.conj(g), N)) for g in S.gens):
+        raise ValueError("N is not normal: conjugation escapes")
+    coset_id, reps, cosets = {}, [], []
     for x in range(S.order):
-        if x in coset_id:
-            continue
-        cs = frozenset(S.mul(x, n) for n in N)
-        cid = len(reps)
-        for y in cs:
-            coset_id[y] = cid
-        reps.append(x)
-        cosets.append(cs)
+        if x not in coset_id:
+            cosets.append(frozenset(map(S.left(x), N)))
+            coset_id.update(dict.fromkeys(cosets[-1], len(reps)))
+            reps.append(x)
     n = len(reps)
     table = [tuple(coset_id[S.mul(reps[a], reps[b])] for b in range(n))
              for a in range(n)]
-    gens = []
-    for g in S.gens:
-        cg = coset_id[g]
-        if cg and cg not in gens:
-            gens.append(cg)
-    if not gens:
-        gens = [0]
-    return SmallGroup(cosets, gens, table=table,
+    gens = [c for c in dict.fromkeys(map(coset_id.__getitem__, S.gens)) if c]
+    return SmallGroup(cosets, gens or [0], table=table,
                       name="%s/%d" % (S.name, len(N)))

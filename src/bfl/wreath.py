@@ -1,13 +1,22 @@
 """The Z_p wr Z_p model, isomorphism testing, and section search.
 
-Z_p wr Z_p = <a, t | a^p, t^p, [a, a^(t^i)] (1 <= i < p)>, a the base p-cycle
-and t the block shift.  In a group with this presentation the a^(t^i), i < p,
-commute and t permutes them, so they generate a normal elementary abelian
-subgroup of rank at most p with a cyclic quotient of order at most p: the order
-is at most p^(p+1).  So by von Dyck's theorem (Robinson, A Course in the Theory
-of Groups, 2.2.1) a group of order p^(p+1) is the model exactly when two
-elements of order p satisfy the relators and generate it; `iso_to_wreath`
-searches for such a pair.
+W_p = Z_p wr Z_p is its base (Z_p)^p, the regular F_p C_p-module, extended by
+the block shift of order p.  A finite p-group Q maps onto W_p exactly when
+some maximal subgroup M and some g outside M have (g - 1)^(p-1) != 0 on
+V = M/Phi(M), an F_p[Q/M]-module since M acts trivially on it:
+
+- if Q maps onto W_p, let M be the preimage of the base; V maps onto the
+  base, which is free and so a summand of V, and g - 1 acts on the base as
+  one Jordan block of size p;
+- if (g - 1)^(p-1) v != 0, then v spans a free submodule of V, a summand
+  since group algebras are self-injective (Alperin, Local Representation
+  Theory, 1986); killing its complement leaves an extension of C_p by
+  F_p C_p, which splits because H^2(C_p, F_p C_p) = 0 by Shapiro's lemma
+  (Brown, Cohomology of Groups, 1982), so the quotient is W_p.
+
+Any g outside M will do (g^k - 1 is g - 1 times a unit of F_p C_p for p not
+dividing k), and (g - 1)^(p-1) takes m Phi(M) to [m, g, ..., g] Phi(M), so
+the test is a membership in Phi(M) per generator of M (`_maps_onto_wreath`).
 
 Being 2-generated also bounds the section search: if H/N is the model,
 generated by xN and yN, then <x, y> maps onto H/N, so a least subgroup with
@@ -16,14 +25,14 @@ the model as a quotient is generated by two elements.  The full tier of
 Havas and Newman 1980; Holt, Eick and O'Brien 2005, ch. 9).
 """
 
-from functools import cache, partial, reduce
-from operator import invert, mul
+import operator
+from functools import cache, reduce
+from itertools import product
 
 from .catalog import construct
 from .classes import class_of
-from .elements import Permutation
 from .fields import is_p_power, is_prime
-from .groups import Group, orbit
+from .groups import Group, image_kernel, orbit
 from .smallgroup import (SmallGroup, group_order, normal_subgroups, quotient,
                          two_generated)
 
@@ -82,81 +91,86 @@ def _as_small(H):
 
 
 def iso_to_wreath(H, p):
-    """True iff H (a Group or SmallGroup) is Z_p wr Z_p.
-
-    Screens: |H| = p^(p+1); |H : Phi(H)| = p^2, the Frattini subgroup Phi(H)
-    being the normal closure of the generators' commutators and p-th powers;
-    exponent p^2.  Then x, y generate H exactly when x is outside Phi(H) and y
-    outside <x>Phi(H) (Burnside's basis theorem), so x runs over class
-    representatives of order p outside Phi(H), y over the elements of order p
-    outside <x>Phi(H): at most k * (p^(p+1) - p^p) pairs for k such classes.
-    A pair is accepted when [x, x^(y^i)] = 1 for 1 <= i <= p/2 (i and p - i
-    give conjugate relators).  A Group is searched on its chain's
-    permutations, a SmallGroup on its indices.
-    """
+    """True iff H (a Group or SmallGroup) is Z_p wr Z_p: |H| = p^(p+1),
+    |H : Phi(H)| = p^2 and H maps onto the model by the module test (module
+    docstring), on a Group's image permutations or a SmallGroup's indices."""
     if group_order(H) != p ** (p + 1):
         return False
+    gens = H.gens if isinstance(H, SmallGroup) else H.image_gens
+    return _maps_onto_wreath(H, gens, p ** (p + 1), p, rank=2)
+
+
+def _maps_onto_wreath(H, gens, order, p, rank=None):
+    """True iff <gens>, of the given order in the p-group H, maps onto
+    Z_p wr Z_p (and, if rank is given, |<gens> : Phi| = p^rank).
+
+    Phi(<xs>), for <xs> normal in <gens>, is the normal closure of the p-th
+    powers and commutators of xs, one `orbit` on image_kernel's raw images
+    (a Group) or table rows (a SmallGroup).  With a basis b_0, ... mod Phi
+    picked from gens (Burnside), each maximal M is the kernel of an f with
+    last nonzero value f(b_k) = 1: M = <m_j^(g^i) (i < p), g^p> for g = b_k,
+    m_j = b_j g^-f(b_j), j != k (Schreier), and M passes when some
+    [m_j, g, ..., g] is outside Phi(M).  For gens x, y that is (m, g) =
+    (y, x), then (x y^j, y) for j < p.
+    """
     if isinstance(H, SmallGroup):
-        return _presents_wreath(p, range(H.order), 0, H.gens, H.mul, H.inv,
-                                H.element_order)
-    return _presents_wreath(p, H.chain.elements(), H.chain.identity,
-                            H.image_gens, mul, invert, Permutation.order)
+        one, mul, inv, key, times, conj = 0, H.mul, H.inv, int, H.left, H.conj
+    else:
+        encode, times, conj = image_kernel(H.chain.degree)
+        one, mul, inv = H.chain.identity, operator.mul, operator.invert
 
+        def key(x):
+            return encode(x.images)
+    unit, conjugations = key(one), [conj(key(g)) for g in gens]
 
-def _presents_wreath(p, elements, one, gens, mul, inv, order_of):
-    """The screens and pair search of iso_to_wreath on a group of order
-    p^(p+1), given its elements, identity, generators and operations."""
     def power(x, k):
         return reduce(mul, [x] * k, one)
 
-    conj = [lambda x, g=g, gi=inv(g): mul(mul(gi, x), g) for g in gens]
-    seeds = {power(g, p) for g in gens}
-    seeds.update(mul(inv(mul(b, a)), mul(a, b)) for a in gens for b in gens)
-    seeds.discard(one)
-    phi = orbit([one], [partial(mul, s) for s in seeds] + conj)
-    if len(phi) != p ** (p - 1):
+    def comm(a, b):
+        return mul(inv(mul(b, a)), mul(a, b))
+
+    def frattini(xs):
+        seeds = {key(power(a, p)) for a in xs}
+        seeds.update(key(comm(a, b)) for i, a in enumerate(xs) for b in xs[:i])
+        seeds.discard(unit)
+        return orbit([unit], [times(s) for s in seeds] + conjugations)
+
+    span = frattini(gens)
+    index, basis = order // len(span), list(gens)
+    if index < p * p or rank and index != p ** rank:
         return False
-    coset, cands, top = {}, [], 1  # coset: element -> first member met
-    for h in elements:
-        o = order_of(h)
-        top = max(top, o)
-        if h not in coset:
-            coset.update((mul(h, f), h) for f in phi)
-        if o == p:
-            cands.append(h)
-    if top != p * p:
-        return False
-    tried = set()
-    for x in cands:
-        if x in phi or x in tried:
-            continue
-        tried.update(orbit([x], conj))
-        span = {coset[power(x, k)] for k in range(p)}
-        for y in cands:
-            if coset[y] in span:
-                continue
-            yi, c = inv(y), x
-            for _ in range(p // 2):
-                c = mul(mul(yi, c), y)
-                if mul(x, c) != mul(c, x):
+    if p ** len(basis) != index:
+        basis = []
+        for b in gens:
+            if key(b) not in span:
+                basis.append(b)
+                if p ** len(basis) == index:
                     break
-            else:
-                return True
+                span = orbit(span, [times(key(b))])
+    for k, g in enumerate(basis):
+        tops = [power(g, i) for i in range(p + 1)]
+        for e in product(range(p), repeat=k):
+            ms = [mul(b, tops[j]) for b, j in zip(basis, e)] + basis[k + 1:]
+            phi = frattini([mul(mul(inv(t), m), t) for m in ms
+                            for t in tops[:p]] + tops[p:])
+            for m in ms:
+                for _ in range(p - 1):
+                    m = comm(m, g)
+                if key(m) not in phi:
+                    return True
     return False
 
 
 def wreath_section_detect(Q, p, tier="quotient"):
     """Search Q for a section isomorphic to Z_p wr Z_p.
 
-    Both tiers run one loop over candidate subgroups H, scanning the
-    quotients of H by its normal subgroups.  tier=quotient has one
-    candidate, Q itself.  tier=full visits every subgroup generated by two
-    elements, in (order, members) order: W_p is 2-generated, so if H/N is
-    the model, generated by xN and yN, then <x, y> maps onto it, and the
-    first subgroup in that order with the model as a quotient is itself
-    2-generated.  Caps produce an indeterminate verdict rather than a
-    silently incomplete scan; they are read off the order before a Group
-    is indexed.
+    Both tiers put candidate subgroups H to the module test in turn; the
+    witness N is the first normal subgroup of the first H that passes, in
+    (order, members) order, with H/N the model.  tier=quotient has one
+    candidate, Q itself; tier=full has every 2-generated subgroup in
+    (order, members) order, since W_p is 2-generated (module docstring).
+    Caps produce an indeterminate verdict rather than a silently incomplete
+    scan; they are read off the order before a Group is indexed.
     """
     if tier not in ("quotient", "full"):
         raise ValueError("tier must be quotient or full")
@@ -178,18 +192,17 @@ def wreath_section_detect(Q, p, tier="quotient"):
                                    % (order, tier, cap))
     Q = _as_small(Q)
     whole = frozenset(range(Q.order))
-    for H in two_generated(Q) if tier == "full" else [whole]:
-        if len(H) % target:
+    cands = two_generated(Q) if tier == "full" else {whole: Q.gens}
+    for H, gens in cands.items():
+        if len(H) % target or not _maps_onto_wreath(Q, gens, len(H), p):
             continue
         S = Q if H == whole else Q.induced(H)
-        for N in normal_subgroups(S):
-            if S.order // len(N) != target:
-                continue
-            if iso_to_wreath(quotient(S, N), p):
-                members = sorted(H)
-                return SectionVerdict(True, tier, witness={
-                    "subgroup": members,
-                    "normal": sorted(members[i] for i in N)})
+        N = next(N for N in normal_subgroups(S)
+                 if S.order // len(N) == target
+                 and iso_to_wreath(quotient(S, N), p))
+        members = sorted(H)
+        return SectionVerdict(True, tier, witness={
+            "subgroup": members, "normal": sorted(members[i] for i in N)})
     return SectionVerdict(False, tier)
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from functools import reduce
 from itertools import product
 from operator import mul
@@ -236,6 +237,44 @@ def test_random_stream_pinned(make, pinned):
     G = make()
     rng = random.Random(0xBF)
     assert [_code(G.random_element(rng)) for _ in range(50)] == pinned
+
+
+# 200 chain draws at Random(2024), digested by their image tuples: pinned
+# before each level kept its sorted orbit points, which must not move them
+CHAIN_RANDOM_DIGESTS = {"sp:4:3": "ff9e4b433850ee3d",
+                        "sl:2:27": "dcc8d22836a86241"}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_RANDOM_DIGESTS))
+def test_chain_random_stream_pinned(name):
+    chain = construct(name).chain
+    rng, h = random.Random(2024), hashlib.sha256()
+    for _ in range(200):
+        h.update(str(chain.random(rng).images).encode("ascii"))
+    assert h.hexdigest()[:16] == CHAIN_RANDOM_DIGESTS[name]
+    assert all(L._points == sorted(L.transversal) for L in chain.levels)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: construct("gl:3:3").gens, lambda: gammal2_9().gens,
+    # w*e1 is orbited after the basis here
+    lambda: [SemilinearElement(SquareMatrix.identity(GF(9), 2), 1)]])
+def test_matrix_action_reads_images_off_the_orbit(make, monkeypatch):
+    # one apply per (point, generator), and the perms those images give
+    gens, calls = make(), Counter()
+    kind = type(gens[0])
+    apply = kind.apply
+
+    def counted(g, v):
+        calls[id(g)] += 1
+        return apply(g, v)
+
+    monkeypatch.setattr(kind, "apply", counted)
+    act = matrix_action(gens)
+    assert sorted(calls.values()) == [act.degree] * len(gens)
+    monkeypatch.undo()
+    assert act.perms == [Permutation([act.index[g.apply(v)]
+                                      for v in act.points]) for g in gens]
 
 
 def _digest(elements):

@@ -357,3 +357,5 @@ def test_two_generated_is_every_pair_closure():
              for y in range(W3.order)}
     assert set(two_generated(W3)) == pairs
     assert len(pairs) == 49
+    # each subgroup is keyed to a pair that generates it
+    assert all(W3.closure(xy) == H for H, xy in two_generated(W3).items())

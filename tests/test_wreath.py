@@ -2,18 +2,22 @@
 
 import hashlib
 import json
+import random
 import time
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
+from itertools import product
 
 import pytest
 
 from bfl.catalog import construct
 from bfl.elements import Permutation
 from bfl.groups import Group, orbit
-from bfl.smallgroup import SmallGroup, normal_subgroups, quotient
-from bfl.wreath import (build_wreath, iso_to_wreath, wreath_section_detect,
-                        reconstruct_section, SectionVerdict)
+from bfl.smallgroup import (SmallGroup, normal_subgroups, quotient,
+                            two_generated)
+from bfl.wreath import (_maps_onto_wreath, build_wreath, iso_to_wreath,
+                        wreath_section_detect, reconstruct_section,
+                        SectionVerdict)
 
 
 def small(name):
@@ -374,3 +378,130 @@ def test_full_tier_elementary_abelian_is_quick():
     v = wreath_section_detect(G, 2, tier="full")
     assert not v.found and v.tier == "full"
     assert time.perf_counter() - t0 < 5.0
+
+
+def pair_search(W, p):
+    """The presentation search iso_to_wreath ran before the module test, on
+    a SmallGroup W of order p^(p+1): screens on the Frattini index and the
+    exponent, then an order-p pair x, y that generates and has
+    [x, x^(y^i)] = 1 for 1 <= i <= p/2."""
+    one, mul, inv = 0, W.mul, W.inv
+
+    def power(x, k):
+        return reduce(mul, [x] * k, one)
+
+    conj = [lambda x, g=g, gi=inv(g): mul(mul(gi, x), g) for g in W.gens]
+    seeds = {power(g, p) for g in W.gens}
+    seeds.update(mul(inv(mul(b, a)), mul(a, b)) for a in W.gens
+                 for b in W.gens)
+    seeds.discard(one)
+    phi = orbit([one], [partial(mul, s) for s in seeds] + conj)
+    if len(phi) != p ** (p - 1):
+        return False
+    coset, cands, top = {}, [], 1
+    for h in range(W.order):
+        o = W.element_order(h)
+        top = max(top, o)
+        if h not in coset:
+            coset.update((mul(h, f), h) for f in phi)
+        if o == p:
+            cands.append(h)
+    if top != p * p:
+        return False
+    tried = set()
+    for x in cands:
+        if x in phi or x in tried:
+            continue
+        tried.update(orbit([x], conj))
+        span = {coset[power(x, k)] for k in range(p)}
+        for y in cands:
+            if coset[y] in span:
+                continue
+            yi, c = inv(y), x
+            for _ in range(p // 2):
+                c = mul(mul(yi, c), y)
+                if mul(x, c) != mul(c, x):
+                    break
+            else:
+                return True
+    return False
+
+
+def quotient_scan(Q, H, p):
+    """Whether the subgroup H of Q has the model as a quotient, decided as
+    the section search did before the module test: every normal subgroup of
+    index p^(p+1), each quotient put to the pair search."""
+    S = Q.induced(H)
+    return any(S.order // len(N) == p ** (p + 1)
+               and pair_search(quotient(S, N), p)
+               for N in normal_subgroups(S))
+
+
+def test_module_test_agrees_with_the_quotient_scan_on_w3():
+    W3 = wreath_small(3)
+    subgroups = two_generated(W3)
+    assert len(subgroups) == 49
+    found = [H for H, gens in subgroups.items()
+             if _maps_onto_wreath(W3, gens, len(H), 3)]
+    assert found == [H for H in subgroups if quotient_scan(W3, H, 3)]
+    assert found == [frozenset(range(81))]
+
+
+@pytest.mark.parametrize("make, p", [pin[1:3] for pin in FULL_TIER_WITNESSES],
+                         ids=[pin[0] for pin in FULL_TIER_WITNESSES])
+def test_module_test_agrees_with_the_quotient_scan_on_random_subgroups(make,
+                                                                       p):
+    # pairs for the full tier's candidates, triples for the per-maximal
+    # subgroup form on more than two generators
+    Q = SmallGroup.from_group(make())
+    rng = random.Random(25)
+    verdicts = Counter()
+    for k in [2] * 10 + [3] * 4:
+        gens = [rng.randrange(1, Q.order) for _ in range(k)]
+        H = Q.closure(gens)
+        want = quotient_scan(Q, H, p)
+        assert _maps_onto_wreath(Q, gens, len(H), p) is want, gens
+        verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def ut4_3():
+    """UT(4,3), the unitriangular 4x4 matrices over F_3, acting on the 81
+    vectors of F_3^4, numbered in base 3."""
+    vectors = list(product(range(3), repeat=4))
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def transvection(i):  # e_(i+1) -> e_(i+1) + e_i
+        def image(v):
+            w = list(v)
+            w[i] = (w[i] + w[i + 1]) % 3
+            return index[tuple(w)]
+        return Permutation([image(v) for v in vectors])
+    return Group([transvection(i) for i in range(3)])
+
+
+def test_ut4_3_has_a_w3_section_but_no_w3_quotient():
+    G = ut4_3()
+    assert G.order() == 3 ** 6
+    Q = SmallGroup.from_group(G)
+    assert not _maps_onto_wreath(Q, Q.gens, Q.order, 3)
+    assert not wreath_section_detect(Q, 3).found
+    v = wreath_section_detect(Q, 3, tier="full")
+    assert v.found and reconstruct_section(Q, v.witness, 3)
+    # the witness the quotient scan picked before the module test: a
+    # subgroup that is the model itself
+    got = json.dumps(v.witness["subgroup"]).encode()
+    assert hashlib.sha256(got).hexdigest()[:16] == "b81dcce2944035ac"
+    assert v.witness["normal"] == [0]
+
+
+@pytest.mark.parametrize("make", [lambda: small("dihedral:8"),
+                                  lambda: SmallGroup.from_group(
+                                      cycles(*[3] * 6))])
+def test_left_is_the_product(make):
+    S = make()
+    assert (S.table is None) is (S.order > 256)
+    for g in range(0, S.order, S.order // 8 + 1):
+        left, ref = S.left(g), partial(S.mul, g)
+        assert [left(x) for x in range(S.order)] == list(
+            map(ref, range(S.order)))
