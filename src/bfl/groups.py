@@ -9,9 +9,10 @@ registered at their depths, then the levels are verified bottom up, and a
 level is rescanned from its first point after every registration (see
 `Chain`).  The order is the product of the orbit sizes, and a build stops
 once it reaches a known upper bound (an order formula, |G| for a pair drawn
-from G); representatives are built from the orbit trees only when read.
-Chains are built, sifted and sampled on plain permutations only.  Matrix and
-semilinear groups get a permutation image from `matrix_action` (the orbit
+from G); a coset representative is built from its level's orbit tree the
+first time its point is read (`_Level.rep`), not a level at a time.
+Chains are built, sifted and sampled on plain permutations only.  Matrix
+and semilinear groups get a permutation image from `matrix_action` (the orbit
 of the standard basis vectors), and their elements cross between the two
 representations only at the edges: `Group.to_perm` on the way in
 (membership), `Group.from_perm` on the way out (random elements, class
@@ -35,7 +36,7 @@ basis alone the field automorphism acts trivially.
 import random
 from collections import deque
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import prod
 from operator import itemgetter, methodcaller, mul
 
@@ -98,9 +99,9 @@ def image_kernel(degree):
 
 
 class _Level:
-    """Base point, strong generators and their orbit tree; the representatives
-    t_y = gens[i] * t_x (tree edge (i, x)) and the sorted orbit points
-    (`Chain.random`) are built on first read."""
+    """Base point, strong generators and their orbit tree; each representative
+    t_y = gens[i] * t_x (tree edge (i, x)) is built the first time it is read
+    (`rep`), and the sorted orbit points (`Chain.random`) likewise."""
     __slots__ = ("point", "gens", "tree", "identity", "_reps", "_points")
 
     def __init__(self, point, identity):
@@ -111,14 +112,28 @@ class _Level:
         self._reps = {point: identity}
         self._points = None
 
+    def rep(self, y):
+        """t_y for an orbit point y: y's tree path is walked up to the
+        nearest representative already built, then each one down the path
+        is built and kept."""
+        reps = self._reps
+        t = reps.get(y)
+        if t is None:
+            path = []
+            while t is None:
+                i, x = self.tree[y]
+                path.append((y, i))
+                y = x
+                t = reps.get(y)
+            gens = self.gens
+            for z, i in reversed(path):
+                t = reps[z] = gens[i] * t
+        return t
+
     @property
     def transversal(self):
-        if self._reps is None:
-            t = {self.point: self.identity}
-            for y, (i, x) in islice(self.tree.items(), 1, None):
-                t[y] = self.gens[i] * t[x]
-            self._reps = t
-        return self._reps
+        """Every representative, keyed by the orbit points in tree order."""
+        return {y: self.rep(y) for y in self.tree}
 
 
 class Chain:
@@ -133,8 +148,10 @@ class Chain:
     it, so the sweep terminates with every level clean.
 
     A registration rebuilds the orbit trees of the levels it joins, so level
-    i is scanned again from its first point; representatives are built from
-    a tree on first read after that (`_Level.transversal`).
+    i is scanned again from its first point.  A representative is built
+    from the new tree the first time its point is read, down its tree path
+    from the nearest one already built (`_Level.rep`): a scan cut short by
+    a registration, a sift and a random draw build only what they read.
 
     `build` stops at a known upper bound on |<perms>|: with H_i the group of
     level i's strong generators, H_(i+1) <= Stab_(H_i)(b_i), so |<perms>| =
@@ -182,10 +199,9 @@ class Chain:
             L = self.levels[lev]
             pt = left.index(w[L.point])
             if pt != L.point:
-                t = L.transversal.get(pt)
-                if t is None:
+                if pt not in L.tree:
                     return left, lev
-                left = itemgetter(*t.images)(left)
+                left = itemgetter(*L.rep(pt).images)(left)
         return left, len(self.levels)
 
     def _residue(self, left, w):
@@ -217,18 +233,18 @@ class Chain:
 
     def _recompute_orbit(self, L):
         L.tree = orbit([L.point], L.gens)
-        L._reps = L._points = None
+        L._reps = {L.point: self.identity}
+        L._points = None
 
     def _verify(self, i):
         """Scan level i's Schreier generators; register the first dirty residue
         and return its depth, or None when the level is clean."""
         L = self.levels[i]
-        T = L.transversal
-        for pt in list(T):
-            times_u = itemgetter(*T[pt].images)
+        for pt in L.tree:
+            times_u = itemgetter(*L.rep(pt).images)
             for g in L.gens:
                 gu = times_u(g.images)  # g * t_p
-                left, _ = self._descend(T[g(pt)].images, gu, i + 1)
+                left, _ = self._descend(L.rep(g(pt)).images, gu, i + 1)
                 if left != gu:
                     return self._register(self._residue(left, gu))
         return None
@@ -239,7 +255,7 @@ class Chain:
         for L in self.levels:
             if L._points is None:
                 L._points = sorted(L.tree)
-            w = w * L.transversal[rng.choice(L._points)]
+            w = w * L.rep(rng.choice(L._points))
         return w
 
     def elements(self, cap=None):

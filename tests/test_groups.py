@@ -440,14 +440,16 @@ def test_order_hint_above_the_order_verifies_in_full(monkeypatch):
 # per build blueprint: Chain._descend calls, Chain._verify passes and
 # Permutation.__mul__ calls of construct(bp).order().  A full verification
 # with every representative rebuilt on registration took 16,018, 148 and
-# 7,616 over the six.
+# 7,616 over the six; building a level's whole transversal on its first read
+# after a registration took 4,720 products, building each representative
+# only when its point is read takes 1,181.
 BUILD_WORK = {
-    "go_odd:5:3": (840, 29, 537),
-    "go_odd:3:9": (840, 13, 573),
-    "sp:6:2": (970, 52, 345),
-    "gl:4:3": (1066, 21, 753),
-    "sl:2:27": (351, 5, 2191),
-    "gu:3:3": (265, 11, 321),
+    "go_odd:5:3": (840, 29, 235),
+    "go_odd:3:9": (840, 13, 237),
+    "sp:6:2": (970, 52, 179),
+    "gl:4:3": (1066, 21, 241),
+    "sl:2:27": (351, 5, 189),
+    "gu:3:3": (265, 11, 100),
 }
 
 
@@ -457,6 +459,76 @@ def test_build_work_pinned(bp, monkeypatch):
                           (Permutation, "__mul__"))
     construct(bp).order()
     assert tuple(counts) == BUILD_WORK[bp]
+
+
+def _eager_transversal(L):
+    """Every representative of level L, built in tree order from its edges."""
+    t = {L.point: L.identity}
+    for y, (i, x) in list(L.tree.items())[1:]:
+        t[y] = L.gens[i] * t[x]
+    return t
+
+
+@pytest.mark.parametrize("bp", BUILD_BLUEPRINTS + ("sp:4:3",))
+def test_reps_follow_the_tree_edges(bp):
+    for L in construct(bp).chain.levels:
+        for y, (i, x) in list(L.tree.items())[1:]:
+            assert L.rep(y) == L.gens[i] * L.rep(x)
+        assert (list(L.transversal.items())
+                == list(_eager_transversal(L).items()))
+
+
+def _path(L, y):
+    """The tree path from y up to, not including, the base point."""
+    path = []
+    while y != L.point:
+        path.append(y)
+        y = L.tree[y][1]
+    return path
+
+
+def test_rep_builds_only_its_tree_path(monkeypatch):
+    G = construct("sl:2:27")
+    chain = Chain(G.chain.degree)
+    for w in G.image_gens:  # registered, never verified: nothing read yet
+        chain._register(w)
+    L = chain.levels[0]
+    assert len(L.tree) == 728 and list(L._reps) == [L.point]
+    deep = next(reversed(L.tree))
+    path = _path(L, deep)
+    assert len(path) > 2
+    muls = _count_calls(monkeypatch, (Permutation, "__mul__"))
+    t = L.rep(deep)
+    assert muls[0] == len(path)
+    assert set(L._reps) == {L.point, *path}
+    for y in path:  # read again, nothing is built
+        L.rep(y)
+    assert muls[0] == len(path) and L.rep(deep) is t
+    assert t == _eager_transversal(L)[deep]
+
+
+def test_rep_walks_a_long_path_without_recursion():
+    n = 2000  # a single n-cycle: level 0's tree is a path of n - 1 edges
+    chain = Chain(n)
+    chain._register(Permutation.from_cycles(n, [tuple(range(n))]))
+    L, = chain.levels
+    assert len(_path(L, n - 1)) == n - 1 and list(L._reps) == [0]
+    assert L.rep(n - 1) == Permutation.from_cycles(n, [tuple(range(n))[::-1]])
+    assert len(L._reps) == n
+
+
+def test_rep_after_registration_reads_the_new_tree():
+    a = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
+    chain = Chain(5)
+    chain._register(a)
+    L = chain.levels[0]
+    old = L.transversal
+    assert old[4] == a * a * a * a
+    b = Permutation.from_cycles(5, [(0, 4)])
+    assert chain._register(b) == 0
+    assert list(L._reps) == [L.point]  # the memo went with the old tree
+    assert L.tree[4] == (1, 0) and L.rep(4) == b != old[4]
+    assert L.transversal == _eager_transversal(L)
 
 
 def _sift_reference(chain, w, start):
