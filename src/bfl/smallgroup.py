@@ -3,34 +3,30 @@
 import operator
 from functools import partial
 
-from .elements import element_order
 from .fields import is_p_power
 from .groups import orbit
 
-TABLE_LIMIT = 256   # groups up to this order get a full multiplication table
-_MEMO_CAP = 500_000
+ORDER_CAP = 3 ** 7  # the largest order indexed, the quotient tier's cap
 
 
 class SmallGroup:
-    """A finite group as an indexed element list; index 0 is the identity.
+    """A finite group as an indexed element list with its multiplication
+    table; index 0 is the identity and table[i][j] indexes the product of
+    elements i and j.
 
-    Multiplication runs off a full table for small orders, otherwise off the
-    underlying elements with memoization; classes and normal closures run
-    on each generator's conjugation as an index tuple.  Built by
-    generate() (breadth-first closure, recording how each element arose from
-    the generators), induced() (subgroup of an existing SmallGroup) or
+    Classes and normal closures run on each generator's conjugation as an
+    index tuple.  Built by generate() (breadth-first closure of at most
+    ORDER_CAP elements, recording how each element arose from the
+    generators), induced() (subgroup of an existing SmallGroup) or
     quotient().
     """
 
-    def __init__(self, elements, gens, table=None, name="",
-                 derivations=None):
+    def __init__(self, elements, gens, table, name="", derivations=None):
         self.elements = list(elements)
         self.gens = list(gens)
         self.table = table
         self.name = name
         self.derivations = derivations  # per element: None or (gen_pos, parent)
-        self._index = None
-        self._memo = {}
         self._inv = None
         self._orders = None
         self._classes = None
@@ -39,63 +35,45 @@ class SmallGroup:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def generate(cls, gens, identity, name="", cap=8192):
+    def generate(cls, gens, identity, name=""):
         """The orbit of the identity under left multiplication by the
         generators, in breadth-first order: the identity gets index 0, and
         element i arose as gens[gen_pos] * element[parent] for its
         derivation (gen_pos, parent), parent < i."""
-        tree = orbit([identity], [partial(operator.mul, g) for g in gens], cap,
-                     "group closure")
+        tree = orbit([identity], [partial(operator.mul, g) for g in gens],
+                     ORDER_CAP, "group closure")
         elements = list(tree)
         index = {x: k for k, x in enumerate(elements)}
         derivations = [d and (d[0], index[d[1]]) for d in tree.values()]
         gen_idx = [i for i in dict.fromkeys(map(index.__getitem__, gens)) if i]
-        S = cls(elements, gen_idx or [0], name=name, derivations=derivations)
-        S._index = index
-        if len(elements) <= TABLE_LIMIT:
-            S._build_table(gens)
-        return S
+        return cls(elements, gen_idx or [0],
+                   _table(gens, elements, index, derivations), name=name,
+                   derivations=derivations)
 
     @classmethod
-    def from_group(cls, G, name="", cap=8192):
+    def from_group(cls, G, name=""):
         """G indexed on its faithful permutation image: the breadth-first
         indices are those of G's own elements."""
         return cls.generate(G.image_gens, G.chain.identity,
-                            name=name or G.name, cap=cap)
-
-    def _build_table(self, raw_gens):
-        """Rows by composition along the derivation tree: one underlying
-        product per (generator, element) pair, then tuple indexing."""
-        n = len(self.elements)
-        idx = self._index
-        rows = [None] * n
-        rows[0] = tuple(range(n))
-        # generator left-translation rows, one underlying product per entry
-        gen_rows = {}
-        for gi in sorted({d[0] for d in self.derivations if d}):
-            g = raw_gens[gi]
-            gen_rows[gi] = tuple(idx[g * x] for x in self.elements)
-        for i in range(1, n):
-            gi, parent = self.derivations[i]
-            base = rows[parent]
-            grow = gen_rows[gi]
-            rows[i] = tuple(grow[j] for j in base)
-        self.table = rows
+                            name=name or G.name)
 
     def induced(self, indices):
         """The subgroup on a closed set of indices (else ValueError), as its
         own SmallGroup: member k is sorted(indices)[k] of this group."""
         sub = sorted(indices)
-        if sub[0] != 0:
+        if not sub or sub[0] != 0:
             raise ValueError("subgroup must contain the identity")
+        if sub[-1] >= self.order:
+            raise ValueError("index %d is out of range for order %d"
+                             % (sub[-1], self.order))
         remap = {q: s for s, q in enumerate(sub)}
         try:
-            table = [tuple(remap[self.mul(a, b)] for b in sub) for a in sub]
+            table = [tuple(remap[self.table[a][b]] for b in sub) for a in sub]
         except KeyError as e:
             raise ValueError("indices are not closed: the product %d of two "
                              "of them is missing" % e.args[0]) from None
         return SmallGroup([self.elements[q] for q in sub],
-                          _minimal_gens_for_table(table), table=table,
+                          _minimal_gens_for_table(table), table,
                           name="%s|%d" % (self.name, len(sub)))
 
     # -- arithmetic --------------------------------------------------------
@@ -105,61 +83,39 @@ class SmallGroup:
         return len(self.elements)
 
     def mul(self, i, j):
-        if self.table is not None:
-            return self.table[i][j]
-        key = (i, j)
-        t = self._memo.get(key)
-        if t is None:
-            t = self._index[self.elements[i] * self.elements[j]]
-            if len(self._memo) < _MEMO_CAP:
-                self._memo[key] = t
-        return t
+        return self.table[i][j]
 
     def inv(self, i):
         if self._inv is None:
             self._inv = [None] * self.order
         if self._inv[i] is None:
-            if self.table is not None:
-                self._inv[i] = self.table[i].index(0)
-            else:
-                self._inv[i] = self._index[~self.elements[i]]
+            self._inv[i] = self.table[i].index(0)
         return self._inv[i]
 
     def _conj_row(self, g):
-        """x -> g^-1 x g as an index tuple, built once: x g read at g^-1 x,
-        with g x and x g off the table or one underlying product each."""
+        """x -> g^-1 x g as an index tuple, built once: the column of g
+        read at g^-1 x, the row of g^-1."""
         row = self._conj.get(g)
         if row is None:
-            if self.table is not None:
-                left, right = self.table[g], [r[g] for r in self.table]
-            else:
-                y, idx = self.elements[g], self._index
-                left = [idx[y * x] for x in self.elements]
-                right = [idx[x * y] for x in self.elements]
-            inv_left = [0] * self.order
-            for x, gx in enumerate(left):
-                inv_left[gx] = x
-            row = self._conj[g] = tuple(map(right.__getitem__, inv_left))
+            right = [r[g] for r in self.table]
+            row = self._conj[g] = tuple(map(right.__getitem__,
+                                            self.table[self.inv(g)]))
         return row
 
     def left(self, g):
-        """x -> g x on indices: a lookup in g's table row, else `mul`."""
-        return (self.table[g].__getitem__ if self.table is not None
-                else partial(self.mul, g))
+        """x -> g x on indices: a lookup in g's table row."""
+        return self.table[g].__getitem__
 
     def conj(self, g):
         """x -> g^-1 x g on indices, off g's conjugation row."""
         return self._conj_row(g).__getitem__
 
     def element_order(self, i):
-        """Order of element i: read off the element itself when the group has
-        no table, else the size of the cyclic subgroup it generates."""
+        """Order of element i: the size of the cyclic subgroup it generates."""
         if self._orders is None:
             self._orders = [None] * self.order
         if self._orders[i] is None:
-            self._orders[i] = (element_order(self.elements[i])
-                               if self.table is None
-                               else len(self.closure([i])))
+            self._orders[i] = len(self.closure([i]))
         return self._orders[i]
 
     # -- structure ---------------------------------------------------------
@@ -203,8 +159,20 @@ class SmallGroup:
         return "SmallGroup(%s, order %d)" % (self.name or "?", self.order)
 
 
+def _table(gens, elements, index, derivations):
+    """Rows by composition along the derivation tree: one underlying product
+    per (generator, element) pair gives each generator's left-translation
+    row, and row i is the parent's row read through its generator's row."""
+    gen_rows = {gi: tuple(index[gens[gi] * x] for x in elements)
+                for gi in {d[0] for d in derivations if d}}
+    rows = [tuple(range(len(elements)))]
+    for gi, parent in derivations[1:]:
+        rows.append(tuple(map(gen_rows[gi].__getitem__, rows[parent])))
+    return rows
+
+
 def _minimal_gens_for_table(table):
-    """Greedy generating set for a table-backed group."""
+    """Greedy generating set read off a multiplication table."""
     gens, got = [], {0}
     for i in range(1, len(table)):
         if i not in got:
@@ -278,5 +246,5 @@ def quotient(S, N):
     table = [tuple(coset_id[S.mul(reps[a], reps[b])] for b in range(n))
              for a in range(n)]
     gens = [c for c in dict.fromkeys(map(coset_id.__getitem__, S.gens)) if c]
-    return SmallGroup(cosets, gens or [0], table=table,
+    return SmallGroup(cosets, gens or [0], table,
                       name="%s/%d" % (S.name, len(N)))

@@ -33,11 +33,10 @@ from .catalog import construct
 from .classes import class_of
 from .fields import is_p_power, is_prime
 from .groups import Group, image_kernel, orbit
-from .smallgroup import (SmallGroup, group_order, normal_subgroups, quotient,
-                         two_generated)
+from .smallgroup import (ORDER_CAP, SmallGroup, group_order, normal_subgroups,
+                         quotient, two_generated)
 
 FULL_TIER_CAP = {2: 1024, 3: 729}
-QUOTIENT_TIER_CAP = 3 ** 7
 
 
 class WreathModel:
@@ -181,7 +180,7 @@ def wreath_section_detect(Q, p, tier="quotient"):
         raise ValueError("input of order %d is not a %d-group" % (order, p))
     target = p ** (p + 1)
 
-    cap = FULL_TIER_CAP.get(p) if tier == "full" else QUOTIENT_TIER_CAP
+    cap = FULL_TIER_CAP.get(p) if tier == "full" else ORDER_CAP
     if cap is None:
         return SectionVerdict(False, "indeterminate",
                               note="full-tier search supports p=2,3 only; "
@@ -209,13 +208,14 @@ def wreath_section_detect(Q, p, tier="quotient"):
 def reconstruct_section(Q, witness, p):
     """Replay a section witness; True iff it still reconstructs the model.
 
-    False, without raising, when the subgroup's indices are out of range,
-    repeated or not closed, or when the normal set leaves the subgroup or is
-    not a normal subgroup of it."""
+    False, without raising, when an index is not an integer, when the
+    subgroup's indices are out of range, repeated or not closed, or when the
+    normal set leaves the subgroup or is not a normal subgroup of it."""
     Q = _as_small(Q)
-    members = sorted(witness["subgroup"])
-    if not all(0 <= q < Q.order for q in members):
+    indices = [*witness["subgroup"], *witness["normal"]]
+    if not all(isinstance(q, int) and 0 <= q < Q.order for q in indices):
         return False
+    members = sorted(witness["subgroup"])
     if members != sorted(Q.closure(members)):
         return False
     pos = {q: i for i, q in enumerate(members)}

@@ -325,3 +325,20 @@ def test_stream_base_cases():
     assert list(chain.elements()) == list(level.transversal.values())
     assert (list(chain.raw_elements())
             == [bytes(t.images) for t in level.transversal.values()])
+
+
+def test_wreath5_invariants_pinned():
+    # the W5 invariants pinned on its 15,625 indexed elements, read off its
+    # classes: order histogram, center size, derived order, class count
+    G = construct("wreath:5")
+    cls = enumerate_classes(G)
+    hist = {}
+    for c in cls:
+        hist[c.order] = hist.get(c.order, 0) + c.size
+    assert hist == {1: 1, 5: 5624, 25: 10000}
+    assert sum(c.size == 1 for c in cls) == 5
+    # G is 2-generated, so G' is the normal closure of one commutator
+    base, top = G.gens
+    comm = ~base * ~top * base * top
+    assert Group(class_of(G, comm).elements).order() == 625
+    assert len(cls) == 649

@@ -12,6 +12,7 @@ from bfl.battery import _heis, _matrix_group
 from bfl.catalog import construct
 from bfl.elements import Overflow, Permutation
 from bfl.fields import GF
+from bfl import smallgroup
 from bfl.smallgroup import (SmallGroup, is_p_group, normal_subgroups,
                             quotient, two_generated)
 from bfl.wreath import build_wreath
@@ -22,7 +23,7 @@ def small(name):
 
 
 def wreath_small(p):
-    return SmallGroup.from_group(build_wreath(p).group, cap=p ** (p + 1))
+    return SmallGroup.from_group(build_wreath(p).group)
 
 
 def order_histogram(S):
@@ -151,6 +152,18 @@ def test_induced_names_the_missing_product():
         D.induced([1, 2])
 
 
+def test_induced_rejects_an_empty_set():
+    with pytest.raises(ValueError, match="^subgroup must contain the "
+                       "identity$"):
+        small("dihedral:8").induced([])
+
+
+def test_induced_names_an_index_out_of_range():
+    with pytest.raises(ValueError, match=r"^index 99 is out of range for "
+                       r"order 8$"):
+        small("dihedral:8").induced([0, 99])
+
+
 def test_is_p_group_both_input_kinds():
     assert is_p_group(small("dihedral:8"), 2)
     assert not is_p_group(small("dihedral:8"), 3)
@@ -158,10 +171,11 @@ def test_is_p_group_both_input_kinds():
     assert not is_p_group(construct("sym:3"), 3)
 
 
-def test_large_group_has_no_table_but_works():
+def test_table_rows_are_the_element_products():
     Z = SmallGroup.from_group(construct("cyclic:300"))
     assert Z.order == 300
-    assert Z.table is None
+    assert all(Z.elements[k] == Z.elements[i] * Z.elements[j]
+               for i in range(0, 300, 37) for j, k in enumerate(Z.table[i]))
     assert Z.element_order(1) == 300
     i2 = Z.mul(1, 1)
     assert Z.elements[i2] == Z.elements[1] * Z.elements[1]
@@ -241,18 +255,24 @@ def test_class_partition_pinned():
 
 
 def test_generate_overflow_text():
-    gens = list(construct("sym:6").gens)
+    gens = list(construct("sym:7").gens)
     with pytest.raises(Overflow) as err:
-        SmallGroup.generate(gens, Permutation.identity(6), cap=100)
-    assert str(err.value) == "group closure exceeds cap 100"
+        SmallGroup.generate(gens, Permutation.identity(7))
+    assert str(err.value) == "group closure exceeds cap 2187"
+
+
+def test_from_group_overflows_before_any_table(monkeypatch):
+    # W5 has 15,625 elements: the closure stops at ORDER_CAP
+    monkeypatch.setattr(smallgroup, "_table",
+                        lambda *args: pytest.fail("table built"))
+    with pytest.raises(Overflow, match="^group closure exceeds cap 2187$"):
+        SmallGroup.from_group(construct("wreath:5"))
 
 
 def _digest_indices(parts):
     return hashlib.sha256(json.dumps(parts).encode()).hexdigest()[:16]
 
 
-# invariants of an element-backed group (order over TABLE_LIMIT), pinned
-# before element orders, translation rows and normal closures moved to
 def test_from_group_indexes_the_permutation_image():
     # the matrices' own closure gives the same breadth-first indices
     G = construct("gl:2:3")
@@ -264,31 +284,20 @@ def test_from_group_indexes_the_permutation_image():
                                                 M.derivations)
 
 
-# integer arithmetic: (order histogram, center, derived size and digest,
-# class count and digest of the sorted classes)
-ELEMENT_BACKED_PINS = [
-    (lambda: wreath_small(5),
-     {1: 1, 5: 5624, 25: 10000}, [0, 968, 6365, 13600, 15541],
-     625, "76062dc3323ec9e7", 649, "f292463e032fb0df"),
-    (lambda: SmallGroup.from_group(construct("gl:2:5")),
-     {1: 1, 2: 31, 3: 20, 4: 152, 5: 24, 6: 20, 8: 40, 10: 24, 12: 40,
-      20: 48, 24: 80}, [0, 8, 73, 289],
-     120, "b4c7a95f283118ce", 24, "2e305f56d6fc47b2"),
-]
-
-
-@pytest.mark.parametrize("make, hist, center, nder, der, ncls, cls",
-                         ELEMENT_BACKED_PINS)
-def test_element_backed_invariants_pinned(make, hist, center, nder, der,
-                                          ncls, cls):
-    S = make()
-    assert S.table is None
-    assert order_histogram(S) == hist
-    assert sorted(center_of(S)) == center
+def test_gl25_invariants_pinned():
+    # pinned while gl:2:5 (480 elements) multiplied its underlying matrices
+    # instead of a table: order histogram, center, derived size and digest,
+    # class count and digest of the sorted classes
+    S = SmallGroup.from_group(construct("gl:2:5"))
+    assert order_histogram(S) == {1: 1, 2: 31, 3: 20, 4: 152, 5: 24, 6: 20,
+                                  8: 40, 10: 24, 12: 40, 20: 48, 24: 80}
+    assert sorted(center_of(S)) == [0, 8, 73, 289]
     derived = sorted(S.derived_indices())
-    assert (len(derived), _digest_indices(derived)) == (nder, der)
+    assert (len(derived), _digest_indices(derived)) == (120,
+                                                        "b4c7a95f283118ce")
     classes = [sorted(c) for c in S.class_partition()]
-    assert (len(classes), _digest_indices(classes)) == (ncls, cls)
+    assert (len(classes), _digest_indices(classes)) == (24,
+                                                        "2e305f56d6fc47b2")
 
 
 S4_NORMAL_CLOSURES = [

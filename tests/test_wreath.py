@@ -25,7 +25,7 @@ def small(name):
 
 
 def wreath_small(p):
-    return SmallGroup.from_group(build_wreath(p).group, cap=p ** (p + 1))
+    return SmallGroup.from_group(build_wreath(p).group)
 
 
 def cycles(*lengths):
@@ -196,22 +196,17 @@ def test_caps_give_indeterminate():
 
 
 def test_quotient_cap_indeterminate():
-    from bfl.elements import Permutation
-    gens = [Permutation.from_cycles(24, [(2 * i, 2 * i + 1)])
-            for i in range(12)]
-    big = SmallGroup.generate(gens, Permutation.identity(24), cap=8192)
-    assert big.order == 4096
+    # a Group: the caps are read before indexing
+    big = cycles(*[2] * 12)
+    assert big.order() == 4096
     v = wreath_section_detect(big, 2)
     assert v.tier == "indeterminate"
     assert "exceeds the quotient-tier cap" in v.note
 
 
 def test_full_tier_cap_indeterminate():
-    from bfl.elements import Permutation
-    gens = [Permutation.from_cycles(21, [(3 * i, 3 * i + 1, 3 * i + 2)])
-            for i in range(7)]
-    big = SmallGroup.generate(gens, Permutation.identity(21), cap=8192)
-    assert big.order == 2187
+    big = cycles(*[3] * 7)
+    assert big.order() == 2187
     v = wreath_section_detect(big, 3, tier="full")
     assert v.tier == "indeterminate"
     assert "exceeds the full-tier cap" in v.note
@@ -286,7 +281,9 @@ def test_iso_p5_frattini_screen_rejects_without_enumerating():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_iso_input_kinds_agree(p):
     W = build_wreath(p).group
-    assert iso_to_wreath(W, p) is iso_to_wreath(wreath_small(p), p) is True
+    assert iso_to_wreath(W, p) is True
+    if p < 5:  # W5 has 15,625 elements, past ORDER_CAP
+        assert iso_to_wreath(wreath_small(p), p) is True
 
 
 @pytest.mark.parametrize("tier", ["quotient", "full"])
@@ -319,6 +316,9 @@ BAD_D8_WITNESSES = [
     ("normal leaves the subgroup", [0, 1, 3, 6], [0, 2]),
     ("normal not a subgroup", list(range(8)), [0, 1]),
     ("normal not normal", list(range(8)), [0, 2]),
+    ("not an integer", [0, 1.5], [0]),
+    ("a string", [0, "a"], [0]),
+    ("normal not an integer", list(range(8)), [0, [1]]),
 ]
 
 
@@ -500,7 +500,6 @@ def test_ut4_3_has_a_w3_section_but_no_w3_quotient():
                                       cycles(*[3] * 6))])
 def test_left_is_the_product(make):
     S = make()
-    assert (S.table is None) is (S.order > 256)
     for g in range(0, S.order, S.order // 8 + 1):
         left, ref = S.left(g), partial(S.mul, g)
         assert [left(x) for x in range(S.order)] == list(
