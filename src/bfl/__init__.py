@@ -20,7 +20,8 @@ from .genfile import ParseError, parse_generator_file
 from .cyclotomic import Cyclotomic
 from .report import Verdict, ScanPlan, emit_report, exit_code
 from .chartab import (CharacterTable, TableError, parse_table, load_table,
-                      class_mult_count, product_support, bf_pair_table)
+                      class_constants, class_mult_count, product_support,
+                      bf_pair_table)
 from .charcompute import build_table
 from .smallgroup import SmallGroup, is_p_group, normal_subgroups, quotient
 from .wreath import (WreathModel, build_wreath, iso_to_wreath,

@@ -1,15 +1,18 @@
 """Brute-force character tables for small fully-enumerable groups.
 
 Structure constants are counted from explicit class-sum products on the
-permutation image, once per unordered class pair over the smaller class,
-since class sums commute.  The irreducible characters are the common
-eigenvectors of the class matrices (Dixon 1967; Schneider 1990), computed
-exactly over a prime field F_ell with ell = 1 (mod exponent) and ell above
-2|G| and 2r^3 (over 40000 for alt:8) as the eigenvectors of one generic
-combination of them, whose roots Cantor-Zassenhaus splits off by polynomial
-gcds; they are lifted to cyclotomic integers by Fourier inversion on the
-eigenvalue multiplicities of each power class.  The prime, a root of unity
-mod it and the polynomial arithmetic over F_ell come from fields.
+permutation image, once per class triple: the number of solutions of
+xyz = 1 with x, y, z in three given classes is symmetric in the classes,
+so the pairs within two halves of the classes are counted over the smaller
+class and the pairs across them are derived exactly.  The irreducible
+characters are the common eigenvectors of the class matrices (Dixon 1967;
+Schneider 1990), computed exactly over a prime field F_ell with
+ell = 1 (mod exponent) and ell above 2|G| and 2r^3 (over 40000 for alt:8)
+as the eigenvectors of one generic combination of them, whose roots
+Cantor-Zassenhaus splits off by polynomial gcds; they are lifted to
+cyclotomic integers by Fourier inversion on the eigenvalue multiplicities
+of each power class.  The prime, a root of unity mod it and the polynomial
+arithmetic over F_ell come from fields.
 """
 
 import math
@@ -17,7 +20,7 @@ from operator import mul
 
 from .classes import enumerate_classes
 from .groups import image_kernel
-from .chartab import CharacterTable, class_mult_count
+from .chartab import CharacterTable, class_constants
 from .cyclotomic import Cyclotomic
 from .fields import (factorize, poly_divmod, poly_gcd, poly_powmod, poly_sub,
                      poly_trim, root_of_unity, working_prime)
@@ -41,33 +44,63 @@ def structure_constants(G):
 
     e_k is any fixed element of C_k; only one representative c per C_i is
     scanned, since conjugating d by the element carrying rep to c is a
-    bijection of the solution set.  Class sums commute, so a[i][j] = a[j][i]:
-    each unordered pair is counted once, the larger class's representative
-    against the members of the smaller.  Products run on raw images
+    bijection of the solution set.  The triple count #{xyz = 1 : x in C_i,
+    y in C_j, z in C_k} is |C_k| a[i][j][k*], k* the class of the inverses of
+    C_k, and is symmetric in i, j and k (class sums commute).  So the classes
+    are split into two halves, alternately in size order, and each class
+    triple is counted once: a pair within a half, diagonal included, is
+    counted as the larger class's representative against the members of
+    the smaller, and a pair across the halves is read off the counted pair
+    of k* with whichever of i, j shares its half, as
+    a[i][j][k] = |C_j| a[i][k*][j*] / |C_k| = |C_i| a[j][k*][i*] / |C_k|.
+    a[i][j] and a[j][i] are separate lists.  Products run on raw images
     (`groups.image_kernel`), keys of loc: no member becomes a permutation.
     """
     cls = enumerate_classes(G)
     loc = {x: k for k, C in enumerate(cls) for x in C.raw}
     r = len(cls)
+    sizes = [C.size for C in cls]
     encode, times, _ = image_kernel(G.chain.degree)
-    reps = [times(encode(G.to_perm(C.representative).images)) for C in cls]
-    a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    perms = [G.to_perm(C.representative) for C in cls]
+    reps = [times(encode(g.images)) for g in perms]
+    star = [loc[encode((~g).images)] for g in perms]
+    half = [0] * r
+    for n, k in enumerate(sorted(range(r), key=sizes.__getitem__)):
+        half[k] = n % 2
+    a = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
-            big, small = (i, j) if cls[i].size >= cls[j].size else (j, i)
+            if half[i] != half[j]:
+                continue
+            big, small = (i, j) if sizes[i] >= sizes[j] else (j, i)
             rep = reps[big]
             hits = [0] * r
             for x in map(rep, cls[small].raw):
                 hits[loc[x]] += 1
+            row = []
             for k in range(r):
-                total = cls[big].size * hits[k]
-                if total % cls[k].size:
+                total = sizes[big] * hits[k]
+                if total % sizes[k]:
                     raise AssertionError(
                         "(%d,%d,%d): %d hits times class size %d is not "
                         "divisible by class size %d"
-                        % (big, small, k, hits[k], cls[big].size,
-                           cls[k].size))
-                a[i][j][k] = a[j][i][k] = total // cls[k].size
+                        % (big, small, k, hits[k], sizes[big], sizes[k]))
+                row.append(total // sizes[k])
+            a[i][j], a[j][i] = row, row[:]
+    for i in range(r):
+        for j in range(r):
+            if a[i][j] is not None:
+                continue
+            row = []
+            for k in range(r):
+                s, t = (i, j) if half[star[k]] == half[i] else (j, i)
+                total = sizes[t] * a[s][star[k]][star[t]]
+                if total % sizes[k]:
+                    raise AssertionError(
+                        "(%d,%d,%d): %d triples are not divisible by class "
+                        "size %d" % (i, j, k, total, sizes[k]))
+                row.append(total // sizes[k])
+            a[i][j] = row
     return cls, loc, a
 
 
@@ -242,12 +275,11 @@ def build_table(G, name):
 
 def _cross_check(T, a):
     """Every structure constant from the table must match the counted one."""
-    r = T.n_classes
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                got = class_mult_count(T, i, j, k)
-                if got != a[i][j][k]:
+    for i in range(T.n_classes):
+        for j in range(T.n_classes):
+            got = class_constants(T, i, j)
+            for k, (n, want) in enumerate(zip(got, a[i][j])):
+                if n != want:
                     raise AssertionError(
                         "%s: table gives %d for (%d,%d,%d), counting gives %d"
-                        % (T.name, got, i, j, k, a[i][j][k]))
+                        % (T.name, n, i, j, k, want))

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 from .battery import standard_battery
 from .catalog import FAMILIES, construct, order_formula, parse_blueprint
-from .chartab import TableError, class_mult_count, load_table, product_support
+from .chartab import TableError, class_constants, load_table
 from .classes import NormalSet, enumerate_classes, select_class
 from .elements import Overflow
 from .genfile import ParseError
@@ -228,14 +228,14 @@ def _cmd_structconst(args):
                          "e": args.e, "list_support": bool(args.list_support
                                                            or args.e is None)}}
     info = {"table": T.name, "order": T.order, "i": args.i, "j": args.j}
+    counts = class_constants(T, args.i, args.j)
     if args.e is not None:
         info["e"] = args.e
-        info["count"] = class_mult_count(T, args.i, args.j, args.e)
+        info["count"] = counts[args.e]
     if args.list_support or args.e is None:
-        support = product_support(T, args.i, args.j)
         info["support"] = [{"class": k, "element_order": T.element_order(k),
-                            "size": T.size(k), "count": support[k]}
-                           for k in sorted(support)]
+                            "size": T.size(k), "count": n}
+                           for k, n in enumerate(counts) if n]
     return {"info": info}
 
 

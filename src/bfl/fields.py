@@ -172,11 +172,11 @@ class FieldSpec:
         self.k = k
         self.q = q
         self.modulus = modulus
+        self._prim = None
         if q <= _TABLE_CAP:
             self._build_tables()
         else:
             self.ADD = self.MUL = self.FROB = None
-        self._prim = None
 
     @staticmethod
     def _check_irreducible(modulus, r, k):
@@ -225,18 +225,34 @@ class FieldSpec:
         return self.encode([(x + y) % r for x, y in zip(ca, cb)])
 
     def _build_tables(self):
-        q = self.q
-        self.ADD = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self.MUL = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        self.NEG = [self.ADD[a].index(0) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.MUL[a].index(1)
-        self.INV = inv
-        frob = [list(range(q))]  # frob[e][a] = a^(r^e)
-        for _ in range(1, self.k):
-            frob.append([self.pow(a, self.r) for a in frob[-1]])
-        self.FROB = frob
+        """MUL, INV and FROB from the powers of the least primitive element,
+        found on raw arithmetic: a nonzero a is g^log(a), so a product is a
+        sum of logarithms.  ADD is built one base-r digit at a time: codes
+        below r^(m+1) are s r^m + a' with a' below r^m, and digits add
+        apart."""
+        q, r, n = self.q, self.r, self.q - 1
+        g = self._prim = _least_generator(n, lambda a, e: self.encode(
+            poly_powmod(self.coeffs(a), e, self.modulus, r)))
+        exp = [1]
+        for _ in range(n - 1):
+            exp.append(self._mul_raw(exp[-1], g))
+        log = [0] * q
+        for e, x in enumerate(exp):
+            log[x] = e
+        exp2 = exp * 2
+        self.MUL = [[0] * q] + [[0] + [exp2[log[a] + log[b]]
+                                       for b in range(1, q)]
+                                for a in range(1, q)]
+        self.INV = [0] + [exp[-log[a] % n] for a in range(1, q)]
+        self.FROB = [[0] + [exp[log[a] * r ** e % n] for a in range(1, q)]
+                     for e in range(self.k)]
+        add, size = [[0]], 1
+        for _ in range(self.k):
+            add = [[x + size * ((s + t) % r) for t in range(r) for x in row]
+                   for s in range(r) for row in add]
+            size *= r
+        self.ADD = add
+        self.NEG = [row.index(0) for row in add]
 
     # ---- public ops --------------------------------------------------
 

@@ -3,6 +3,7 @@ irreducibility by spinning lines, and the generator fixed-space checks,
 cross-validated against the wreath-section search."""
 
 import time
+from functools import lru_cache
 
 from .elements import SquareMatrix
 from .fields import projective_points
@@ -148,8 +149,12 @@ def commutator_profile(action):
 
 # -- the generator fixed-space checks ---------------------------------------
 
+@lru_cache(maxsize=1)
 def _hypotheses(P, action, p):
-    """Shared screen; (status, reason, rep, positions) with status None = go."""
+    """Shared screen; (status, reason, rep, positions) with status None = go.
+
+    lemma21_check and cor22_check screen the same case in turn, so the last
+    screen is kept: SmallGroup and ModuleAction hash by identity."""
     if not is_p_group(P, p):
         return SKIPPED, "group order %d is not a power of %d" % (P.order, p), None, None
     if action.field.r == p:

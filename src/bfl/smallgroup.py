@@ -3,6 +3,7 @@
 import operator
 from functools import partial
 
+from .elements import Overflow
 from .fields import is_p_power
 from .groups import orbit
 
@@ -212,16 +213,24 @@ def two_generated(S):
     return {H: pairs[H] for H in sorted(pairs, key=_by_order)}
 
 
-def normal_subgroups(S):
-    """All normal subgroups, sorted by (order, members): the orbit of the
-    trivial subgroup under the join with the normal closure of each
-    non-identity class.  For A normal and x a class representative outside
-    A, that join is the orbit of A under left multiplication by x and
-    conjugation by the generators."""
+def normal_subgroups(S, order=None):
+    """All normal subgroups, or those of at most the given order, sorted by
+    (order, members): the orbit of the trivial subgroup under the join with
+    the normal closure of each non-identity class.  For A normal and x a
+    class representative outside A, that join is the orbit of A under left
+    multiplication by x and conjugation by the generators.  A join past the
+    order is dropped: a normal N is the join of the normal closures of its
+    classes, and every partial join lies in N, so each N of at most that
+    order is still reached."""
     conj = list(map(S.conj, S.gens))
 
     def join(x, A):
-        return A if x in A else frozenset(orbit(A, [S.left(x)] + conj))
+        if x in A:
+            return A
+        try:
+            return frozenset(orbit(A, [S.left(x)] + conj, order))
+        except Overflow:
+            return A
 
     maps = [partial(join, min(c)) for c in S.class_partition() if 0 not in c]
     return sorted(orbit([frozenset([0])], maps), key=_by_order)

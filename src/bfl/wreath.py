@@ -165,9 +165,12 @@ def wreath_section_detect(Q, p, tier="quotient"):
 
     Both tiers put candidate subgroups H to the module test in turn; the
     witness N is the first normal subgroup of the first H that passes, in
-    (order, members) order, with H/N the model.  tier=quotient has one
-    candidate, Q itself; tier=full has every 2-generated subgroup in
-    (order, members) order, since W_p is 2-generated (module docstring).
+    (order, members) order, with H/N the model; only normal subgroups of
+    order |H| / p^(p+1) are built.  tier=quotient has one candidate, Q
+    itself; tier=full has every 2-generated subgroup in (order, members)
+    order, since W_p is 2-generated (module docstring), which is Q alone
+    when |Q| = p^(p+1): a candidate's order is a multiple of p^(p+1), and a
+    Q of that order that maps onto W_p is W_p, 2-generated.
     Caps produce an indeterminate verdict rather than a silently incomplete
     scan; they are read off the order before a Group is indexed.
     """
@@ -191,12 +194,15 @@ def wreath_section_detect(Q, p, tier="quotient"):
                                    % (order, tier, cap))
     Q = _as_small(Q)
     whole = frozenset(range(Q.order))
-    cands = two_generated(Q) if tier == "full" else {whole: Q.gens}
+    if tier == "full" and order > target:
+        cands = two_generated(Q)
+    else:
+        cands = {whole: Q.gens}
     for H, gens in cands.items():
         if len(H) % target or not _maps_onto_wreath(Q, gens, len(H), p):
             continue
         S = Q if H == whole else Q.induced(H)
-        N = next(N for N in normal_subgroups(S)
+        N = next(N for N in normal_subgroups(S, S.order // target)
                  if S.order // len(N) == target
                  and iso_to_wreath(quotient(S, N), p))
         members = sorted(H)

@@ -13,8 +13,10 @@ from bfl.catalog import construct
 from bfl.charcompute import (SHIPPED_TABLES, _eigenvectors, _poly_roots,
                              build_table, structure_constants)
 from bfl.chartab import (CharacterTable, TableError, parse_table, load_table,
-                         class_mult_count, product_support, bf_pair_table)
+                         class_constants, class_mult_count, product_support,
+                         bf_pair_table)
 from bfl.classes import enumerate_classes, serial_key
+from bfl.groups import image_kernel
 from bfl.cyclotomic import Cyclotomic
 from bfl.report import HOLDS
 
@@ -440,3 +442,56 @@ def test_poly_roots_match_scan(ell, roots):
         mixed[k] = (mixed[k] - nonres * c) % ell
         mixed[k + 2] = (mixed[k + 2] + c) % ell
     assert _poly_roots(mixed, ell) == _scan_roots(mixed, ell)
+
+
+# -- one pass per class pair, one count per class triple ---------------------
+
+def column_count(T, i, j, k):
+    """a_ijk by the column formula, one sum over the characters per k."""
+    return (sum(row[i] * row[j] * w[k] for row, w in zip(T.chi, T.weights))
+            * T.size(i) * T.size(j) % T.ell)
+
+
+def test_class_constants_are_the_column_formula():
+    tables = [shipped(name) for name, _ in SHIPPED_TABLES]
+    tables += [build_table(construct("alt:8"), "alt8"),
+               build_table(construct("psl2:27"), "l2_27")]
+    for T in tables:
+        r = T.n_classes
+        for i in range(r):
+            for j in range(r):
+                want = [column_count(T, i, j, k) for k in range(r)]
+                assert class_constants(T, i, j) == want, (T.name, i, j)
+                assert product_support(T, i, j) == {
+                    k: n for k, n in enumerate(want) if n}
+
+
+def all_pairs_constants(G):
+    """Every unordered class pair counted, the larger class's representative
+    against the members of the smaller."""
+    cls = enumerate_classes(G)
+    loc = {x: k for k, C in enumerate(cls) for x in C.raw}
+    r = len(cls)
+    encode, times, _ = image_kernel(G.chain.degree)
+    reps = [times(encode(G.to_perm(C.representative).images)) for C in cls]
+    a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            big, small = (i, j) if cls[i].size >= cls[j].size else (j, i)
+            hits = [0] * r
+            for x in map(reps[big], cls[small].raw):
+                hits[loc[x]] += 1
+            for k in range(r):
+                a[i][j][k] = a[j][i][k] = (cls[big].size * hits[k]
+                                           // cls[k].size)
+    return a
+
+
+@pytest.mark.parametrize("bp", ["sym:3", "sym:4", "q8", "gl:2:3", "psl2:7",
+                                "sym:5", "alt:8", "psl2:27"])
+def test_structure_constants_are_the_all_pairs_count(bp):
+    G = construct(bp)
+    a = structure_constants(G)[2]
+    assert a == all_pairs_constants(G)
+    r = len(a)
+    assert all(a[i][j] is not a[j][i] for i in range(r) for j in range(i))

@@ -182,3 +182,29 @@ def test_field_tables_pinned():
         text = json.dumps([F.ADD, F.MUL, F.NEG, F.INV, F.primitive()])
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
             FIELD_TABLE_PINS[q], q
+
+
+def raw_tables(F):
+    """ADD, MUL, NEG, INV and FROB entry by entry on raw arithmetic."""
+    q = F.q
+    add = [[F._add_raw(a, b) for b in range(q)] for a in range(q)]
+    mul = [[F._mul_raw(a, b) for b in range(q)] for a in range(q)]
+
+    def rth_power(a):
+        out = 1
+        for _ in range(F.r):
+            out = F._mul_raw(out, a)
+        return out
+
+    frob = [list(range(q))]
+    for _ in range(1, F.k):
+        frob.append([rth_power(a) for a in frob[-1]])
+    return (add, mul, [row.index(0) for row in add],
+            [0] + [mul[a].index(1) for a in range(1, q)], frob)
+
+
+@pytest.mark.parametrize("q", sorted(DEFAULT_MODULI) + [2, 3, 5, 7, 11, 13])
+def test_tables_are_the_raw_arithmetic(q):
+    [(r, k)] = factorize(q).items()
+    F = FieldSpec(r, k)
+    assert (F.ADD, F.MUL, F.NEG, F.INV, F.FROB) == raw_tables(F)

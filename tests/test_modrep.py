@@ -191,3 +191,37 @@ def test_verdict_counters_present():
     assert v.counters["generators"] == 2
     assert v.counters["dim"] == 3
     assert v.seconds >= 0
+
+
+def test_a_case_is_screened_once_per_check_pair(monkeypatch):
+    """lemma21_check then cor22_check on one case build its representation
+    once, and every verdict body is the one of a fresh screen per check."""
+    from collections import Counter
+    from bfl import modrep
+
+    calls = Counter()
+
+    def counted(S, action):
+        calls[id(action), run] += 1
+        return real(S, action)
+
+    def body(v):
+        return {k: x for k, x in v.to_json().items() if k != "seconds"}
+
+    real = modrep.representation
+    monkeypatch.setattr(modrep, "representation", counted)
+    cases = standard_battery()
+    bodies = {}
+    for run in ("fresh", "paired"):
+        bodies[run] = []
+        modrep._hypotheses.cache_clear()
+        for c in cases:
+            for check in (lemma21_check, cor22_check):
+                if run == "fresh":
+                    modrep._hypotheses.cache_clear()
+                bodies[run].append(body(check(c["group"], c["action"],
+                                              c["p"], name=c["name"])))
+    assert bodies["paired"] == bodies["fresh"]
+    actions = [id(c["action"]) for c in cases]
+    assert {calls[a, "paired"] for a in actions} == {0, 1}
+    assert all(calls[a, "fresh"] == 2 * calls[a, "paired"] for a in actions)

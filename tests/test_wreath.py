@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from bfl.battery import standard_battery
 from bfl.catalog import construct
 from bfl.elements import Permutation
 from bfl.groups import Group, orbit
@@ -504,3 +505,66 @@ def test_left_is_the_product(make):
         left, ref = S.left(g), partial(S.mul, g)
         assert [left(x) for x in range(S.order)] == list(
             map(ref, range(S.order)))
+
+
+def pair_loop_full_tier(Q, p):
+    """(found, witness) of the full tier by the two_generated loop over
+    every 2-generated subgroup, whatever the order of Q."""
+    target = p ** (p + 1)
+    for H, gens in two_generated(Q).items():
+        if len(H) % target or not _maps_onto_wreath(Q, gens, len(H), p):
+            continue
+        S = Q if len(H) == Q.order else Q.induced(H)
+        N = next(N for N in normal_subgroups(S)
+                 if S.order // len(N) == target
+                 and iso_to_wreath(quotient(S, N), p))
+        members = sorted(H)
+        return True, {"subgroup": members,
+                      "normal": sorted(members[i] for i in N)}
+    return False, None
+
+
+def test_full_tier_at_the_model_order_is_the_pair_loop():
+    groups = [(small("dihedral:8"), 2), (small("q8"), 2), (wreath_small(3), 3)]
+    groups += [(c["group"], c["p"]) for c in standard_battery()
+               if c["group"].order == c["p"] ** (c["p"] + 1)]
+    assert len(groups) > 10
+    assert {found for found, _ in (pair_loop_full_tier(Q, p)
+                                   for Q, p in groups)} == {True, False}
+    for Q, p in groups:
+        v = wreath_section_detect(Q, p, tier="full")
+        assert v.tier == "full"
+        assert (v.found, v.witness) == pair_loop_full_tier(Q, p), Q
+
+
+def w3_times(copies):
+    """W3 on points 0-8 times (Z3)^copies, one 3-cycle each on the points
+    from 9 on."""
+    n = 9 + 3 * copies
+    gens = [Permutation(list(g.images) + list(range(9, n)))
+            for g in build_wreath(3).group.gens]
+    gens += [Permutation.from_cycles(n, [(a, a + 1, a + 2)])
+             for a in range(9, n, 3)]
+    return Group(gens)
+
+
+def test_bounded_normal_subgroups_are_the_filtered_lattice():
+    S = SmallGroup.from_group(w3_times(1))
+    assert S.order == 243
+    lattice = normal_subgroups(S)
+    for order in (1, 3, 9, 27, 81, 243):
+        assert normal_subgroups(S, order) == [N for N in lattice
+                                              if len(N) <= order]
+
+
+def test_quotient_tier_on_w3_times_z3_cubed():
+    # order 2187, the quotient tier's cap: only the normal subgroups of
+    # order at most 27 are built, and one of order 27 has W3 as quotient
+    S = SmallGroup.from_group(w3_times(3))
+    assert S.order == 3 ** 7
+    v = wreath_section_detect(S, 3)
+    assert v.found and v.tier == "quotient"
+    assert v.witness["subgroup"] == list(range(S.order))
+    N = v.witness["normal"]
+    assert len(N) == 27 and S.normal_closure(N) == frozenset(N)
+    assert iso_to_wreath(quotient(S, N), 3)
