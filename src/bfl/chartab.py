@@ -179,33 +179,34 @@ def load_table(name_or_path):
 
 # -- class algebra ---------------------------------------------------------
 
-def class_constants(T, i, j):
-    """Every a_ijk = #{(c, d) in C_i x C_j : cd = e_k} of one class pair, k in
-    class order, e_k a fixed element of C_k.
+def _count(T, i, j, k, u, w):
+    """a_ijk from u, the r products chi(c_i) chi(c_j), and w, column k of
+    the weights.
 
     Classical column formula: |C_i||C_j|/|G| * sum over characters of
-    chi(c_i) chi(c_j) conj(chi(e_k)) / chi(1), evaluated mod ell, one pass:
-    the r products chi(c_i) chi(c_j) are formed once and summed against each
-    column of the weights.  A count lies in [0, min(|C_i|, |C_j|)] and
-    ell > 2|G|, so the residue is the count; a residue outside that range
-    means the table is bad, and the first such k raises.
+    chi(c_i) chi(c_j) conj(chi(e)) / chi(1), evaluated mod ell.  The count
+    lies in [0, min(|C_i|, |C_j|)] and ell > 2|G|, so the residue is the
+    count; a residue outside that range means the table is bad.
     """
-    u = [row[i] * row[j] for row in T.chi]
-    scale, bound = T.size(i) * T.size(j), min(T.size(i), T.size(j))
-    out = []
-    for k, w in enumerate(zip(*T.weights)):
-        n = sum(map(mul, u, w)) * scale % T.ell
-        if n > bound:
-            raise TableError("%s: structure constant (%d,%d,%d) is %d mod %d, "
-                             "not a count" % (T.name, i, j, k, n, T.ell))
-        out.append(n)
-    return out
+    n = sum(map(mul, u, w)) * T.size(i) * T.size(j) % T.ell
+    if n > min(T.size(i), T.size(j)):
+        raise TableError("%s: structure constant (%d,%d,%d) is %d mod %d, "
+                         "not a count" % (T.name, i, j, k, n, T.ell))
+    return n
 
 
 def class_mult_count(T, i, j, e_class):
-    """Number of pairs (c, d) in C_i x C_j with c*d = e, for one fixed e in
-    C_e_class: that entry of class_constants(T, i, j)."""
-    return class_constants(T, i, j)[e_class]
+    """Number of pairs (c, d) in C_i x C_j with c*d = e, for one fixed e."""
+    return _count(T, i, j, e_class, [row[i] * row[j] for row in T.chi],
+                  [w[e_class] for w in T.weights])
+
+
+def class_constants(T, i, j):
+    """Every a_ijk = #{(c, d) in C_i x C_j : cd = e_k} of one class pair, k in
+    class order, e_k a fixed element of C_k: the r products chi(c_i) chi(c_j)
+    are formed once and summed against each column of the weights."""
+    u = [row[i] * row[j] for row in T.chi]
+    return [_count(T, i, j, k, u, w) for k, w in enumerate(zip(*T.weights))]
 
 
 def product_support(T, i, j):

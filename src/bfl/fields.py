@@ -225,14 +225,12 @@ class FieldSpec:
         return self.encode([(x + y) % r for x, y in zip(ca, cb)])
 
     def _build_tables(self):
-        """MUL, INV and FROB from the powers of the least primitive element,
-        found on raw arithmetic: a nonzero a is g^log(a), so a product is a
-        sum of logarithms.  ADD is built one base-r digit at a time: codes
-        below r^(m+1) are s r^m + a' with a' below r^m, and digits add
-        apart."""
+        """MUL, INV and FROB from the powers of the primitive element: a
+        nonzero a is g^log(a), so a product is a sum of logarithms.  ADD is
+        built one base-r digit at a time: codes below r^(m+1) are s r^m + a'
+        with a' below r^m, and digits add apart."""
         q, r, n = self.q, self.r, self.q - 1
-        g = self._prim = _least_generator(n, lambda a, e: self.encode(
-            poly_powmod(self.coeffs(a), e, self.modulus, r)))
+        g = self.primitive()
         exp = [1]
         for _ in range(n - 1):
             exp.append(self._mul_raw(exp[-1], g))
@@ -304,9 +302,11 @@ class FieldSpec:
         return range(self.q)
 
     def primitive(self):
-        """A fixed generator of the multiplicative group (smallest code)."""
+        """A fixed generator of the multiplicative group (smallest code),
+        found on raw arithmetic, so the tables can be built from it."""
         if self._prim is None:
-            self._prim = _least_generator(self.q - 1, self.pow)
+            self._prim = _least_generator(self.q - 1, lambda a, e: self.encode(
+                poly_powmod(self.coeffs(a), e, self.modulus, self.r)))
         return self._prim
 
     # ---- identity ----------------------------------------------------

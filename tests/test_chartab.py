@@ -164,6 +164,18 @@ def test_residue_out_of_range_is_not_a_count():
         class_mult_count(T, 1, 1, 0)
 
 
+def test_single_constant_reads_only_its_column():
+    # the bad weight of column 0 fails the whole row and that one entry, and
+    # leaves every other single entry as it was
+    T = shipped("a5")
+    good = class_constants(T, 1, 1)
+    T.weights[1][0] = (T.weights[1][0] + 1) % T.ell
+    with pytest.raises(TableError, match=r"\(1,1,0\)"):
+        class_constants(T, 1, 1)
+    assert [class_mult_count(T, 1, 1, k)
+            for k in range(1, T.n_classes)] == good[1:]
+
+
 def test_a5_five_class_self_product_positive():
     T = shipped("a5")
     five = [k for k in range(T.n_classes) if T.element_order(k) == 5]
