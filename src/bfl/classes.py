@@ -13,8 +13,6 @@ from operator import getitem, itemgetter
 from .elements import Permutation, element_order
 from .groups import CLOSURE_CAP, image_kernel, orbit
 
-PAIR_CAP = 2_000_000
-
 
 class SelectorError(ValueError):
     """A class selector that does not resolve to exactly one class."""
@@ -91,7 +89,7 @@ class NormalSet:
     __slots__ = ("classes",)
 
     def __init__(self, classes):
-        self.classes = tuple(classes)
+        self.classes = tuple(dict.fromkeys(classes))  # each class once
 
     @classmethod
     def of(cls, S):

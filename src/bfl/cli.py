@@ -422,18 +422,13 @@ def main(argv=None):
     except _ArgError as e:
         print("error: %s" % e, file=sys.stderr)
         return USAGE_EXIT
-    except (TableError, ParseError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return DATA_EXIT
-    except Overflow as e:
+    except (TableError, ParseError, Overflow, OSError) as e:
+        # before ValueError: TableError and ParseError subclass it
         print("error: %s" % e, file=sys.stderr)
         return DATA_EXIT
     except ValueError as e:  # bad blueprint, selector, prime, or parameter
         print("error: %s" % e, file=sys.stderr)
         return USAGE_EXIT
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return DATA_EXIT
     text, code = _render(args, payload, time.perf_counter() - t0)
     if args.out:
         try:

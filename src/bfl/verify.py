@@ -14,19 +14,20 @@ images; a subgroup larger than |G|_p is not a p-group, so the closure stops
 past min(|G|_p, PAIR_CLOSURE_CAP) and still decides the pair, and a
 stabilizer chain is built only past that cap.  wreath-free builds one chain
 per closure, which gives its order and serves the section search.  The
-normal-set checks, comm-closed and cc-inverse, share one pair walk over the
-classes' image permutations.
+normal-set checks, comm-closed and cc-inverse, share one exact pair walk
+over the classes' image permutations: both are invariant under conjugation,
+so the first row of each class decides every row of that class.
 """
 
 import json
 import random
 import time
-from itertools import product
+from itertools import islice
 from math import gcd
 
 from .catalog import construct, parse_blueprint, special_element
-from .classes import (PAIR_CAP, ConjClass, NormalSet, class_of,
-                      enumerate_classes, image_key, involution_classes_sym)
+from .classes import (ConjClass, NormalSet, class_of, enumerate_classes,
+                      image_key, involution_classes_sym)
 from .elements import (Overflow, SquareMatrix, commutator, conjugate,
                        deserialize_element, element_order, identity_like,
                        inverse, serialize_element)
@@ -37,7 +38,6 @@ from .report import (FAILS, HOLDS, INDETERMINATE, SKIPPED, ScanPlan, Verdict)
 from .wreath import wreath_section_detect
 
 MAX_WITNESSES = 3
-SAMPLE_PAIRS = 100_000  # pair budget when a full C x C scan would overflow
 # Largest pair closure enumerated before a chain takes over: at degree 80, a
 # closure past 512 elements costs over 3x a chain build of the same group.
 PAIR_CLOSURE_CAP = 512
@@ -218,29 +218,20 @@ def wreath_free_pair_check(G, c, d, p, plan=None):
                             judge)
 
 
-def _pairs(elist, sampled):
-    """The pairs (a, b) a check visits: SAMPLE_PAIRS draws from
-    Random(0xBF), a then b, when sampled, else all of elist x elist in order."""
-    if not sampled:
-        yield from product(elist, repeat=2)
-        return
-    rng = random.Random(0xBF)
-    n = len(elist)
-    for _ in range(SAMPLE_PAIRS):
-        a = elist[rng.randrange(n)]
-        yield a, elist[rng.randrange(n)]
-
-
 def _scan_normal_set(name, G, C, p, judge):
-    """The pair walk of the normal-set checks over C x C.
+    """The pair walk of the normal-set checks over C x C, exact at every |C|.
 
     The members are the classes' image permutations (`ConjClass.perms`) of
-    G, the classes' group, sorted by `image_key`: serial_key order on the
-    elements, so `_pairs` draws the same pairs.  judge(G, members, sampled)
+    G, the classes' group, sorted by `image_key` (serial_key order on the
+    elements), and the walk takes rows a in that order.  judge(G, members)
     returns (step, summary): step(a, b) gives a witness or None, and
-    summary(witnesses) the notes and counters known after the walk.  Past
-    PAIR_CAP pairs the walk is a seeded sample, which can refute but not
-    certify (indeterminate on a clean pass).
+    summary(witnesses) the notes and counters known after the walk.  Both
+    checks are invariant under conjugation ((a, b) fails exactly when
+    (a^g, b^g) does), so every row of a class has the witnesses of that
+    class's first row up to conjugation: a row whose class already had a
+    clean first row holds no witness and is skipped.  The witnesses and
+    `pairs` are those of the walk over all n^2 pairs in row-major order,
+    stopped at the MAX_WITNESSES-th witness.
     """
     t0 = time.perf_counter()
     if not is_prime(p):
@@ -252,36 +243,35 @@ def _scan_normal_set(name, G, C, p, judge):
                                     "+".join(l or "?" for l in C.labels), p)
     if any(k.perms is None for k in C.classes):
         raise ValueError("the normal set must be fully enumerated")
-    members = set().union(*(k.perms for k in C.classes))
-    if not members:
+    row_class = {x: i for i, k in enumerate(C.classes) for x in k.perms}
+    if not row_class:
         return Verdict(scenario, HOLDS, notes=["empty set"],
                        seconds=time.perf_counter() - t0)
-    members = sorted(members, key=image_key(G))
+    members = sorted(row_class, key=image_key(G))
     n = len(members)
-    sampled = n * n > PAIR_CAP
-    step, summary = judge(G, members, sampled)
-    witnesses = []
-    pairs = 0
-    for a, b in _pairs(members, sampled):
-        pairs += 1
-        w = step(a, b)
-        if w:
-            witnesses.append(w)
-            if len(witnesses) >= MAX_WITNESSES:
-                break
+    step, summary = judge(G, members)
+
+    def walk():  # (pairs walked so far, witness), in row-major order
+        clean = set()
+        for i, a in enumerate(members):
+            if row_class[a] in clean:
+                continue
+            hit = False
+            for j, b in enumerate(members):
+                w = step(a, b)
+                if w:
+                    hit = True
+                    yield i * n + j + 1, w
+            if not hit:
+                clean.add(row_class[a])
+    found = list(islice(walk(), MAX_WITNESSES))
+    witnesses = [w for _, w in found]
+    pairs = found[-1][0] if len(found) == MAX_WITNESSES else n * n
     notes, tally = summary(witnesses)
-    counters = {"pairs": pairs, "set_size": n, **tally}
-    if witnesses:
-        status = FAILS
-    elif sampled:
-        status = INDETERMINATE
-        notes.append("sampled %d of %d pairs; a clean pass is not a certificate"
-                     % (pairs, n * n))
-    else:
-        status = HOLDS
-    return Verdict(scenario, status, witnesses=witnesses, counters=counters,
-                   seconds=time.perf_counter() - t0, sampled=sampled,
-                   notes=notes)
+    return Verdict(scenario, FAILS if witnesses else HOLDS,
+                   witnesses=witnesses,
+                   counters={"pairs": pairs, "set_size": n, **tally},
+                   seconds=time.perf_counter() - t0, notes=notes)
 
 
 def commutator_closed_check(G, C, p):
@@ -292,37 +282,40 @@ def commutator_closed_check(G, C, p):
     """
     C = NormalSet.of(C)
 
-    def judge(G, members, sampled):
+    def judge(G, members):
         for k in C.classes:
             if not is_p_power(k.order, p):
                 raise ValueError("class %s has element order %d, not a power "
                                  "of %d" % (k.label, k.order, p))
         base = set(members)
         ok = base | {identity_like(members[0])}
-        image = set()
+        image = set()  # the commutators of the rows walked
 
         def step(a, b):
             k = commutator(a, b)
-            if not sampled:
-                image.add(k)
+            image.add(k)
             if k not in ok:
                 return {"c": _serial(G, a), "d": _serial(G, b),
                         "commutator": _serial(G, k)}
 
         def summary(witnesses):
-            sq = all(a * a in ok for a in members)
-            inv = all(~a in base for a in members)
+            reps = [next(iter(k.perms)) for k in C.classes]
+            sq = all(a * a in ok for a in reps)
+            inv = all(~a in base for a in reps)
             notes = ["C is closed under squares" if sq
                      else "C is not closed under squares",
                      "C is closed under inverses" if inv
                      else "C is not closed under inverses"]
-            if sampled or witnesses:
+            if witnesses:
                 return notes, {}
+            # the image is a normal set: the classes it meets, plus 1
+            size = len(image - base) + sum(
+                len(k.perms) for k in C.classes if not k.perms.isdisjoint(image))
             notes.append("commutator image is exactly C plus the identity"
-                         if image == ok else
+                         if size == len(ok) else
                          "commutator image covers %d of %d elements"
-                         % (len(image), len(ok)))
-            return notes, {"image_size": len(image)}
+                         % (size, len(ok)))
+            return notes, {"image_size": size}
         return step, summary
     return _scan_normal_set("comm-closed", G, C, p, judge)
 
@@ -340,7 +333,7 @@ def replay_commutator_witness(witness, C):
 
 def cc_inverse_check(C, p):
     """Is every product c * d^-1 over the normal set C a p-element?"""
-    def judge(G, members, sampled):
+    def judge(G, members):
         def step(a, b):
             x = a * ~b
             m = element_order(x)

@@ -200,6 +200,18 @@ def test_dry_run_everywhere(capsys):
         assert "verdicts" not in body, argv
 
 
+@pytest.mark.parametrize("command", ["comm-closed", "cc-inverse"])
+def test_repeated_class_counted_once(capsys, command):
+    argv = [command, "--group", "alt:5", "--class", "5a", "--class", "5a",
+            "--class", "5b", "--p", "5"]
+    _, plan = run_json(capsys, *argv, "--dry-run")
+    _, body = run_json(capsys, *argv)
+    v = body["verdicts"][0]
+    assert plan["plan"]["classes"] == ["5a", "5b"]
+    assert plan["plan"]["set_size"] == v["counters"]["set_size"] == 24
+    assert v["scenario"] == "%s:alt:5,C=5a+5b,p=5" % command
+
+
 def test_table_dir_env(capsys, tmp_path, monkeypatch):
     packaged = load_table("a5")
     import os

@@ -1,5 +1,6 @@
 """Scenario checks: pair scans, closure identities, trace/degree scans."""
 
+import itertools
 import random
 
 import pytest
@@ -9,8 +10,9 @@ from bfl import verify
 from bfl.catalog import construct, special_element
 from bfl.classes import NormalSet, class_of, enumerate_classes, serial_key
 from bfl.elements import (Permutation, SquareMatrix, commutator, conjugate,
-                          deserialize_element, element_order)
-from bfl.fields import GF, is_p_power
+                          deserialize_element, element_order, inverse,
+                          serialize_element)
+from bfl.fields import GF, factorize, is_p_power
 from bfl.groups import Group
 from bfl.report import ScanPlan
 from bfl.verify import (_capped_order, _conjugate_perms, bf_pair_direct,
@@ -328,26 +330,123 @@ def test_cc_inverse_inside_a_p_group_holds():
     assert v.counters["pairs"] == 4  # class of size 2
 
 
-# ---- the sampled pair walk -------------------------------------------------
-# 4b of alt:8 has 2520 elements, so 2520^2 pairs pass PAIR_CAP and both checks
-# draw pairs from Random(0xBF).  The verdicts were captured before the two
-# checks shared one pair walk.
+# ---- the exact normal-set walk ---------------------------------------------
+# Both checks walk C x C row by row in serial_key order, but only the first
+# row of each class unless that row holds a witness.  A reference walk over
+# every pair, built here on the elements themselves, must give the same
+# witnesses, `pairs` and commutator image.
+
+def _reference_walk(C, step):
+    """Row-major over all pairs of C's elements in serial_key order, stopped
+    at the MAX_WITNESSES-th witness: (witnesses, pairs walked)."""
+    els = sorted(C.elements, key=serial_key)
+    witnesses, pairs = [], 0
+    for a, b in itertools.product(els, repeat=2):
+        pairs += 1
+        w = step(a, b)
+        if w:
+            witnesses.append(w)
+            if len(witnesses) == MAX_WITNESSES:
+                break
+    return witnesses, pairs
+
+
+def _reference_comm_closed(C):
+    els, image = C.elements, set()
+
+    def step(a, b):
+        k = commutator(a, b)
+        image.add(k)
+        if not (k.is_identity() or k in els):
+            return {"c": serialize_element(a), "d": serialize_element(b),
+                    "commutator": serialize_element(k)}
+    witnesses, pairs = _reference_walk(C, step)
+    return witnesses, pairs, None if witnesses else len(image)
+
+
+def _reference_cc_inverse(C, p):
+    def step(a, b):
+        x = a * inverse(b)
+        m = element_order(x)
+        if not is_p_power(m, p):
+            return {"c": serialize_element(a), "d": serialize_element(b),
+                    "product": serialize_element(x), "product_order": m}
+    return _reference_walk(C, step) + (None,)
+
+
+def _walked(v):
+    return v.witnesses, v.counters["pairs"], v.counters.get("image_size")
+
+
+def _assert_matches_reference(v, ref):
+    assert v.status == ("fails" if ref[0] else "holds")
+    assert not v.sampled
+    assert _walked(v) == ref
+
+
+def _normal_sets(G, p):
+    """Each p-class of G, every pair of them, and all of them at once."""
+    pcs = [c for c in enumerate_classes(G) if is_p_power(c.order, p)]
+    return ([[c] for c in pcs] + [list(s) for s in itertools.combinations(pcs, 2)]
+            + [pcs])
+
+
+@pytest.mark.parametrize("name", ["alt:5", "sym:4", "dihedral:8", "q8",
+                                  "gl:2:3", "wreath:3"])
+def test_normal_set_walk_matches_the_reference_walk(name):
+    G = construct(name)
+    for p in factorize(G.order()):
+        for S in _normal_sets(G, p):
+            C = NormalSet(S)
+            _assert_matches_reference(commutator_closed_check(G, C, p),
+                                      _reference_comm_closed(C))
+            _assert_matches_reference(cc_inverse_check(C, p),
+                                      _reference_cc_inverse(C, p))
+
+
+def test_cc_inverse_on_a_625_element_class_matches_the_reference_walk():
+    G = construct("wreath:5")
+    enumerate_classes(G)
+    C = NormalSet([cls_of(G, "5xe")])
+    v = cc_inverse_check(C, 5)
+    assert (v.status, v.counters["pairs"]) == ("holds", 625 * 625)
+    _assert_matches_reference(v, _reference_cc_inverse(C, 5))
+
+
+@pytest.mark.parametrize("name, labels, p", [("gl:2:3", ("2a", "4a"), 2),
+                                             ("wreath:3", ("3i", "3j"), 3)])
+@pytest.mark.parametrize("check, patched", [
+    (lambda G, C, p: commutator_closed_check(G, C, p), "commutator"),
+    (lambda G, C, p: cc_inverse_check(C, p), "element_order")])
+def test_holding_set_walks_one_row_per_class(monkeypatch, name, labels, p,
+                                              check, patched):
+    G = construct(name)
+    enumerate_classes(G)
+    C = NormalSet([cls_of(G, label) for label in labels])
+    calls = []
+    real = getattr(verify, patched)
+    monkeypatch.setattr(verify, patched,
+                        lambda *args: calls.append(args) or real(*args))
+    v = check(G, C, p)
+    n = len(C.elements)
+    assert (v.status, v.counters["pairs"]) == ("holds", n * n)
+    assert len(calls) == len(labels) * n
+
 
 def _perm(*images):
     return {"images": list(images), "kind": "perm"}
 
 
-SAMPLED_PAIRS = [
-    (_perm(6, 4, 0, 2, 1, 5, 3, 7), _perm(7, 0, 2, 5, 1, 3, 6, 4)),
-    (_perm(6, 2, 0, 3, 7, 5, 1, 4), _perm(6, 1, 4, 0, 2, 5, 7, 3)),
-    (_perm(0, 7, 4, 3, 6, 2, 5, 1), _perm(4, 6, 0, 2, 3, 5, 1, 7)),
-]
-SAMPLED_COMMUTATORS = [_perm(2, 0, 4, 6, 7, 3, 5, 1),
-                       _perm(6, 7, 0, 2, 3, 5, 1, 4),
-                       _perm(7, 6, 5, 0, 2, 3, 1, 4)]
-SAMPLED_PRODUCTS = [(_perm(4, 1, 0, 5, 7, 2, 3, 6), 7),
-                    (_perm(3, 2, 7, 4, 0, 5, 6, 1), 3),
-                    (_perm(4, 5, 3, 6, 0, 2, 7, 1), 6)]
+# 4b of alt:8 has 2520 elements; both checks fail on the first row.
+ALT8_4B_C = _perm(0, 1, 3, 2, 5, 6, 7, 4)
+ALT8_4B_DS = [_perm(0, 1, 3, 2, 5, 7, 4, 6), _perm(0, 1, 3, 2, 6, 4, 7, 5),
+              _perm(0, 1, 3, 2, 6, 7, 5, 4)]
+ALT8_4B_COMMUTATORS = [_perm(0, 1, 2, 3, 6, 5, 7, 4),
+                       _perm(0, 1, 2, 3, 5, 6, 4, 7),
+                       _perm(0, 1, 2, 3, 4, 6, 7, 5)]
+ALT8_4B_PRODUCTS = [(_perm(0, 1, 2, 3, 7, 5, 4, 6), 3),
+                    (_perm(0, 1, 2, 3, 6, 4, 5, 7), 3),
+                    (_perm(0, 1, 2, 3, 4, 7, 5, 6), 3)]
 
 
 def _verdict(v):
@@ -356,25 +455,32 @@ def _verdict(v):
     return d
 
 
-def test_sampled_pair_walk_verdicts_pinned():
+def test_alt8_4b_normal_set_verdicts_exact():
     G = construct("alt:8")
     enumerate_classes(G)
     c = cls_of(G, "4b")
     assert c.size == 2520
-    assert _verdict(commutator_closed_check(G, c, 2)) == {
+    C = NormalSet([c])
+    comm = commutator_closed_check(G, c, 2)
+    assert _verdict(comm) == {
         "scenario": "comm-closed:alt:8,C=4b,p=2", "status": "fails",
-        "sampled": True, "counters": {"pairs": 3, "set_size": 2520},
-        "witnesses": [{"c": a, "d": b, "commutator": k}
-                      for (a, b), k in zip(SAMPLED_PAIRS, SAMPLED_COMMUTATORS)],
+        "sampled": False, "counters": {"pairs": 4, "set_size": 2520},
+        "witnesses": [{"c": ALT8_4B_C, "d": d, "commutator": k}
+                      for d, k in zip(ALT8_4B_DS, ALT8_4B_COMMUTATORS)],
         "notes": ["C is not closed under squares",
                   "C is closed under inverses"]}
-    assert _verdict(cc_inverse_check(c, 2)) == {
+    prod = cc_inverse_check(c, 2)
+    assert _verdict(prod) == {
         "scenario": "cc-inverse:alt:8,C=4b,p=2", "status": "fails",
-        "sampled": True, "counters": {"pairs": 3, "set_size": 2520},
-        "witnesses": [{"c": a, "d": b, "product": x, "product_order": m}
-                      for (a, b), (x, m) in zip(SAMPLED_PAIRS,
-                                                SAMPLED_PRODUCTS)],
+        "sampled": False, "counters": {"pairs": 4, "set_size": 2520},
+        "witnesses": [{"c": ALT8_4B_C, "d": d, "product": x,
+                       "product_order": m}
+                      for d, (x, m) in zip(ALT8_4B_DS, ALT8_4B_PRODUCTS)],
         "notes": []}
+    assert _walked(comm) == _reference_comm_closed(C)
+    assert _walked(prod) == _reference_cc_inverse(C, 2)
+    assert all(replay_commutator_witness(w, C) for w in comm.witnesses)
+    assert all(replay_product_witness(w, 2) for w in prod.witnesses)
 
 
 # ---- l2q_trace_identity ----------------------------------------------------
