@@ -14,13 +14,14 @@ first time its point is read (`_Level.rep`), not a level at a time.
 Chains are built, sifted and sampled on plain permutations only.  Matrix
 and semilinear groups get a permutation image from `matrix_action` (the orbit
 of the standard basis vectors), and their elements cross between the two
-representations only at the edges: `Group.to_perm` on the way in
-(membership), `Group.from_perm` on the way out (random elements, class
-representatives).  Every image is faithful, so order, membership, the
+representations only at the edges: `Group.to_perm` on the way in,
+`Group.from_perm` on the way out (random elements, class representatives);
+membership reads a matrix only at the base points and the basis
+(`Group.contains`).  Every image is faithful, so order, membership, the
 element stream and the classes all come from the one chain.  The chain
-sifts without inverting a representative, and the stream, class orbits and
-pair closures compose raw images (`image_kernel`): bytes up to 256 points,
-tuples composed by `operator.itemgetter` past that, as in
+sifts without inverting a representative, and the stream, random draws,
+class orbits and pair closures compose raw images (`image_kernel`): bytes
+up to 256 points, tuples composed by `operator.itemgetter` past that, as in
 `Permutation.__mul__`.  A class is an orbit of raw images under
 conjugation by the generating pair: two chain elements, drawn from a
 privately seeded stream, whose own chain reaches the group's order
@@ -101,8 +102,10 @@ def image_kernel(degree):
 class _Level:
     """Base point, strong generators and their orbit tree; each representative
     t_y = gens[i] * t_x (tree edge (i, x)) is built the first time it is read
-    (`rep`), and the sorted orbit points (`Chain.random`) likewise."""
-    __slots__ = ("point", "gens", "tree", "identity", "_reps", "_points")
+    (`rep`), and the sorted orbit points and the raw (t_y, t_y^-1) of a
+    random draw (`Chain.raw_random`) likewise."""
+    __slots__ = ("point", "gens", "tree", "identity", "_reps", "_points",
+                 "_raw")
 
     def __init__(self, point, identity):
         self.point = point
@@ -111,6 +114,7 @@ class _Level:
         self.identity = identity
         self._reps = {point: identity}
         self._points = None
+        self._raw = {}
 
     def rep(self, y):
         """t_y for an orbit point y: y's tree path is walked up to the
@@ -167,11 +171,18 @@ class Chain:
     Schreier generator s = t_q^-1 * g * t_p (q = g(p)) is sifted as g * t_p
     from left = t_q, and an inverse is built only for a residue that is
     registered or returned as not the identity.
+
+    A random draw picks one orbit point per level (`rng.choice` of the
+    sorted points) and composes the representatives as raw images
+    (`raw_random`); `random` decodes that draw, and `raw_random_conjugate`
+    conjugates by it with the inverse representatives, each kept beside its
+    raw representative the first time its point is drawn.
     """
 
     def __init__(self, degree):
         self.degree = degree
         self.identity = Permutation.identity(degree)
+        self.kernel = image_kernel(degree)
         self.levels = []
 
     def order(self):
@@ -235,6 +246,7 @@ class Chain:
         L.tree = orbit([L.point], L.gens)
         L._reps = {L.point: self.identity}
         L._points = None
+        L._raw = {}
 
     def _verify(self, i):
         """Scan level i's Schreier generators; register the first dirty residue
@@ -251,12 +263,44 @@ class Chain:
 
     def random(self, rng):
         """Uniformly random element (product of transversal reps)."""
-        w = self.identity
+        return Permutation(self.raw_random(rng))
+
+    def raw_random(self, rng):
+        """`random` as a raw image (`image_kernel`): the same picks,
+        t_0 * t_1 * ... * t_k composed from the right."""
+        encode, times, _ = self.kernel
+        w = encode(self.identity.images)
+        for t, _ in reversed(self._raw_picks(rng)):
+            w = times(t)(w)
+        return w
+
+    def raw_random_conjugate(self, x, rng):
+        """g^-1 x g on raw images, g the element `raw_random` would draw:
+        x is conjugated by t_0, then t_1, ..., t_k, each inverse cached
+        beside its representative, so g^-1 is never built."""
+        times = self.kernel[1]
+        for t, t_inv in self._raw_picks(rng):
+            x = times(t_inv)(times(x)(t))
+        return x
+
+    def _raw_picks(self, rng):
+        """Each level's `rng.choice` of an orbit point, in level order, as
+        its representative's raw (t, t^-1), built once per point; t^-1 is
+        sorted from the identity's own int objects, as in `_residue`, so a
+        tuple image shares them."""
+        encode = self.kernel[0]
+        picks = []
         for L in self.levels:
             if L._points is None:
                 L._points = sorted(L.tree)
-            w = w * L.rep(rng.choice(L._points))
-        return w
+            y = rng.choice(L._points)
+            raw = L._raw.get(y)
+            if raw is None:
+                t = L.rep(y).images
+                raw = L._raw[y] = (encode(t), encode(
+                    sorted(self.identity.images, key=t.__getitem__)))
+            picks.append(raw)
+        return picks
 
     def elements(self, cap=None):
         """Every element once, lazily, as the products t_0 * t_1 * ... * t_k
@@ -268,7 +312,7 @@ class Chain:
         each level's prefixes times its representatives, by C-level maps."""
         if cap is not None and self.order() > cap:
             raise Overflow("closure exceeds cap %d" % cap)
-        encode, times, _ = image_kernel(self.degree)
+        encode, times, _ = self.kernel
         stream = iter([encode(self.identity.images)])
         for L in self.levels:
             reps = [encode(t.images) for t in L.transversal.values()]
@@ -478,8 +522,28 @@ class Group:
         return SemilinearElement(mat, self.frobenius_exponent(p))
 
     def contains(self, x):
-        p = self.to_perm(x)
-        return p is not None and self.chain.sift(p)[0].is_identity()
+        """Membership by one sift.  A matrix or semilinear x is read only at
+        the base points, which steer the sift (`Chain._descend`), and then
+        at the points `from_perm` reads, the basis and, for a semilinear
+        map, w*e1: it is the sift's product exactly when it agrees with it
+        there.  No full image of x is built."""
+        chain = self.chain
+        if isinstance(x, Permutation):
+            p = self.to_perm(x)
+            return p is not None and chain.sift(p)[0].is_identity()
+        act, n = self.action, self._identity.n
+
+        def image(k):  # x's point number at point k, None off the orbit
+            return act.index.get(x.apply(act.points[k]))
+        base = {L.point: image(L.point) for L in chain.levels}
+        if None in base.values():
+            return False
+        left, lev = chain._descend(chain.identity.images, base, 0)
+        read = list(range(n))  # matrix_action numbers the basis first
+        if isinstance(self._identity, SemilinearElement):
+            read.append(act.index[_scaled_e1(self._identity.field, n)])
+        return (lev == len(chain.levels)
+                and all(image(k) == left[k] for k in read))
 
     def random_element(self, rng):
         """Uniformly random element, in the generators' own representation."""

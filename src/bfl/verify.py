@@ -9,11 +9,15 @@ so reruns are bit-identical.
 Every pair check runs on the ambient group's faithful permutation image, and
 an element goes back through `Group.from_perm` only for a witness.  The two
 conjugate scans, bf-pair and wreath-free, share one driver: c and every
-d' = g^-1 d g are image permutations.  bf-pair closes <c, d'> on raw
-images; a subgroup larger than |G|_p is not a p-group, so the closure stops
-past min(|G|_p, PAIR_CLOSURE_CAP) and still decides the pair, and a
-stabilizer chain is built only past that cap.  wreath-free builds one chain
-per closure, which gives its order and serves the section search.  The
+d' = g^-1 d g are raw images (`groups.image_kernel`) from the draw to the
+verdict, and become permutations only for a chain or a witness.  bf-pair
+closes <c, d'> on raw images; a subgroup larger than |G|_p is not a
+p-group, so the closure stops past min(|G|_p, PAIR_CLOSURE_CAP) and still
+decides the pair, and a stabilizer chain is built only past that cap.
+Conjugating the pair by c fixes c, so |<c, d'>| is the same along d''s
+orbit under conjugation by c, and each such orbit is closed once.
+wreath-free builds one chain per closure, which gives its order and serves
+the section search.  The
 normal-set checks, comm-closed and cc-inverse, share one exact pair walk
 over the classes' image permutations: both are invariant under conjugation,
 so the first row of each class decides every row of that class.
@@ -28,9 +32,9 @@ from math import gcd
 from .catalog import construct, parse_blueprint, special_element
 from .classes import (ConjClass, NormalSet, class_of, enumerate_classes,
                       image_key, involution_classes_sym)
-from .elements import (Overflow, SquareMatrix, commutator, conjugate,
-                       deserialize_element, element_order, identity_like,
-                       inverse, serialize_element)
+from .elements import (Overflow, Permutation, SquareMatrix, commutator,
+                       conjugate, deserialize_element, element_order,
+                       identity_like, inverse, serialize_element)
 from .fields import GF, is_p_power, is_prime, poly_trim
 from .groups import Group, image_kernel, orbit
 from .modrep import commutator_dim
@@ -75,38 +79,58 @@ def replay_pair_witness(witness, p):
     return m == witness["closure_order"] and not is_p_power(m, p)
 
 
+def _raw_image(G, x, name):
+    """x's image in G's permutation representation, as a raw image
+    (`groups.image_kernel`)."""
+    q = G.to_perm(x)
+    if q is None:
+        raise ValueError("%s does not act on the group's points" % name)
+    return G.chain.kernel[0](q.images)
+
+
 def _conjugate_perms(G, d, d_cls, plan):
-    """Conjugates of d as permutations of G's image, per the plan: the whole
-    class in serial_key order (exhaustive, so witness selection is stable),
-    or g^-1 d g for each g = G.chain.random(rng) from Random(plan.seed)."""
+    """Conjugates of d as raw images of G's permutation image, per the plan:
+    the whole class in serial_key order (exhaustive, so witness selection is
+    stable), or g^-1 d g for each g that G.chain.raw_random would draw from
+    Random(plan.seed), the stream of `Chain.random`."""
     if plan.mode == "exhaustive":
-        if d_cls is None or d_cls.group is not G or d_cls.perms is None:
+        if d_cls is None or d_cls.group is not G or d_cls.raw is None:
             d_cls = class_of(G, d)
-        return sorted(d_cls.perms, key=image_key(G))
+        return sorted(d_cls.raw, key=image_key(G))
     rng = random.Random(plan.seed)
-    dq = G.to_perm(d)
-    if dq is None:
-        raise ValueError("d does not act on the group's points")
-    return (conjugate(dq, G.chain.random(rng)) for _ in range(plan.size))
+    dq = _raw_image(G, d, "d")
+    return (G.chain.raw_random_conjugate(dq, rng) for _ in range(plan.size))
 
 
 def _capped_order(cq, dq, cap):
-    """|<cq, dq>| for two image permutations, or None once it exceeds cap."""
-    encode, times, _ = image_kernel(cq.degree)
-    maps = [times(encode(g.images)) for g in (cq, dq)]
+    """|<cq, dq>| for two raw images, or None once it exceeds cap."""
+    encode, times, _ = image_kernel(len(cq))
     try:
-        return len(orbit([encode(range(cq.degree))], maps, cap, "closure"))
+        return len(orbit([encode(range(len(cq)))], [times(cq), times(dq)],
+                         cap, "closure"))
     except Overflow:
         return None
 
 
 def _closure_orders(G, cq, perms, p):
-    """(d', |<c, d'>|) for each image permutation d', by the closure capped
-    at min(|G|_p, PAIR_CLOSURE_CAP), or by a chain past that cap."""
+    """(d', |<c, d'>|) for each raw image d', by the closure capped at
+    min(|G|_p, PAIR_CLOSURE_CAP), or by a chain past that cap.
+
+    Conjugating the pair by c fixes c, so every d' in one orbit under
+    conjugation by c (its size divides ord(c)) has the same order: each
+    orbit is closed once, at its first d', and its members are remembered.
+    """
     n = G.order()
     cap = min(gcd(n, p ** n.bit_length()), PAIR_CLOSURE_CAP)  # gcd: |G|_p
+    by_c = G.chain.kernel[2](cq)
+    orders = {}
     for dq in perms:
-        yield dq, _capped_order(cq, dq, cap) or Group([cq, dq]).order()
+        m = orders.get(dq)
+        if m is None:
+            m = (_capped_order(cq, dq, cap)
+                 or Group([Permutation(cq), Permutation(dq)]).order())
+            orders.update(dict.fromkeys(orbit([dq], [by_c]), m))
+        yield dq, m
 
 
 def _pair_setup(G, c, d, p):
@@ -133,11 +157,13 @@ def _pair_setup(G, c, d, p):
 def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, judge):
     """The driver of the conjugate scans: c against every d' in the class of d.
 
-    After `_pair_setup`, c and the d' from `_conjugate_perms` are image
-    permutations cq and dq.  judge(c, cq, perms, tally, notes) yields one
-    witness or None per d', in order, and may add counters to tally and
-    notes; a tallied "inconclusive" makes a clean scan indeterminate.  Every
-    d' is one pair and one closure.
+    After `_pair_setup`, c and the d' from `_conjugate_perms` are raw images
+    cq and dq (`groups.image_kernel`).  judge(c, cq, perms, tally, notes)
+    yields one witness or None per d', in order, and may add counters to
+    tally and notes; a tallied "inconclusive" makes a clean scan
+    indeterminate.  Both `pairs` and `closures` count the d' decided: bf-pair
+    closes only one d' of each orbit under conjugation by c
+    (`_closure_orders`), but every d' is a decided pair.
     """
     t0 = time.perf_counter()
     plan = plan or ScanPlan()
@@ -153,9 +179,7 @@ def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, judge):
                        notes=["class enumeration overflowed (%s); "
                               "use a sampled plan" % e],
                        seconds=time.perf_counter() - t0)
-    cq = G.to_perm(c)
-    if cq is None:
-        raise ValueError("c does not act on the group's points")
+    cq = _raw_image(G, c, "c")
     witnesses, notes, tally = [], [], {}
     scanned = 0
     for w in judge(c, cq, stream, tally, notes):
@@ -181,7 +205,7 @@ def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
     def judge(c, cq, perms, tally, notes):
         for dq, m in _closure_orders(G, cq, perms, p):
             yield (None if is_p_power(m, p)
-                   else _pair_witness(c, G.from_perm(dq), m))
+                   else _pair_witness(c, G.from_perm(Permutation(dq)), m))
     return _scan_conjugates("bf-pair", G, c, d, p, plan, max_witnesses, judge)
 
 
@@ -195,8 +219,9 @@ def wreath_free_pair_check(G, c, d, p, plan=None):
     """
     def judge(c, cq, perms, tally, notes):
         tally["sections"] = 0
-        for dq in perms:
-            J = Group([cq, dq])
+        cp = Permutation(cq)
+        for dq in map(Permutation, perms):
+            J = Group([cp, dq])
             m = J.order()
             if not is_p_power(m, p):
                 yield dict(_pair_witness(c, G.from_perm(dq), m),
@@ -605,11 +630,13 @@ def _sl2n3_probe(G, c, plan):
     d2 = SquareMatrix.diagonal(F, (neg, neg, 1, 1))
     size = plan.size if plan.mode == "sample" else 1000
     stream = _conjugate_perms(G, d2, None, ScanPlan.sample(size, plan.seed + 1))
-    for k, (dp, m) in enumerate(_closure_orders(G, G.to_perm(c), stream, 2), 1):
+    cq = _raw_image(G, c, "c")
+    for k, (dp, m) in enumerate(_closure_orders(G, cq, stream, 2), 1):
         if not is_p_power(m, 2):
             return ("probe: negated-plane involution reached a non-2-group "
                     "closure of order %d at conjugate %d: %s"
-                    % (m, k, json.dumps(_serial(G, dp), sort_keys=True)))
+                    % (m, k, json.dumps(_serial(G, Permutation(dp)),
+                                        sort_keys=True)))
     return ("probe: negated-plane involution stayed 2-group through %d "
             "conjugates" % size)
 

@@ -442,14 +442,17 @@ def test_order_hint_above_the_order_verifies_in_full(monkeypatch):
 # with every representative rebuilt on registration took 16,018, 148 and
 # 7,616 over the six; building a level's whole transversal on its first read
 # after a registration took 4,720 products, building each representative
-# only when its point is read takes 1,181.
+# only when its point is read takes 1,181.  Since membership reads a matrix
+# only at the base points and the basis, a non-member candidate that leaves
+# the orbit away from the base points is sifted before membership fails:
+# sp:6:2 went 970 -> 972 and gu:3:3 265 -> 267 _descend calls.
 BUILD_WORK = {
     "go_odd:5:3": (840, 29, 235),
     "go_odd:3:9": (840, 13, 237),
-    "sp:6:2": (970, 52, 179),
+    "sp:6:2": (972, 52, 179),
     "gl:4:3": (1066, 21, 241),
     "sl:2:27": (351, 5, 189),
-    "gu:3:3": (265, 11, 100),
+    "gu:3:3": (267, 11, 100),
 }
 
 
@@ -673,6 +676,94 @@ def test_element_stream_is_the_transversal_products(name):
     levels = [list(L.transversal.values()) for L in chain.levels]
     want = [reduce(mul, ts, chain.identity) for ts in product(*levels)]
     assert list(chain.elements()) == want
+
+
+def _draw_by_products(chain, rng):
+    """A random draw as `Chain.random` made it before raw images: one
+    rng.choice of each level's sorted orbit points, multiplied left to right."""
+    w = chain.identity
+    for L in chain.levels:
+        w = w * L.rep(rng.choice(sorted(L.tree)))
+    return w
+
+
+@pytest.mark.parametrize("name, kind", [("gl:4:3", bytes),
+                                        ("sl:2:27", tuple)])
+def test_raw_random_is_the_random_stream(name, kind):
+    # gl:4:3 acts on 80 points (bytes), sl:2:27 on 728 (tuples)
+    G = construct(name)
+    chain = G.chain
+    encode = image_kernel(chain.degree)[0]
+    d = encode(G.image_gens[1].images)
+    rngs = [random.Random(0x30) for _ in range(4)]
+    for _ in range(40):
+        want = _draw_by_products(chain, rngs[0])
+        raw = chain.raw_random(rngs[1])
+        assert type(raw) is kind and Permutation(raw) == want
+        assert chain.random(rngs[2]) == want
+        conj = chain.raw_random_conjugate(d, rngs[3])
+        assert type(conj) is kind
+        assert Permutation(conj) == ~want * Permutation(d) * want
+    assert len({r.random() for r in rngs}) == 1  # the same picks throughout
+
+
+def _contains_by_image(G, x):
+    """Membership as it was: the full image of x, then one sift."""
+    p = G.to_perm(x)
+    return p is not None and G.chain.sift(p)[0].is_identity()
+
+
+def _semilinear_subgroup():
+    return parse_generator_text("""group sigma mat 2 over GF(9) fieldauto
+b = [[2,1],[2,0]]
+f = [[1,0],[0,1]] @ frob
+""").group
+
+
+@pytest.mark.parametrize("make", [lambda: construct("go_odd:3:5"),
+                                  lambda: construct("sp:4:3"),
+                                  _semilinear_subgroup],
+                         ids=["go_odd:3:5", "sp:4:3", "semilinear"])
+def test_contains_members_match_the_full_image(make):
+    G = make()
+    rng = random.Random(0x31)
+    for _ in range(30):
+        x = G.random_element(rng)
+        assert G.contains(x) and _contains_by_image(G, x)
+
+
+def test_contains_semilinear_non_members():
+    G = _semilinear_subgroup()
+    F = G.identity.field
+    a = SquareMatrix(F, [[F.primitive(), 0], [0, 1]])
+    assert G.order() < 11520  # a proper subgroup of Gamma-L(2, 9)
+    for e in (0, 1):
+        x = SemilinearElement(a, e)
+        assert not G.contains(x) and not _contains_by_image(G, x)
+
+
+def test_contains_rejects_each_kind_of_non_member():
+    G = construct("go_odd:3:5")
+    act, chain, F = G.action, G.chain, G.identity.field
+    base = [L.point for L in chain.levels]
+    assert base == [2, 0]  # e1, the basis vector 1, is no base point
+
+    def at(x, k):
+        return act.index.get(x.apply(act.points[k]))
+    # leaves the orbit at a base point
+    off_base = SquareMatrix.diagonal(F, (2, 2, 2))
+    assert at(off_base, base[0]) is None
+    # keeps the base points on the orbit, leaves it elsewhere, and the sift
+    # gets stuck: e2 goes to e0, which is not in e2's orbit
+    swap = SquareMatrix(F, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    images = {b: at(swap, b) for b in base}
+    assert None not in images.values() and G.to_perm(swap) is None
+    assert chain._descend(chain.identity.images, images, 0)[1] == 0
+    # agrees with the identity at every base point, not at e1
+    off_basis = SquareMatrix.diagonal(F, (1, 2, 1))
+    assert all(at(off_basis, b) == b for b in base) and at(off_basis, 1) != 1
+    for x in (off_base, swap, off_basis):
+        assert not G.contains(x) and not _contains_by_image(G, x)
 
 
 # ---- the generating pair behind class orbits --------------------------------

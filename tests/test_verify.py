@@ -13,7 +13,7 @@ from bfl.elements import (Permutation, SquareMatrix, commutator, conjugate,
                           deserialize_element, element_order, inverse,
                           serialize_element)
 from bfl.fields import GF, factorize, is_p_power
-from bfl.groups import Group
+from bfl.groups import Group, image_kernel
 from bfl.report import ScanPlan
 from bfl.verify import (_capped_order, _conjugate_perms, bf_pair_direct,
                         cc_inverse_check,
@@ -176,10 +176,12 @@ def test_capped_order_matches_the_chain(name):
              for _ in range(30)]
     one = Permutation.identity(G.chain.degree)
     pairs += [(one, pairs[0][1]), (one, one)]
+    encode = image_kernel(G.chain.degree)[0]
     for cq, dq in pairs:
         n = Group([cq, dq]).order()
         for cap in (8, 64, 512):
-            assert _capped_order(cq, dq, cap) == (n if n <= cap else None)
+            assert (_capped_order(encode(cq.images), encode(dq.images), cap)
+                    == (n if n <= cap else None))
 
 
 @pytest.mark.parametrize("cap", [1, 4])
@@ -210,6 +212,68 @@ def test_chain_fallback_past_a_low_cap_keeps_verdicts(monkeypatch, a5, s6,
     assert chains and set(chains) == {2}
 
 
+def _uncached_orders(G, cq, perms, p):
+    """Every d' closed on its own, by a chain: no cap and no cache."""
+    c = Permutation(cq)
+    for dq in perms:
+        yield dq, Group([c, Permutation(dq)]).order()
+
+
+def _orbit_keys(cq, perms):
+    """The least member of each d''s orbit under conjugation by c."""
+    c = Permutation(cq)
+    keys = set()
+    for dq in map(Permutation, perms):
+        orbit, y = [dq], conjugate(dq, c)
+        while y != dq:
+            orbit.append(y)
+            y = conjugate(y, c)
+        keys.add(min(orbit, key=lambda q: q.images))
+    return keys
+
+
+def _pair_scans():
+    """(name, run) for the scans that close pairs through _closure_orders."""
+    s6, go = construct("sym:6"), construct("go_odd:3:5")
+    exhaustive = ScanPlan.exhaustive()
+    out = []
+    for G, p in ((s6, 2), (go, 2)):
+        ks = [k for k in enumerate_classes(G) if is_p_power(k.order, p)][1:]
+        for c_cls, d_cls in itertools.product(ks, repeat=2):
+            out.append(("%s %s %s" % (G.name, c_cls.label, d_cls.label),
+                        lambda G=G, c=c_cls, d=d_cls, p=p:
+                        bf_pair_direct(G, c, d, p, exhaustive)))
+    out.append(("sl2n3", lambda: sl2n3_scan(ScanPlan.sample(200, 0xBF))))
+    return out
+
+
+def test_closure_orders_are_the_pair_orders(monkeypatch):
+    real, seen = verify._closure_orders, []
+
+    def recording(G, cq, perms, p):
+        perms = list(perms)
+        got = list(real(G, cq, perms, p))
+        seen.append((cq, perms, got))
+        return iter(got)
+    monkeypatch.setattr(verify, "_closure_orders", recording)
+    closures = []
+    capped = verify._capped_order
+    monkeypatch.setattr(verify, "_capped_order",
+                        lambda *a: closures.append(1) or capped(*a))
+    bodies = [(name, core(run())) for name, run in _pair_scans()]
+    assert len(seen) > 40
+    for cq, perms, got in seen:
+        assert [dq for dq, _ in got] == perms
+        assert got == list(_uncached_orders(None, cq, perms, 2))
+    # one closure per orbit of d' under conjugation by c
+    assert len(closures) == sum(len(_orbit_keys(cq, perms))
+                                for cq, perms, _ in seen)
+    assert len(closures) < sum(len(perms) for _, perms, _ in seen)
+    # the scans' bodies are those of the walk that closes every d'
+    monkeypatch.setattr(verify, "_closure_orders", _uncached_orders)
+    assert bodies == [(name, core(run())) for name, run in _pair_scans()]
+
+
 def _old_stream(G, d, n, seed):
     rng = random.Random(seed)
     return [conjugate(d, G.random_element(rng)) for _ in range(n)]
@@ -221,7 +285,9 @@ def test_sampled_conjugates_are_the_old_stream(make):
     G = make()
     d = G.gens[1]
     new = list(_conjugate_perms(G, d, None, ScanPlan.sample(25, 7)))
-    assert new == [G.to_perm(x) for x in _old_stream(G, d, 25, 7)]
+    encode = image_kernel(G.chain.degree)[0]
+    assert new == [encode(G.to_perm(x).images)
+                   for x in _old_stream(G, d, 25, 7)]
 
 
 @pytest.mark.parametrize("make", [lambda: construct("go_odd:3:5"), gammal2_9],
@@ -650,7 +716,7 @@ def test_o3_scan_bad_q_rejected():
 # ---- sl2n3_scan ------------------------------------------------------------
 
 def test_sl2n3_identity_conjugate_is_a_2_group():
-    from bfl.groups import Group
+    from bfl.groups import Group, image_kernel
     c = special_element("gl:4:3", "pm_i_element")
     d = special_element("gl:4:3", "reflection")
     assert element_order(c) == 4 and element_order(d) == 2
@@ -679,7 +745,7 @@ def test_sl2n3_probe_witness_replays():
     note = next(n for n in v.notes if n.startswith("probe:"))
     blob = note[note.index("{"):]
     dp = deserialize_element(json.loads(blob))
-    from bfl.groups import Group
+    from bfl.groups import Group, image_kernel
     c = special_element("gl:4:3", "pm_i_element")
     assert not is_p_power(Group([c, dp]).order(), 2)
 
