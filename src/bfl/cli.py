@@ -66,8 +66,9 @@ def _build_parser():
     sp.add_argument("--group", required=True)
     _add_common(sp)
 
-    for name in ("bf-pair", "wreath-free"):
-        sp = sub.add_parser(name)
+    for name, text in (("bf-pair", "is every <c, d'> a p-group?"),
+                       ("wreath-free", "is <c, d'> a wreath-free p-group?")):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--group", required=True)
         sp.add_argument("--c-class", required=True)
         sp.add_argument("--d-class", required=True)
@@ -75,8 +76,9 @@ def _build_parser():
         _add_plan(sp)
         _add_common(sp)
 
-    for name in ("comm-closed", "cc-inverse"):
-        sp = sub.add_parser(name)
+    for name, text in (("comm-closed", "is [c, d] in C or 1 over C x C?"),
+                       ("cc-inverse", "is every c d^-1 over C a p-element?")):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--group", required=True)
         sp.add_argument("--class", dest="cls", action="append", required=True)
         sp.add_argument("--p", type=int, required=True)
@@ -90,7 +92,7 @@ def _build_parser():
     sp.add_argument("--list-support", action="store_true")
     _add_common(sp)
 
-    sp = sub.add_parser("wreath-section")
+    sp = sub.add_parser("wreath-section", help="Z_p wr Z_p section search")
     sp.add_argument("--group", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--tier", choices=("full", "quotient"), default="full")
@@ -101,29 +103,29 @@ def _build_parser():
                     help="battery case name (default: every case)")
     _add_common(sp)
 
-    sp = sub.add_parser("scan-sym")
+    sp = sub.add_parser("scan-sym", help="involution class pairs of Sym(n)")
     sp.add_argument("--n", type=int, required=True)
     _add_plan(sp)
     _add_common(sp)
 
-    sp = sub.add_parser("scan-o3")
+    sp = sub.add_parser("scan-o3", help="reflection pairs of GO3(q)")
     sp.add_argument("--q", type=int, action="append")
     _add_common(sp)
 
-    sp = sub.add_parser("scan-sl2n3")
+    sp = sub.add_parser("scan-sl2n3", help="2-group pairs in GL4(3)")
     _add_plan(sp)
     _add_common(sp)
 
-    sp = sub.add_parser("l2q-trace")
+    sp = sub.add_parser("l2q-trace", help="tr[x, y] = t + 3 over GF(q)")
     sp.add_argument("--q", type=int, action="append")
     _add_common(sp)
 
-    sp = sub.add_parser("l2q-laurent")
+    sp = sub.add_parser("l2q-laurent", help="Laurent degree of tr[x, x^g]")
     sp.add_argument("--q", type=int, action="append")
     _add_sampling(sp, samples=100)
     _add_common(sp)
 
-    sp = sub.add_parser("identity-scan")
+    sp = sub.add_parser("identity-scan", help="sampled commutator identities")
     sp.add_argument("--group", required=True)
     _add_sampling(sp)
     _add_common(sp)

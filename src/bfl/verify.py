@@ -10,17 +10,14 @@ Every pair check runs on the ambient group's faithful permutation image, and
 an element goes back through `Group.from_perm` only for a witness.  The two
 conjugate scans, bf-pair and wreath-free, share one driver: c and every
 d' = g^-1 d g are raw images (`groups.image_kernel`) from the draw to the
-verdict, and become permutations only for a chain or a witness.  bf-pair
-closes <c, d'> on raw images; a subgroup larger than |G|_p is not a
-p-group, so the closure stops past min(|G|_p, PAIR_CLOSURE_CAP) and still
-decides the pair, and a stabilizer chain is built only past that cap.
-Conjugating the pair by c fixes c, so |<c, d'>| is the same along d''s
-orbit under conjugation by c, and each such orbit is closed once.
-wreath-free builds one chain per closure, which gives its order and serves
-the section search.  The
-normal-set checks, comm-closed and cc-inverse, share one exact pair walk
-over the classes' image permutations: both are invariant under conjugation,
-so the first row of each class decides every row of that class.
+verdict.  Conjugating the pair by c fixes c, so each verdict is decided once
+per orbit of d' under conjugation by c.  bf-pair closes <c, d'> on raw
+images; a subgroup larger than |G|_p is not a p-group, so the closure stops
+past min(|G|_p, PAIR_CLOSURE_CAP), with a chain only past that cap.
+wreath-free builds one chain per orbit, for the order and the section
+search.  The normal-set checks, comm-closed and cc-inverse, share one exact
+pair walk over the classes' image permutations: both are invariant under
+conjugation, so the first row of each class decides every row of that class.
 """
 
 import json
@@ -112,27 +109,6 @@ def _capped_order(cq, dq, cap):
         return None
 
 
-def _closure_orders(G, cq, perms, p):
-    """(d', |<c, d'>|) for each raw image d', by the closure capped at
-    min(|G|_p, PAIR_CLOSURE_CAP), or by a chain past that cap.
-
-    Conjugating the pair by c fixes c, so every d' in one orbit under
-    conjugation by c (its size divides ord(c)) has the same order: each
-    orbit is closed once, at its first d', and its members are remembered.
-    """
-    n = G.order()
-    cap = min(gcd(n, p ** n.bit_length()), PAIR_CLOSURE_CAP)  # gcd: |G|_p
-    by_c = G.chain.kernel[2](cq)
-    orders = {}
-    for dq in perms:
-        m = orders.get(dq)
-        if m is None:
-            m = (_capped_order(cq, dq, cap)
-                 or Group([Permutation(cq), Permutation(dq)]).order())
-            orders.update(dict.fromkeys(orbit([dq], [by_c]), m))
-        yield dq, m
-
-
 def _pair_setup(G, c, d, p):
     """Unwrap class arguments and validate orders; returns
     (c, d, d_cls, scenario_core, skip_reason)."""
@@ -154,16 +130,18 @@ def _pair_setup(G, c, d, p):
     return c, d, d_cls, core, None
 
 
-def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, judge):
+def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, decide, judge,
+                     tally=()):
     """The driver of the conjugate scans: c against every d' in the class of d.
 
     After `_pair_setup`, c and the d' from `_conjugate_perms` are raw images
-    cq and dq (`groups.image_kernel`).  judge(c, cq, perms, tally, notes)
-    yields one witness or None per d', in order, and may add counters to
-    tally and notes; a tallied "inconclusive" makes a clean scan
-    indeterminate.  Both `pairs` and `closures` count the d' decided: bf-pair
-    closes only one d' of each orbit under conjugation by c
-    (`_closure_orders`), but every d' is a decided pair.
+    cq and dq (`groups.image_kernel`).  decide(cq, dq) gives the pair's
+    verdict, unchanged when c and d' are conjugated by c, once per orbit of
+    d' under conjugation by c, at the orbit's first d'; every member keeps
+    it.  judge(c, dq, verdict, tally, notes) turns it into a witness or None
+    per d', and may count into tally (a copy of the given one) and notes; a
+    tallied "inconclusive" makes a clean scan indeterminate.  Both `pairs`
+    and `closures` count the d' decided.
     """
     t0 = time.perf_counter()
     plan = plan or ScanPlan()
@@ -180,10 +158,13 @@ def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, judge):
                               "use a sampled plan" % e],
                        seconds=time.perf_counter() - t0)
     cq = _raw_image(G, c, "c")
-    witnesses, notes, tally = [], [], {}
-    scanned = 0
-    for w in judge(c, cq, stream, tally, notes):
+    by_c = G.chain.kernel[2](cq)
+    witnesses, notes, tally, decided, scanned = [], [], dict(tally), {}, 0
+    for dq in stream:
+        if dq not in decided:
+            decided.update(dict.fromkeys(orbit([dq], [by_c]), decide(cq, dq)))
         scanned += 1
+        w = judge(c, dq, decided[dq], tally, notes)
         if w:
             witnesses.append(w)
             if len(witnesses) >= max_witnesses:
@@ -196,17 +177,30 @@ def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, judge):
                    sampled=plan.mode == "sample", notes=notes)
 
 
+def _order_rules(G, p):
+    """bf-pair's (decide, judge) for `_scan_conjugates`: the verdict is
+    |<c, d'>|, closed up to min(|G|_p, PAIR_CLOSURE_CAP), or by a chain."""
+    n = G.order()
+    cap = min(gcd(n, p ** n.bit_length()), PAIR_CLOSURE_CAP)  # gcd: |G|_p
+
+    def decide(cq, dq):
+        return (_capped_order(cq, dq, cap)
+                or Group([Permutation(cq), Permutation(dq)]).order())
+
+    def judge(c, dq, m, tally, notes):
+        return (None if is_p_power(m, p)
+                else _pair_witness(c, G.from_perm(Permutation(dq)), m))
+    return decide, judge
+
+
 def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
     """Is |<c, d'>| a power of p for every d' in the class of d?
 
     c and d may be elements or ConjClass objects.  Fails carry replayable
     (c, d') witnesses.
     """
-    def judge(c, cq, perms, tally, notes):
-        for dq, m in _closure_orders(G, cq, perms, p):
-            yield (None if is_p_power(m, p)
-                   else _pair_witness(c, G.from_perm(Permutation(dq)), m))
-    return _scan_conjugates("bf-pair", G, c, d, p, plan, max_witnesses, judge)
+    return _scan_conjugates("bf-pair", G, c, d, p, plan, max_witnesses,
+                            *_order_rules(G, p))
 
 
 def wreath_free_pair_check(G, c, d, p, plan=None):
@@ -214,33 +208,34 @@ def wreath_free_pair_check(G, c, d, p, plan=None):
 
     Each witness names the first hypothesis that broke: "p-group" when some
     closure order is not a p-power, "wreath-free" when a closure contains a
-    wreath section (the section witness rides along).  One chain on the
-    image pair gives the order and serves the section search.
+    wreath section (the section witness rides along).  One chain per orbit
+    of d' under conjugation by c gives the order and serves the full-tier
+    section search.  The witness indexes `SmallGroup.from_group(<c, d'>)`,
+    the breadth-first order from (c, d'), which conjugation by c carries to
+    that from (c, d'^c) index for index: it holds for the whole orbit.
     """
-    def judge(c, cq, perms, tally, notes):
-        tally["sections"] = 0
-        cp = Permutation(cq)
-        for dq in map(Permutation, perms):
-            J = Group([cp, dq])
-            m = J.order()
-            if not is_p_power(m, p):
-                yield dict(_pair_witness(c, G.from_perm(dq), m),
-                           hypothesis="p-group")
-                continue
-            sv = wreath_section_detect(J, p, tier="full")
-            tally["sections"] += 1
-            if sv.found:
-                yield dict(_pair_witness(c, G.from_perm(dq), m),
-                           hypothesis="wreath-free", section=sv.witness)
-                continue
-            if sv.note:
-                tally["inconclusive"] = tally.get("inconclusive", 0) + 1
-                if len(notes) < 3:
-                    notes.append("section search inconclusive at order %d: %s"
-                                 % (m, sv.note))
-            yield None
+    def decide(cq, dq):
+        J = Group([Permutation(cq), Permutation(dq)])
+        m = J.order()
+        return m, (wreath_section_detect(J, p, tier="full")
+                   if is_p_power(m, p) else None)
+
+    def judge(c, dq, verdict, tally, notes):
+        m, sv = verdict
+        if sv is None:
+            return dict(_pair_witness(c, G.from_perm(Permutation(dq)), m),
+                        hypothesis="p-group")
+        tally["sections"] += 1
+        if sv.found:
+            return dict(_pair_witness(c, G.from_perm(Permutation(dq)), m),
+                        hypothesis="wreath-free", section=sv.witness)
+        if sv.note:
+            tally["inconclusive"] = tally.get("inconclusive", 0) + 1
+            if len(notes) < 3:
+                notes.append("section search inconclusive at order %d: %s"
+                             % (m, sv.note))
     return _scan_conjugates("wreath-free", G, c, d, p, plan, MAX_WITNESSES,
-                            judge)
+                            decide, judge, {"sections": 0})
 
 
 def _scan_normal_set(name, G, C, p, judge):
@@ -625,18 +620,18 @@ def reflections_o3_scan(q):
 def _sl2n3_probe(G, c, plan):
     """Swap the reflection for diag(-1,-1,1,1) and hunt for a non-2-group
     closure; the outcome is reported as a note, never as a failure."""
-    F = c.field
-    neg = F.neg(1)
-    d2 = SquareMatrix.diagonal(F, (neg, neg, 1, 1))
+    neg = c.field.neg(1)
+    d2 = SquareMatrix.diagonal(c.field, (neg, neg, 1, 1))
     size = plan.size if plan.mode == "sample" else 1000
-    stream = _conjugate_perms(G, d2, None, ScanPlan.sample(size, plan.seed + 1))
-    cq = _raw_image(G, c, "c")
-    for k, (dp, m) in enumerate(_closure_orders(G, cq, stream, 2), 1):
-        if not is_p_power(m, 2):
-            return ("probe: negated-plane involution reached a non-2-group "
-                    "closure of order %d at conjugate %d: %s"
-                    % (m, k, json.dumps(_serial(G, Permutation(dp)),
-                                        sort_keys=True)))
+    v = _scan_conjugates("probe", G, c, d2, 2,
+                         ScanPlan.sample(size, plan.seed + 1), 1,
+                         *_order_rules(G, 2))
+    if v.witnesses:
+        w = v.witnesses[0]
+        return ("probe: negated-plane involution reached a non-2-group "
+                "closure of order %d at conjugate %d: %s"
+                % (w["closure_order"], v.counters["pairs"],
+                   json.dumps(w["d_conj"], sort_keys=True)))
     return ("probe: negated-plane involution stayed 2-group through %d "
             "conjugates" % size)
 

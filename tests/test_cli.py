@@ -3,6 +3,7 @@ formats, determinism, and error mapping."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import time
 import pytest
 
 from bfl.chartab import load_table
-from bfl.cli import main
+from bfl import verify
+from bfl.cli import _HANDLERS, main
 from bfl.elements import deserialize_element
 from bfl.groups import Group
 from bfl.smallgroup import SmallGroup
@@ -359,6 +361,38 @@ def test_pinned_json_bodies(capsys, rec):
                 assert reconstruct_section(J, w["section"], 2)
             elif "d_conj" in w:
                 assert replay_pair_witness(w, 2)
+
+
+def test_pinned_wreath_free_searches_once_per_orbit(capsys, monkeypatch):
+    # 300 draws fall in 86 orbits under conjugation by c: one chain and one
+    # section search each, and the pinned body
+    rec = next(r for r in PINNED_BODIES
+               if r["argv"][:3] == ["wreath-free", "--group", "sp:4:3"])
+    searches, builds = [], []
+    detect = verify.wreath_section_detect
+    monkeypatch.setattr(verify, "wreath_section_detect",
+                        lambda *a, **k: searches.append(1) or detect(*a, **k))
+
+    class CountingGroup(Group):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(verify, "Group", CountingGroup)
+    code, body = run_json(capsys, *rec["argv"])
+    body.pop("header")
+    assert (code, body) == (rec["exit"], rec["body"])
+    assert body["verdicts"][0]["counters"]["sections"] == 300
+    assert len(searches) == len(builds) == 86
+
+
+def test_help_describes_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    rows = dict(re.findall(r"^    (\S+) +(\S.*)$", capsys.readouterr().out,
+                           re.MULTILINE))
+    assert set(_HANDLERS) <= set(rows)
 
 
 def test_over_cap_class_list_fails_fast(capsys):

@@ -24,6 +24,7 @@ from bfl.verify import (_capped_order, _conjugate_perms, bf_pair_direct,
                         replay_product_witness, sl2n3_scan, symmetric_bf_scan,
                         wreath_free_pair_check, _interpolate)
 from bfl.verify import MAX_WITNESSES
+from bfl.wreath import reconstruct_section, wreath_section_detect
 from test_groups import gammal2_9
 
 
@@ -212,13 +213,6 @@ def test_chain_fallback_past_a_low_cap_keeps_verdicts(monkeypatch, a5, s6,
     assert chains and set(chains) == {2}
 
 
-def _uncached_orders(G, cq, perms, p):
-    """Every d' closed on its own, by a chain: no cap and no cache."""
-    c = Permutation(cq)
-    for dq in perms:
-        yield dq, Group([c, Permutation(dq)]).order()
-
-
 def _orbit_keys(cq, perms):
     """The least member of each d''s orbit under conjugation by c."""
     c = Permutation(cq)
@@ -233,7 +227,7 @@ def _orbit_keys(cq, perms):
 
 
 def _pair_scans():
-    """(name, run) for the scans that close pairs through _closure_orders."""
+    """(name, run) for the scans through the conjugate-scan driver."""
     s6, go = construct("sym:6"), construct("go_odd:3:5")
     exhaustive = ScanPlan.exhaustive()
     out = []
@@ -243,34 +237,82 @@ def _pair_scans():
             out.append(("%s %s %s" % (G.name, c_cls.label, d_cls.label),
                         lambda G=G, c=c_cls, d=d_cls, p=p:
                         bf_pair_direct(G, c, d, p, exhaustive)))
+    for c_cls, d_cls in itertools.product(enumerate_classes(s6)[1:4],
+                                          repeat=2):
+        out.append(("wreath-free sym:6 %s %s" % (c_cls.label, d_cls.label),
+                    lambda c=c_cls, d=d_cls:
+                    wreath_free_pair_check(s6, c, d, 2, exhaustive)))
+    sp = construct("sp:4:3")
+    enumerate_classes(sp)
+    a, b = (cls_of(sp, label) for label in ("2a", "2b"))
+    out.append(("wreath-free sp:4:3", lambda: wreath_free_pair_check(
+        sp, a, b, 2, ScanPlan.sample(300, 0xBF))))
     out.append(("sl2n3", lambda: sl2n3_scan(ScanPlan.sample(200, 0xBF))))
     return out
 
 
-def test_closure_orders_are_the_pair_orders(monkeypatch):
-    real, seen = verify._closure_orders, []
+def test_pair_verdicts_are_decided_once_per_orbit(monkeypatch):
+    real, seen = verify._scan_conjugates, []
 
-    def recording(G, cq, perms, p):
-        perms = list(perms)
-        got = list(real(G, cq, perms, p))
-        seen.append((cq, perms, got))
-        return iter(got)
-    monkeypatch.setattr(verify, "_closure_orders", recording)
+    def recording(name, G, c, d, p, plan, max_witnesses, decide, judge,
+                  tally=()):
+        cq = verify._raw_image(G, verify._rep(c), "c")
+        perms = list(verify._conjugate_perms(G, verify._rep(d), None, plan))
+        decided, judged = [], []
+        seen.append((name, cq, perms, decided, judged))
+
+        def counted(cq, dq):
+            decided.append(dq)
+            return decide(cq, dq)
+
+        def kept(c, dq, verdict, tally, notes):
+            judged.append((dq, verdict))
+            return judge(c, dq, verdict, tally, notes)
+        return real(name, G, c, d, p, plan, max_witnesses, counted, kept,
+                    tally)
+    monkeypatch.setattr(verify, "_scan_conjugates", recording)
     closures = []
     capped = verify._capped_order
     monkeypatch.setattr(verify, "_capped_order",
                         lambda *a: closures.append(1) or capped(*a))
     bodies = [(name, core(run())) for name, run in _pair_scans()]
     assert len(seen) > 40
-    for cq, perms, got in seen:
-        assert [dq for dq, _ in got] == perms
-        assert got == list(_uncached_orders(None, cq, perms, 2))
-    # one closure per orbit of d' under conjugation by c
-    assert len(closures) == sum(len(_orbit_keys(cq, perms))
-                                for cq, perms, _ in seen)
-    assert len(closures) < sum(len(perms) for _, perms, _ in seen)
-    # the scans' bodies are those of the walk that closes every d'
-    monkeypatch.setattr(verify, "_closure_orders", _uncached_orders)
+    assert {name for name, *_ in seen} == {"bf-pair", "wreath-free", "probe"}
+    for name, cq, perms, decided, judged in seen:
+        walked = [dq for dq, _ in judged]
+        assert walked == perms[:len(walked)]
+        # every d' has the order of its own pair; wreath-free's verdict is
+        # (order, section verdict)
+        assert [v[0] if name == "wreath-free" else v for _, v in judged] == [
+            Group([Permutation(cq), Permutation(dq)]).order()
+            for dq in walked]
+        # one decision per orbit of d' under conjugation by c, at its first d'
+        firsts, met = [], set()
+        for dq in walked:
+            key = _orbit_keys(cq, [dq])
+            if not key <= met:
+                firsts.append(dq)
+                met |= key
+        assert decided == firsts
+    assert (sum(len(decided) for *_, decided, _ in seen)
+            < sum(len(judged) for *_, judged in seen))
+    # bf-pair closes on raw images once per decision
+    assert len(closures) == sum(len(decided) for name, _, _, decided, _ in seen
+                                if name != "wreath-free")
+
+    # the scans' bodies are those of the walk that decides every d' on its
+    # own pair: bf-pair by a chain with no cap, wreath-free by its own search
+    def uncached(name, G, c, d, p, plan, max_witnesses, decide, judge,
+                 tally=()):
+        def fresh(c, dq, verdict, tally, notes):
+            if name == "wreath-free":
+                verdict = decide(verify._raw_image(G, c, "c"), dq)
+            else:
+                verdict = Group([G.to_perm(c), Permutation(dq)]).order()
+            return judge(c, dq, verdict, tally, notes)
+        return real(name, G, c, d, p, plan, max_witnesses, decide, fresh,
+                    tally)
+    monkeypatch.setattr(verify, "_scan_conjugates", uncached)
     assert bodies == [(name, core(run())) for name, run in _pair_scans()]
 
 
@@ -317,10 +359,70 @@ def test_wreath_free_s6_pair_fails_on_section_hypothesis(s6):
 
 
 def test_wreath_free_reports_p_group_break_first(a5):
-    five = cls_of(a5, "5a")
-    v = wreath_free_pair_check(a5, five, five, 5, ScanPlan.exhaustive())
+    for d_label, counters in (
+            ("5a", {"pairs": 4, "closures": 4, "sections": 1,
+                    "inconclusive": 1}),
+            # no closure is a 5-group: no section search runs, and says so
+            ("5b", {"pairs": 3, "closures": 3, "sections": 0})):
+        v = wreath_free_pair_check(a5, cls_of(a5, "5a"),
+                                   cls_of(a5, d_label), 5,
+                                   ScanPlan.exhaustive())
+        assert v.status == "fails"
+        assert v.witnesses[0]["hypothesis"] == "p-group"
+        assert v.counters == counters
+
+
+def _counting_searches(monkeypatch):
+    """(searches, decided): the calls of verify.wreath_section_detect, and
+    the d' the conjugate-scan driver decides."""
+    searches, decided = [], []
+    detect, scan = verify.wreath_section_detect, verify._scan_conjugates
+    monkeypatch.setattr(verify, "wreath_section_detect",
+                        lambda *a, **k: searches.append(1) or detect(*a, **k))
+
+    def counting(name, G, c, d, p, plan, max_witnesses, decide, *rest):
+        return scan(name, G, c, d, p, plan, max_witnesses,
+                    lambda cq, dq: decided.append(dq) or decide(cq, dq),
+                    *rest)
+    monkeypatch.setattr(verify, "_scan_conjugates", counting)
+    return searches, decided
+
+
+@pytest.mark.parametrize("group", ["sym:6", "gl:2:3"])
+def test_wreath_free_witness_at_a_later_orbit_member_replays(monkeypatch,
+                                                              group):
+    # a section witness indexes SmallGroup.from_group of the pair (c, d');
+    # conjugation by c carries that indexing to the one of (c, d'^c), so the
+    # witness decided at an orbit's first d' is that of every member
+    G = construct(group)
+    enumerate_classes(G)
+    searches, decided = _counting_searches(monkeypatch)
+    v = wreath_free_pair_check(G, cls_of(G, "2b"), cls_of(G, "4a"), 2,
+                               ScanPlan.exhaustive())
     assert v.status == "fails"
-    assert v.witnesses[0]["hypothesis"] == "p-group"
+    # three witnesses from two decisions: one sits at a later member
+    assert len(searches) == len(decided) < len(v.witnesses) == MAX_WITNESSES
+    for w in v.witnesses:
+        assert w["hypothesis"] == "wreath-free"
+        J = Group([deserialize_element(w["c"]),
+                   deserialize_element(w["d_conj"])])
+        assert J.order() == w["closure_order"]
+        assert reconstruct_section(J, w["section"], 2)
+        assert wreath_section_detect(J, 2, tier="full").witness == w["section"]
+
+
+def test_wreath_free_searches_once_per_orbit(monkeypatch):
+    # every closure is W5 itself, and 200 draws fall in 97 orbits under
+    # conjugation by c, so 97 searches decide 200 inconclusive pairs
+    G = construct("wreath:5")
+    enumerate_classes(G)
+    searches, decided = _counting_searches(monkeypatch)
+    v = wreath_free_pair_check(G, cls_of(G, "5xe"), cls_of(G, "5xf"), 5,
+                               ScanPlan.sample(200, 0xBF))
+    assert v.status == "indeterminate"
+    assert v.counters == {"pairs": 200, "closures": 200, "sections": 200,
+                          "inconclusive": 200}
+    assert len(searches) == len(decided) == 97
 
 
 def test_wreath_free_trivial_skip(s6):
