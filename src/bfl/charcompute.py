@@ -19,7 +19,6 @@ import math
 from operator import mul
 
 from .classes import enumerate_classes
-from .groups import image_kernel
 from .chartab import CharacterTable, class_constants
 from .cyclotomic import Cyclotomic
 from .fields import (factorize, poly_divmod, poly_gcd, poly_powmod, poly_sub,
@@ -54,16 +53,15 @@ def structure_constants(G):
     of k* with whichever of i, j shares its half, as
     a[i][j][k] = |C_j| a[i][k*][j*] / |C_k| = |C_i| a[j][k*][i*] / |C_k|.
     a[i][j] and a[j][i] are separate lists.  Products run on raw images
-    (`groups.image_kernel`), keys of loc: no member becomes a permutation.
+    (`Group.raw`, composed by `Chain.kernel`), keys of loc: no member
+    becomes a permutation.
     """
     cls = enumerate_classes(G)
     loc = {x: k for k, C in enumerate(cls) for x in C.raw}
     r = len(cls)
     sizes = [C.size for C in cls]
-    encode, times, _ = image_kernel(G.chain.degree)
-    perms = [G.to_perm(C.representative) for C in cls]
-    reps = [times(encode(g.images)) for g in perms]
-    star = [loc[encode((~g).images)] for g in perms]
+    reps = [G.chain.kernel[1](G.raw(C.representative, C.label)) for C in cls]
+    star = [loc[G.raw(~C.representative, C.label)] for C in cls]
     half = [0] * r
     for n, k in enumerate(sorted(range(r), key=sizes.__getitem__)):
         half[k] = n % 2
@@ -215,9 +213,9 @@ def build_table(G, name):
 
     # powers of each representative, as class indices
     powcls = []
-    encode, times, _ = image_kernel(G.chain.degree)
+    times = G.chain.kernel[1]
     for C in cls:
-        rep = times(encode(G.to_perm(C.representative).images))
+        rep = times(G.raw(C.representative, C.label))
         idx, y = [], cls[0].raw[0]  # class 0 is the identity's
         for _ in range(C.order):
             idx.append(loc[y])

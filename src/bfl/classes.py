@@ -8,10 +8,9 @@ labeling is stable across runs and machines.
 from collections import Counter
 from itertools import filterfalse
 from math import factorial
-from operator import getitem, itemgetter
 
 from .elements import Permutation, element_order
-from .groups import CLOSURE_CAP, image_kernel, orbit
+from .groups import CLOSURE_CAP, orbit
 
 
 class SelectorError(ValueError):
@@ -30,39 +29,29 @@ def serial_key(x):
 class ConjClass:
     """One conjugacy class: representative, size, order, optional members.
 
-    An enumerated class keeps `raw`, its members' raw images in the order
-    its orbit met them (`groups.image_kernel`), and builds `perms`, their
-    permutations, and `.elements` from those through `group.from_perm` on
-    first read (the same set for a permutation group).  A class may be given
-    `perms` alone; one known only by its size has neither.
+    An enumerated class keeps its members once, as `raw`: their raw images
+    in the order its orbit met them (`Group.raw`), and builds `.elements`
+    from those through `group.from_perm` on first read.  A class known only
+    by its size has no members.
     """
 
     __slots__ = ("group", "representative", "size", "order", "label", "raw",
-                 "_perms", "_elements")
+                 "_elements")
 
     def __init__(self, group, representative, size, order, label=None,
-                 perms=None, raw=None):
+                 raw=None):
         self.group = group
         self.representative = representative
         self.size = size
         self.order = order
         self.label = label
         self.raw = raw
-        self._perms = perms
         self._elements = None
 
     @property
-    def perms(self):  # through a dict, as from the orbit, for the same layout
-        if self._perms is None and self.raw is not None:
-            self._perms = frozenset(dict.fromkeys(map(Permutation, self.raw)))
-        return self._perms
-
-    @property
     def elements(self):
-        if self._elements is None and self.perms is not None:
-            G = self.group
-            self._elements = (self.perms if isinstance(G.identity, Permutation)
-                              else frozenset(map(G.from_perm, self.perms)))
+        if self._elements is None and self.raw is not None:
+            self._elements = frozenset(map(self.group.from_perm, self.raw))
         return self._elements
 
     def __repr__(self):
@@ -74,8 +63,9 @@ class ConjClass:
             return NotImplemented
         if self.group is not other.group:
             return False
-        if self.perms is not None and other.perms is not None:
-            return self.perms == other.perms
+        if self.raw is not None and other.raw is not None:
+            # the classes of a group partition it: one shared member decides
+            return self.raw[0] in other.raw
         return self.representative == other.representative
 
     def __hash__(self):
@@ -132,28 +122,6 @@ def _letter(i):
     return out
 
 
-def image_key(G):
-    """An integer rank of image permutations or raw images that orders them
-    like serial_key of the elements they stand for, read off per-point
-    tables (`Group.rank_tables`) with no element built; for a permutation
-    group, the images themselves."""
-    if isinstance(G.identity, Permutation):
-        return lambda p: getattr(p, "images", p)
-    at, weights, frob = G.rank_tables()
-    # itemgetter of one index gives no tuple
-    pick = itemgetter(*at) if len(at) > 1 else lambda im: (im[at[0]],)
-    if frob is None:
-        return lambda p: sum(map(getitem, weights,
-                                 pick(getattr(p, "images", p))))
-    e1_we1, table = itemgetter(*frob[:2]), frob[2]
-
-    def rank(p):
-        images = getattr(p, "images", p)
-        return (sum(map(getitem, weights, pick(images)))
-                + table[e1_we1(images)])
-    return rank
-
-
 def _raw_class(x, maps, key):
     """The raw image x's class, in orbit order, and its least-rank member."""
     cls = tuple(orbit([x], maps, CLOSURE_CAP, "class"))
@@ -170,7 +138,7 @@ def enumerate_classes(G):
     cached = getattr(G, "_classes", None)
     if cached is not None:
         return cached
-    maps, key, total, seen, raw = (G.class_maps(), image_key(G), G.order(),
+    maps, key, total, seen, raw = (G.class_maps(), G.image_key(), G.order(),
                                    set(), [])
     for x in filterfalse(seen.__contains__,
                          G.chain.raw_elements(CLOSURE_CAP)):
@@ -192,15 +160,13 @@ def enumerate_classes(G):
 
 
 def class_of(G, x):
-    """The class of x: a labeled one from the cache when available, else fresh."""
-    p = G.to_perm(x)
-    if p is None:
-        raise ValueError("%r does not act on the group's points" % (x,))
-    x = image_kernel(G.chain.degree)[0](p.images)
+    """The class of x: a labeled one from the cache when available, else
+    fresh; ValueError when x is not an element of G (`Group.raw`)."""
+    x = G.raw(x, repr(x))
     for c in getattr(G, "_classes", None) or ():
         if x in c.raw:
             return c
-    cls, rep = _raw_class(x, G.class_maps(), image_key(G))
+    cls, rep = _raw_class(x, G.class_maps(), G.image_key())
     return ConjClass(G, G.from_perm(rep), len(cls), element_order(rep),
                      raw=cls)
 

@@ -20,7 +20,8 @@ from .classes import NormalSet, enumerate_classes, select_class
 from .elements import Overflow
 from .genfile import ParseError
 from .modrep import cor22_check, lemma21_check
-from .report import ScanPlan, Verdict, emit_report, exit_code
+from .report import (DEFAULT_SAMPLES, DEFAULT_SEED, ScanPlan, Verdict,
+                     emit_report, exit_code)
 from .wreath import wreath_section_detect
 from . import verify
 
@@ -44,14 +45,14 @@ def _add_common(sp):
                     help="resolve inputs and print the plan without computing")
 
 
-def _add_sampling(sp, samples=1000):
+def _add_sampling(sp, samples=DEFAULT_SAMPLES):
     sp.add_argument("--samples", type=int, default=samples)
-    sp.add_argument("--seed", type=lambda s: int(s, 0), default=0xBF)
+    sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
 
 
-def _add_plan(sp, samples=1000):
+def _add_plan(sp):
     sp.add_argument("--plan", choices=("exhaustive", "sample"))
-    _add_sampling(sp, samples)
+    _add_sampling(sp)
 
 
 def _build_parser():

@@ -13,24 +13,26 @@ from G); a coset representative is built from its level's orbit tree the
 first time its point is read (`_Level.rep`), not a level at a time.
 Chains are built, sifted and sampled on plain permutations only.  Matrix
 and semilinear groups get a permutation image from `matrix_action` (the orbit
-of the standard basis vectors), and their elements cross between the two
-representations only at the edges: `Group.to_perm` on the way in,
-`Group.from_perm` on the way out (random elements, class representatives);
-membership reads a matrix only at the base points and the basis
-(`Group.contains`).  Every image is faithful, so order, membership, the
-element stream and the classes all come from the one chain.  The chain
-sifts without inverting a representative, and the stream, random draws,
-class orbits and pair closures compose raw images (`image_kernel`): bytes
-up to 256 points, tuples composed by `operator.itemgetter` past that, as in
-`Permutation.__mul__`.  A class is an orbit of raw images under
-conjugation by the generating pair: two chain elements, drawn from a
-privately seeded stream, whose own chain reaches the group's order
-(`Group.generating_pair`); its members become permutations only when read.
-A matrix is recovered from the images of the basis vectors, which are its
-columns, and ranked by them (`Group.rank_tables`) without being built.  A
-semilinear map A frob^e also sends w*e1, for w primitive, to w^(r^e) * A e1,
-so the action orbits w*e1 too; that point pins down e
-(`Group.frobenius_exponent`), and it makes the image faithful, since on the
+of the standard basis vectors).  An element meets its raw image only on
+`Group`: `Group.raw` on the way in (sifted once, so a non-member is
+refused), `Group.from_perm` on the way out, from an image permutation or a
+raw image (random elements, class representatives, witnesses), and
+`Group.image_key`, the one rank of raw images; membership reads a matrix
+only at the base points and the basis (`Group.contains`).  Every image is
+faithful, so order, membership, the element stream and the classes all come
+from the one chain.  The chain sifts without inverting a representative,
+and the stream, random draws, class orbits and pair closures compose raw
+images with the codec of `image_kernel`, which only `Chain` builds
+(`Chain.kernel`): bytes up to 256 points, tuples composed by
+`operator.itemgetter` past that, as in `Permutation.__mul__`.  A class is
+an orbit of raw images under conjugation by the generating pair: two chain
+elements, drawn from a privately seeded stream, whose own chain reaches the
+group's order (`Group.generating_pair`).  `matrix_action` numbers the basis
+first, so a matrix is read off its image at points 0..n-1, the images of
+the basis vectors, which are its columns, and ranked by them without being
+built.  A semilinear map A frob^e also sends w*e1, for w primitive, to
+w^(r^e) * A e1, so the action orbits w*e1 too; that point pins down e
+(`Group.from_perm`), and it makes the image faithful, since on the
 basis alone the field automorphism acts trivially.
 """
 
@@ -39,7 +41,7 @@ from collections import deque
 from functools import partial
 from itertools import chain, repeat
 from math import prod
-from operator import itemgetter, methodcaller, mul
+from operator import getitem, itemgetter, methodcaller, mul
 
 from .elements import (Permutation, SquareMatrix, SemilinearElement, Overflow,
                        identity_like)
@@ -413,6 +415,7 @@ class Group:
         self._chain = None
         self._action = None
         self._rank = None
+        self._frob = None
         self._pair = None
 
     @property
@@ -464,62 +467,83 @@ class Group:
             images.append(idx)
         return Permutation(images)
 
-    def columns(self, p):
-        """The columns of the matrix with image (or raw image) p: the basis vectors' images."""
-        points, images = self.action.points, getattr(p, "images", p)
-        return [points[images[k]] for k in self.rank_tables()[0]]
+    def raw(self, x, name):
+        """x's image in the chain's permutation representation as a raw
+        image (`image_kernel`), after one sift: ValueError "<name> does not
+        act on the group's points" when x escapes them (`to_perm`), and
+        "<name> is not an element of the group" when the sift leaves a
+        residue."""
+        p = self.to_perm(x)
+        if p is None:
+            raise ValueError("%s does not act on the group's points" % name)
+        if not self.chain.sift(p)[0].is_identity():
+            raise ValueError("%s is not an element of the group" % name)
+        return self.chain.kernel[0](p.images)
 
-    def rank_tables(self):
-        """(at, weights, frob): per-point tables of an integer rank that
-        orders image permutations like the (rows, e) of their elements
-        (cached).
+    def image_key(self):
+        """An integer rank of image permutations or raw images that orders
+        them like the serial_key of their elements, with no element built
+        (cached); for a permutation group, the images themselves.
 
-        Codes lie in range(q), so the row-major entries of an n x n matrix
-        read as the base-q integer sum_j weights[j][p[at[j]]], at[j] the
-        action index of e_j and weights[j][c] = sum_i points[c][i] *
+        Codes lie in range(q), and `matrix_action` numbers the basis first,
+        so p[j] is the point e_j goes to, column j of the matrix, and the
+        row-major entries of an n x n matrix read as the base-q integer
+        sum_j weights[j][p[j]], weights[j][c] = sum_i points[c][i] *
         q^(n*n-1-(i*n+j)).  A semilinear map's rank is that integer times k
-        plus its e: its weights come times k, and frob is (e1, we1, table)
-        with e = table[p[e1], p[we1]], since A frob^e sends e1 to v = A e1
-        and w*e1 to w^(r^e) * v; frob is None for a linear group.
+        plus its e (`_frobenius`).
         """
+        ident = self._identity
+        if isinstance(ident, Permutation):
+            return lambda p: getattr(p, "images", p)
         if self._rank is None:
-            act, F, n = self.action, self._identity.field, self._identity.n
-            try:
-                at = [act.index[v] for v in _basis(n)]
-            except KeyError:
-                raise ValueError("the basis vectors are not all action points") from None
-            frob = None
-            if isinstance(self._identity, SemilinearElement):
-                powers = [F.frobenius(F.primitive(), e) for e in range(F.k)]
-                table = {}
-                for i, v in enumerate(act.points):
-                    for e, s in enumerate(powers):
-                        j = act.index.get(tuple([F.mul(s, x) for x in v]))
-                        if j is not None:
-                            table[i, j] = e
-                frob = (at[0], act.index[_scaled_e1(F, n)], table)
-            scale = 1 if frob is None else F.k
+            act, F, n = self.action, ident.field, ident.n
+            scale = F.k if isinstance(ident, SemilinearElement) else 1
             weights = [[sum(c * F.q ** (n * n - 1 - (i * n + j))
                             for i, c in enumerate(v)) * scale
                         for v in act.points] for j in range(n)]
-            self._rank = (at, weights, frob)
+            if scale == 1:
+                self._rank = lambda p: sum(map(getitem, weights,
+                                               getattr(p, "images", p)))
+            else:
+                we1, table = self._frobenius()
+
+                def rank(p):
+                    images = getattr(p, "images", p)
+                    return (sum(map(getitem, weights, images))
+                            + table[images[0], images[we1]])
+                self._rank = rank
         return self._rank
 
-    def frobenius_exponent(self, p):
-        """The e of the semilinear map A frob^e with image (or raw image) p."""
-        (e1, we1, table), images = self.rank_tables()[2], getattr(p, "images", p)
-        return table[images[e1], images[we1]]
+    def _frobenius(self):
+        """(we1, table) for a semilinear group, with e = table[p[0], p[we1]]
+        for the map A frob^e with image p, since it sends e1 (point 0) to
+        v = A e1 and w*e1 (point we1) to w^(r^e) * v (cached)."""
+        if self._frob is None:
+            act, F = self.action, self._identity.field
+            powers = [F.frobenius(F.primitive(), e) for e in range(F.k)]
+            table = {}
+            for i, v in enumerate(act.points):
+                for e, s in enumerate(powers):
+                    j = act.index.get(tuple([F.mul(s, x) for x in v]))
+                    if j is not None:
+                        table[i, j] = e
+            self._frob = act.index[_scaled_e1(F, self._identity.n)], table
+        return self._frob
 
     def from_perm(self, p):
-        """The element whose image is p, read off the images of the basis
-        vectors (its columns) and, for a semilinear map, of w*e1."""
+        """The element whose image permutation or raw image is p, read off
+        the images of the basis vectors (its columns, points 0..n-1) and, for
+        a semilinear map, of w*e1."""
         ident = self._identity
         if isinstance(ident, Permutation):
-            return p
-        mat = SquareMatrix(ident.field, list(zip(*self.columns(p))))
+            return p if isinstance(p, Permutation) else Permutation(p)
+        points, images = self.action.points, getattr(p, "images", p)
+        mat = SquareMatrix(ident.field, list(zip(*[points[images[k]]
+                                                   for k in range(ident.n)])))
         if isinstance(ident, SquareMatrix):
             return mat
-        return SemilinearElement(mat, self.frobenius_exponent(p))
+        we1, table = self._frobenius()
+        return SemilinearElement(mat, table[images[0], images[we1]])
 
     def contains(self, x):
         """Membership by one sift.  A matrix or semilinear x is read only at
@@ -576,7 +600,7 @@ class Group:
     def class_maps(self):
         """Conjugation y -> g^-1 y g on raw images by each permutation of the
         generating pair: a class is the same orbit under any generating set."""
-        encode, _, conj = image_kernel(self.chain.degree)
+        encode, _, conj = self.chain.kernel
         return [conj(encode(g.images)) for g in self.generating_pair()]
 
     def __repr__(self):

@@ -7,6 +7,9 @@ FAILS = "fails"
 INDETERMINATE = "indeterminate"
 SKIPPED = "skipped"
 _STATUSES = (HOLDS, FAILS, INDETERMINATE, SKIPPED)
+# a sampled plan's draws and seed, unless the caller names its own
+DEFAULT_SAMPLES = 1000
+DEFAULT_SEED = 0xBF
 
 
 class ScanPlan:
@@ -14,7 +17,7 @@ class ScanPlan:
 
     __slots__ = ("mode", "size", "seed")
 
-    def __init__(self, mode="sample", size=1000, seed=0xBF):
+    def __init__(self, mode="sample", size=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
         if mode not in ("exhaustive", "sample"):
             raise ValueError("mode must be exhaustive or sample")
         if mode == "sample" and size < 1:
@@ -28,7 +31,7 @@ class ScanPlan:
         return cls(mode="exhaustive")
 
     @classmethod
-    def sample(cls, size=1000, seed=0xBF):
+    def sample(cls, size=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
         return cls(mode="sample", size=size, seed=seed)
 
     def __repr__(self):

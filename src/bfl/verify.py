@@ -9,9 +9,9 @@ so reruns are bit-identical.
 Every pair check runs on the ambient group's faithful permutation image, and
 an element goes back through `Group.from_perm` only for a witness.  The two
 conjugate scans, bf-pair and wreath-free, share one driver: c and every
-d' = g^-1 d g are raw images (`groups.image_kernel`) from the draw to the
-verdict.  Conjugating the pair by c fixes c, so each verdict is decided once
-per orbit of d' under conjugation by c.  bf-pair closes <c, d'> on raw
+d' = g^-1 d g are raw images (`Group.raw`) from the draw to the verdict.
+Conjugating the pair by c fixes c, so each verdict is decided once per
+orbit of d' under conjugation by c.  bf-pair closes <c, d'> on raw
 images; a subgroup larger than |G|_p is not a p-group, so the closure stops
 past min(|G|_p, PAIR_CLOSURE_CAP), with a chain only past that cap.
 wreath-free builds one chain per orbit, for the order and the section
@@ -28,14 +28,15 @@ from math import gcd
 
 from .catalog import construct, parse_blueprint, special_element
 from .classes import (ConjClass, NormalSet, class_of, enumerate_classes,
-                      image_key, involution_classes_sym)
+                      involution_classes_sym)
 from .elements import (Overflow, Permutation, SquareMatrix, commutator,
                        conjugate, deserialize_element, element_order,
                        identity_like, inverse, serialize_element)
 from .fields import GF, is_p_power, is_prime, poly_trim
-from .groups import Group, image_kernel, orbit
+from .groups import Group, orbit
 from .modrep import commutator_dim
-from .report import (FAILS, HOLDS, INDETERMINATE, SKIPPED, ScanPlan, Verdict)
+from .report import (DEFAULT_SAMPLES, DEFAULT_SEED, FAILS, HOLDS,
+                     INDETERMINATE, SKIPPED, ScanPlan, Verdict)
 from .wreath import wreath_section_detect
 
 MAX_WITNESSES = 3
@@ -76,15 +77,6 @@ def replay_pair_witness(witness, p):
     return m == witness["closure_order"] and not is_p_power(m, p)
 
 
-def _raw_image(G, x, name):
-    """x's image in G's permutation representation, as a raw image
-    (`groups.image_kernel`)."""
-    q = G.to_perm(x)
-    if q is None:
-        raise ValueError("%s does not act on the group's points" % name)
-    return G.chain.kernel[0](q.images)
-
-
 def _conjugate_perms(G, d, d_cls, plan):
     """Conjugates of d as raw images of G's permutation image, per the plan:
     the whole class in serial_key order (exhaustive, so witness selection is
@@ -93,18 +85,18 @@ def _conjugate_perms(G, d, d_cls, plan):
     if plan.mode == "exhaustive":
         if d_cls is None or d_cls.group is not G or d_cls.raw is None:
             d_cls = class_of(G, d)
-        return sorted(d_cls.raw, key=image_key(G))
+        return sorted(d_cls.raw, key=G.image_key())
     rng = random.Random(plan.seed)
-    dq = _raw_image(G, d, "d")
+    dq = G.raw(d, "d")
     return (G.chain.raw_random_conjugate(dq, rng) for _ in range(plan.size))
 
 
-def _capped_order(cq, dq, cap):
-    """|<cq, dq>| for two raw images, or None once it exceeds cap."""
-    encode, times, _ = image_kernel(len(cq))
+def _capped_order(times, cq, dq, cap):
+    """|<cq, dq>| for two raw images composed by times (`Chain.kernel`), or
+    None once it exceeds cap: the orbit of cq under left multiplication by
+    both is <cq, dq> itself."""
     try:
-        return len(orbit([encode(range(len(cq)))], [times(cq), times(dq)],
-                         cap, "closure"))
+        return len(orbit([cq], [times(cq), times(dq)], cap, "closure"))
     except Overflow:
         return None
 
@@ -135,7 +127,7 @@ def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, decide, judge,
     """The driver of the conjugate scans: c against every d' in the class of d.
 
     After `_pair_setup`, c and the d' from `_conjugate_perms` are raw images
-    cq and dq (`groups.image_kernel`).  decide(cq, dq) gives the pair's
+    cq and dq (`Group.raw`).  decide(cq, dq) gives the pair's
     verdict, unchanged when c and d' are conjugated by c, once per orbit of
     d' under conjugation by c, at the orbit's first d'; every member keeps
     it.  judge(c, dq, verdict, tally, notes) turns it into a witness or None
@@ -157,7 +149,7 @@ def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, decide, judge,
                        notes=["class enumeration overflowed (%s); "
                               "use a sampled plan" % e],
                        seconds=time.perf_counter() - t0)
-    cq = _raw_image(G, c, "c")
+    cq = G.raw(c, "c")
     by_c = G.chain.kernel[2](cq)
     witnesses, notes, tally, decided, scanned = [], [], dict(tally), {}, 0
     for dq in stream:
@@ -184,12 +176,12 @@ def _order_rules(G, p):
     cap = min(gcd(n, p ** n.bit_length()), PAIR_CLOSURE_CAP)  # gcd: |G|_p
 
     def decide(cq, dq):
-        return (_capped_order(cq, dq, cap)
+        return (_capped_order(G.chain.kernel[1], cq, dq, cap)
                 or Group([Permutation(cq), Permutation(dq)]).order())
 
     def judge(c, dq, m, tally, notes):
         return (None if is_p_power(m, p)
-                else _pair_witness(c, G.from_perm(Permutation(dq)), m))
+                else _pair_witness(c, G.from_perm(dq), m))
     return decide, judge
 
 
@@ -223,11 +215,11 @@ def wreath_free_pair_check(G, c, d, p, plan=None):
     def judge(c, dq, verdict, tally, notes):
         m, sv = verdict
         if sv is None:
-            return dict(_pair_witness(c, G.from_perm(Permutation(dq)), m),
+            return dict(_pair_witness(c, G.from_perm(dq), m),
                         hypothesis="p-group")
         tally["sections"] += 1
         if sv.found:
-            return dict(_pair_witness(c, G.from_perm(Permutation(dq)), m),
+            return dict(_pair_witness(c, G.from_perm(dq), m),
                         hypothesis="wreath-free", section=sv.witness)
         if sv.note:
             tally["inconclusive"] = tally.get("inconclusive", 0) + 1
@@ -241,11 +233,13 @@ def wreath_free_pair_check(G, c, d, p, plan=None):
 def _scan_normal_set(name, G, C, p, judge):
     """The pair walk of the normal-set checks over C x C, exact at every |C|.
 
-    The members are the classes' image permutations (`ConjClass.perms`) of
-    G, the classes' group, sorted by `image_key` (serial_key order on the
-    elements), and the walk takes rows a in that order.  judge(G, members)
-    returns (step, summary): step(a, b) gives a witness or None, and
-    summary(witnesses) the notes and counters known after the walk.  Both
+    The members are the classes' raw images (`ConjClass.raw`), decoded once
+    into image permutations of G, the classes' group, and sorted by
+    `Group.image_key` (serial_key order on the elements); the walk takes
+    rows a in that order.  judge(G, row_class), row_class mapping each
+    member to its class's index in C, returns (step, summary): step(a, b)
+    gives a witness or None, and summary(witnesses) the notes and counters
+    known after the walk.  Both
     checks are invariant under conjugation ((a, b) fails exactly when
     (a^g, b^g) does), so every row of a class has the witnesses of that
     class's first row up to conjugation: a row whose class already had a
@@ -261,15 +255,16 @@ def _scan_normal_set(name, G, C, p, judge):
         G = C.classes[0].group
     scenario = "%s:%s,C=%s,p=%d" % (name, _gname(G) if G else "?",
                                     "+".join(l or "?" for l in C.labels), p)
-    if any(k.perms is None for k in C.classes):
+    if any(k.raw is None for k in C.classes):
         raise ValueError("the normal set must be fully enumerated")
-    row_class = {x: i for i, k in enumerate(C.classes) for x in k.perms}
+    row_class = {Permutation(x): i for i, k in enumerate(C.classes)
+                 for x in k.raw}
     if not row_class:
         return Verdict(scenario, HOLDS, notes=["empty set"],
                        seconds=time.perf_counter() - t0)
-    members = sorted(row_class, key=image_key(G))
+    members = sorted(row_class, key=G.image_key())
     n = len(members)
-    step, summary = judge(G, members)
+    step, summary = judge(G, row_class)
 
     def walk():  # (pairs walked so far, witness), in row-major order
         clean = set()
@@ -302,13 +297,13 @@ def commutator_closed_check(G, C, p):
     """
     C = NormalSet.of(C)
 
-    def judge(G, members):
+    def judge(G, row_class):
         for k in C.classes:
             if not is_p_power(k.order, p):
                 raise ValueError("class %s has element order %d, not a power "
                                  "of %d" % (k.label, k.order, p))
-        base = set(members)
-        ok = base | {identity_like(members[0])}
+        base = set(row_class)
+        ok = base | {G.chain.identity}
         image = set()  # the commutators of the rows walked
 
         def step(a, b):
@@ -319,7 +314,7 @@ def commutator_closed_check(G, C, p):
                         "commutator": _serial(G, k)}
 
         def summary(witnesses):
-            reps = [next(iter(k.perms)) for k in C.classes]
+            reps = [Permutation(k.raw[0]) for k in C.classes]
             sq = all(a * a in ok for a in reps)
             inv = all(~a in base for a in reps)
             notes = ["C is closed under squares" if sq
@@ -329,8 +324,8 @@ def commutator_closed_check(G, C, p):
             if witnesses:
                 return notes, {}
             # the image is a normal set: the classes it meets, plus 1
-            size = len(image - base) + sum(
-                len(k.perms) for k in C.classes if not k.perms.isdisjoint(image))
+            met = {row_class[k] for k in image if k in row_class}
+            size = len(image - base) + sum(C.classes[i].size for i in met)
             notes.append("commutator image is exactly C plus the identity"
                          if size == len(ok) else
                          "commutator image covers %d of %d elements"
@@ -353,7 +348,7 @@ def replay_commutator_witness(witness, C):
 
 def cc_inverse_check(C, p):
     """Is every product c * d^-1 over the normal set C a p-element?"""
-    def judge(G, members):
+    def judge(G, row_class):
         def step(a, b):
             x = a * ~b
             m = element_order(x)
@@ -454,7 +449,7 @@ def _random_sl2(F, rng):
                                              rng.randrange(F.q)]])
 
 
-def l2q_laurent_scan(q, samples=100, seed=0xBF):
+def l2q_laurent_scan(q, samples=100, seed=DEFAULT_SEED):
     """For sampled x in SL2(q): fit s^4 * tr[x, x^diag(s,1/s)] through every
     nonzero s and check the degree stays at most 8."""
     t0 = time.perf_counter()
@@ -622,7 +617,7 @@ def _sl2n3_probe(G, c, plan):
     closure; the outcome is reported as a note, never as a failure."""
     neg = c.field.neg(1)
     d2 = SquareMatrix.diagonal(c.field, (neg, neg, 1, 1))
-    size = plan.size if plan.mode == "sample" else 1000
+    size = plan.size if plan.mode == "sample" else DEFAULT_SAMPLES
     v = _scan_conjugates("probe", G, c, d2, 2,
                          ScanPlan.sample(size, plan.seed + 1), 1,
                          *_order_rules(G, 2))

@@ -32,7 +32,7 @@ from itertools import product
 from .catalog import construct
 from .classes import class_of
 from .fields import is_p_power, is_prime
-from .groups import Group, image_kernel, orbit
+from .groups import Group, orbit
 from .smallgroup import (ORDER_CAP, SmallGroup, group_order, normal_subgroups,
                          quotient, two_generated)
 
@@ -104,8 +104,8 @@ def _maps_onto_wreath(H, gens, order, p, rank=None):
     Z_p wr Z_p (and, if rank is given, |<gens> : Phi| = p^rank).
 
     Phi(<xs>), for <xs> normal in <gens>, is the normal closure of the p-th
-    powers and commutators of xs, one `orbit` on image_kernel's raw images
-    (a Group) or table rows (a SmallGroup).  With a basis b_0, ... mod Phi
+    powers and commutators of xs, one `orbit` on a Group's raw images
+    (`Chain.kernel`) or a SmallGroup's table rows.  With a basis b_0, ... mod Phi
     picked from gens (Burnside), each maximal M is the kernel of an f with
     last nonzero value f(b_k) = 1: M = <m_j^(g^i) (i < p), g^p> for g = b_k,
     m_j = b_j g^-f(b_j), j != k (Schreier), and M passes when some
@@ -115,7 +115,7 @@ def _maps_onto_wreath(H, gens, order, p, rank=None):
     if isinstance(H, SmallGroup):
         one, mul, inv, key, times, conj = 0, H.mul, H.inv, int, H.left, H.conj
     else:
-        encode, times, conj = image_kernel(H.chain.degree)
+        encode, times, conj = H.chain.kernel
         one, mul, inv = H.chain.identity, operator.mul, operator.invert
 
         def key(x):

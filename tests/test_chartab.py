@@ -294,14 +294,14 @@ def test_structure_constants_either_orientation(bp):
     G = construct(bp)
     cls, _, a = structure_constants(G)
     assert len({C.size for C in cls}) > 2
-    loc = {p.images: k for k, C in enumerate(cls) for p in C.perms}
+    loc = {tuple(x): k for k, C in enumerate(cls) for x in C.raw}
     r = len(cls)
     for i in range(r):
         x = G.to_perm(cls[i].representative).images
         for j in range(r):
             hits = [0] * r
-            for d in cls[j].perms:
-                hits[loc[tuple(x[t] for t in d.images)]] += 1
+            for d in cls[j].raw:
+                hits[loc[tuple(x[t] for t in d)]] += 1
             for k in range(r):
                 assert a[i][j][k] * cls[k].size == cls[i].size * hits[k], \
                     (i, j, k)

@@ -15,7 +15,7 @@ from bfl.groups import Group, closure_enumerate
 from bfl.catalog import construct
 from bfl.classes import (
     ConjClass, NormalSet, SelectorError, enumerate_classes, class_of,
-    involution_classes_sym, select_class, serial_key, image_key,
+    involution_classes_sym, select_class, serial_key,
 )
 
 from test_groups import gammal2_9
@@ -107,10 +107,31 @@ def test_equal_uncached_classes_hash_alike():
     # the same members under another representative, the inverse of C's
     G = construct("sym:4")
     C = class_of(G, Permutation.from_cycles(4, [(1, 2, 3)], base=1))
-    I = ConjClass(G, ~C.representative, C.size, C.order, perms=C.perms)
+    I = ConjClass(G, ~C.representative, C.size, C.order, raw=C.raw)
     assert I == C
     assert hash(I) == hash(C)
     assert len({I, C}) == 1
+
+
+def test_class_equality_builds_no_member(monkeypatch):
+    # sym:6's 2a and 2b both hold 15 involutions, so they hash alike; the
+    # classes of a group partition it, so one shared member decides, read
+    # off the raw images with no permutation built
+    G = construct("sym:6")
+    a, b = (select_class(enumerate_classes(G), s) for s in ("2a", "2b"))
+    assert (a.size, a.order) == (b.size, b.order) and hash(a) == hash(b)
+    twin = ConjClass(G, G.from_perm(b.raw[-1]), b.size, b.order,
+                     raw=b.raw[::-1])
+    assert twin.representative != b.representative
+    built, init = [], Permutation.__init__
+
+    def counted(self, images):
+        built.append(images)
+        init(self, images)
+    monkeypatch.setattr(Permutation, "__init__", counted)
+    assert a != b and twin == b and b == twin and twin != a
+    assert NormalSet([a, b, twin]).classes == (a, b)
+    assert built == []
 
 
 def test_normal_set_union():
@@ -136,8 +157,8 @@ def test_class_of_uses_cache_on_the_image():
     x = SquareMatrix(F, [[0, 1], [1, 0]])
     c = class_of(G, x)
     assert any(c is k for k in cls)
-    assert c.order == 2 and G.to_perm(x) in c.perms
-    # the lookup ran on permutations: no class converted its members
+    assert c.order == 2 and G.raw(x, "x") in c.raw
+    # the lookup ran on raw images: no class converted its members
     assert all(k._elements is None for k in cls)
     assert x in c.elements
 
@@ -220,12 +241,12 @@ def test_members_convert_lazily():
     assert all(c._elements is None for c in cls)
     c = select_class(cls, "3a")
     els = c.elements
-    assert c.elements is els and len(els) == c.size == len(c.perms)
-    assert all(isinstance(x, SquareMatrix) and G.to_perm(x) in c.perms
+    assert c.elements is els and len(els) == c.size == len(c.raw)
+    assert all(isinstance(x, SquareMatrix) and G.raw(x, "x") in c.raw
                for x in els)
     assert all(k._elements is None for k in cls if k is not c)
     for k in enumerate_classes(construct("alt:5")):
-        assert k.elements is k.perms
+        assert k.elements == frozenset(map(Permutation, k.raw))
 
 
 def test_conjugacy_class_matches_enumeration():
@@ -282,7 +303,7 @@ def _semilinear_file_group(seed, tmp_path):
 def _assert_rank_orders_like_serial_key(G):
     """Sorting every image permutation by image_key gives the serial_key
     order of the elements, and no two ranks are equal; returns the pairs."""
-    key = image_key(G)
+    key = G.image_key()
     pairs = [(p, G.from_perm(p)) for p in G.chain.elements()]
     ranks = [key(p) for p, _ in pairs]
     assert all(isinstance(r, int) for r in ranks)

@@ -1,6 +1,6 @@
 """Every name a bfl module imports is used in that module, no module
-imports another's private names or cmath, and every export has a
-caller."""
+imports another's private names or cmath, only groups touches the image
+codec, and every export has a caller."""
 
 import ast
 import glob
@@ -87,6 +87,18 @@ def test_every_export_has_a_caller():
     used = set().union(*(refs for p in callers
                          for _, refs in _top_level_refs(p)))
     assert sorted(exports - used - TEST_ONLY_EXPORTS) == []
+
+
+def test_only_groups_touches_the_image_codec():
+    # an element meets its raw image only on groups.Group (`Group.raw`,
+    # `from_perm`, `image_key`, `Chain.kernel`): no other module imports or
+    # calls the codec behind those images
+    found = sorted(os.path.basename(p)
+                   for p in glob.glob(os.path.join(SRC, "*.py"))
+                   if os.path.basename(p) != "groups.py"
+                   and any("image_kernel" in refs
+                           for _, refs in _top_level_refs(p)))
+    assert found == []
 
 
 def _import_nodes():

@@ -123,6 +123,32 @@ def test_other_degree_permutations_rejected():
     assert not G.contains(d8) and not G.contains(t5) and G.contains(t)
 
 
+@pytest.mark.parametrize("plan", [ScanPlan.exhaustive(),
+                                  ScanPlan.sample(5, 0xBF)],
+                         ids=["exhaustive", "sample"])
+@pytest.mark.parametrize("check", [bf_pair_direct, wreath_free_pair_check],
+                         ids=lambda f: f.__name__)
+def test_non_members_rejected(check, plan):
+    # elements that permute the group's points but lie outside the group: a
+    # transposition of alt:4, and a determinant-2 matrix of sl:2:3, whose
+    # "class" was once scanned as 6 or 12 members and answered holds
+    a4, sl = construct("alt:4"), construct("sl:2:3")
+    F = sl.identity.field
+    cases = [(a4, Permutation.from_cycles(4, [(0, 1), (2, 3)]),
+              Permutation.from_cycles(4, [(0, 1)])),
+             (sl, SquareMatrix(F, [[0, 1], [2, 0]]),
+              SquareMatrix.diagonal(F, (2, 1)))]
+    for G, member, stranger in cases:
+        assert G.contains(member) and not G.contains(stranger)
+        assert G.to_perm(stranger) is not None
+        for c, d in ((member, stranger), (stranger, member)):
+            with pytest.raises(ValueError,
+                               match="is not an element of the group"):
+                check(G, c, d, 2, plan)
+        with pytest.raises(ValueError, match="is not an element of the group"):
+            class_of(G, stranger)
+
+
 def test_bf_conjugation_invariance(s6):
     c = Permutation.from_cycles(6, [(0, 1), (2, 3), (4, 5)])
     d = Permutation.from_cycles(6, [(0, 1)])
@@ -181,7 +207,8 @@ def test_capped_order_matches_the_chain(name):
     for cq, dq in pairs:
         n = Group([cq, dq]).order()
         for cap in (8, 64, 512):
-            assert (_capped_order(encode(cq.images), encode(dq.images), cap)
+            assert (_capped_order(G.chain.kernel[1], encode(cq.images),
+                                  encode(dq.images), cap)
                     == (n if n <= cap else None))
 
 
@@ -256,7 +283,7 @@ def test_pair_verdicts_are_decided_once_per_orbit(monkeypatch):
 
     def recording(name, G, c, d, p, plan, max_witnesses, decide, judge,
                   tally=()):
-        cq = verify._raw_image(G, verify._rep(c), "c")
+        cq = G.raw(verify._rep(c), "c")
         perms = list(verify._conjugate_perms(G, verify._rep(d), None, plan))
         decided, judged = [], []
         seen.append((name, cq, perms, decided, judged))
@@ -306,7 +333,7 @@ def test_pair_verdicts_are_decided_once_per_orbit(monkeypatch):
                  tally=()):
         def fresh(c, dq, verdict, tally, notes):
             if name == "wreath-free":
-                verdict = decide(verify._raw_image(G, c, "c"), dq)
+                verdict = decide(G.raw(c, "c"), dq)
             else:
                 verdict = Group([G.to_perm(c), Permutation(dq)]).order()
             return judge(c, dq, verdict, tally, notes)
