@@ -10,7 +10,7 @@ from itertools import filterfalse
 from math import factorial
 
 from .elements import Permutation, element_order
-from .groups import CLOSURE_CAP, orbit
+from .groups import CLOSURE_CAP
 
 
 class SelectorError(ValueError):
@@ -30,9 +30,9 @@ class ConjClass:
     """One conjugacy class: representative, size, order, optional members.
 
     An enumerated class keeps its members once, as `raw`: their raw images
-    in the order its orbit met them (`Group.raw`), and builds `.elements`
-    from those through `group.from_perm` on first read.  A class known only
-    by its size has no members.
+    in the order its orbit met them (`Group.class_orbit`), and builds
+    `.elements` from those through `group.from_perm` on first read.  A class
+    known only by its size has no members.
     """
 
     __slots__ = ("group", "representative", "size", "order", "label", "raw",
@@ -122,12 +122,6 @@ def _letter(i):
     return out
 
 
-def _raw_class(x, maps, key):
-    """The raw image x's class, in orbit order, and its least-rank member."""
-    cls = tuple(orbit([x], maps, CLOSURE_CAP, "class"))
-    return cls, Permutation(min(cls, key=key))
-
-
 def enumerate_classes(G):
     """All conjugacy classes of G, labeled; cached on the group.
 
@@ -138,12 +132,11 @@ def enumerate_classes(G):
     cached = getattr(G, "_classes", None)
     if cached is not None:
         return cached
-    maps, key, total, seen, raw = (G.class_maps(), G.image_key(), G.order(),
-                                   set(), [])
+    key, total, seen, raw = G.image_key(), G.order(), set(), []
     for x in filterfalse(seen.__contains__,
                          G.chain.raw_elements(CLOSURE_CAP)):
-        cls, rep = _raw_class(x, maps, key)
-        seen.update(cls)
+        cls = G.class_orbit(x, seen, CLOSURE_CAP)
+        rep = Permutation(G.least(cls))
         raw.append((element_order(rep), len(cls), key(rep), rep, cls))
         if len(seen) == total:
             break
@@ -166,7 +159,8 @@ def class_of(G, x):
     for c in getattr(G, "_classes", None) or ():
         if x in c.raw:
             return c
-    cls, rep = _raw_class(x, G.class_maps(), G.image_key())
+    cls = G.class_orbit(x, set(), CLOSURE_CAP)
+    rep = Permutation(G.least(cls))
     return ConjClass(G, G.from_perm(rep), len(cls), element_order(rep),
                      raw=cls)
 

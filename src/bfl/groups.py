@@ -1,8 +1,9 @@
 """Group-level algorithms: orbits, stabilizer chains, closure, matrix-to-permutation actions.
 
 Every closure in the package is one breadth-first `orbit` with its Schreier
-tree: chain transversals, the vector orbit behind `matrix_action`,
-conjugacy classes, product closure, and the indexed closures of `smallgroup`.
+tree (chain transversals, the vector orbit behind `matrix_action`, product
+closure, the indexed closures of `smallgroup`) but a conjugacy class, whose
+tree nobody reads: it is walked members only (`Group.class_orbit`).
 
 The stabilizer chain is a deterministic Schreier-Sims: the generators are
 registered at their depths, then the levels are verified bottom up, and a
@@ -27,19 +28,20 @@ images with the codec of `image_kernel`, which only `Chain` builds
 `operator.itemgetter` past that, as in `Permutation.__mul__`.  A class is
 an orbit of raw images under conjugation by the generating pair: two chain
 elements, drawn from a privately seeded stream, whose own chain reaches the
-group's order (`Group.generating_pair`).  `matrix_action` numbers the basis
-first, so a matrix is read off its image at points 0..n-1, the images of
-the basis vectors, which are its columns, and ranked by them without being
-built.  A semilinear map A frob^e also sends w*e1, for w primitive, to
-w^(r^e) * A e1, so the action orbits w*e1 too; that point pins down e
-(`Group.from_perm`), and it makes the image faithful, since on the
-basis alone the field automorphism acts trivially.
+group's order (`Group.generating_pair`), and its least member under
+`Group.image_key` is found by C-level maps (`Group.least`).  `matrix_action`
+numbers the basis first, so a matrix is read off its image at points
+0..n-1, the images of the basis vectors, which are its columns, and ranked
+by them without being built.  A semilinear map A frob^e also sends w*e1,
+for w primitive, to w^(r^e) * A e1, so the action orbits w*e1 too; that
+point pins down e (`Group.from_perm`), and it makes the image faithful,
+since on the basis alone the field automorphism acts trivially.
 """
 
 import random
 from collections import deque
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import prod
 from operator import getitem, itemgetter, methodcaller, mul
 
@@ -79,25 +81,34 @@ def image_kernel(degree):
     """(encode, times, conj) on raw images of permutations of {0..degree-1}:
     bytes composed by `bytes.translate` up to 256 points, tuples composed by
     `operator.itemgetter` past that.  encode(images) is a raw image, times(g)
-    maps x to g x, conj(g) maps y to g^-1 y g; raw images order like images
-    tuples, Permutation(x) decodes."""
+    maps x to g x, conj(g) maps y to g^-1 y g, and conj(g, h) to the pair
+    (g^-1 y g, h^-1 y h) from one table of y (y padded, or y's itemgetter);
+    raw images order like images tuples, Permutation(x) decodes."""
     if degree > 256:
         def times(g):
             return lambda x: itemgetter(*x)(g)
 
-        def conj(g):
+        def conj(g, h=None):
             gi = tuple(sorted(range(degree), key=g.__getitem__))
             pick = itemgetter(*g)
-            return lambda y: pick(itemgetter(*y)(gi))
+            if h is None:
+                return lambda y: pick(itemgetter(*y)(gi))
+            hi = tuple(sorted(range(degree), key=h.__getitem__))
+            pick_h = itemgetter(*h)
+            return lambda y: (pick((t := itemgetter(*y))(gi)), pick_h(t(hi)))
         return tuple, times, conj
     pad = bytes(256 - degree)
 
     def times(g):
         return methodcaller("translate", g + pad)
 
-    def conj(g):
+    def conj(g, h=None):
         gi = bytes(sorted(range(degree), key=g.__getitem__)) + pad
-        return lambda y: g.translate(y + pad).translate(gi)
+        if h is None:
+            return lambda y: g.translate(y + pad).translate(gi)
+        hi = bytes(sorted(range(degree), key=h.__getitem__)) + pad
+        return lambda y: (g.translate(t := y + pad).translate(gi),
+                          h.translate(t).translate(hi))
     return bytes, times, conj
 
 
@@ -417,6 +428,7 @@ class Group:
         self._rank = None
         self._frob = None
         self._pair = None
+        self._orbit_maps = None
 
     @property
     def kind(self):
@@ -597,11 +609,44 @@ class Group:
             self._pair = list(perms)
         return self._pair
 
-    def class_maps(self):
-        """Conjugation y -> g^-1 y g on raw images by each permutation of the
-        generating pair: a class is the same orbit under any generating set."""
-        encode, _, conj = self.chain.kernel
-        return [conj(encode(g.images)) for g in self.generating_pair()]
+    def class_orbit(self, x, seen, cap):
+        """Raw image x's class, breadth first under conjugation by the
+        generating pair (an odd count pairs the last generator with itself),
+        each member added to seen, which held none; Overflow past cap."""
+        if self._orbit_maps is None:
+            encode, _, conj = self.chain.kernel
+            gens = [encode(g.images) for g in self.generating_pair()]
+            self._orbit_maps = [conj(g, h) for g, h in
+                                zip(gens[::2], gens[1::2] + gens[-1:])]
+        maps, members, add = self._orbit_maps, [x], seen.add
+        add(x)
+        for y in members:
+            for f in maps:
+                a, b = f(y)
+                if a not in seen:
+                    add(a)
+                    members.append(a)
+                if b not in seen:
+                    add(b)
+                    members.append(b)
+            if len(members) > cap:
+                raise Overflow("class exceeds cap %d" % cap)
+        return tuple(members)
+
+    def least(self, raws):
+        """The raw image of least `image_key` in raws, with no Python call per
+        member: min itself for permutations; on bytes images with codes below
+        256, the least first matrix row (one translate of p[:n], the columns'
+        points), image_key breaking ties; else min by image_key."""
+        ident, key = self._identity, self.image_key()
+        if isinstance(ident, Permutation):
+            return min(raws)
+        if self.chain.degree > 256 or ident.field.q > 256:
+            return min(raws, key=key)
+        first = bytes(v[0] for v in self.action.points).ljust(256, b"\0")
+        rows = list(map(bytes.translate, map(itemgetter(slice(ident.n)), raws),
+                        repeat(first)))
+        return min(compress(raws, map(min(rows).__eq__, rows)), key=key)
 
     def __repr__(self):
         return "Group(%s, %d gens)" % (self.name or self.kind, len(self.gens))

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 
 import pytest
 
@@ -11,14 +12,14 @@ from bfl import classes
 from bfl.elements import (Overflow, Permutation, SemilinearElement,
                           SquareMatrix, element_order, inverse)
 from bfl.fields import GF
-from bfl.groups import Group, closure_enumerate
+from bfl.groups import Group, closure_enumerate, orbit
 from bfl.catalog import construct
 from bfl.classes import (
     ConjClass, NormalSet, SelectorError, enumerate_classes, class_of,
     involution_classes_sym, select_class, serial_key,
 )
 
-from test_groups import gammal2_9
+from test_groups import _elementary_abelian, gammal2_9
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -363,3 +364,73 @@ def test_wreath5_invariants_pinned():
     comm = ~base * ~top * base * top
     assert Group(class_of(G, comm).elements).order() == 625
     assert len(cls) == 649
+
+
+# ---- class orbits and least members on the raw-image kernel ------------------
+
+def _d8_s3():
+    """D8 x S3 on three generators, none to spare (its abelianization is
+    C2^3), the third needed to conjugate the S3 factor's 3-cycle."""
+    return Group([Permutation.from_cycles(7, [(0, 1, 2, 3), (4, 5, 6)]),
+                  Permutation.from_cycles(7, [(1, 3)]),
+                  Permutation.from_cycles(7, [(4, 5)])])
+
+
+def _gl1_257():
+    """GL(1,257) on its 256 nonzero scalars: bytes images, but codes up to
+    256, past what a byte holds."""
+    return Group([SquareMatrix(GF(257), [[3]])])
+
+
+def _kernel_group(name, tmp_path):
+    makers = {"gammal2_9-file": lambda: _semilinear_file_group(0xBF, tmp_path),
+              "ea2^3": lambda: _elementary_abelian(2, 3),
+              "ea3^3": lambda: _elementary_abelian(3, 3),
+              "d8xs3": _d8_s3, "gl:1:257": _gl1_257}
+    return makers[name]() if name in makers else construct(name)
+
+
+@pytest.mark.parametrize("name", ["sym:6", "alt:8", "gl:3:3", "gammal2_9-file",
+                                  "sl:2:17", "ea2^3", "ea3^3", "d8xs3"])
+def test_class_orbits_are_the_tree_orbits(name, tmp_path):
+    # member for member the orbit of the first member under the one-generator
+    # conjugations: sl:2:17 has 288 points (tuples), and the last three have
+    # three generators, so the last one is paired with itself
+    G = _kernel_group(name, tmp_path)
+    if name in ("ea2^3", "ea3^3", "d8xs3"):
+        assert len(G.generating_pair()) == 3
+    encode, _, conj = G.chain.kernel
+    maps = [conj(encode(g.images)) for g in G.generating_pair()]
+    key = G.image_key()
+    cls = enumerate_classes(G)
+    assert sum(c.size for c in cls) == G.order()
+    for c in cls:
+        assert c.raw == tuple(orbit([c.raw[0]], maps))
+        assert c.representative == G.from_perm(min(c.raw, key=key))
+    if name == "d8xs3":
+        assert sorted(c.size for c in cls) == [1, 1, 2, 2, 2, 2, 2, 3, 3,
+                                               4, 4, 4, 6, 6, 6]
+
+
+@pytest.mark.parametrize("name", ["sym:6", "gl:3:3", "gammal2_9-file",
+                                  "sl:2:17", "gl:1:257"])
+def test_least_is_the_least_image_key(name, tmp_path):
+    # sl:2:17 (tuple images) and gl:1:257 (codes past a byte) take min by key
+    G = _kernel_group(name, tmp_path)
+    if name == "gl:1:257":  # bytes images, but codes past a byte
+        assert G.chain.degree == 256 and G.identity.field.q == 257
+    key, rng = G.image_key(), random.Random(0x33)
+    members = list(G.chain.raw_elements())
+    tied = 0
+    for size in (1, 2, 3, 8, 40, 300):
+        for _ in range(8):
+            raws = rng.sample(members, min(size, len(members)))
+            low = min(raws, key=key)
+            assert G.least(raws) == low
+            if not isinstance(G.identity, Permutation):
+                rows = [serial_key(G.from_perm(p))[0][0] for p in raws]
+                tied += rows.count(serial_key(G.from_perm(low))[0][0]) > 1
+    for c in enumerate_classes(G):
+        assert G.least(c.raw) == min(c.raw, key=key)
+    if name in ("gl:3:3", "gammal2_9-file"):
+        assert tied  # image_key broke a tie on the first row

@@ -655,14 +655,17 @@ def test_image_kernel_matches_permutation_products(n, kind):
     rng = random.Random(0x21 + n)
     encode, times, conj = image_kernel(n)
     for _ in range(5):
-        g, x = _random_perm(rng, n), _random_perm(rng, n)
-        gr, xr = encode(g.images), encode(x.images)
-        ginv = [0] * n
-        for v in range(n):
-            ginv[g(v)] = v
+        g, h, x = (_random_perm(rng, n) for _ in range(3))
+        gr, hr, xr = encode(g.images), encode(h.images), encode(x.images)
         assert type(gr) is kind and Permutation(gr) == g
         assert tuple(times(gr)(xr)) == _product_by_points(g, x)
-        assert tuple(conj(gr)(xr)) == _product_by_points(Permutation(ginv), x, g)
+        by_g, by_h = (_product_by_points(~p, x, p) for p in (g, h))
+        assert tuple(conj(gr)(xr)) == by_g
+        # the two-generator form: both conjugates from one table of x
+        pair = conj(gr, hr)(xr)
+        assert all(type(z) is kind for z in pair)
+        assert tuple(map(tuple, pair)) == (by_g, by_h)
+        assert tuple(map(tuple, conj(gr, gr)(xr))) == (by_g, by_g)
     # raw images order like the images tuples
     perms = [_random_perm(rng, n) for _ in range(20)]
     assert (sorted(perms, key=lambda p: encode(p.images))
