@@ -9,7 +9,7 @@ from operator import mul
 
 from .cyclotomic import Cyclotomic
 from .fields import is_p_power, is_prime, root_of_unity, working_prime
-from .report import Verdict, HOLDS, FAILS
+from .report import Verdict, HOLDS, FAILS, timed
 
 _PACKAGED_DIR = os.path.join(os.path.dirname(__file__), "tables")
 
@@ -214,6 +214,7 @@ def product_support(T, i, j):
     return {k: n for k, n in enumerate(class_constants(T, i, j)) if n}
 
 
+@timed
 def bf_pair_table(T, i, j, p):
     """Class-level test: everything in the support of C_i*C_j is a p-element.
 

@@ -127,11 +127,13 @@ def enumerate_classes(G):
 
     Each element of the chain's raw stream not yet placed seeds a class, an
     orbit of raw images; only representatives are converted back.  Overflow
-    first if |G| > CLOSURE_CAP.
+    first if |G| > CLOSURE_CAP.  The cache holds each class's fields, not
+    the ConjClass, whose `group` would make a reference cycle and keep a
+    dropped group until a full garbage collection; each call wraps them.
     """
     cached = getattr(G, "_classes", None)
     if cached is not None:
-        return cached
+        return [ConjClass(G, *fields) for fields in cached]
     key, total, seen, raw = G.image_key(), G.order(), set(), []
     for x in filterfalse(seen.__contains__,
                          G.chain.raw_elements(CLOSURE_CAP)):
@@ -146,19 +148,18 @@ def enumerate_classes(G):
     for order, size, _, rep, cls in raw:
         label = "%d%s" % (order, _letter(counts[order]))
         counts[order] += 1
-        out.append(ConjClass(G, G.from_perm(rep), size, order, label=label,
-                             raw=cls))
-    G._classes = out
-    return out
+        out.append((G.from_perm(rep), size, order, label, cls))
+    G._classes = tuple(out)
+    return enumerate_classes(G)
 
 
 def class_of(G, x):
     """The class of x: a labeled one from the cache when available, else
     fresh; ValueError when x is not an element of G (`Group.raw`)."""
     x = G.raw(x, repr(x))
-    for c in getattr(G, "_classes", None) or ():
-        if x in c.raw:
-            return c
+    for rep, size, order, label, raw in getattr(G, "_classes", None) or ():
+        if x in raw:
+            return ConjClass(G, rep, size, order, label, raw)
     cls = G.class_orbit(x, set(), CLOSURE_CAP)
     rep = Permutation(G.least(cls))
     return ConjClass(G, G.from_perm(rep), len(cls), element_order(rep),

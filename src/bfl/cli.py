@@ -21,7 +21,7 @@ from .elements import Overflow
 from .genfile import ParseError
 from .modrep import cor22_check, lemma21_check
 from .report import (DEFAULT_SAMPLES, DEFAULT_SEED, ScanPlan, Verdict,
-                     emit_report, exit_code)
+                     emit_report, exit_code, timed)
 from .wreath import wreath_section_detect
 from . import verify
 
@@ -38,13 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError("%s: %s" % (self.prog, message))
 
 
-def _add_common(sp):
-    sp.add_argument("--format", choices=("human", "json"), default="human")
-    sp.add_argument("--out", help="write the report to this path")
-    sp.add_argument("--dry-run", action="store_true",
-                    help="resolve inputs and print the plan without computing")
-
-
 def _add_sampling(sp, samples=DEFAULT_SAMPLES):
     sp.add_argument("--samples", type=int, default=samples)
     sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
@@ -58,78 +51,79 @@ def _add_plan(sp):
 def _build_parser():
     p = _Parser(prog="bfl", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("human", "json"), default="human")
+    common.add_argument("--out", help="write the report to this path")
+    common.add_argument("--dry-run", action="store_true",
+                        help="resolve inputs and print the plan without "
+                             "computing")
 
-    sp = sub.add_parser("catalog", help="describe a group blueprint")
+    def command(name, help, run):
+        sp = sub.add_parser(name, help=help, parents=[common])
+        sp.set_defaults(run=run)
+        return sp
+
+    sp = command("catalog", "describe a group blueprint", _cmd_catalog)
     sp.add_argument("--group")
-    _add_common(sp)
 
-    sp = sub.add_parser("classes", help="list conjugacy classes")
+    sp = command("classes", "list conjugacy classes", _cmd_classes)
     sp.add_argument("--group", required=True)
-    _add_common(sp)
 
     for name, text in (("bf-pair", "is every <c, d'> a p-group?"),
                        ("wreath-free", "is <c, d'> a wreath-free p-group?")):
-        sp = sub.add_parser(name, help=text)
+        sp = command(name, text, _cmd_pair)
         sp.add_argument("--group", required=True)
         sp.add_argument("--c-class", required=True)
         sp.add_argument("--d-class", required=True)
         sp.add_argument("--p", type=int, required=True)
         _add_plan(sp)
-        _add_common(sp)
 
     for name, text in (("comm-closed", "is [c, d] in C or 1 over C x C?"),
                        ("cc-inverse", "is every c d^-1 over C a p-element?")):
-        sp = sub.add_parser(name, help=text)
+        sp = command(name, text, _cmd_normal_set)
         sp.add_argument("--group", required=True)
         sp.add_argument("--class", dest="cls", action="append", required=True)
         sp.add_argument("--p", type=int, required=True)
-        _add_common(sp)
 
-    sp = sub.add_parser("structconst", help="class-algebra pair counts")
+    sp = command("structconst", "class-algebra pair counts", _cmd_structconst)
     sp.add_argument("--table", required=True)
     sp.add_argument("--i", type=int, required=True)
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--e", type=int)
     sp.add_argument("--list-support", action="store_true")
-    _add_common(sp)
 
-    sp = sub.add_parser("wreath-section", help="Z_p wr Z_p section search")
+    sp = command("wreath-section", "Z_p wr Z_p section search",
+                 _cmd_wreath_section)
     sp.add_argument("--group", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--tier", choices=("full", "quotient"), default="full")
-    _add_common(sp)
 
-    sp = sub.add_parser("repn-check", help="module dimension checks")
+    sp = command("repn-check", "module dimension checks", _cmd_repn_check)
     sp.add_argument("--case", action="append",
                     help="battery case name (default: every case)")
-    _add_common(sp)
 
-    sp = sub.add_parser("scan-sym", help="involution class pairs of Sym(n)")
+    sp = command("scan-sym", "involution class pairs of Sym(n)", _cmd_scan_sym)
     sp.add_argument("--n", type=int, required=True)
     _add_plan(sp)
-    _add_common(sp)
 
-    sp = sub.add_parser("scan-o3", help="reflection pairs of GO3(q)")
+    sp = command("scan-o3", "reflection pairs of GO3(q)", _cmd_scan_o3)
     sp.add_argument("--q", type=int, action="append")
-    _add_common(sp)
 
-    sp = sub.add_parser("scan-sl2n3", help="2-group pairs in GL4(3)")
+    sp = command("scan-sl2n3", "2-group pairs in GL4(3)", _cmd_scan_sl2n3)
     _add_plan(sp)
-    _add_common(sp)
 
-    sp = sub.add_parser("l2q-trace", help="tr[x, y] = t + 3 over GF(q)")
+    sp = command("l2q-trace", "tr[x, y] = t + 3 over GF(q)", _cmd_l2q_trace)
     sp.add_argument("--q", type=int, action="append")
-    _add_common(sp)
 
-    sp = sub.add_parser("l2q-laurent", help="Laurent degree of tr[x, x^g]")
+    sp = command("l2q-laurent", "Laurent degree of tr[x, x^g]",
+                 _cmd_l2q_laurent)
     sp.add_argument("--q", type=int, action="append")
     _add_sampling(sp, samples=100)
-    _add_common(sp)
 
-    sp = sub.add_parser("identity-scan", help="sampled commutator identities")
+    sp = command("identity-scan", "sampled commutator identities",
+                 _cmd_identity_scan)
     sp.add_argument("--group", required=True)
     _add_sampling(sp)
-    _add_common(sp)
 
     return p
 
@@ -242,27 +236,30 @@ def _cmd_structconst(args):
     return {"info": info}
 
 
+@timed
+def _wreath_section_verdict(G, bp, p, tier):
+    sv = wreath_section_detect(G, p, tier=tier)
+    scenario = "wreath-section:%s,p=%d,tier=%s" % (str(bp), p, tier)
+    if sv.found:
+        return Verdict(scenario, "fails", witnesses=[sv.witness],
+                       notes=["a Z_%d wr Z_%d section exists (tier=%s)"
+                              % (p, p, sv.tier)])
+    if sv.tier == "full":
+        return Verdict(scenario, "holds",
+                       notes=["no Z_%d wr Z_%d section (full subgroup search)"
+                              % (p, p)])
+    if sv.tier == "quotient":
+        return Verdict(scenario, "indeterminate",
+                       notes=["no section among quotients of the whole group; "
+                              "subgroup sections unexplored (tier=quotient)"])
+    return Verdict(scenario, "indeterminate", notes=[sv.note])
+
+
 def _cmd_wreath_section(args):
     bp, G = _resolved_group(args)
     if args.dry_run:
         return {"plan": {"group": str(bp), "p": args.p, "tier": args.tier}}
-    sv = wreath_section_detect(G, args.p, tier=args.tier)
-    scenario = "wreath-section:%s,p=%d,tier=%s" % (str(bp), args.p, args.tier)
-    if sv.found:
-        v = Verdict(scenario, "fails", witnesses=[sv.witness],
-                    notes=["a Z_%d wr Z_%d section exists (tier=%s)"
-                           % (args.p, args.p, sv.tier)])
-    elif sv.tier == "full":
-        v = Verdict(scenario, "holds",
-                    notes=["no Z_%d wr Z_%d section (full subgroup search)"
-                           % (args.p, args.p)])
-    elif sv.tier == "quotient":
-        v = Verdict(scenario, "indeterminate",
-                    notes=["no section among quotients of the whole group; "
-                           "subgroup sections unexplored (tier=quotient)"])
-    else:
-        v = Verdict(scenario, "indeterminate", notes=[sv.note])
-    return {"verdicts": [v]}
+    return {"verdicts": [_wreath_section_verdict(G, bp, args.p, args.tier)]}
 
 
 def _cmd_repn_check(args):
@@ -329,25 +326,6 @@ def _cmd_identity_scan(args):
     if args.dry_run:
         return {"plan": {"group": str(bp), "scan": _plan_dict(plan)}}
     return {"verdicts": [verify.inversion_identity_scan(G, plan)]}
-
-
-_HANDLERS = {
-    "catalog": _cmd_catalog,
-    "classes": _cmd_classes,
-    "bf-pair": _cmd_pair,
-    "wreath-free": _cmd_pair,
-    "comm-closed": _cmd_normal_set,
-    "cc-inverse": _cmd_normal_set,
-    "structconst": _cmd_structconst,
-    "wreath-section": _cmd_wreath_section,
-    "repn-check": _cmd_repn_check,
-    "scan-sym": _cmd_scan_sym,
-    "scan-o3": _cmd_scan_o3,
-    "scan-sl2n3": _cmd_scan_sl2n3,
-    "l2q-trace": _cmd_l2q_trace,
-    "l2q-laurent": _cmd_l2q_laurent,
-    "identity-scan": _cmd_identity_scan,
-}
 
 
 # ---- output ----------------------------------------------------------------
@@ -421,7 +399,7 @@ def main(argv=None):
         return USAGE_EXIT
     t0 = time.perf_counter()
     try:
-        payload = _HANDLERS[args.command](args)
+        payload = args.run(args)
     except _ArgError as e:
         print("error: %s" % e, file=sys.stderr)
         return USAGE_EXIT

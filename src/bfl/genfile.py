@@ -205,8 +205,7 @@ def _parse_row(text, i, field, no, col0):
     while True:
         i = _skip_ws(text, i)
         j = i
-        depth = 0
-        while j < len(text) and (text[j] not in ",]" or depth):
+        while j < len(text) and text[j] not in ",]":
             j += 1
         tok = text[i:j].strip()
         if not tok:

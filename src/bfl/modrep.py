@@ -2,12 +2,11 @@
 irreducibility by spinning lines, and the generator fixed-space checks,
 cross-validated against the wreath-section search."""
 
-import time
 from functools import lru_cache
 
 from .elements import SquareMatrix
 from .fields import projective_points
-from .report import Verdict, HOLDS, FAILS, INDETERMINATE, SKIPPED
+from .report import Verdict, HOLDS, FAILS, INDETERMINATE, SKIPPED, timed
 from .smallgroup import is_p_group
 from .wreath import wreath_section_detect
 
@@ -176,17 +175,16 @@ def _hypotheses(P, action, p):
     return None, "", rep, generator_positions(P)
 
 
+@timed
 def lemma21_check(P, action, p, name=""):
     """Some generator fixes at most dim/p of the module; exactly dim/p when
     every generator has order p.  Hypothesis gaps skip, never fail."""
-    t0 = time.perf_counter()
     scenario = "lemma21:%s,p=%d" % (name or P.name or "group", p)
     n = action.dim
     counters = {"generators": len(action.mats), "dim": n}
     status, reason, rep, pos = _hypotheses(P, action, p)
     if status is not None:
-        return Verdict(scenario, status, counters=counters,
-                       seconds=time.perf_counter() - t0, notes=[reason])
+        return Verdict(scenario, status, counters=counters, notes=[reason])
     fixed = [fixed_dim(M) for M in action.mats]
     orders = [P.element_order(pos[g]) for g in sorted(pos)]
     all_p = all(o == p for o in orders)
@@ -196,52 +194,46 @@ def lemma21_check(P, action, p, name=""):
              if all_p else
              "only the dim/p inequality applies: generator orders %s" % (orders,)]
     if ok_a and ok_b:
-        return Verdict(scenario, HOLDS, counters=counters,
-                       seconds=time.perf_counter() - t0, notes=notes)
+        return Verdict(scenario, HOLDS, counters=counters, notes=notes)
     witness = {"fixed_dims": fixed, "generator_orders": orders, "dim": n,
                "part": "a" if not ok_a else "b"}
     return Verdict(scenario, FAILS, witnesses=[witness], counters=counters,
-                   seconds=time.perf_counter() - t0, notes=notes)
+                   notes=notes)
 
 
+@timed
 def cor22_check(P, action, p, name=""):
     """When the commutator images [x_i, V] sum directly to the whole module
     (all generators of order p), the group must show a wreath section; the
     conclusion is cross-checked against the structural section search."""
-    t0 = time.perf_counter()
     scenario = "cor22:%s,p=%d" % (name or P.name or "group", p)
     n = action.dim
     counters = {"generators": len(action.mats), "dim": n}
     status, reason, rep, pos = _hypotheses(P, action, p)
     if status is not None:
-        return Verdict(scenario, status, counters=counters,
-                       seconds=time.perf_counter() - t0, notes=[reason])
+        return Verdict(scenario, status, counters=counters, notes=[reason])
     orders = [P.element_order(pos[g]) for g in sorted(pos)]
     bad = [o for o in orders if o != p]
     if bad:
         return Verdict(scenario, SKIPPED, counters=counters,
-                       seconds=time.perf_counter() - t0,
                        notes=["a generator has order %d, not %d" % (bad[0], p)])
     dims, joint = commutator_profile(action)
     counters["joint_rank"] = joint
     counters["dim_sum"] = sum(dims)
     if sum(dims) != n or joint != n:
         return Verdict(scenario, SKIPPED, counters=counters,
-                       seconds=time.perf_counter() - t0,
                        notes=["commutator images have dims %s spanning rank "
                               "%d over dim %d; direct-sum hypothesis not met"
                               % (dims, joint, n)])
     sv = wreath_section_detect(P, p, tier="full")
     if sv.tier == "indeterminate":
         return Verdict(scenario, INDETERMINATE, counters=counters,
-                       seconds=time.perf_counter() - t0, notes=[sv.note])
+                       notes=[sv.note])
     if sv.found:
         return Verdict(scenario, HOLDS, counters=counters,
-                       seconds=time.perf_counter() - t0,
                        notes=["direct sum holds and the section search "
                               "concurs at tier %s" % sv.tier])
     witness = {"commutator_dims": dims, "joint_rank": joint,
                "section_found": False, "tier": sv.tier}
     return Verdict(scenario, FAILS, witnesses=[witness], counters=counters,
-                   seconds=time.perf_counter() - t0,
                    notes=["direct sum holds but no wreath section was found"])

@@ -1,6 +1,8 @@
 """Verdicts, scan plans, and deterministic report emission."""
 
+import functools
 import json
+import time
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -41,7 +43,10 @@ class ScanPlan:
 
 
 class Verdict:
-    """Outcome of one named check: status, witnesses, counters, wall-time."""
+    """Outcome of one named check: status, witnesses, counters, wall-time.
+
+    `seconds` is the wall time of the public call that returned it (`timed`).
+    """
 
     __slots__ = ("scenario", "status", "witnesses", "counters", "seconds",
                  "sampled", "notes")
@@ -79,6 +84,18 @@ class Verdict:
 
     def __repr__(self):
         return "Verdict(%r, %r)" % (self.scenario, self.display_status)
+
+
+def timed(check):
+    """check, with the returned Verdict's `seconds` set to the call's wall
+    time: the one clock of every check."""
+    @functools.wraps(check)
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        v = check(*args, **kwargs)
+        v.seconds = time.perf_counter() - t0
+        return v
+    return wrapper
 
 
 def exit_code(verdicts):

@@ -1,10 +1,10 @@
 """Scenario checks: pair scans, closure identities, and trace/degree scans.
 
-Every check returns a Verdict.  The pair scans fix one element and range over
-conjugates of the other -- any pair (c^h, d^g) is simultaneously conjugate to
-(c, d^(g h^-1)), so one orbit of conjugates covers every combination.  Sampled
-plans draw conjugators through the group's stabilizer chain from a fixed seed,
-so reruns are bit-identical.
+Every check returns a Verdict, whose `seconds` `report.timed` sets.  The pair
+scans fix one element and range over conjugates of the other -- any pair
+(c^h, d^g) is simultaneously conjugate to (c, d^(g h^-1)), so one orbit of
+conjugates covers every combination.  Sampled plans draw conjugators through
+the group's stabilizer chain from a fixed seed, so reruns are bit-identical.
 
 Every pair check runs on the ambient group's faithful permutation image, and
 an element goes back through `Group.from_perm` only for a witness.  The two
@@ -22,7 +22,6 @@ conjugation, so the first row of each class decides every row of that class.
 
 import json
 import random
-import time
 from itertools import islice
 from math import gcd
 
@@ -36,7 +35,7 @@ from .fields import GF, is_p_power, is_prime, poly_trim
 from .groups import Group, orbit
 from .modrep import commutator_dim
 from .report import (DEFAULT_SAMPLES, DEFAULT_SEED, FAILS, HOLDS,
-                     INDETERMINATE, SKIPPED, ScanPlan, Verdict)
+                     INDETERMINATE, SKIPPED, ScanPlan, Verdict, timed)
 from .wreath import wreath_section_detect
 
 MAX_WITNESSES = 3
@@ -135,20 +134,17 @@ def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, decide, judge,
     tallied "inconclusive" makes a clean scan indeterminate.  Both `pairs`
     and `closures` count the d' decided.
     """
-    t0 = time.perf_counter()
     plan = plan or ScanPlan()
     c, d, d_cls, core, skip = _pair_setup(G, c, d, p)
     scenario = name + ":" + core
     if skip:
-        return Verdict(scenario, SKIPPED, notes=[skip],
-                       seconds=time.perf_counter() - t0)
+        return Verdict(scenario, SKIPPED, notes=[skip])
     try:
         stream = _conjugate_perms(G, d, d_cls, plan)
     except Overflow as e:
         return Verdict(scenario, INDETERMINATE,
                        notes=["class enumeration overflowed (%s); "
-                              "use a sampled plan" % e],
-                       seconds=time.perf_counter() - t0)
+                              "use a sampled plan" % e])
     cq = G.raw(c, "c")
     by_c = G.chain.kernel[2](cq)
     witnesses, notes, tally, decided, scanned = [], [], dict(tally), {}, 0
@@ -165,7 +161,6 @@ def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, decide, judge,
     status = (FAILS if witnesses else
               INDETERMINATE if tally.get("inconclusive") else HOLDS)
     return Verdict(scenario, status, witnesses=witnesses, counters=counters,
-                   seconds=time.perf_counter() - t0,
                    sampled=plan.mode == "sample", notes=notes)
 
 
@@ -185,6 +180,7 @@ def _order_rules(G, p):
     return decide, judge
 
 
+@timed
 def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
     """Is |<c, d'>| a power of p for every d' in the class of d?
 
@@ -195,6 +191,7 @@ def bf_pair_direct(G, c, d, p, plan=None, max_witnesses=MAX_WITNESSES):
                             *_order_rules(G, p))
 
 
+@timed
 def wreath_free_pair_check(G, c, d, p, plan=None):
     """Is every <c, d'> a p-group with no Z_p wr Z_p section?
 
@@ -247,7 +244,6 @@ def _scan_normal_set(name, G, C, p, judge):
     `pairs` are those of the walk over all n^2 pairs in row-major order,
     stopped at the MAX_WITNESSES-th witness.
     """
-    t0 = time.perf_counter()
     if not is_prime(p):
         raise ValueError("p must be prime, got %r" % (p,))
     C = NormalSet.of(C)
@@ -260,8 +256,7 @@ def _scan_normal_set(name, G, C, p, judge):
     row_class = {Permutation(x): i for i, k in enumerate(C.classes)
                  for x in k.raw}
     if not row_class:
-        return Verdict(scenario, HOLDS, notes=["empty set"],
-                       seconds=time.perf_counter() - t0)
+        return Verdict(scenario, HOLDS, notes=["empty set"])
     members = sorted(row_class, key=G.image_key())
     n = len(members)
     step, summary = judge(G, row_class)
@@ -286,9 +281,10 @@ def _scan_normal_set(name, G, C, p, judge):
     return Verdict(scenario, FAILS if witnesses else HOLDS,
                    witnesses=witnesses,
                    counters={"pairs": pairs, "set_size": n, **tally},
-                   seconds=time.perf_counter() - t0, notes=notes)
+                   notes=notes)
 
 
+@timed
 def commutator_closed_check(G, C, p):
     """Is [c, d] in C or trivial for every pair c, d in the normal set C of G?
 
@@ -346,6 +342,7 @@ def replay_commutator_witness(witness, C):
     return not k.is_identity() and k not in els
 
 
+@timed
 def cc_inverse_check(C, p):
     """Is every product c * d^-1 over the normal set C a p-element?"""
     def judge(G, row_class):
@@ -369,10 +366,10 @@ def replay_product_witness(witness, p):
             and not is_p_power(witness["product_order"], p))
 
 
+@timed
 def l2q_trace_identity(q):
     """With x = [[0,1],[-1,t]] and y = [[t,1],[-1,0]] over GF(q), check that
     the trace of [x, y] equals t + 3 at every t; witnesses record mismatches."""
-    t0 = time.perf_counter()
     F = GF(q)
     if F.r == 2:
         raise ValueError("q must be odd")
@@ -400,7 +397,7 @@ def l2q_trace_identity(q):
         notes.append("observed trace equals 4*t^2 + 2 at every t")
     return Verdict("l2q-trace:q=%d" % q, status, witnesses=witnesses,
                    counters={"t_values": F.q, "mismatches": len(witnesses)},
-                   seconds=time.perf_counter() - t0, notes=notes)
+                   notes=notes)
 
 
 def _interpolate(F, xs, ys):
@@ -449,10 +446,10 @@ def _random_sl2(F, rng):
                                              rng.randrange(F.q)]])
 
 
+@timed
 def l2q_laurent_scan(q, samples=100, seed=DEFAULT_SEED):
     """For sampled x in SL2(q): fit s^4 * tr[x, x^diag(s,1/s)] through every
     nonzero s and check the degree stays at most 8."""
-    t0 = time.perf_counter()
     F = GF(q)
     if q < 11:
         raise ValueError("need q >= 11: nine interpolation points "
@@ -474,8 +471,7 @@ def l2q_laurent_scan(q, samples=100, seed=DEFAULT_SEED):
     status = FAILS if witnesses else HOLDS
     return Verdict("l2q-laurent:q=%d" % q, status, witnesses=witnesses,
                    counters={"sampled_x": samples, "points_per_x": q - 1,
-                             "max_degree": worst},
-                   seconds=time.perf_counter() - t0, sampled=True)
+                             "max_degree": worst}, sampled=True)
 
 
 def _power(x, k):
@@ -489,10 +485,10 @@ def _power(x, k):
     return out
 
 
+@timed
 def inversion_identity_scan(G, plan=None):
     """Sample x, y and involutions g from G and check two identities exactly:
     [x,y][y,x] = 1, and that x^-1 g x conjugates c = [x, (x^-1)^g] to c^-1."""
-    t0 = time.perf_counter()
     plan = plan or ScanPlan()
     rng = random.Random(plan.seed)
     ident = G.identity
@@ -526,14 +522,14 @@ def inversion_identity_scan(G, plan=None):
     return Verdict("identity-scan:%s" % _gname(G), status, witnesses=witnesses,
                    counters={"samples": plan.size, "pair_checks": pair_checks,
                              "inversion_checks": inv_checks},
-                   seconds=time.perf_counter() - t0, sampled=True, notes=notes)
+                   sampled=True, notes=notes)
 
 
+@timed
 def symmetric_bf_scan(n, plan=None):
     """Scan every unordered pair of involution classes of Sym(n) with
     bf_pair_direct; the holding set should be exactly
     {(transposition, fixed-point-free)}."""
-    t0 = time.perf_counter()
     if n % 2 or not 6 <= n <= 10:
         raise ValueError("n must be even with 6 <= n <= 10")
     G = construct("sym:%d" % n)
@@ -584,14 +580,13 @@ def symmetric_bf_scan(n, plan=None):
     npairs = len(classes) * (len(classes) + 1) // 2
     return Verdict("sym-bf-scan:n=%d" % n, status, witnesses=witnesses,
                    counters={"class_pairs": npairs, "closures": closures},
-                   seconds=time.perf_counter() - t0,
                    sampled=plan.mode == "sample", notes=notes)
 
 
+@timed
 def reflections_o3_scan(q):
     """Exhaustive bf-pair scan at p = 2 of the two reflection classes of
     GO3(q)."""
-    t0 = time.perf_counter()
     if q not in (3, 5, 7, 9):
         raise ValueError("q must be one of 3, 5, 7, 9")
     G = construct("go_odd:3:%d" % q)
@@ -604,12 +599,10 @@ def reflections_o3_scan(q):
     a, b = refl
     big, small = (a, b) if a.size >= b.size else (b, a)
     v = bf_pair_direct(G, big, small, 2, ScanPlan.exhaustive())
-    notes = ["reflection classes: %s (size %d), %s (size %d)"
-             % (a.label, a.size, b.label, b.size)] + v.notes
-    return Verdict("o3-reflections:q=%d" % q, v.status, witnesses=v.witnesses,
-                   counters=dict(v.counters),
-                   seconds=time.perf_counter() - t0, sampled=v.sampled,
-                   notes=notes)
+    v.scenario = "o3-reflections:q=%d" % q
+    v.notes = ["reflection classes: %s (size %d), %s (size %d)"
+               % (a.label, a.size, b.label, b.size)] + v.notes
+    return v
 
 
 def _sl2n3_probe(G, c, plan):
@@ -631,6 +624,7 @@ def _sl2n3_probe(G, c, plan):
             "conjugates" % size)
 
 
+@timed
 def sl2n3_scan(plan=None):
     """In GL4(3): is <c, d^g> a 2-group for sampled g, with c the blockwise
     fourth root of the identity (c^2 = -1) and d a reflection?
@@ -638,16 +632,12 @@ def sl2n3_scan(plan=None):
     A notes-only probe reruns the scan with the reflection replaced by an
     involution negating a plane, expecting to surface a non-2-group closure.
     """
-    t0 = time.perf_counter()
     plan = plan or ScanPlan()
     bp = parse_blueprint("gl:4:3")
     G = construct(bp)
     c = special_element(bp, "pm_i_element")
     d = special_element(bp, "reflection")
     v = bf_pair_direct(G, c, d, 2, plan)
-    notes = list(v.notes)
-    notes.append(_sl2n3_probe(G, c, plan))
-    return Verdict("sl2n3:dim=4", v.status, witnesses=v.witnesses,
-                   counters=dict(v.counters),
-                   seconds=time.perf_counter() - t0, sampled=v.sampled,
-                   notes=notes)
+    v.scenario = "sl2n3:dim=4"
+    v.notes.append(_sl2n3_probe(G, c, plan))
+    return v

@@ -307,11 +307,12 @@ def test_structure_constants_either_orientation(bp):
                     (i, j, k)
 
 
-def test_indivisible_count_names_the_constant():
+def test_indivisible_count_names_the_constant(monkeypatch):
     G = construct("sym:3")
     cls = enumerate_classes(G)
     assert [C.size for C in cls] == [1, 3, 2]
     cls[2].size = 4  # a transposition times the 3 transpositions: 2 3-cycles
+    monkeypatch.setattr(charcompute, "enumerate_classes", lambda H: cls)
     with pytest.raises(AssertionError, match=r"^\(1,1,2\): 2 hits times class "
                        r"size 3 is not divisible by class size 4$"):
         structure_constants(G)

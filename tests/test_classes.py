@@ -1,10 +1,12 @@
 """Class enumeration, labels, normal-set algebra."""
 
+import gc
 import hashlib
 import importlib.util
 import json
 import os
 import random
+import weakref
 
 import pytest
 
@@ -157,11 +159,27 @@ def test_class_of_uses_cache_on_the_image():
     F = GF(3)
     x = SquareMatrix(F, [[0, 1], [1, 0]])
     c = class_of(G, x)
-    assert any(c is k for k in cls)
+    assert c in cls and c.label is not None  # a fresh class has no label
     assert c.order == 2 and G.raw(x, "x") in c.raw
-    # the lookup ran on raw images: no class converted its members
-    assert all(k._elements is None for k in cls)
+    # the lookup ran on raw images: the class found has not converted its
+    # members
+    assert c._elements is None
     assert x in c.elements
+
+
+def test_class_cache_keeps_no_cycle():
+    # the cache holds no ConjClass, so a dropped group is freed at once,
+    # not at the collector's next full pass
+    gc.disable()
+    try:
+        G = construct("gl:2:3")
+        cls = enumerate_classes(G)
+        assert class_of(G, cls[1].representative) == cls[1]
+        ref = weakref.ref(G)
+        del G, cls
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_class_of_without_cache():

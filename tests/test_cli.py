@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line driver: exit codes, output
 formats, determinism, and error mapping."""
 
+import argparse
 import json
 import os
 import re
@@ -11,9 +12,10 @@ import time
 
 import pytest
 
+from bfl.catalog import construct, parse_blueprint
 from bfl.chartab import load_table
 from bfl import verify
-from bfl.cli import _HANDLERS, main
+from bfl.cli import _build_parser, _wreath_section_verdict, main
 from bfl.elements import deserialize_element
 from bfl.groups import Group
 from bfl.smallgroup import SmallGroup
@@ -392,7 +394,24 @@ def test_help_describes_every_subcommand(capsys, monkeypatch):
     assert stop.value.code == 0
     rows = dict(re.findall(r"^    (\S+) +(\S.*)$", capsys.readouterr().out,
                            re.MULTILINE))
-    assert set(_HANDLERS) <= set(rows)
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 15
+    assert set(sub.choices) <= set(rows)
+    assert all(callable(sp.get_default("run")) for sp in sub.choices.values())
+    # every subcommand's own help lists the shared options
+    for sp in sub.choices.values():
+        text = sp.format_help()
+        assert all(o in text for o in ("--format", "--out", "--dry-run"))
+
+
+def test_wreath_section_verdict_is_timed():
+    # the human verdict line shows the section search's wall time
+    bp = parse_blueprint("dihedral:8")
+    v = _wreath_section_verdict(construct(bp), bp, 2, "full")
+    assert v.status == "fails" and v.seconds > 0
+    assert _wreath_section_verdict.__wrapped__.__name__ == \
+        "_wreath_section_verdict"
 
 
 def test_over_cap_class_list_fails_fast(capsys):

@@ -137,3 +137,15 @@ def test_file_roundtrip_and_blueprint(tmp_path):
     assert pg.group.order() == 60
     G = construct("file:%s" % p)
     assert G.order() == 60
+
+
+def test_whitespace_inside_cycles_and_rows():
+    pg = parse_generator_text("group k perm 4\na = (1, 2) (3,4)\n"
+                              "b = ( 2 , 3 )\n")
+    assert pg.elements["a"].cycles() == [(0, 1), (2, 3)]
+    assert pg.elements["b"].cycles() == [(1, 2)]
+    F = GF(9)
+    pg = parse_generator_text("group m mat 2 over GF(9)\n"
+                              "b = [ [1, z+1] , [0 , 1] ]\n")
+    z1 = F.add(F.r, 1)
+    assert pg.elements["b"] == SquareMatrix(F, [[1, z1], [0, 1]])

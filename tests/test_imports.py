@@ -127,3 +127,57 @@ def test_no_module_imports_cmath():
                           if isinstance(node, ast.Import) else [node.module])
              if (name or "").split(".")[0] == "cmath"]
     assert found == []
+
+
+def _module_trees():
+    """(file name, parsed module) for every bfl module."""
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path), ast.parse(fh.read())
+
+
+def test_only_report_times_a_verdict():
+    # one clock: `report.timed` sets every Verdict's seconds, so no other
+    # module passes seconds to Verdict(...), and only report and the CLI's
+    # JSON header (elapsed_seconds) read perf_counter
+    passes = sorted(
+        "%s:%d" % (mod, n.lineno) for mod, tree in _module_trees()
+        if mod != "report.py" for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "Verdict"
+        and (len(n.args) > 4 or any(k.arg == "seconds" for k in n.keywords)))
+    assert passes == []
+    clocks = sorted(os.path.basename(p)
+                    for p in glob.glob(os.path.join(SRC, "*.py"))
+                    if any("perf_counter" in refs
+                           for _, refs in _top_level_refs(p)))
+    assert clocks == ["cli.py", "report.py"]
+
+
+def _called_names(fn):
+    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(fn) if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_check_is_timed():
+    # a public function that builds a Verdict, or calls a function that does,
+    # is wrapped in `report.timed`, so a Verdict's seconds are always the
+    # wall time of the public call that returned it
+    defs = [(mod, stmt) for mod, tree in _module_trees()
+            if mod != "report.py" for stmt in tree.body
+            if isinstance(stmt, ast.FunctionDef)]
+    makers = {"Verdict"}
+    while True:
+        more = {fn.name for _, fn in defs
+                if _called_names(fn) & makers} - makers
+        if not more:
+            break
+        makers |= more
+    assert {"bf_pair_direct", "sl2n3_scan", "cor22_check",
+            "bf_pair_table"} <= makers
+    untimed = sorted("%s:%s" % (mod, fn.name) for mod, fn in defs
+                     if fn.name in makers and not fn.name.startswith("_")
+                     and not any(isinstance(d, ast.Name) and d.id == "timed"
+                                 for d in fn.decorator_list))
+    assert untimed == []

@@ -1,10 +1,11 @@
 """Verdict bookkeeping and report emission."""
 
 import json
+import time
 
 import pytest
 
-from bfl.report import Verdict, ScanPlan, emit_report, exit_code
+from bfl.report import Verdict, ScanPlan, emit_report, exit_code, timed
 
 
 def test_fails_requires_witness():
@@ -76,3 +77,18 @@ def test_plan_validation():
 def test_bad_format():
     with pytest.raises(ValueError):
         emit_report([], format="xml")
+
+
+def test_timed_sets_the_wall_time_of_the_call():
+    @timed
+    def check(pause, status="holds"):
+        """A check that takes at least pause seconds."""
+        time.sleep(pause)
+        return Verdict("slow", status, seconds=99.0)
+
+    v = check(0.02, status="skipped")
+    assert v.status == "skipped"
+    assert 0.02 <= v.seconds < 99.0
+    assert check.__name__ == "check"
+    assert check.__doc__ == "A check that takes at least pause seconds."
+    assert "(%.3fs)" % v.seconds in emit_report([v], "human")

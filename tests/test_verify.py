@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bfl import verify
+from bfl import classes, verify
 from bfl.catalog import construct, special_element
 from bfl.classes import NormalSet, class_of, enumerate_classes, serial_key
 from bfl.elements import (Permutation, SquareMatrix, commutator, conjugate,
@@ -43,7 +43,7 @@ def s6():
 
 
 def cls_of(G, label):
-    return next(c for c in G._classes if c.label == label)
+    return next(c for c in enumerate_classes(G) if c.label == label)
 
 
 def core(v):
@@ -900,3 +900,17 @@ def test_commutator_swap_identity_by_hand():
     x = Permutation.from_cycles(6, [(0, 1, 2)])
     y = Permutation.from_cycles(6, [(1, 3), (2, 4)])
     assert (commutator(x, y) * commutator(y, x)).is_identity()
+
+
+def test_exhaustive_scan_past_the_class_cap_is_indeterminate(monkeypatch):
+    # an element d on a fresh group has no cached class: the exhaustive plan
+    # enumerates it, and a class past the cap answers indeterminate
+    monkeypatch.setattr(classes, "CLOSURE_CAP", 10)
+    G = construct("sym:6")
+    c = Permutation.from_cycles(6, [(0, 1)])
+    d = Permutation.from_cycles(6, [(2, 3)])
+    v = bf_pair_direct(G, c, d, 2, ScanPlan.exhaustive())
+    assert v.status == "indeterminate" and not v.sampled
+    assert v.notes == ["class enumeration overflowed (class exceeds cap 10); "
+                       "use a sampled plan"]
+    assert v.witnesses == [] and v.counters == {} and v.seconds > 0
