@@ -1,6 +1,9 @@
 """Character tables and class-multiplication structure constants, in one
 exact arithmetic: every value is reduced once into F_ell (CharacterTable),
-and a structure constant, an integer below ell / 2, is its own residue."""
+and a structure constant, an integer below ell / 2, is its own residue.
+
+A table is read-only once validated: class_constants keeps each class
+pair's row on the table the first time it is read."""
 
 import json
 import math
@@ -45,6 +48,7 @@ class CharacterTable:
         self.weights = [[x * pow(d * self.order, -1, ell) % ell for x in row]
                         for row, d in zip(conj, self.degrees)]
         self._check_orthogonality()
+        self._rows = {}  # (i, j) -> every a_ijk, filled by class_constants
 
     # -- basic shape -------------------------------------------------------
 
@@ -179,34 +183,37 @@ def load_table(name_or_path):
 
 # -- class algebra ---------------------------------------------------------
 
-def _count(T, i, j, k, u, w):
-    """a_ijk from u, the r products chi(c_i) chi(c_j), and w, column k of
-    the weights.
-
-    Classical column formula: |C_i||C_j|/|G| * sum over characters of
-    chi(c_i) chi(c_j) conj(chi(e)) / chi(1), evaluated mod ell.  The count
+def _counts(T, i, j, ks, columns):
+    """a_ijk for each k in ks, from the matching column of the weights, by
+    the classical column formula: |C_i||C_j|/|G| * sum over characters of
+    chi(c_i) chi(c_j) conj(chi(e)) / chi(1), evaluated mod ell.  A count
     lies in [0, min(|C_i|, |C_j|)] and ell > 2|G|, so the residue is the
-    count; a residue outside that range means the table is bad.
-    """
-    n = sum(map(mul, u, w)) * T.size(i) * T.size(j) % T.ell
-    if n > min(T.size(i), T.size(j)):
+    count; a residue outside that range means the table is bad."""
+    s = T.size(i) * T.size(j)
+    u = [row[i] * row[j] * s % T.ell for row in T.chi]
+    counts = [sum(map(mul, u, w)) % T.ell for w in columns]
+    cap = min(T.size(i), T.size(j))
+    if max(counts) > cap:
+        k, n = next((k, n) for k, n in zip(ks, counts) if n > cap)
         raise TableError("%s: structure constant (%d,%d,%d) is %d mod %d, "
                          "not a count" % (T.name, i, j, k, n, T.ell))
-    return n
+    return counts
 
 
 def class_mult_count(T, i, j, e_class):
     """Number of pairs (c, d) in C_i x C_j with c*d = e, for one fixed e."""
-    return _count(T, i, j, e_class, [row[i] * row[j] for row in T.chi],
-                  [w[e_class] for w in T.weights])
+    return _counts(T, i, j, [e_class], [[w[e_class] for w in T.weights]])[0]
 
 
 def class_constants(T, i, j):
     """Every a_ijk = #{(c, d) in C_i x C_j : cd = e_k} of one class pair, k in
-    class order, e_k a fixed element of C_k: the r products chi(c_i) chi(c_j)
-    are formed once and summed against each column of the weights."""
-    u = [row[i] * row[j] for row in T.chi]
-    return [_count(T, i, j, k, u, w) for k, w in enumerate(zip(*T.weights))]
+    class order, e_k a fixed element of C_k, as a fresh list; the row is
+    evaluated on its first read and kept on the table."""
+    row = T._rows.get((i, j))
+    if row is None:
+        row = T._rows[i, j] = tuple(_counts(T, i, j, range(T.n_classes),
+                                            zip(*T.weights)))
+    return list(row)
 
 
 def product_support(T, i, j):

@@ -8,7 +8,6 @@ a library-level detail and are dropped from the structured body.
 """
 
 import argparse
-import json
 import sys
 import time
 from datetime import datetime, timezone
@@ -20,7 +19,7 @@ from .classes import NormalSet, enumerate_classes, select_class
 from .elements import Overflow
 from .genfile import ParseError
 from .modrep import cor22_check, lemma21_check
-from .report import (DEFAULT_SAMPLES, DEFAULT_SEED, ScanPlan, Verdict,
+from .report import (DEFAULT_SAMPLES, DEFAULT_SEED, ScanPlan, Verdict, dumps,
                      emit_report, exit_code, timed)
 from .wreath import wreath_section_detect
 from . import verify
@@ -375,7 +374,7 @@ def _render(args, payload, elapsed):
         if "plan" in payload:
             body["plan"] = payload["plan"]
             body["dry_run"] = True
-        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+        text = dumps(body)
     else:
         lines = ["# bfl %s  %s  (%.3fs)" % (args.command, _timestamp(),
                                             elapsed)]

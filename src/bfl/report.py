@@ -108,12 +108,53 @@ def exit_code(verdicts):
     return 0
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _encoder(depth):
+    """The compact, sorted-key C encoder, items parted by ",\\n" + indent."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ",\n" + "  " * depth, True, False, True)
+
+
+def _key(k):
+    """A dict key as a JSON string, converted as json.dumps converts it."""
+    if isinstance(k, (int, float)) or k is None:
+        k = "".join(_encoder(0)(k, 0))
+    return json.encoder.encode_basestring_ascii(k)
+
+
+def _dumps(obj, depth):
+    """obj as the stdlib writes it at depth with indent 2 and sorted keys:
+    containers of containers item by item, containers of scalars whole."""
+    if not obj or not isinstance(obj, _CONTAINERS):
+        return "".join(_encoder(depth)(obj, 0))
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(obj, dict):
+        if any(isinstance(v, _CONTAINERS) for v in obj.values()):
+            return "{%s%s\n%s}" % (pad, ("," + pad).join(
+                _key(k) + ": " + _dumps(v, depth + 1)
+                for k, v in sorted(obj.items())), "  " * depth)
+    elif any(isinstance(v, _CONTAINERS) for v in obj):
+        return "[%s%s\n%s]" % (pad, ("," + pad).join(
+            _dumps(v, depth + 1) for v in obj), "  " * depth)
+    text = "".join(_encoder(depth + 1)(obj, 0))
+    return text[0] + pad + text[1:-1] + "\n" + "  " * depth + text[-1]
+
+
+def dumps(obj):
+    """The stdlib's indent-2, sorted-key JSON text of obj plus a newline:
+    the one JSON writer of reports and CLI bodies."""
+    return _dumps(obj, 0) + "\n"
+
+
 def emit_report(verdicts, format="human"):
     """Render verdicts to a string; identical input gives identical output."""
     if format == "json":
-        body = {"verdicts": [v.to_json() for v in verdicts],
-                "exit_code": exit_code(verdicts)}
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+        return dumps({"verdicts": [v.to_json() for v in verdicts],
+                      "exit_code": exit_code(verdicts)})
     if format != "human":
         raise ValueError("format must be human or json")
     lines = []
@@ -129,6 +170,4 @@ def emit_report(verdicts, format="human"):
             lines.append("    note: %s" % note)
         for w in v.witnesses:
             lines.append("    witness: %s" % json.dumps(w, sort_keys=True))
-    if not verdicts:
-        return ""
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)

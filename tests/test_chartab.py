@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from bfl import charcompute
+from bfl import charcompute, chartab
 from bfl.catalog import construct
 from bfl.charcompute import (SHIPPED_TABLES, _eigenvectors, _poly_roots,
                              build_table, structure_constants)
@@ -167,8 +167,8 @@ def test_residue_out_of_range_is_not_a_count():
 def test_single_constant_reads_only_its_column():
     # the bad weight of column 0 fails the whole row and that one entry, and
     # leaves every other single entry as it was
+    good = class_constants(shipped("a5"), 1, 1)
     T = shipped("a5")
-    good = class_constants(T, 1, 1)
     T.weights[1][0] = (T.weights[1][0] + 1) % T.ell
     with pytest.raises(TableError, match=r"\(1,1,0\)"):
         class_constants(T, 1, 1)
@@ -477,6 +477,35 @@ def test_class_constants_are_the_column_formula():
                 assert class_constants(T, i, j) == want, (T.name, i, j)
                 assert product_support(T, i, j) == {
                     k: n for k, n in enumerate(want) if n}
+
+
+def test_each_class_pair_row_is_evaluated_once_per_table(monkeypatch):
+    rows = []
+    evaluate = chartab._counts
+
+    def counted(T, i, j, ks, columns):
+        rows.append((i, j))
+        return evaluate(T, i, j, ks, columns)
+
+    monkeypatch.setattr(chartab, "_counts", counted)
+    T = build_table(construct("alt:5"), "a5x")
+    r = T.n_classes
+    assert sorted(rows) == [(i, j) for i in range(r) for j in range(r)]
+    for i in range(r):
+        for j in range(r):
+            product_support(T, i, j)
+            bf_pair_table(T, i, j, 2)
+    assert len(rows) == r * r
+
+
+def test_a_returned_row_is_the_callers_own():
+    T = shipped("a5")
+    row = class_constants(T, 1, 1)
+    want = list(row)
+    row[0] += 1
+    row.append(7)
+    assert class_constants(T, 1, 1) == want
+    assert class_constants(T, 1, 1) is not class_constants(T, 1, 1)
 
 
 def all_pairs_constants(G):
