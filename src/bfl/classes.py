@@ -125,23 +125,38 @@ def _letter(i):
 def enumerate_classes(G):
     """All conjugacy classes of G, labeled; cached on the group.
 
-    Each element of the chain's raw stream not yet placed seeds a class, an
-    orbit of raw images; only representatives are converted back.  Overflow
-    first if |G| > CLOSURE_CAP.  The cache holds each class's fields, not
-    the ConjClass, whose `group` would make a reference cycle and keep a
-    dropped group until a full garbage collection; each call wraps them.
+    Each element not yet placed seeds a class, an orbit of raw images; only
+    representatives are converted back.  Seeds are taken from the powers
+    x^2, ..., x^(o-1) of each earlier seed x of order o, and from the
+    chain's raw stream only when none is left: powers fall into few
+    classes, so one not yet placed turns up within few tries, where the
+    stream mostly repeats members already placed.  The seed changes no
+    output, since a class's label, size, order and least representative
+    depend on its member set alone.  Overflow first if |G| > CLOSURE_CAP.
+    The cache holds each class's fields, not the ConjClass, whose `group`
+    would make a reference cycle and keep a dropped group until a full
+    garbage collection; each call wraps them.
     """
     cached = getattr(G, "_classes", None)
     if cached is not None:
         return [ConjClass(G, *fields) for fields in cached]
     key, total, seen, raw = G.image_key(), G.order(), set(), []
-    for x in filterfalse(seen.__contains__,
-                         G.chain.raw_elements(CLOSURE_CAP)):
+    times, powers = G.chain.kernel[1], []
+    stream = G.chain.raw_elements(CLOSURE_CAP)
+
+    def seeds():
+        while len(seen) < total:
+            yield powers.pop() if powers else next(stream)
+
+    for x in filterfalse(seen.__contains__, seeds()):
         cls = G.class_orbit(x, seen, CLOSURE_CAP)
         rep = Permutation(G.least(cls))
-        raw.append((element_order(rep), len(cls), key(rep), rep, cls))
-        if len(seen) == total:
-            break
+        order = element_order(rep)
+        raw.append((order, len(cls), key(rep), rep, cls))
+        t, y = times(x), x
+        for _ in range(order - 2):
+            y = t(y)
+            powers.append(y)
     raw.sort(key=lambda t: t[:3])
     out = []
     counts = Counter()

@@ -78,7 +78,8 @@ def _build_parser():
         _add_plan(sp)
 
     for name, text in (("comm-closed", "is [c, d] in C or 1 over C x C?"),
-                       ("cc-inverse", "is every c d^-1 over C a p-element?")):
+                       ("cc-inverse", "is every c d^-1 over C (for one class,"
+                        " every [c, g]) a p-element?")):
         sp = command(name, text, _cmd_normal_set)
         sp.add_argument("--group", required=True)
         sp.add_argument("--class", dest="cls", action="append", required=True)

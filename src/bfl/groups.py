@@ -29,7 +29,12 @@ images with the codec of `image_kernel`, which only `Chain` builds
 an orbit of raw images under conjugation by the generating pair: two chain
 elements, drawn from a privately seeded stream, whose own chain reaches the
 group's order (`Group.generating_pair`), and its least member under
-`Group.image_key` is found by C-level maps (`Group.least`).  `matrix_action`
+`Group.image_key` is found by C-level maps (`Group.least`).  Class
+enumeration seeds each new class from the powers of the earlier seeds
+first, and from the element stream only when none is left unplaced
+(`classes.enumerate_classes`); that is exact, since any unplaced element
+seeds its own class and a class's label and representative depend on its
+members alone.  `matrix_action`
 numbers the basis first, so a matrix is read off its image at points
 0..n-1, the images of the basis vectors, which are its columns, and ranked
 by them without being built.  A semilinear map A frob^e also sends w*e1,
@@ -315,14 +320,12 @@ class Chain:
             picks.append(raw)
         return picks
 
-    def elements(self, cap=None):
-        """Every element once, lazily, as the products t_0 * t_1 * ... * t_k
-        of transversal representatives; Overflow first if the order > cap."""
-        return map(Permutation, self.raw_elements(cap))
-
     def raw_elements(self, cap=None):
-        """`elements` as raw images (`image_kernel`), no permutation built:
-        each level's prefixes times its representatives, by C-level maps."""
+        """Every element once, lazily, as the raw images (`image_kernel`) of
+        the products t_0 * t_1 * ... * t_k of transversal representatives,
+        no permutation built: each level's prefixes times its
+        representatives, by C-level maps.  Overflow first if the order >
+        cap."""
         if cap is not None and self.order() > cap:
             raise Overflow("closure exceeds cap %d" % cap)
         encode, times, _ = self.kernel
@@ -399,7 +402,8 @@ def _scaled_e1(F, n):
 def closure_enumerate(gens, cap=CLOSURE_CAP):
     """The full set <gens> by breadth-first product closure; Overflow past cap.
 
-    Nothing in the package calls it: the element stream is `Chain.elements`.
+    Nothing in the package calls it: the element stream is
+    `Chain.raw_elements`.
     It is the independent reference the tests check the chain against.
     """
     if not gens:

@@ -344,7 +344,13 @@ def replay_commutator_witness(witness, C):
 
 @timed
 def cc_inverse_check(C, p):
-    """Is every product c * d^-1 over the normal set C a p-element?"""
+    """Is every product c * d^-1 over the normal set C a p-element?
+
+    For one class C this is the class's commutator question: [c, g] =
+    c^-1 c^g, so the commutators [c, g] with c in C and g in G are exactly
+    C^-1 C, and each c * d^-1 is conjugate to d^-1 * c, which lies in C^-1 C.
+    So the check holds exactly when every [c, g] is a p-element.
+    """
     def judge(G, row_class):
         def step(a, b):
             x = a * ~b

@@ -7,6 +7,8 @@ import json
 import os
 import random
 import weakref
+from collections import Counter
+from itertools import filterfalse
 
 import pytest
 
@@ -14,7 +16,7 @@ from bfl import classes
 from bfl.elements import (Overflow, Permutation, SemilinearElement,
                           SquareMatrix, element_order, inverse)
 from bfl.fields import GF
-from bfl.groups import Group, closure_enumerate, orbit
+from bfl.groups import Chain, Group, closure_enumerate, orbit
 from bfl.catalog import construct
 from bfl.classes import (
     ConjClass, NormalSet, SelectorError, enumerate_classes, class_of,
@@ -281,7 +283,7 @@ def test_conjugacy_class_matches_enumeration():
 
 def test_chain_streams_each_element_once():
     for G in (construct("gl:2:3"), construct("alt:5"), gammal2_9()):
-        perms = list(G.chain.elements())
+        perms = list(map(Permutation, G.chain.raw_elements()))
         assert len(perms) == len(set(perms)) == G.order()
         assert frozenset(map(G.from_perm, perms)) == closure_enumerate(G.gens)
 
@@ -292,7 +294,7 @@ def test_cap_checked_before_enumeration(monkeypatch):
         enumerate_classes(construct("gl:3:3"))
     assert str(err.value) == "closure exceeds cap 1000"
     with pytest.raises(Overflow) as err:
-        construct("gl:3:3").chain.elements(cap=1000)
+        construct("gl:3:3").chain.raw_elements(cap=1000)
     assert str(err.value) == "closure exceeds cap 1000"
 
 
@@ -301,7 +303,8 @@ def test_order_does_not_depend_on_call_history():
     for G, n in ((construct("gl:2:3"), 48), (gammal2_9(), 11520),
                  (trivial, 1)):
         assert G.order() == n
-        assert len(frozenset(map(G.from_perm, G.chain.elements()))) == n
+        perms = map(Permutation, G.chain.raw_elements())
+        assert len(frozenset(map(G.from_perm, perms))) == n
         assert G.order() == n
         enumerate_classes(G)
         assert G.order() == n
@@ -323,7 +326,8 @@ def _assert_rank_orders_like_serial_key(G):
     """Sorting every image permutation by image_key gives the serial_key
     order of the elements, and no two ranks are equal; returns the pairs."""
     key = G.image_key()
-    pairs = [(p, G.from_perm(p)) for p in G.chain.elements()]
+    pairs = [(p, G.from_perm(p))
+             for p in map(Permutation, G.chain.raw_elements())]
     ranks = [key(p) for p, _ in pairs]
     assert all(isinstance(r, int) for r in ranks)
     assert len(set(ranks)) == len(pairs) == G.order()
@@ -357,12 +361,14 @@ def test_stream_base_cases():
     # no level: the trivial group streams exactly its identity
     G = construct("sym:1")
     assert list(G.chain.raw_elements()) == [b"\x00"]
-    assert list(G.chain.elements()) == [Permutation.identity(1)]
+    assert (list(map(Permutation, G.chain.raw_elements()))
+            == [Permutation.identity(1)])
     assert [c.label for c in enumerate_classes(G)] == ["1a"]
     # one level: the transversal, in its own order
     chain = construct("cyclic:7").chain
     [level] = chain.levels
-    assert list(chain.elements()) == list(level.transversal.values())
+    assert (list(map(Permutation, chain.raw_elements()))
+            == list(level.transversal.values()))
     assert (list(chain.raw_elements())
             == [bytes(t.images) for t in level.transversal.values()])
 
@@ -452,3 +458,52 @@ def test_least_is_the_least_image_key(name, tmp_path):
         assert G.least(c.raw) == min(c.raw, key=key)
     if name in ("gl:3:3", "gammal2_9-file"):
         assert tied  # image_key broke a tie on the first row
+
+
+# ---- class seeds: powers of earlier seeds first, the stream after ------------
+
+def _stream_seeded_classes(G):
+    """(label, size, order, representative, members) per class, each class
+    seeded by the next unplaced element of the chain's raw stream alone."""
+    key, total, seen, found = G.image_key(), G.order(), set(), []
+    for x in filterfalse(seen.__contains__, G.chain.raw_elements()):
+        cls = G.class_orbit(x, seen, total)
+        rep = Permutation(min(cls, key=key))
+        found.append((element_order(rep), len(cls), key(rep), rep, cls))
+        if len(seen) == total:
+            break
+    found.sort(key=lambda t: t[:3])
+    counts, out = Counter(), []
+    for order, size, _, rep, cls in found:
+        out.append(("%d%s" % (order, classes._letter(counts[order])), size,
+                    order, G.from_perm(rep), frozenset(cls)))
+        counts[order] += 1
+    return out
+
+
+@pytest.mark.parametrize("name", ["sym:6", "alt:8", "gl:3:3", "gammal2_9-file",
+                                  "sl:2:17", "ea2^3", "ea3^3", "d8xs3",
+                                  "sp:4:3"])
+def test_power_seeds_give_the_stream_seeded_classes(name, tmp_path):
+    # only which member comes first in a class's raw may differ
+    G = _kernel_group(name, tmp_path)
+    want = _stream_seeded_classes(G)
+    got = [(c.label, c.size, c.order, c.representative, frozenset(c.raw))
+           for c in enumerate_classes(G)]
+    assert got == want
+
+
+def test_seeds_come_from_powers_before_the_stream(monkeypatch):
+    # sp:4:3 pulls 29,739 stream elements when every seed comes from the
+    # stream; the powers of earlier seeds leave it 744
+    pulled = []
+    stream = Chain.raw_elements
+
+    def counted(self, cap=None):
+        for x in stream(self, cap):
+            pulled.append(x)
+            yield x
+    monkeypatch.setattr(Chain, "raw_elements", counted)
+    cls = enumerate_classes(construct("sp:4:3"))
+    assert len(cls) == 34 and sum(c.size for c in cls) == 51840
+    assert len(pulled) < 1000

@@ -76,7 +76,7 @@ def test_model_orders_and_invariants():
     for p in (2, 3, 5):
         G = build_wreath(p).group
         base, top = G.gens
-        center = sum(1 for x in G.chain.elements()
+        center = sum(1 for x in map(Permutation, G.chain.raw_elements())
                      if x * base == base * x and x * top == top * x)
         assert center == p
 
