@@ -126,13 +126,18 @@ def enumerate_classes(G):
     """All conjugacy classes of G, labeled; cached on the group.
 
     Each element not yet placed seeds a class, an orbit of raw images; only
-    representatives are converted back.  Seeds are taken from the powers
-    x^2, ..., x^(o-1) of each earlier seed x of order o, and from the
-    chain's raw stream only when none is left: powers fall into few
-    classes, so one not yet placed turns up within few tries, where the
-    stream mostly repeats members already placed.  The seed changes no
-    output, since a class's label, size, order and least representative
-    depend on its member set alone.  Overflow first if |G| > CLOSURE_CAP.
+    representatives are converted back.  After the class of a seed x of
+    order o drawn from the chain's raw stream is walked, its unplaced powers
+    x^2, ..., x^(o-1) seed the next classes, before the stream is read
+    again; the powers of a power of x lie in <x> and are not composed again,
+    so each stream seed costs at most o-2 compositions.  That pays where G
+    has few classes against |G|: there the stream mostly repeats members
+    already placed, and the powers of a few stream seeds reach the other
+    classes (sp:4:3 pulls 744 stream elements, not 29,739).  Where every
+    class is small (cyclic:1000, dihedral:2000) the powers stand in for the
+    stream about one for one.  The seed changes no output, since a class's
+    label, size, order and least representative depend on its member set
+    alone.  Overflow first if |G| > CLOSURE_CAP.
     The cache holds each class's fields, not the ConjClass, whose `group`
     would make a reference cycle and keep a dropped group until a full
     garbage collection; each call wraps them.
@@ -141,22 +146,26 @@ def enumerate_classes(G):
     if cached is not None:
         return [ConjClass(G, *fields) for fields in cached]
     key, total, seen, raw = G.image_key(), G.order(), set(), []
-    times, powers = G.chain.kernel[1], []
-    stream = G.chain.raw_elements(CLOSURE_CAP)
+    times = G.chain.kernel[1]
 
-    def seeds():
-        while len(seen) < total:
-            yield powers.pop() if powers else next(stream)
-
-    for x in filterfalse(seen.__contains__, seeds()):
+    def walk(x):
         cls = G.class_orbit(x, seen, CLOSURE_CAP)
         rep = Permutation(G.least(cls))
         order = element_order(rep)
         raw.append((order, len(cls), key(rep), rep, cls))
+        return order
+
+    for x in filterfalse(seen.__contains__,
+                         G.chain.raw_elements(CLOSURE_CAP)):
         t, y = times(x), x
-        for _ in range(order - 2):
+        for _ in range(walk(x) - 2):
+            if len(seen) == total:
+                break
             y = t(y)
-            powers.append(y)
+            if y not in seen:
+                walk(y)
+        if len(seen) == total:
+            break
     raw.sort(key=lambda t: t[:3])
     out = []
     counts = Counter()

@@ -30,11 +30,12 @@ an orbit of raw images under conjugation by the generating pair: two chain
 elements, drawn from a privately seeded stream, whose own chain reaches the
 group's order (`Group.generating_pair`), and its least member under
 `Group.image_key` is found by C-level maps (`Group.least`).  Class
-enumeration seeds each new class from the powers of the earlier seeds
-first, and from the element stream only when none is left unplaced
-(`classes.enumerate_classes`); that is exact, since any unplaced element
-seeds its own class and a class's label and representative depend on its
-members alone.  `matrix_action`
+enumeration seeds each new class from the unplaced powers of the last
+seed taken from the element stream, and from the stream only when none is
+left (`classes.enumerate_classes`); that saves most of the stream on groups
+with few classes against their order, and is exact, since any unplaced
+element seeds its own class and a class's label and representative depend
+on its members alone.  `matrix_action`
 numbers the basis first, so a matrix is read off its image at points
 0..n-1, the images of the basis vectors, which are its columns, and ranked
 by them without being built.  A semilinear map A frob^e also sends w*e1,

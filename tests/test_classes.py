@@ -507,3 +507,27 @@ def test_seeds_come_from_powers_before_the_stream(monkeypatch):
     cls = enumerate_classes(construct("sp:4:3"))
     assert len(cls) == 34 and sum(c.size for c in cls) == 51840
     assert len(pulled) < 1000
+
+
+@pytest.mark.parametrize("name", ["cyclic:1000", "dihedral:2000"])
+def test_small_classes_compose_at_most_one_power_per_element(name):
+    # every class is small, so nearly every element seeds its own class;
+    # only the powers of stream seeds are composed, never the powers of a
+    # power, so the compositions (stream and powers) stay within |G|
+    G = construct(name)
+    total = G.order()
+    encode, times, conj = G.chain.kernel
+    composed = [0]
+
+    def counted(g):
+        t = times(g)
+
+        def step(y):
+            composed[0] += 1
+            assert composed[0] <= total
+            return t(y)
+        return step
+    G.chain.kernel = (encode, counted, conj)
+    cls = enumerate_classes(G)
+    assert sum(c.size for c in cls) == total
+    assert len(cls) == {"cyclic:1000": 1000, "dihedral:2000": 503}[name]
