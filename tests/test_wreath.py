@@ -273,7 +273,7 @@ def test_iso_p5_frattini_screen_rejects_without_enumerating():
         yield
 
     G = cycles(*[5] * 6)  # order 5^6, Phi(G) = 1
-    G.chain.elements = unread
+    G.chain.raw_elements = unread
     t0 = time.perf_counter()
     assert not iso_to_wreath(G, 5)
     assert time.perf_counter() - t0 < 1.0
