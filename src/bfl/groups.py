@@ -1,9 +1,11 @@
 """Group-level algorithms: orbits, stabilizer chains, closure, matrix-to-permutation actions.
 
-Every closure in the package is one breadth-first `orbit` with its Schreier
-tree (chain transversals, the vector orbit behind `matrix_action`, product
-closure, the indexed closures of `smallgroup`) but a conjugacy class, whose
-tree nobody reads: it is walked members only (`Group.class_orbit`).
+Every closure in the package is one breadth-first walk: `orbit`, with its
+Schreier tree (chain transversals, the vector orbit behind `matrix_action`,
+product closure, the indexed closures of `smallgroup`, the Frattini orbits of
+`wreath`); `orbit_points`, the same walk with no tree, for the pair closures
+and the orbits of d' under conjugation by c of `verify`, which read only the
+points; and a conjugacy class, walked members only (`Group.class_orbit`).
 
 The stabilizer chain is a deterministic Schreier-Sims: the generators are
 registered at their depths, then the levels are verified bottom up, and a
@@ -25,7 +27,10 @@ from the one chain.  The chain sifts without inverting a representative,
 and the stream, random draws, class orbits and pair closures compose raw
 images with the codec of `image_kernel`, which only `Chain` builds
 (`Chain.kernel`): bytes up to 256 points, tuples composed by
-`operator.itemgetter` past that, as in `Permutation.__mul__`.  A class is
+`operator.itemgetter` past that, as in `Permutation.__mul__`.  A random
+conjugate g^-1 x g is taken one level at a time, by each drawn
+representative's conjugation map from the kernel, built the first time its
+point is drawn and kept beside it (`Chain._raw_picks`).  A class is
 an orbit of raw images under conjugation by the generating pair: two chain
 elements, drawn from a privately seeded stream, whose own chain reaches the
 group's order (`Group.generating_pair`), and its least member under
@@ -83,23 +88,42 @@ def orbit(seeds, maps, cap=None, what="orbit"):
     return tree
 
 
+def orbit_points(seeds, maps, cap=None, what="orbit"):
+    """The points of `orbit(seeds, maps, cap, what)`, in the same order and
+    with the same Overflow, as a list, with no tree built."""
+    points = list(dict.fromkeys(seeds))
+    seen = set(points)
+    for x in points:
+        for f in maps:
+            y = f(x)
+            if y not in seen:
+                if cap is not None and len(points) >= cap:
+                    raise Overflow("%s exceeds cap %d" % (what, cap))
+                seen.add(y)
+                points.append(y)
+    return points
+
+
 def image_kernel(degree):
     """(encode, times, conj) on raw images of permutations of {0..degree-1}:
     bytes composed by `bytes.translate` up to 256 points, tuples composed by
     `operator.itemgetter` past that.  encode(images) is a raw image, times(g)
     maps x to g x, conj(g) maps y to g^-1 y g, and conj(g, h) to the pair
     (g^-1 y g, h^-1 y h) from one table of y (y padded, or y's itemgetter);
-    raw images order like images tuples, Permutation(x) decodes."""
+    raw images order like images tuples, Permutation(x) decodes.  Every
+    inverse table gi of conj is sorted from the kernel's one tuple of points,
+    so tuple tables share its int objects."""
+    points = tuple(range(degree))
     if degree > 256:
         def times(g):
             return lambda x: itemgetter(*x)(g)
 
         def conj(g, h=None):
-            gi = tuple(sorted(range(degree), key=g.__getitem__))
+            gi = tuple(sorted(points, key=g.__getitem__))
             pick = itemgetter(*g)
             if h is None:
                 return lambda y: pick(itemgetter(*y)(gi))
-            hi = tuple(sorted(range(degree), key=h.__getitem__))
+            hi = tuple(sorted(points, key=h.__getitem__))
             pick_h = itemgetter(*h)
             return lambda y: (pick((t := itemgetter(*y))(gi)), pick_h(t(hi)))
         return tuple, times, conj
@@ -109,10 +133,10 @@ def image_kernel(degree):
         return methodcaller("translate", g + pad)
 
     def conj(g, h=None):
-        gi = bytes(sorted(range(degree), key=g.__getitem__)) + pad
+        gi = bytes(sorted(points, key=g.__getitem__)) + pad
         if h is None:
             return lambda y: g.translate(y + pad).translate(gi)
-        hi = bytes(sorted(range(degree), key=h.__getitem__)) + pad
+        hi = bytes(sorted(points, key=h.__getitem__)) + pad
         return lambda y: (g.translate(t := y + pad).translate(gi),
                           h.translate(t).translate(hi))
     return bytes, times, conj
@@ -121,8 +145,8 @@ def image_kernel(degree):
 class _Level:
     """Base point, strong generators and their orbit tree; each representative
     t_y = gens[i] * t_x (tree edge (i, x)) is built the first time it is read
-    (`rep`), and the sorted orbit points and the raw (t_y, t_y^-1) of a
-    random draw (`Chain.raw_random`) likewise."""
+    (`rep`), and the sorted orbit points and the raw t_y of a random draw,
+    beside its conjugation y -> t_y^-1 y t_y (`Chain._raw_picks`), likewise."""
     __slots__ = ("point", "gens", "tree", "identity", "_reps", "_points",
                  "_raw")
 
@@ -194,8 +218,11 @@ class Chain:
     A random draw picks one orbit point per level (`rng.choice` of the
     sorted points) and composes the representatives as raw images
     (`raw_random`); `random` decodes that draw, and `raw_random_conjugate`
-    conjugates by it with the inverse representatives, each kept beside its
-    raw representative the first time its point is drawn.
+    conjugates by it one level at a time, each level's map y -> t^-1 y t
+    (the kernel's conj) kept beside its raw representative t the first time
+    its point is drawn.  Level orbits are taken under the strong generators'
+    image tuples, so the trees hold the same (i, x) entries as under the
+    permutations.
     """
 
     def __init__(self, degree):
@@ -262,7 +289,7 @@ class Chain:
         return depth
 
     def _recompute_orbit(self, L):
-        L.tree = orbit([L.point], L.gens)
+        L.tree = orbit([L.point], [g.images.__getitem__ for g in L.gens])
         L._reps = {L.point: self.identity}
         L._points = None
         L._raw = {}
@@ -295,19 +322,18 @@ class Chain:
 
     def raw_random_conjugate(self, x, rng):
         """g^-1 x g on raw images, g the element `raw_random` would draw:
-        x is conjugated by t_0, then t_1, ..., t_k, each inverse cached
-        beside its representative, so g^-1 is never built."""
-        times = self.kernel[1]
-        for t, t_inv in self._raw_picks(rng):
-            x = times(t_inv)(times(x)(t))
+        x is conjugated by t_0, then t_1, ..., t_k, by the conjugation map
+        cached beside each representative, so g^-1 is never built."""
+        for _, by_t in self._raw_picks(rng):
+            x = by_t(x)
         return x
 
     def _raw_picks(self, rng):
         """Each level's `rng.choice` of an orbit point, in level order, as
-        its representative's raw (t, t^-1), built once per point; t^-1 is
-        sorted from the identity's own int objects, as in `_residue`, so a
-        tuple image shares them."""
-        encode = self.kernel[0]
+        its representative's raw t and its conjugation y -> t^-1 y t
+        (`Chain.kernel`'s conj, whose inverse table is built once), both
+        kept the first time the point is drawn."""
+        encode, _, conj = self.kernel
         picks = []
         for L in self.levels:
             if L._points is None:
@@ -315,9 +341,8 @@ class Chain:
             y = rng.choice(L._points)
             raw = L._raw.get(y)
             if raw is None:
-                t = L.rep(y).images
-                raw = L._raw[y] = (encode(t), encode(
-                    sorted(self.identity.images, key=t.__getitem__)))
+                t = encode(L.rep(y).images)
+                raw = L._raw[y] = (t, conj(t))
             picks.append(raw)
         return picks
 

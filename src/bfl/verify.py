@@ -32,7 +32,7 @@ from .elements import (Overflow, Permutation, SquareMatrix, commutator,
                        conjugate, deserialize_element, element_order,
                        identity_like, inverse, serialize_element)
 from .fields import GF, is_p_power, is_prime, poly_trim
-from .groups import Group, orbit
+from .groups import Group, orbit_points
 from .modrep import commutator_dim
 from .report import (DEFAULT_SAMPLES, DEFAULT_SEED, FAILS, HOLDS,
                      INDETERMINATE, SKIPPED, ScanPlan, Verdict, timed)
@@ -93,9 +93,9 @@ def _conjugate_perms(G, d, d_cls, plan):
 def _capped_order(times, cq, dq, cap):
     """|<cq, dq>| for two raw images composed by times (`Chain.kernel`), or
     None once it exceeds cap: the orbit of cq under left multiplication by
-    both is <cq, dq> itself."""
+    both is <cq, dq> itself, walked with no tree (`groups.orbit_points`)."""
     try:
-        return len(orbit([cq], [times(cq), times(dq)], cap, "closure"))
+        return len(orbit_points([cq], [times(cq), times(dq)], cap, "closure"))
     except Overflow:
         return None
 
@@ -150,7 +150,8 @@ def _scan_conjugates(name, G, c, d, p, plan, max_witnesses, decide, judge,
     witnesses, notes, tally, decided, scanned = [], [], dict(tally), {}, 0
     for dq in stream:
         if dq not in decided:
-            decided.update(dict.fromkeys(orbit([dq], [by_c]), decide(cq, dq)))
+            decided.update(dict.fromkeys(orbit_points([dq], [by_c]),
+                                         decide(cq, dq)))
         scanned += 1
         w = judge(c, dq, decided[dq], tally, notes)
         if w:

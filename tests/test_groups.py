@@ -1,6 +1,7 @@
 """Stabilizer chains, orbits, closures: orders and membership."""
 
 import hashlib
+import inspect
 import json
 import random
 from collections import Counter
@@ -15,7 +16,7 @@ from bfl.fields import GF
 from bfl.elements import (Permutation, SquareMatrix, SemilinearElement,
                           Overflow)
 from bfl.groups import (Chain, Group, closure_enumerate, image_kernel,
-                        matrix_action, orbit)
+                        matrix_action, orbit, orbit_points)
 from bfl.catalog import construct
 from bfl import classes
 from bfl.classes import class_of, enumerate_classes
@@ -605,6 +606,7 @@ def test_orbit_fifo_order_and_duplicate_seeds():
     maps = [lambda x: 2 * x % 10, lambda x: (x + 1) % 10]
     tree = orbit([0, 5, 0], maps)
     assert list(tree) == [0, 5, 1, 6, 2, 7, 4, 3, 8, 9]
+    assert orbit_points([0, 5, 0], maps) == list(tree)
     assert tree[0] is None and tree[5] is None
     assert tree[1] == (1, 0) and tree[2] == (0, 1)
 
@@ -614,6 +616,7 @@ def test_orbit_tree_edges_replay():
     maps = [g.apply for g in gens]
     tree = orbit([(1, 0, 0)], maps)
     assert len(tree) == 26
+    assert orbit_points([(1, 0, 0)], maps) == list(tree)
     met = {v: k for k, v in enumerate(tree)}
     for y, edge in tree.items():
         if edge is None:
@@ -626,12 +629,22 @@ def test_orbit_tree_edges_replay():
 
 def test_orbit_overflow_at_cap():
     step = [lambda x: (x + 1) % 10]
-    assert len(orbit([0], step, cap=10)) == 10
-    with pytest.raises(Overflow) as err:
-        orbit([0], step, cap=9, what="widget")
-    assert str(err.value) == "widget exceeds cap 9"
-    # seeds always enter; the cap stops only the points found from them
-    assert list(orbit([0, 1, 2], [lambda x: x], cap=1)) == [0, 1, 2]
+    for walk in (orbit, orbit_points):
+        assert len(walk([0], step, cap=10)) == 10
+        with pytest.raises(Overflow) as err:
+            walk([0], step, cap=9, what="widget")
+        assert str(err.value) == "widget exceeds cap 9"
+        # seeds always enter; the cap stops only the points found from them
+        assert list(walk([0, 1, 2], [lambda x: x], cap=1)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["sym:6", "gl:3:3", "sl:2:17"])
+def test_level_trees_are_the_orbits_under_the_strong_generators(name):
+    # the level orbits read the generators' image tuples; the tree entries
+    # (i, x), and so every representative, are those under the permutations
+    for L in construct(name).chain.levels:
+        tree = orbit([L.point], L.gens)
+        assert list(L.tree.items()) == list(tree.items())
 
 
 # ---- the raw-image kernel ---------------------------------------------------
@@ -711,6 +724,23 @@ def test_raw_random_is_the_random_stream(name, kind):
         assert type(conj) is kind
         assert Permutation(conj) == ~want * Permutation(d) * want
     assert len({r.random() for r in rngs}) == 1  # the same picks throughout
+
+
+def test_cached_conjugations_share_one_set_of_points():
+    # past 256 points an inverse table is a tuple; the tables of the cached
+    # draws hold one set of int objects, not a fresh one each
+    chain = construct("sl:2:27").chain
+    d = chain.kernel[0](chain.levels[0].gens[0].images)
+    rng = random.Random(0x30)
+    for _ in range(5):
+        chain.raw_random_conjugate(d, rng)
+    tables = [inspect.getclosurevars(by_t).nonlocals["gi"]
+              for L in chain.levels for _, by_t in L._raw.values()]
+    assert len(tables) >= 5 and type(tables[0]) is tuple
+    points = sorted(tables[0])
+    assert points == list(range(chain.degree))
+    for gi in tables:
+        assert all(v is points[v] for v in gi)
 
 
 def _contains_by_image(G, x):
