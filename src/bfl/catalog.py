@@ -268,21 +268,25 @@ def reflection_matrix(F, gram, v):
 def _grow_to_order(pool, target, name):
     """Add the pool generators not yet in the group until its order hits target.
 
-    Membership sifts through the chain already built, so a redundant
-    candidate costs one permutation image, not a chain; the image is
-    faithful, so the accepted generators are exactly the order-raising ones.
-    The pool lies in the group, so target is each candidate's order hint
-    (`Chain.build`): one below it is verified in full and stays exact.
+    Membership sifts through the chain already built and reads a candidate
+    only at the base points and the basis, so a redundant candidate costs
+    no chain; the image is faithful, so the accepted generators are exactly
+    the order-raising ones.  The pool lies in the group, so target is each
+    candidate's order hint (`Chain.build`): one below it is verified in full
+    and stays exact.  The groups share one memo of vector images
+    (`Group._memo`), so each generator is evaluated once per vector.
     """
-    gens = []
+    gens, memo = [], {}
     G = None
     for cand in pool:
         if G is not None and G.contains(cand):
             continue  # redundant generator; keep the set small
         gens.append(cand)
         G = Group(gens, name=name, order=target)
+        G._memo = memo
         got = G.order()
         if got == target:
+            del G._memo  # later membership tests keep nothing
             return G
         if got > target:
             raise RuntimeError("%s overshot order %d > %d" % (name, got, target))

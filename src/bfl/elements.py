@@ -112,7 +112,7 @@ class Permutation:
 class SquareMatrix:
     """Invertible n x n matrix over a FieldSpec; rows of int codes."""
 
-    __slots__ = ("field", "rows", "_hash")
+    __slots__ = ("field", "rows", "_hash", "_terms")
 
     def __init__(self, field, rows):
         self.field = field
@@ -122,6 +122,7 @@ class SquareMatrix:
             if len(r) != n:
                 raise ValueError("matrix is not square")
         self._hash = None
+        self._terms = None
 
     @classmethod
     def identity(cls, field, n):
@@ -141,32 +142,16 @@ class SquareMatrix:
         F = self.field
         if not (isinstance(other, SquareMatrix) and other.field == F):
             return NotImplemented
-        mul, add = F.mul, F.add
-        bT = list(zip(*other.rows))
-        out = []
-        for arow in self.rows:
-            orow = []
-            for bcol in bT:
-                acc = 0
-                for x, y in zip(arow, bcol):
-                    if x and y:
-                        acc = add(acc, mul(x, y))
-                orow.append(acc)
-            out.append(orow)
-        return SquareMatrix(F, out)
+        # column j is self applied to column j of other, on terms not kept
+        terms, ADD = self._terms or _terms_of(self), F.ADD
+        return SquareMatrix(F, zip(*[_times(terms, ADD, c)
+                                     for c in zip(*other.rows)]))
 
     def apply(self, vec):
-        """Matrix * column vector (tuple of codes)."""
-        F = self.field
-        mul, add = F.mul, F.add
-        out = []
-        for arow in self.rows:
-            acc = 0
-            for x, y in zip(arow, vec):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            out.append(acc)
-        return tuple(out)
+        """Matrix * column vector (tuple of codes), on terms kept once read."""
+        if self._terms is None:
+            self._terms = _terms_of(self)
+        return tuple(_times(self._terms, self.field.ADD, vec))
 
     def _elimination(self):
         """Row reduce a copy alongside the identity; return (rank, det, inverse-or-None)."""
@@ -257,6 +242,23 @@ class SquareMatrix:
         return {"kind": "mat", "q": self.field.q, "rows": [list(r) for r in self.rows]}
 
 
+def _terms_of(A):
+    """Per row of A, the (column, MUL row) of each nonzero entry."""
+    MUL = A.field.MUL
+    return [[(j, MUL[x]) for j, x in enumerate(r) if x] for r in A.rows]
+
+
+def _times(terms, ADD, vec):
+    """A * vec as a list from A's terms: one MUL and one ADD lookup each."""
+    out = []
+    for row in terms:
+        acc = 0
+        for j, m in row:
+            acc = ADD[acc][m[vec[j]]]
+        out.append(acc)
+    return out
+
+
 class SemilinearElement:
     """Pair (A, e) acting as v -> A * frob^e(v); composition twists the right factor."""
 
@@ -292,8 +294,11 @@ class SemilinearElement:
         return SemilinearElement((~self.mat).frobenius(e_inv), e_inv)
 
     def apply(self, vec):
-        F = self.field
-        return self.mat.apply(tuple(F.frobenius(x, self.e) for x in vec))
+        """A * frob^e(v): v through its FROB row first."""
+        if self.e:
+            frob = self.field.FROB[self.e]
+            vec = tuple([frob[x] for x in vec])
+        return self.mat.apply(vec)
 
     def is_identity(self):
         return self.e == 0 and self.mat.is_identity()

@@ -4,14 +4,15 @@ Field elements are plain ints in range(q).  For extension fields the int
 packs the coefficient vector of the residue polynomial in base r, least
 significant coefficient first, so the residue class of x itself has code r.
 Fields of up to _TABLE_CAP elements run off q x q lookup tables (every
-shipped size, q <= 81); larger ones reduce each product by the modulus.
+shipped size, q <= 81); larger ones index tables of the same shape whose
+entries are computed when read (`_Computed`), on raw arithmetic.
 The module is the one home of prime-field arithmetic: coefficient-list
 polynomials over F_p, Ben-Or's irreducibility test for a modulus,
 primality, factorization, and the working prime ell = 1 (mod m) with a
 primitive m-th root of unity mod ell.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count, product, zip_longest
 
 # monic irreducible moduli, coefficients low degree first, constant term first
@@ -143,6 +144,11 @@ def poly_powmod(base, e, m, p):
     return out
 
 
+class _Computed(partial):
+    """A table past _TABLE_CAP: t[a] is the partial called on a."""
+    __getitem__ = partial.__call__
+
+
 class FieldSpec:
     """GF(q) with q = r^k: arithmetic tables plus the element codec."""
 
@@ -175,8 +181,12 @@ class FieldSpec:
         self._prim = None
         if q <= _TABLE_CAP:
             self._build_tables()
-        else:
-            self.ADD = self.MUL = self.FROB = None
+        else:  # the same tables on raw arithmetic, entries computed when read
+            self.ADD = _Computed(_Computed, self._add_raw)
+            self.MUL = _Computed(_Computed, self._mul_raw)
+            self.NEG = _Computed(self._mul_raw, r - 1)
+            self.INV = _Computed(lambda a: self.pow(a, q - 2))
+            self.FROB = _Computed(_Computed, lambda e, a: self.pow(a, r ** e))
 
     @staticmethod
     def _check_irreducible(modulus, r, k):
@@ -255,25 +265,21 @@ class FieldSpec:
     # ---- public ops --------------------------------------------------
 
     def add(self, a, b):
-        return self.ADD[a][b] if self.ADD else self._add_raw(a, b)
+        return self.ADD[a][b]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        if self.ADD:
-            return self.NEG[a]
-        return self.encode([(-c) % self.r for c in self.coeffs(a)])
+        return self.NEG[a]
 
     def mul(self, a, b):
-        return self.MUL[a][b] if self.MUL else self._mul_raw(a, b)
+        return self.MUL[a][b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.q)
-        if self.ADD:
-            return self.INV[a]
-        return self.pow(a, self.q - 2)
+        return self.INV[a]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -291,12 +297,7 @@ class FieldSpec:
 
     def frobenius(self, a, e=1):
         """a ^ (r^e), the field automorphism applied e times."""
-        if self.FROB:
-            return self.FROB[e % self.k][a]
-        out = a
-        for _ in range(e % self.k):
-            out = self.pow(out, self.r)
-        return out
+        return self.FROB[e % self.k][a]
 
     def elements(self):
         return range(self.q)

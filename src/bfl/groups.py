@@ -1,11 +1,12 @@
 """Group-level algorithms: orbits, stabilizer chains, closure, matrix-to-permutation actions.
 
 Every closure in the package is one breadth-first walk: `orbit`, with its
-Schreier tree (chain transversals, the vector orbit behind `matrix_action`,
-product closure, the indexed closures of `smallgroup`, the Frattini orbits of
-`wreath`); `orbit_points`, the same walk with no tree, for the pair closures
-and the orbits of d' under conjugation by c of `verify`, which read only the
-points; and a conjugacy class, walked members only (`Group.class_orbit`).
+Schreier tree (chain transversals, product closure, the indexed closures of
+`smallgroup`, the Frattini orbits of `wreath`); `orbit_points`, the same
+walk with no tree, for the walks that read only the points (the vector
+orbit behind `matrix_action`, the pair closures and the orbits of d' under
+conjugation by c of `verify`, a drawn pair's first basic orbit); and a
+conjugacy class, walked members only (`Group.class_orbit`).
 
 The stabilizer chain is a deterministic Schreier-Sims: the generators are
 registered at their depths, then the levels are verified bottom up, and a
@@ -16,34 +17,36 @@ from G); a coset representative is built from its level's orbit tree the
 first time its point is read (`_Level.rep`), not a level at a time.
 Chains are built, sifted and sampled on plain permutations only.  Matrix
 and semilinear groups get a permutation image from `matrix_action` (the orbit
-of the standard basis vectors).  An element meets its raw image only on
-`Group`: `Group.raw` on the way in (sifted once, so a non-member is
-refused), `Group.from_perm` on the way out, from an image permutation or a
-raw image (random elements, class representatives, witnesses), and
-`Group.image_key`, the one rank of raw images; membership reads a matrix
-only at the base points and the basis (`Group.contains`).  Every image is
-faithful, so order, membership, the element stream and the classes all come
-from the one chain.  The chain sifts without inverting a representative,
-and the stream, random draws, class orbits and pair closures compose raw
-images with the codec of `image_kernel`, which only `Chain` builds
-(`Chain.kernel`): bytes up to 256 points, tuples composed by
-`operator.itemgetter` past that, as in `Permutation.__mul__`.  A random
+of the standard basis vectors; the groups of one `catalog._grow_to_order`
+share each generator's images, `Group._memo`).  An element meets its raw
+image only on `Group`: `Group.raw` on the way in (sifted once, so a
+non-member is refused), `Group.from_perm` on the way out, from an image
+permutation or a raw image (random elements, class representatives,
+witnesses), and `Group.image_key`, the one rank of raw images; membership
+reads a matrix only at the base points and the basis (`Group.contains`).
+Every image is faithful, so order, membership, the element stream and the
+classes all come from the one chain.  The chain sifts without inverting a
+representative, and the stream, random draws, class orbits and pair
+closures compose raw images with the codec of `image_kernel`, which only
+`Chain` builds (`Chain.kernel`): bytes up to 256 points, tuples composed
+by `operator.itemgetter` past that, as in `Permutation.__mul__`.  A random
 conjugate g^-1 x g is taken one level at a time, by each drawn
 representative's conjugation map from the kernel, built the first time its
-point is drawn and kept beside it (`Chain._raw_picks`).  A class is
-an orbit of raw images under conjugation by the generating pair: two chain
+point is drawn and kept beside it (`Chain._raw_picks`).  A class is an
+orbit of raw images under conjugation by the generating pair: two chain
 elements, drawn from a privately seeded stream, whose own chain reaches the
-group's order (`Group.generating_pair`), and its least member under
-`Group.image_key` is found by C-level maps (`Group.least`).  Class
-enumeration seeds each new class from the unplaced powers of the last
-seed taken from the element stream, and from the stream only when none is
-left (`classes.enumerate_classes`); that saves most of the stream on groups
-with few classes against their order, and is exact, since any unplaced
-element seeds its own class and a class's label and representative depend
-on its members alone.  `matrix_action`
-numbers the basis first, so a matrix is read off its image at points
-0..n-1, the images of the basis vectors, which are its columns, and ranked
-by them without being built.  A semilinear map A frob^e also sends w*e1,
+group's order (`Group.generating_pair`; a draw that provably generates
+less, by parity or by its orbit of the first base point, gets no chain),
+and its least member under `Group.image_key` is found by C-level maps
+(`Group.least`).  Class enumeration seeds each new class from the unplaced
+powers of the last seed taken from the element stream, and from the
+stream only when none is left (`classes.enumerate_classes`); that saves
+most of the stream on groups with few classes against their order, and is
+exact, since any unplaced element seeds its own class and a class's label
+and representative depend on its members alone.  `matrix_action` numbers
+the basis first, so a matrix is read off its image at points 0..n-1, the
+images of the basis vectors, which are its columns, and ranked by them
+without being built.  A semilinear map A frob^e also sends w*e1,
 for w primitive, to w^(r^e) * A e1, so the action orbits w*e1 too; that
 point pins down e (`Group.from_perm`), and it makes the image faithful,
 since on the basis alone the field automorphism acts trivially.
@@ -378,14 +381,15 @@ class ActionRecord:
         return len(self.points)
 
 
-def matrix_action(gens, cap=ORBIT_CAP):
+def matrix_action(gens, cap=ORBIT_CAP, _memo=None):
     """Orbit the standard basis under the generators; return the faithful
     permutation image.
 
     Semilinear generators also orbit w*e1 (w primitive) when it is not
     already a point, after the basis orbit, so the basis points keep their
     numbers; its image is what tells the field automorphism apart.
-    Overflow past cap.
+    Overflow past cap.  With _memo (`Group._memo`), each generator's
+    images are read there, evaluated only the first time.
     """
     if not gens:
         raise ValueError("matrix_action needs at least one generator")
@@ -393,17 +397,17 @@ def matrix_action(gens, cap=ORBIT_CAP):
     n = gens[0].n
     index = {v: k for k, v in enumerate(_basis(n))}
     images = [[] for _ in gens]  # per generator, the numbers of the images
-    maps = [partial(_numbered, g.apply, index, out.append)
+    maps = [partial(_numbered, _evaluator(g, _memo), index, out.append)
             for g, out in zip(gens, images)]
-    tree = orbit(_basis(n), maps, cap)
+    size = len(orbit_points(_basis(n), maps, cap))
     if isinstance(gens[0], SemilinearElement):
         we1 = _scaled_e1(F, n)
-        if we1 not in tree:
-            if len(tree) >= cap:  # orbit() always admits its seed
+        if we1 not in index:
+            if size >= cap:  # orbit_points() always admits its seed
                 raise Overflow("orbit exceeds cap %d" % cap)
             index[we1] = len(index)
             try:
-                orbit([we1], maps, cap - len(tree))
+                orbit_points([we1], maps, cap - size)
             except Overflow:
                 raise Overflow("orbit exceeds cap %d" % cap) from None
     return ActionRecord(tuple(index), index, list(map(Permutation, images)))
@@ -415,6 +419,27 @@ def _numbered(apply, index, put, v):
     w = apply(v)
     put(index.setdefault(w, len(index)))
     return w
+
+
+def _evaluator(x, memo):
+    """v -> x(v): x.apply, or with a memo a read of x's images there, each
+    evaluated once and kept as memo[None]'s one tuple for that vector."""
+    if memo is None:
+        return x.apply
+    images, canon = memo.setdefault(x, {}), memo.setdefault(None, {})
+
+    def image(v):
+        w = images.get(v)
+        if w is None:
+            w = x.apply(v)
+            w = images[v] = canon.setdefault(w, w)
+        return w
+    return image
+
+
+def _odd(p):
+    """True for an odd permutation."""
+    return sum(len(c) - 1 for c in p.cycles()) % 2 == 1
 
 
 def _basis(n):
@@ -442,6 +467,8 @@ class Group:
     """Generators plus lazily built stabilizer-chain data; order, when given,
     must be an upper bound on the group's order, at which the chain build
     stops verifying (`Chain.build`)."""
+
+    _memo = None  # images of vectors shared by groups (`_evaluator`)
 
     def __init__(self, gens, name=None, identity=None, order=None):
         self.gens = list(gens)
@@ -472,7 +499,8 @@ class Group:
     def action(self):
         """Permutation action record (identity map for permutation groups)."""
         if self._action is None and not isinstance(self._identity, Permutation):
-            self._action = matrix_action(self.gens or [self._identity])
+            self._action = matrix_action(self.gens or [self._identity],
+                                         _memo=self._memo)
         return self._action
 
     @property
@@ -500,14 +528,8 @@ class Group:
         if isinstance(x, Permutation):
             return x if x.degree == self.chain.degree else None
         act = self.action
-        images = []
-        for v in act.points:
-            w = x.apply(v)
-            idx = act.index.get(w)
-            if idx is None:
-                return None
-            images.append(idx)
-        return Permutation(images)
+        images = list(map(act.index.get, map(x.apply, act.points)))
+        return None if None in images else Permutation(images)
 
     def raw(self, x, name):
         """x's image in the chain's permutation representation as a raw
@@ -598,9 +620,10 @@ class Group:
             p = self.to_perm(x)
             return p is not None and chain.sift(p)[0].is_identity()
         act, n = self.action, self._identity.n
+        apply = _evaluator(x, self._memo)
 
         def image(k):  # x's point number at point k, None off the orbit
-            return act.index.get(x.apply(act.points[k]))
+            return act.index.get(apply(act.points[k]))
         base = {L.point: image(L.point) for L in chain.levels}
         if None in base.values():
             return False
@@ -622,16 +645,27 @@ class Group:
         When the faithful image has more than two generators, pairs are drawn
         by `Chain.random` from a private generator seeded with PAIR_SEED, so
         no caller's stream moves, and the first pair whose own chain reaches
-        the group's order is kept.  After PAIR_DRAWS misses, as for a group
-        that is not 2-generated, the image's own generators are kept.
+        the group's order is kept.  A pair is refused with no chain when it
+        provably generates less: both even while a generator is odd, or its
+        orbit of the first base point smaller than the group's.  After
+        PAIR_DRAWS draws with no pair kept, as for a group that is not
+        2-generated, the image's own generators are kept.
         """
         if self._pair is None:
             perms = self.image_gens
             if len(perms) > 2:
-                rng, order = random.Random(PAIR_SEED), self.order()
+                chain, rng = self.chain, random.Random(PAIR_SEED)
+                order, odd = self.order(), any(map(_odd, perms))
+                top = chain.levels[:1]  # none for the trivial group
                 for _ in range(PAIR_DRAWS):
-                    pair = [self.chain.random(rng), self.chain.random(rng)]
-                    sub = Chain(self.chain.degree)
+                    pair = [chain.random(rng), chain.random(rng)]
+                    if odd and not any(map(_odd, pair)):
+                        continue  # <pair> lies in the even part
+                    maps = [g.images.__getitem__ for g in pair]
+                    if any(len(orbit_points([L.point], maps)) < len(L.tree)
+                           for L in top):
+                        continue  # <pair> has a smaller first basic orbit
+                    sub = Chain(chain.degree)
                     sub.build(pair, order)
                     if sub.order() == order:
                         perms = pair

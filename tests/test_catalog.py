@@ -1,5 +1,9 @@
 """Group constructors: orders against closed formulas, special elements."""
 
+import hashlib
+import random
+from collections import Counter
+
 import pytest
 
 from bfl.fields import GF
@@ -9,7 +13,8 @@ from bfl.catalog import (
     order_formula, gram_matrix, bilinear, preserves_bilinear,
     reflection_matrix, _grow_to_order,
 )
-from bfl.groups import Chain
+from bfl import catalog
+from bfl.groups import Chain, Group
 from bfl.classes import enumerate_classes
 
 
@@ -208,6 +213,62 @@ def test_grown_generator_lists_pinned(bp):
            for g in G.gens]
     assert got == GROWN_GENERATORS[bp]
     assert G.order() == order_formula(parse_blueprint(bp))
+
+
+def _reference_grow(pool, target):
+    """The accepted generators of _grow_to_order, each group built fresh,
+    with no images shared between them."""
+    gens, G = [], None
+    for cand in pool:
+        if G is None or not G.contains(cand):
+            gens.append(cand)
+            G = Group(gens, order=target)
+            if G.order() == target:
+                return gens
+    raise AssertionError("pool exhausted")
+
+
+def _random_digest(chain):
+    rng, h = random.Random(2024), hashlib.sha256()
+    for _ in range(200):
+        h.update(str(chain.random(rng).images).encode("ascii"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("bp", ["sp:6:2", "go_odd:5:3", "go_odd:3:9",
+                                "gu:3:3", "su:3:3", "go_minus:4:3"])
+def test_grown_construct_matches_a_fresh_build(bp, monkeypatch):
+    # the groups of one construct share their generators' vector images:
+    # each accepted generator is evaluated at most once per vector, and the
+    # final group is the one Group(final gens, order=formula) builds
+    grow, pools, evaluations = _grow_to_order, [], Counter()
+    apply = SquareMatrix.apply
+
+    def counted(g, v):
+        evaluations[id(g), v] += 1
+        return apply(g, v)
+
+    def grow_counted(pool, target, name):
+        pool = list(pool)  # its products are made before counting starts
+        pools.append(pool)
+        monkeypatch.setattr(SquareMatrix, "apply", counted)
+        try:
+            return grow(pool, target, name)
+        finally:
+            monkeypatch.setattr(SquareMatrix, "apply", apply)
+
+    monkeypatch.setattr(catalog, "_grow_to_order", grow_counted)
+    G = construct(bp)
+    monkeypatch.undo()
+    target = order_formula(parse_blueprint(bp))
+    assert G.order() == target
+    assert G.gens == _reference_grow(pools[0], target)
+    accepted = {id(g) for g in G.gens}
+    assert max(n for (g, _), n in evaluations.items() if g in accepted) == 1
+    fresh = Group(G.gens, order=target)
+    assert G.action.points == fresh.action.points
+    assert G.action.perms == fresh.action.perms
+    assert _random_digest(G.chain) == _random_digest(fresh.chain)
 
 
 def test_grow_to_order_reports_an_exhausted_pool():

@@ -225,3 +225,44 @@ def test_serialize_roundtrip():
         d = serialize_element(x)
         y = deserialize_element(d)
         assert y == x
+
+
+def test_untabled_field_matches_the_raw_arithmetic():
+    # GF(2053) is past the table cap: its tables compute each entry when
+    # read, and apply, products and the action read them as they read a
+    # built table
+    from bfl.fields import FieldSpec, _TABLE_CAP
+    from bfl.groups import Group, matrix_action
+    F = FieldSpec(2053)
+    assert F.q > _TABLE_CAP and not isinstance(F.MUL, list)
+
+    def raw_apply(A, v):
+        out = []
+        for row in A.rows:
+            acc = 0
+            for x, y in zip(row, v):
+                acc = F._add_raw(acc, F._mul_raw(x, y))
+            out.append(acc)
+        return tuple(out)
+
+    rng = random.Random(2053)
+    i = next(a for a in range(2, F.q) if F._mul_raw(a, a) == F.q - 1)
+    gens = [SquareMatrix(F, [[0, 1], [1, 0]]), SquareMatrix.diagonal(F, (i, 1)),
+            SquareMatrix(F, [[rng.randrange(F.q) for _ in range(3)]
+                             for _ in range(3)])]
+    for A in gens:
+        for _ in range(20):
+            v = tuple(rng.randrange(F.q) for _ in range(A.n))
+            assert A.apply(v) == raw_apply(A, v)
+        for B in gens:
+            if B.n == A.n:
+                assert (A * B).rows == tuple(
+                    zip(*[raw_apply(A, c) for c in zip(*B.rows)]))
+    for a in (1, 2, i, F.q - 1):
+        assert F.add(a, F.neg(a)) == 0 and F.mul(a, F.inv(a)) == 1
+        assert F.frobenius(a) == a
+    act = matrix_action(gens[:2])
+    assert act.degree == 8  # i^k e1 and i^k e2
+    assert act.perms == [Permutation([act.index[raw_apply(g, v)]
+                                      for v in act.points]) for g in gens[:2]]
+    assert Group(gens[:2]).order() == 32  # C4 wr C2, the monomial matrices

@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 from bfl.fields import GF
 from bfl.elements import (Permutation, SquareMatrix, SemilinearElement,
                           Overflow)
-from bfl.groups import (Chain, Group, closure_enumerate, image_kernel,
-                        matrix_action, orbit, orbit_points)
+from bfl.groups import (PAIR_DRAWS, PAIR_SEED, Chain, Group,
+                        closure_enumerate, image_kernel, matrix_action, orbit,
+                        orbit_points)
 from bfl.catalog import construct
 from bfl import classes
 from bfl.classes import class_of, enumerate_classes
@@ -811,6 +812,38 @@ def test_generating_pair_of_sp4_3():
     assert len(pair) == 2 and all(isinstance(p, Permutation) for p in pair)
     assert Group(pair).order() == G.order() == 51840
     assert construct("sp:4:3").generating_pair() == pair
+
+
+def _reference_pair(G):
+    """Group.generating_pair with a trial chain for every draw: the pair
+    kept and the number of draws before it."""
+    rng, order = random.Random(PAIR_SEED), G.order()
+    for misses in range(PAIR_DRAWS):
+        pair = [G.chain.random(rng), G.chain.random(rng)]
+        sub = Chain(G.chain.degree)
+        sub.build(pair, order)
+        if sub.order() == order:
+            return pair, misses
+    return G.image_gens, PAIR_DRAWS
+
+
+# (draws before the kept pair, trial chains built): a draw that is even
+# while a generator is odd, or whose orbit of the first base point is
+# smaller than the group's, gets no chain; on go_odd:3:13 one miss passes
+# both tests and still takes its chain
+PAIR_CHAINS = {"go_odd:3:9": (5, 1), "go_odd:5:3": (1, 1), "gl:3:3": (1, 1),
+               "sl:2:27": (1, 1), "go_odd:3:13": (2, 2)}
+
+
+@pytest.mark.parametrize("bp", sorted(PAIR_CHAINS))
+def test_generating_pair_refuses_only_pairs_that_cannot_generate(
+        bp, monkeypatch):
+    pair, misses = _reference_pair(construct(bp))
+    G = construct(bp)
+    G.order()
+    builds = _count_calls(monkeypatch, (Chain, "build"))
+    assert G.generating_pair() == pair
+    assert (misses, builds[0]) == PAIR_CHAINS[bp]
 
 
 def _elementary_abelian(p, rank):
