@@ -23,12 +23,11 @@ from .chartab import (CharacterTable, TableError, parse_table, load_table,
                       class_constants, class_mult_count, product_support,
                       bf_pair_table)
 from .charcompute import build_table
-from .smallgroup import SmallGroup, is_p_group, normal_subgroups, quotient
+from .smallgroup import SmallGroup, normal_subgroups, quotient
 from .wreath import (WreathModel, build_wreath, iso_to_wreath,
                      wreath_section_detect, reconstruct_section, SectionVerdict)
-from .modrep import (ModuleAction, representation, fixed_dim, commutator_dim,
-                     is_irreducible, commutator_profile, lemma21_check,
-                     cor22_check)
+from .modrep import (ModuleAction, fixed_dim, commutator_dim, is_irreducible,
+                     commutator_profile, lemma21_check, cor22_check)
 from .battery import standard_battery
 from .verify import (bf_pair_direct, wreath_free_pair_check,
                      commutator_closed_check, cc_inverse_check,

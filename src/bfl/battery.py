@@ -7,18 +7,8 @@ for the stated reason, and nothing may fail.
 
 from .elements import Permutation, SquareMatrix
 from .fields import GF
+from .groups import Group
 from .modrep import ModuleAction
-from .smallgroup import SmallGroup
-
-
-def _matrix_group(mats, name):
-    F, n = mats[0].field, mats[0].n
-    return SmallGroup.generate(mats, SquareMatrix.identity(F, n), name=name)
-
-
-def _perm_group(perms, name):
-    return SmallGroup.generate(perms, Permutation.identity(perms[0].degree),
-                               name=name)
 
 
 def _reflections(F):
@@ -84,7 +74,7 @@ def _block_diag(mats, copies):
 def _d8_perm():
     s1 = Permutation.from_cycles(4, [(0, 2)])
     s2 = Permutation.from_cycles(4, [(0, 1), (2, 3)])
-    return _perm_group([s1, s2], "d8-perm")
+    return Group([s1, s2], name="d8-perm")
 
 
 def standard_battery():
@@ -92,17 +82,17 @@ def standard_battery():
     F2, F3, F4 = GF(2), GF(3), GF(4)
     F5, F7, F9 = GF(5), GF(7), GF(9)
     d8p = _d8_perm()
-    heis4 = _matrix_group(_heis(F4), "heis-27")
-    w34 = _matrix_group(_wreath3(F4), "w3-81")
+    heis4 = Group(_heis(F4), name="heis-27")
+    w34 = Group(_wreath3(F4), name="w3-81")
     cases = []
 
     def add(name, p, mats, order, lemma, cor, group=None,
             lemma_note="", cor_note=""):
         act = ModuleAction(mats)
-        grp = group if group is not None else _matrix_group(mats, name)
-        if grp.order != order:
+        grp = group if group is not None else Group(mats, name=name)
+        if grp.order() != order:
             raise AssertionError("%s: group came out order %d, wanted %d"
-                                 % (name, grp.order, order))
+                                 % (name, grp.order(), order))
         cases.append({"name": name, "p": p, "group": grp, "action": act,
                       "lemma": lemma, "cor": cor,
                       "lemma_note": lemma_note, "cor_note": cor_note})
@@ -136,8 +126,8 @@ def standard_battery():
     add("klein-gf3-sign", 2,
         [SquareMatrix(F3, [[2]]), SquareMatrix(F3, [[2]])],
         4, "skipped", "skipped",
-        group=_perm_group([Permutation.from_cycles(4, [(0, 1)]),
-                           Permutation.from_cycles(4, [(2, 3)])], "klein"),
+        group=Group([Permutation.from_cycles(4, [(0, 1)]),
+                     Permutation.from_cycles(4, [(2, 3)])], name="klein"),
         lemma_note="derived", cor_note="derived")
     add("s3-gf7", 2,
         [SquareMatrix(F7, [[0, 1], [1, 0]]), SquareMatrix(F7, [[1, 6], [0, 6]])],
@@ -148,7 +138,7 @@ def standard_battery():
         8, "skipped", "skipped", group=d8p,
         lemma_note="characteristic", cor_note="characteristic")
     add("d8-gf3-doubled", 2, _block_diag(_reflections(F3), 2), 8,
-        "skipped", "skipped", group=_matrix_group(_reflections(F3), "d8-mat"),
+        "skipped", "skipped", group=Group(_reflections(F3), name="d8-mat"),
         lemma_note="reducible", cor_note="reducible")
 
     # extraspecial 27: the exact bound holds, but commutator images overlap,
@@ -167,7 +157,7 @@ def standard_battery():
         "skipped", "skipped", lemma_note="derived", cor_note="derived")
     add("z9-gf7", 3, [SquareMatrix(F7, [[2]])], 9,
         "skipped", "skipped",
-        group=_perm_group([Permutation.from_cycles(9, [tuple(range(9))])], "z9"),
+        group=Group([Permutation.from_cycles(9, [tuple(range(9))])], name="z9"),
         lemma_note="derived", cor_note="derived")
     add("heis-gf4-abelianized", 3,
         [SquareMatrix.diagonal(F4, [1, _cube_root(F4)]),
@@ -180,7 +170,7 @@ def standard_battery():
     add("a4-gf5", 3,
         [SquareMatrix(F5, [[1]]), SquareMatrix(F5, [[1]])],
         12, "skipped", "skipped",
-        group=_perm_group([Permutation.from_cycles(4, [(0, 1, 2)]),
-                           Permutation.from_cycles(4, [(0, 1), (2, 3)])], "a4"),
+        group=Group([Permutation.from_cycles(4, [(0, 1, 2)]),
+                     Permutation.from_cycles(4, [(0, 1), (2, 3)])], name="a4"),
         lemma_note="not a power of 3", cor_note="not a power of 3")
     return cases

@@ -8,8 +8,11 @@ class and the pairs across them are derived exactly.  The irreducible
 characters are the common eigenvectors of the class matrices (Dixon 1967;
 Schneider 1990), computed exactly over a prime field F_ell with
 ell = 1 (mod exponent) and ell above 2|G| and 2r^3 (over 40000 for alt:8)
-as the eigenvectors of one generic combination of them, whose roots
-Cantor-Zassenhaus splits off by polynomial gcds; they are lifted to
+as the eigenvectors of one generic combination M_t of them, in O(r^3):
+the identity's class vector e_0 is cyclic for M_t, so one inverse of the
+Krylov basis e_0, e_0 M_t, ... gives the characteristic polynomial, whose
+roots Cantor-Zassenhaus splits off by polynomial gcds, and every
+eigenvector, already scaled to 1 at the identity.  They are lifted to
 cyclotomic integers by Fourier inversion on the eigenvalue multiplicities
 of each power class.  The prime, a root of unity mod it and the polynomial
 arithmetic over F_ell come from fields.
@@ -104,25 +107,6 @@ def structure_constants(G):
 
 # -- modular linear algebra -------------------------------------------------
 
-def _charpoly(M, ell):
-    """Coefficients c_0..c_r of det(xI - M) mod ell (Faddeev-LeVerrier)."""
-    r = len(M)
-    coeffs = [0] * (r + 1)
-    coeffs[r] = 1
-    A = [row[:] for row in M]
-    for k in range(1, r + 1):
-        tr = sum(A[t][t] for t in range(r)) % ell
-        c = (-tr * pow(k, -1, ell)) % ell
-        coeffs[r - k] = c
-        if k == r:
-            break
-        for t in range(r):
-            A[t][t] = (A[t][t] + c) % ell
-        cols = list(zip(*A))
-        A = [[sum(map(mul, row, col)) % ell for col in cols] for row in M]
-    return coeffs
-
-
 def _poly_roots(coeffs, ell):
     """The distinct roots in F_ell (ell an odd prime) of a nonzero sum c_k x^k,
     sorted.
@@ -149,49 +133,58 @@ def _poly_roots(coeffs, ell):
     return sorted(roots)
 
 
-def _null_vector(rows, ell):
-    """A nonzero u with sum_t rows[s][t] u_t = 0 for every s, over F_ell:
-    Gauss-Jordan until the first free column f, then u_f = 1 (later pivots
-    leave column f alone); None if there is no free column."""
-    A = [row[:] for row in rows]
-    pivots = []
-    for col in range(len(A[0])):
-        row = len(pivots)
-        piv = next((s for s in range(row, len(A)) if A[s][col]), None)
+def _inverse(B, ell):
+    """B^-1 over F_ell by Gauss-Jordan; None when B is singular."""
+    r = len(B)
+    A = [row + [int(j == i) for j in range(r)] for i, row in enumerate(B)]
+    for col in range(r):
+        piv = next((s for s in range(col, r) if A[s][col]), None)
         if piv is None:
-            u = [0] * len(A[0])
-            u[col] = 1
-            for s, c in enumerate(pivots):
-                u[c] = -A[s][col] % ell
-            return u
-        A[row], A[piv] = A[piv], A[row]
-        inv = pow(A[row][col], -1, ell)
-        A[row] = [v * inv % ell for v in A[row]]
-        for s in range(len(A)):
-            if s != row and A[s][col]:
+            return None
+        A[col], A[piv] = A[piv], A[col]
+        inv = pow(A[col][col], -1, ell)
+        A[col] = [v * inv % ell for v in A[col]]
+        for s in range(r):
+            if s != col and A[s][col]:
                 f = A[s][col]
-                A[s] = [(x - f * y) % ell for x, y in zip(A[s], A[row])]
-        pivots.append(col)
-    return None
+                A[s] = [(x - f * y) % ell for x, y in zip(A[s], A[col])]
+    return [row[r:] for row in A]
 
 
 def _eigenvectors(class_mats, ell):
-    """Common eigenvectors (up to scale) of commuting r x r matrices M_i:
-    the eigenvectors of the first M_t = sum_i t^i M_i, t >= 2, with r distinct
-    roots mod ell.  (t = 1 is the whole group's class sum; distinct central
-    characters agree at < r values of t mod ell, so < r^3 / 2 values of t
-    fail, and for ell > r^3 + 1 some t in [2, r^3 + 1] succeeds.)"""
+    """Common eigenvectors of the class matrices M_i (M_i[j][k] = a[i][j][k]),
+    each scaled to 1 at class 0: the eigenvectors of the first
+    M_t = sum_i t^i M_i, t >= 2, with r distinct roots mod ell.  (t = 1 is
+    the whole group's class sum; distinct central characters agree at < r
+    values of t mod ell, so < r^3 / 2 values of t fail, and for
+    ell > r^3 + 1 some t in [2, r^3 + 1] succeeds.)
+
+    Class 0 is the identity, so e_0 M_i = e_i and e_0 is cyclic for M_t
+    exactly when M_t has r distinct eigenvalues.  The Krylov rows
+    z_0 = e_0, z_(m+1) = z_m M_t then form an invertible B = (z_0 ... z_(r-1))
+    (a singular B fails this t), the characteristic polynomial is
+    x^r - sum_m c_m x^m with c = z_r B^-1, and an eigenvector u of M_t for
+    the root lam has B u = u_0 (1, lam, ..., lam^(r-1)), so u is
+    B^-1 (1, lam, ..., lam^(r-1)), with u_0 = 1: O(r^3) per t."""
     r = len(class_mats[0])
     for t in range(2, 2 + r ** 3):
         ts = [pow(t, i, ell) for i in range(len(class_mats))]
-        Mt = [[sum(c * M[j][k] for c, M in zip(ts, class_mats)) % ell
-               for k in range(r)] for j in range(r)]
-        roots = _poly_roots(_charpoly(Mt, ell), ell)
+        Mt = [[sum(map(mul, ts, col)) % ell
+               for col in zip(*[M[j] for M in class_mats])] for j in range(r)]
+        cols = list(zip(*Mt))
+        z, krylov = [1] + [0] * (r - 1), []
+        for _ in range(r):
+            krylov.append(z)
+            z = [sum(map(mul, z, col)) % ell for col in cols]
+        binv = _inverse(krylov, ell)
+        if binv is None:
+            continue
+        c = [sum(map(mul, z, col)) % ell for col in zip(*binv)]
+        roots = _poly_roots([-x for x in c] + [1], ell)
         if len(roots) == r:
-            return [_null_vector([[(v - lam * (j == k)) % ell
-                                   for k, v in enumerate(row)]
-                                  for j, row in enumerate(Mt)], ell)
-                    for lam in roots]
+            return [[sum(map(mul, row, powers)) % ell for row in binv]
+                    for powers in ([pow(lam, m, ell) for m in range(r)]
+                                   for lam in roots)]
     raise AssertionError("no M_t for t in [2, %d] has %d distinct roots mod %d"
                          % (1 + r ** 3, r, ell))
 
@@ -222,18 +215,18 @@ def build_table(G, name):
             y = rep(y)
         powcls.append(idx)
     inv_idx = [powcls[k][-1] if cls[k].order > 1 else 0 for k in range(r)]
-    # per class, the o powers of z^-1, z = z_exp^(exponent/o) of order o
-    zinv = []
+    # per element order o, 1/o and the rows (z^-st)_(s < o) for t < o,
+    # z = z_exp^(exponent/o) of order o
+    fourier = {}
     for o in orders:
-        zi = pow(z_exp, exponent - exponent // o, ell)
-        zinv.append([pow(zi, j, ell) for j in range(o)])
+        if o not in fourier:
+            zi = pow(z_exp, exponent - exponent // o, ell)
+            zp = [pow(zi, j, ell) for j in range(o)]
+            fourier[o] = (pow(o, -1, ell),
+                          [[zp[s * t % o] for s in range(o)] for t in range(o)])
 
     rows = []
     for w in _eigenvectors(a, ell):
-        if w[0] == 0:
-            raise AssertionError("central character vanishes on the identity")
-        scale = pow(w[0], -1, ell)
-        w = [(v * scale) % ell for v in w]
         s = sum(w[k] * w[inv_idx[k]] * pow(sizes[k], -1, ell)
                 for k in range(r)) % ell
         d2 = (grp_order * pow(s, -1, ell)) % ell
@@ -243,19 +236,18 @@ def build_table(G, name):
         chi = [(d * w[k] * pow(sizes[k], -1, ell)) % ell for k in range(r)]
         values = []
         for k in range(r):
-            o, zk = orders[k], zinv[k]
-            inv_o = pow(o, -1, ell)
+            inv_o, zrows = fourier[orders[k]]
+            powers = [chi[c] for c in powcls[k]]
             mu = []
-            for t in range(o):
-                m = sum(chi[powcls[k][s_]] * zk[s_ * t % o]
-                        for s_ in range(o)) * inv_o % ell
+            for zrow in zrows:
+                m = sum(map(mul, powers, zrow)) * inv_o % ell
                 if m > d:
                     raise AssertionError("eigenvalue multiplicity %d out of "
                                          "range for degree %d" % (m, d))
                 mu.append(m)
             if sum(mu) != d:
                 raise AssertionError("multiplicities do not sum to the degree")
-            values.append(Cyclotomic(o, mu).normalized())
+            values.append(Cyclotomic(orders[k], mu).normalized())
         rows.append(values)
     rows.sort(key=lambda row: (row[0].as_int(), [v.key() for v in row]))
 

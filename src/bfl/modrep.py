@@ -1,13 +1,20 @@
-"""Matrix modules over small groups: fixed and commutator dimensions,
-irreducibility by spinning lines, and the generator fixed-space checks,
-cross-validated against the wreath-section search."""
+"""Matrix modules of permutation and matrix groups: fixed and commutator
+dimensions, irreducibility by spinning lines, and the generator fixed-space
+checks, cross-validated against the wreath-section search.
+
+A group P (a `Group`) acts on a module through one matrix M_i per
+generator g_i.  The checks read nothing of P but its order, its generators'
+orders and, for the section search, P itself: that g_i -> M_i extends to a
+homomorphism is one chain's order (`_broken_relations`), and the derived
+subgroup acts trivially exactly when the matrices commute.
+"""
 
 from functools import lru_cache
 
-from .elements import SquareMatrix
-from .fields import projective_points
+from .elements import Overflow, Permutation, SquareMatrix, element_order
+from .fields import is_p_power, projective_points
+from .groups import Group, matrix_action
 from .report import Verdict, HOLDS, FAILS, INDETERMINATE, SKIPPED, timed
-from .smallgroup import is_p_group
 from .wreath import wreath_section_detect
 
 SPIN_CAP = 100_000
@@ -37,41 +44,36 @@ class ModuleAction:
             len(self.mats), self.dim, self.field.q)
 
 
-def generator_positions(S):
-    """Raw-generator position -> element index, read off the derivations."""
-    if S.derivations is None:
-        raise ValueError("group has no derivation tree; build it via generate()")
-    pos = {}
-    for i, d in enumerate(S.derivations):
-        if d and d[1] == 0 and d[0] not in pos:
-            pos[d[0]] = i
-    return pos
+def _broken_relations(P, action):
+    """Why g_i -> M_i does not extend to a homomorphism of P, or None.
 
+    It extends exactly when the diagonal group <(g_i, M_i)> has order |P|:
+    that group permutes P's image points and, shifted past them, the
+    module's vector orbit (`matrix_action`); its projection onto P is onto,
+    and one-to-one exactly when the assignment is well defined.  The
+    basis's orbit under a homomorphic image of P has at most dim |P|
+    points, so a longer orbit is itself a failure.  A failure names the
+    first k whose prefix <(g_i, M_i) : i <= k> is larger than
+    <g_i : i <= k>."""
+    gens, mats = P.image_gens, action.mats
+    if len(mats) != len(gens):
+        return ("action has %d matrices but the group has %d generators"
+                % (len(mats), len(gens)))
+    cap, shift = action.dim * P.order(), P.chain.degree
 
-def representation(S, action):
-    """A matrix for every element of S.
+    def extends(k, order):
+        try:
+            perms = matrix_action(mats[:k], cap).perms
+        except Overflow:
+            return False
+        return Group([Permutation(g.images + tuple(shift + x for x in m.images))
+                      for g, m in zip(gens, perms)]).order() == order
 
-    The assignment generator -> matrix is pushed along S's derivation tree,
-    then checked to respect right-multiplication by every generator, which
-    pins the homomorphism property for all products.  ValueError when the
-    matrices do not satisfy the group's relations.
-    """
-    pos = generator_positions(S)
-    if sorted(pos) != list(range(len(action.mats))):
-        raise ValueError("action has %d matrices but the group uses generator "
-                         "positions %s" % (len(action.mats), sorted(pos)))
-    rep = [None] * S.order
-    rep[0] = SquareMatrix.identity(action.field, action.dim)
-    for i in range(1, S.order):
-        gpos, parent = S.derivations[i]
-        rep[i] = action.mats[gpos] * rep[parent]
-    for gpos, gi in sorted(pos.items()):
-        mat = action.mats[gpos]
-        for i in range(S.order):
-            if rep[S.mul(i, gi)] != rep[i] * mat:
-                raise ValueError("matrices do not satisfy the group's "
-                                 "relations (generator %d)" % gpos)
-    return rep
+    if extends(len(mats), P.order()):
+        return None
+    k = next(k for k in range(len(mats))
+             if not extends(k + 1, Group(gens[:k + 1]).order()))
+    return "matrices do not satisfy the group's relations (generator %d)" % k
 
 
 # -- linear algebra over the module -----------------------------------------
@@ -150,29 +152,31 @@ def commutator_profile(action):
 
 @lru_cache(maxsize=1)
 def _hypotheses(P, action, p):
-    """Shared screen; (status, reason, rep, positions) with status None = go.
+    """Shared screen; (status, reason, generator orders) with status None = go.
 
     lemma21_check and cor22_check screen the same case in turn, so the last
-    screen is kept: SmallGroup and ModuleAction hash by identity."""
-    if not is_p_group(P, p):
-        return SKIPPED, "group order %d is not a power of %d" % (P.order, p), None, None
+    screen is kept: Group and ModuleAction hash by identity.  Given the
+    homomorphism rho, rho(P') = rho(P)', so P' acts trivially exactly when
+    the generator matrices commute pairwise."""
+    if not is_p_power(P.order(), p):
+        return (SKIPPED, "group order %d is not a power of %d" % (P.order(), p),
+                None)
     if action.field.r == p:
         return (SKIPPED, "field characteristic %d divides the group order" % p,
-                None, None)
-    try:
-        rep = representation(P, action)
-    except ValueError as e:
-        return SKIPPED, str(e), None, None
+                None)
+    broken = _broken_relations(P, action)
+    if broken:
+        return SKIPPED, broken, None
     irr = is_irreducible(action)
     if irr is None:
         return (INDETERMINATE, "irreducibility scan exceeds %d lines" % SPIN_CAP,
-                None, None)
+                None)
     if not irr:
-        return SKIPPED, "module is reducible", None, None
-    ident = SquareMatrix.identity(action.field, action.dim)
-    if all(rep[d] == ident for d in P.derived_indices()):
-        return SKIPPED, "derived subgroup acts trivially", None, None
-    return None, "", rep, generator_positions(P)
+        return SKIPPED, "module is reducible", None
+    mats = action.mats
+    if all(a * b == b * a for i, a in enumerate(mats) for b in mats[:i]):
+        return SKIPPED, "derived subgroup acts trivially", None
+    return None, "", tuple(map(element_order, P.gens))
 
 
 @timed
@@ -182,11 +186,11 @@ def lemma21_check(P, action, p, name=""):
     scenario = "lemma21:%s,p=%d" % (name or P.name or "group", p)
     n = action.dim
     counters = {"generators": len(action.mats), "dim": n}
-    status, reason, rep, pos = _hypotheses(P, action, p)
+    status, reason, orders = _hypotheses(P, action, p)
     if status is not None:
         return Verdict(scenario, status, counters=counters, notes=[reason])
+    orders = list(orders)  # the witness's own list, not the cached screen's
     fixed = [fixed_dim(M) for M in action.mats]
-    orders = [P.element_order(pos[g]) for g in sorted(pos)]
     all_p = all(o == p for o in orders)
     ok_a = any(p * f <= n for f in fixed)
     ok_b = (not all_p) or any(p * f == n for f in fixed)
@@ -209,10 +213,9 @@ def cor22_check(P, action, p, name=""):
     scenario = "cor22:%s,p=%d" % (name or P.name or "group", p)
     n = action.dim
     counters = {"generators": len(action.mats), "dim": n}
-    status, reason, rep, pos = _hypotheses(P, action, p)
+    status, reason, orders = _hypotheses(P, action, p)
     if status is not None:
         return Verdict(scenario, status, counters=counters, notes=[reason])
-    orders = [P.element_order(pos[g]) for g in sorted(pos)]
     bad = [o for o in orders if o != p]
     if bad:
         return Verdict(scenario, SKIPPED, counters=counters,

@@ -4,7 +4,6 @@ import operator
 from functools import partial
 
 from .elements import Overflow
-from .fields import is_p_power
 from .groups import orbit
 
 ORDER_CAP = 3 ** 7  # the largest order indexed, the quotient tier's cap
@@ -17,19 +16,16 @@ class SmallGroup:
 
     Classes and normal closures run on each generator's conjugation as an
     index tuple.  Built by generate() (breadth-first closure of at most
-    ORDER_CAP elements, recording how each element arose from the
-    generators), induced() (subgroup of an existing SmallGroup) or
+    ORDER_CAP elements), induced() (subgroup of an existing SmallGroup) or
     quotient().
     """
 
-    def __init__(self, elements, gens, table, name="", derivations=None):
+    def __init__(self, elements, gens, table, name=""):
         self.elements = list(elements)
         self.gens = list(gens)
         self.table = table
         self.name = name
-        self.derivations = derivations  # per element: None or (gen_pos, parent)
         self._inv = None
-        self._orders = None
         self._classes = None
         self._conj = {}
 
@@ -48,8 +44,7 @@ class SmallGroup:
         derivations = [d and (d[0], index[d[1]]) for d in tree.values()]
         gen_idx = [i for i in dict.fromkeys(map(index.__getitem__, gens)) if i]
         return cls(elements, gen_idx or [0],
-                   _table(gens, elements, index, derivations), name=name,
-                   derivations=derivations)
+                   _table(gens, elements, index, derivations), name=name)
 
     @classmethod
     def from_group(cls, G, name=""):
@@ -111,14 +106,6 @@ class SmallGroup:
         """x -> g^-1 x g on indices, off g's conjugation row."""
         return self._conj_row(g).__getitem__
 
-    def element_order(self, i):
-        """Order of element i: the size of the cyclic subgroup it generates."""
-        if self._orders is None:
-            self._orders = [None] * self.order
-        if self._orders[i] is None:
-            self._orders[i] = len(self.closure([i]))
-        return self._orders[i]
-
     # -- structure ---------------------------------------------------------
 
     def closure(self, seed):
@@ -131,12 +118,6 @@ class SmallGroup:
         the generators (closed under the seeds' conjugates, so a subgroup)."""
         maps = [self.left(s) for s in set(seed) if s]
         return frozenset(orbit([0], maps + list(map(self.conj, self.gens))))
-
-    def derived_indices(self):
-        """The commutator subgroup: normal closure of generator commutators."""
-        mul, inv = self.mul, self.inv
-        return self.normal_closure({mul(mul(inv(a), inv(b)), mul(a, b))
-                                    for a in self.gens for b in self.gens})
 
     def class_partition(self):
         """Conjugacy classes as frozensets of indices, ordered by least index:
@@ -185,11 +166,6 @@ def _minimal_gens_for_table(table):
 def group_order(H):
     """The order of a Group (a method) or a SmallGroup (an attribute)."""
     return H.order() if callable(H.order) else H.order
-
-
-def is_p_group(H, p):
-    """Order is a power of p; H may be a Group or a SmallGroup."""
-    return is_p_power(group_order(H), p)
 
 
 # -- subgroup lattices --------------------------------------------------------

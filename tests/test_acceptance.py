@@ -19,18 +19,20 @@ from bfl.charcompute import build_table
 from bfl.chartab import (TableError, class_mult_count, load_table,
                          product_support, table_search_path)
 from bfl.classes import NormalSet, enumerate_classes, serial_key
-from bfl.elements import SquareMatrix, conjugate, element_order
+from bfl.elements import conjugate, element_order
+from bfl.fields import is_p_power
 from bfl.genfile import parse_generator_file
 from bfl.groups import Group
-from bfl.modrep import (commutator_profile, cor22_check, generator_positions,
-                        is_irreducible, lemma21_check, representation)
+from bfl.modrep import (commutator_profile, cor22_check, is_irreducible,
+                        lemma21_check)
 from bfl.report import ScanPlan
-from bfl.smallgroup import SmallGroup, is_p_group
+from bfl.smallgroup import SmallGroup
 from bfl.verify import (commutator_closed_check, inversion_identity_scan,
                         l2q_laurent_scan, l2q_trace_identity,
                         reflections_o3_scan, replay_pair_witness, sl2n3_scan,
                         symmetric_bf_scan)
 from bfl.wreath import build_wreath, iso_to_wreath, wreath_section_detect
+from test_modrep import table_reference
 
 
 def timed(fn, *args, **kwargs):
@@ -162,22 +164,20 @@ KNOWN_SKIPS = ("group order", "field characteristic", "module is reducible",
 
 
 def _skip_reason_verified(case, note):
-    """Recompute the hypothesis named in a skip note."""
+    """Recompute the hypothesis named in a skip note; the relations, the
+    derived subgroup and the generator orders from P's multiplication
+    table (`test_modrep.table_reference`), not from the checks' screens."""
     P, action, p = case["group"], case["action"], case["p"]
     if note.startswith("group order"):
-        return not is_p_group(P, p)
+        return not is_p_power(P.order(), p)
     if note.startswith("field characteristic"):
-        return action.field.r == p and P.order % p == 0
+        return action.field.r == p and P.order() % p == 0
     if note.startswith("module is reducible"):
         return is_irreducible(action) is False
     if note.startswith("derived subgroup acts trivially"):
-        rep = representation(P, action)
-        ident = SquareMatrix.identity(action.field, action.dim)
-        der = P.derived_indices()
-        return bool(der) and all(rep[d] == ident for d in der)
+        return table_reference(P, action)[:2] == (True, True)
     if note.startswith("a generator has order"):
-        pos = generator_positions(P)
-        return any(P.element_order(pos[g]) != p for g in pos)
+        return any(o != p for o in table_reference(P, action)[2])
     if note.startswith("commutator images have dims"):
         dims, joint = commutator_profile(action)
         return sum(dims) != action.dim or joint != action.dim

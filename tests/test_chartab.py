@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import operator
 import os
 import random
 
@@ -18,6 +19,7 @@ from bfl.chartab import (CharacterTable, TableError, parse_table, load_table,
 from bfl.classes import enumerate_classes, serial_key
 from bfl.groups import image_kernel
 from bfl.cyclotomic import Cyclotomic
+from bfl.fields import working_prime
 from bfl.report import HOLDS
 
 TABLE_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -319,11 +321,21 @@ def test_indivisible_count_names_the_constant(monkeypatch):
 
 
 def test_eigenvectors_of_a_generic_combination():
-    # neither matrix separates the three lines alone; M_2 = M_0 + 2 M_1
-    # has roots 3, 5, 6 mod 7, each with one unit eigenvector
-    M0 = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
-    M1 = [[1, 0, 0], [0, 2, 0], [0, 0, 2]]
-    assert _eigenvectors([M0, M1], 7) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # D8's five characters: no single class matrix separates them (each
+    # takes at most three values on them), but a combination M_t does; each
+    # vector is a central character w, 1 at the identity and with
+    # M_i w = w_i w for every class matrix M_i
+    a = structure_constants(construct("dihedral:8"))[2]
+    r = len(a)
+    ell = working_prime(r ** 3, 4)  # build_table's prime for D8
+    vectors = _eigenvectors(a, ell)
+    assert r == 5 and len(set(map(tuple, vectors))) == r
+    for w in vectors:
+        assert w[0] == 1
+        for i, M in enumerate(a):
+            assert [sum(map(operator.mul, row, w)) % ell for row in M] \
+                == [w[i] * x % ell for x in w]
+    assert all(len({w[i] for w in vectors}) < r for i in range(r))
 
 
 def test_abelian_table_needs_ell_above_r_cubed():

@@ -1,16 +1,16 @@
 """Module actions: dimensions, irreducibility, and the generator checks."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from bfl import modrep
 from bfl.battery import (standard_battery, _reflections, _rot_refl,
-                         _quaternion, _heis, _wreath3, _block_diag,
-                         _matrix_group, _d8_perm)
-from bfl.elements import SquareMatrix
+                         _quaternion, _heis, _wreath3, _block_diag, _d8_perm)
+from bfl.elements import SquareMatrix, element_order, identity_like
 from bfl.fields import GF
-from bfl.modrep import (ModuleAction, representation, generator_positions,
-                        fixed_dim, commutator_dim, spin, projective_points,
-                        is_irreducible, commutator_profile,
+from bfl.groups import Group
+from bfl.modrep import (ModuleAction, fixed_dim, commutator_dim, spin,
+                        projective_points, is_irreducible, commutator_profile,
                         lemma21_check, cor22_check)
 from bfl.smallgroup import SmallGroup
 from bfl.wreath import wreath_section_detect
@@ -27,39 +27,112 @@ def test_action_validation():
         ModuleAction([SquareMatrix(F3, [[1, 0], [2, 0]])])  # singular
 
 
-def test_representation_reproduces_matrix_elements():
-    mats = _reflections(F3)
-    P = _matrix_group(mats, "d8")
-    rep = representation(P, ModuleAction(mats))
-    assert rep == P.elements  # identity representation, element by element
+def table_reference(P, action):
+    """(relations hold, derived subgroup acts trivially, generator orders)
+    from P's multiplication table, apart from the checks' own screens: a
+    SmallGroup of P's image generators, a matrix per element walked along
+    its breadth-first derivation tree (element g x, met from x, gets
+    M_g rep(x)), and each element checked against right multiplication by
+    every generator.  The derived subgroup is the normal closure of the
+    generators' commutators; it is None when the relations fail."""
+    S = SmallGroup.generate(P.image_gens, P.chain.identity)
+    index = {x: i for i, x in enumerate(S.elements)}
+    gens = [index[g] for g in P.image_gens]
+    orders = [len(S.closure([g])) for g in gens]
+    if len(gens) != len(action.mats):
+        return False, None, orders
+    pairs = list(zip(gens, action.mats))
+    ident = SquareMatrix.identity(action.field, action.dim)
+    rep = [ident] + [None] * (S.order - 1)
+    for parent in range(S.order):
+        for g, M in pairs:
+            i = S.mul(g, parent)
+            if rep[i] is None:
+                rep[i] = M * rep[parent]
+    if any(rep[S.mul(i, g)] != rep[i] * M
+           for g, M in pairs for i in range(S.order)):
+        return False, None, orders
+    mul, inv = S.mul, S.inv
+    derived = S.normal_closure({mul(mul(inv(a), inv(b)), mul(a, b))
+                                for a in gens for b in gens})
+    return True, all(rep[d] == ident for d in derived), orders
 
 
-def test_representation_accepts_factor_maps():
+BREAKER = [SquareMatrix(F3, [[1, 1], [0, 1]]),  # order 3, not 2
+           SquareMatrix(F3, [[0, 1], [1, 0]])]
+
+
+def test_relations_accept_factor_maps():
     P = _d8_perm()
     act = ModuleAction([SquareMatrix(F3, [[2]]), SquareMatrix(F3, [[1]])])
-    rep = representation(P, act)
-    assert sum(1 for m in rep if m.rows == ((2,),)) == 4  # half act as -1
+    assert modrep._broken_relations(P, act) is None
+    assert table_reference(P, act)[:2] == (True, True)
 
 
-def test_representation_rejects_relation_breakers():
+def test_relations_name_the_breaking_generator():
     P = _d8_perm()  # generated by two involutions
-    bad = ModuleAction([SquareMatrix(F3, [[1, 1], [0, 1]]),  # order 3, not 2
-                        SquareMatrix(F3, [[0, 1], [1, 0]])])
-    with pytest.raises(ValueError):
-        representation(P, bad)
+    v = lemma21_check(P, ModuleAction(BREAKER), 2)
+    assert v.status == "skipped"
+    assert v.notes == ["matrices do not satisfy the group's relations "
+                       "(generator 0)"]
 
 
-def test_representation_rejects_count_mismatch():
+def test_relations_name_a_later_breaking_generator():
+    # the swap alone is an involution, as the first generator is; the
+    # order-3 matrix for the second breaks s2^2 = 1
     P = _d8_perm()
-    with pytest.raises(ValueError):
-        representation(P, ModuleAction([SquareMatrix(F3, [[2]])]))
+    act = ModuleAction(BREAKER[::-1])
+    assert modrep._broken_relations(P, act) == (
+        "matrices do not satisfy the group's relations (generator 1)")
+    assert table_reference(P, act)[0] is False
 
 
-def test_generator_positions_need_derivations():
-    P = _d8_perm()
-    H = P.induced(P.closure([P.gens[0]]))
-    with pytest.raises(ValueError):
-        generator_positions(H)
+def test_relations_reject_count_mismatch():
+    v = cor22_check(_d8_perm(), ModuleAction([SquareMatrix(F3, [[2]])]), 2)
+    assert v.status == "skipped"
+    assert v.notes == ["action has 1 matrices but the group has 2 "
+                       "generators"]
+
+
+def test_screens_agree_with_a_table_reference():
+    # on every battery case and both relation breakers: the diagonal-order
+    # relations check, the commuting screen wherever the relations hold,
+    # and the generator orders
+    cases = [(c["group"], c["action"]) for c in standard_battery()]
+    cases += [(_d8_perm(), ModuleAction(BREAKER)),
+              (_d8_perm(), ModuleAction(BREAKER[::-1]))]
+    seen = set()
+    for P, act in cases:
+        holds, trivial, orders = table_reference(P, act)
+        assert (modrep._broken_relations(P, act) is None) == holds, P.name
+        commute = all(a * b == b * a for a in act.mats for b in act.mats)
+        assert not holds or commute == trivial, P.name
+        assert orders == list(map(element_order, P.gens)), P.name
+        seen.add((holds, trivial))
+    assert seen == {(True, True), (True, False), (False, None)}
+
+
+GL2_3 = [m for m in (SquareMatrix(F3, [[a, b], [c, d]])
+                     for a in range(3) for b in range(3)
+                     for c in range(3) for d in range(3)) if m.rank() == 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GL2_3), st.sampled_from(GL2_3))
+def test_relations_check_matches_the_table_on_any_pair(m0, m1):
+    # any two matrices of GL(2,3) for D8's two involutions: the verdict is
+    # the table reference's, and a failure names the first prefix of the
+    # generators whose own reference fails
+    P, act = _d8_perm(), ModuleAction([m0, m1])
+    got = modrep._broken_relations(P, act)
+    holds = table_reference(P, act)[0]
+    assert (got is None) == holds
+    if not holds:
+        k = next(k for k in range(2)
+                 if not table_reference(Group(P.gens[:k + 1]),
+                                        ModuleAction(act.mats[:k + 1]))[0])
+        assert got == ("matrices do not satisfy the group's relations "
+                       "(generator %d)" % k)
 
 
 def test_fixed_and_commutator_dims():
@@ -149,7 +222,7 @@ def test_battery_statuses_and_reasons():
 def test_cor_cross_validation_concurs():
     # wherever the direct-sum condition holds, the section search agrees
     for mats, p in ((_reflections(F3), 2), (_wreath3(F4), 3)):
-        P = _matrix_group(mats, "x")
+        P = Group(mats, name="x")
         v = cor22_check(P, ModuleAction(mats), p)
         assert v.status == "holds"
         assert wreath_section_detect(P, p, tier="full").found
@@ -157,7 +230,7 @@ def test_cor_cross_validation_concurs():
 
 def test_quaternion_never_splits_directly():
     mats = _quaternion(F3)
-    P = _matrix_group(mats, "q8")
+    P = SmallGroup.generate(mats, identity_like(mats[0]), name="q8")
     n = 2
     pairs = 0
     for i in range(1, P.order):
@@ -172,21 +245,21 @@ def test_quaternion_never_splits_directly():
 
 
 def test_lemma_exact_bound_on_reflections():
-    v = lemma21_check(_matrix_group(_reflections(F3), "d8"),
+    v = lemma21_check(Group(_reflections(F3), name="d8"),
                       ModuleAction(_reflections(F3)), 2)
     assert v.status == "holds"
     assert "exact" in v.notes[0]
 
 
 def test_lemma_inequality_only_with_rotation():
-    v = lemma21_check(_matrix_group(_rot_refl(F3), "d8"),
+    v = lemma21_check(Group(_rot_refl(F3), name="d8"),
                       ModuleAction(_rot_refl(F3)), 2)
     assert v.status == "holds"
     assert "inequality" in v.notes[0]
 
 
 def test_verdict_counters_present():
-    v = lemma21_check(_matrix_group(_heis(F4), "heis"),
+    v = lemma21_check(Group(_heis(F4), name="heis"),
                       ModuleAction(_heis(F4)), 3)
     assert v.counters["generators"] == 2
     assert v.counters["dim"] == 3
@@ -194,22 +267,21 @@ def test_verdict_counters_present():
 
 
 def test_a_case_is_screened_once_per_check_pair(monkeypatch):
-    """lemma21_check then cor22_check on one case build its representation
+    """lemma21_check then cor22_check on one case run its relations check
     once, and every verdict body is the one of a fresh screen per check."""
     from collections import Counter
-    from bfl import modrep
 
     calls = Counter()
 
-    def counted(S, action):
+    def counted(P, action):
         calls[id(action), run] += 1
-        return real(S, action)
+        return real(P, action)
 
     def body(v):
         return {k: x for k, x in v.to_json().items() if k != "seconds"}
 
-    real = modrep.representation
-    monkeypatch.setattr(modrep, "representation", counted)
+    real = modrep._broken_relations
+    monkeypatch.setattr(modrep, "_broken_relations", counted)
     cases = standard_battery()
     bodies = {}
     for run in ("fresh", "paired"):

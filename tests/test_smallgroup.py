@@ -8,12 +8,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from bfl.battery import _heis, _matrix_group
+from bfl.battery import _heis
 from bfl.catalog import construct
-from bfl.elements import Overflow, Permutation
+from bfl.elements import Overflow, Permutation, identity_like
 from bfl.fields import GF
 from bfl import smallgroup
-from bfl.smallgroup import (SmallGroup, is_p_group, normal_subgroups,
+from bfl.smallgroup import (SmallGroup, group_order, normal_subgroups,
                             quotient, two_generated)
 from bfl.wreath import build_wreath
 
@@ -26,8 +26,40 @@ def wreath_small(p):
     return SmallGroup.from_group(build_wreath(p).group)
 
 
+def heis27():
+    mats = _heis(GF(4))
+    return SmallGroup.generate(mats, identity_like(mats[0]), name="heis-27")
+
+
+def element_order(S, i):
+    """The size of the cyclic subgroup element i generates."""
+    return len(S.closure([i]))
+
+
 def order_histogram(S):
-    return Counter(map(S.element_order, range(S.order)))
+    return Counter(element_order(S, i) for i in range(S.order))
+
+
+def derived(S):
+    """The commutator subgroup: the normal closure of the generators'
+    commutators."""
+    mul, inv = S.mul, S.inv
+    return S.normal_closure({mul(mul(inv(a), inv(b)), mul(a, b))
+                             for a in S.gens for b in S.gens})
+
+
+def breadth_first_tree(S):
+    """Each element's (generator position, parent) in generate()'s
+    breadth-first closure, read off the table: the first parent, then the
+    first generator, whose product reaches it (S.gens are generate()'s raw
+    generators when those are distinct and not the identity)."""
+    out = [None] * S.order
+    for parent in range(S.order):
+        for pos, g in enumerate(S.gens):
+            i = S.mul(g, parent)
+            if i and out[i] is None:
+                out[i] = (pos, parent)
+    return out
 
 
 def center_of(S):
@@ -76,10 +108,10 @@ def test_class_partition_sizes(s4):
 
 def test_center_and_derived(s4):
     assert center_of(s4) == frozenset([0])
-    assert len(s4.derived_indices()) == 12  # the even permutations
+    assert len(derived(s4)) == 12  # the even permutations
     d8 = small("dihedral:8")
     assert len(center_of(d8)) == 2
-    assert len(d8.derived_indices()) == 2
+    assert len(derived(d8)) == 2
 
 
 def test_subgroup_counts():
@@ -115,7 +147,7 @@ def test_quotient_d8_by_center_is_klein():
 
 def test_quotient_rejects_bad_inputs():
     s3 = small("sym:3")
-    twist = next(i for i in range(6) if s3.element_order(i) == 2)
+    twist = next(i for i in range(6) if element_order(s3, i) == 2)
     with pytest.raises(ValueError):
         quotient(s3, s3.closure([twist]))  # not normal
     with pytest.raises(ValueError):
@@ -127,14 +159,14 @@ def test_quotient_of_a4_by_klein():
     klein = next(N for N in normal_subgroups(a4) if len(N) == 4)
     Q = quotient(a4, klein)
     assert Q.order == 3
-    assert Q.element_order(1) == 3
+    assert element_order(Q, 1) == 3
 
 
 def test_induced_subgroup(s4):
-    three = next(i for i in range(24) if s4.element_order(i) == 3)
+    three = next(i for i in range(24) if element_order(s4, i) == 3)
     H = s4.induced(s4.closure([three]))
     assert H.order == 3
-    assert H.element_order(1) == 3
+    assert element_order(H, 1) == 3
     # the induced elements are the parent's, in parent order
     members = sorted(s4.closure([three]))
     assert members[0] == 0
@@ -164,11 +196,9 @@ def test_induced_names_an_index_out_of_range():
         small("dihedral:8").induced([0, 99])
 
 
-def test_is_p_group_both_input_kinds():
-    assert is_p_group(small("dihedral:8"), 2)
-    assert not is_p_group(small("dihedral:8"), 3)
-    assert is_p_group(construct("cyclic:9"), 3)
-    assert not is_p_group(construct("sym:3"), 3)
+def test_group_order_both_input_kinds():
+    assert group_order(small("dihedral:8")) == 8
+    assert group_order(construct("cyclic:9")) == 9
 
 
 def test_table_rows_are_the_element_products():
@@ -176,7 +206,7 @@ def test_table_rows_are_the_element_products():
     assert Z.order == 300
     assert all(Z.elements[k] == Z.elements[i] * Z.elements[j]
                for i in range(0, 300, 37) for j, k in enumerate(Z.table[i]))
-    assert Z.element_order(1) == 300
+    assert element_order(Z, 1) == 300
     i2 = Z.mul(1, 1)
     assert Z.elements[i2] == Z.elements[1] * Z.elements[1]
     assert Z.mul(i2, Z.inv(i2)) == 0
@@ -184,7 +214,7 @@ def test_table_rows_are_the_element_products():
 
 def test_closure_and_normal_closure(s4):
     # a transposition's closure is order 2; its normal closure is everything
-    t = next(i for i in range(24) if s4.element_order(i) == 2
+    t = next(i for i in range(24) if element_order(s4, i) == 2
              and len([p for p in range(4) if s4.elements[i].images[p] != p]) == 2)
     assert len(s4.closure([t])) == 2
     assert len(s4.normal_closure([t])) == 24
@@ -196,8 +226,9 @@ def _digest(elements):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# element indices and derivations, pinned before the closure loops were
-# folded into one orbit routine: the wreath search replays derivations
+# element indices and derivations (read off the table by
+# `breadth_first_tree`), pinned before the closure loops were folded into
+# one orbit routine
 WREATH3_DERIVATIONS = [
     None, (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (1, 3),
     (0, 4), (1, 4), (0, 5), (1, 5), (0, 6), (0, 7), (1, 7), (0, 8),
@@ -240,13 +271,12 @@ WREATH3_CLASSES = [
 
 @pytest.mark.parametrize("make, elements, derivations", [
     (lambda: wreath_small(3), "233300cdce748451", WREATH3_DERIVATIONS),
-    (lambda: _matrix_group(_heis(GF(4)), "heis-27"), "6b55ac7b675576d7",
-     HEIS27_DERIVATIONS),
+    (lambda: heis27(), "6b55ac7b675576d7", HEIS27_DERIVATIONS),
 ])
 def test_generate_pinned(make, elements, derivations):
     S = make()
     assert _digest(S.elements) == elements
-    assert S.derivations == derivations
+    assert breadth_first_tree(S) == derivations
 
 
 def test_class_partition_pinned():
@@ -280,8 +310,7 @@ def test_from_group_indexes_the_permutation_image():
     M = SmallGroup.generate(G.gens, G.identity)
     assert all(isinstance(x, Permutation) for x in S.elements)
     assert list(map(G.from_perm, S.elements)) == M.elements
-    assert (S.gens, S.table, S.derivations) == (M.gens, M.table,
-                                                M.derivations)
+    assert (S.gens, S.table) == (M.gens, M.table)
 
 
 def test_gl25_invariants_pinned():
@@ -292,9 +321,8 @@ def test_gl25_invariants_pinned():
     assert order_histogram(S) == {1: 1, 2: 31, 3: 20, 4: 152, 5: 24, 6: 20,
                                   8: 40, 10: 24, 12: 40, 20: 48, 24: 80}
     assert sorted(center_of(S)) == [0, 8, 73, 289]
-    derived = sorted(S.derived_indices())
-    assert (len(derived), _digest_indices(derived)) == (120,
-                                                        "b4c7a95f283118ce")
+    comm = sorted(derived(S))
+    assert (len(comm), _digest_indices(comm)) == (120, "b4c7a95f283118ce")
     classes = [sorted(c) for c in S.class_partition()]
     assert (len(classes), _digest_indices(classes)) == (24,
                                                         "2e305f56d6fc47b2")
@@ -326,7 +354,7 @@ def test_normal_closures_pinned(s4):
         assert len(got) == size, seed
         assert (got if isinstance(want, list)
                 else _digest_indices(got)) == want, seed
-    assert sorted(W3.derived_indices()) == [0, 39, 41, 43, 45, 46, 49, 50, 76]
+    assert sorted(derived(W3)) == [0, 39, 41, 43, 45, 46, 49, 50, 76]
     assert sorted(center_of(W3)) == [0, 45, 76]
 
 
@@ -345,7 +373,7 @@ LATTICE_PINS = [
      30, "e375f4c226ea349b", 4, "dbd05b236db7fe37"),
     ("wreath:3", lambda: wreath_small(3),
      49, "9af46960d2b11667", 8, "13121599b207cdd2"),
-    ("heis-27", lambda: _matrix_group(_heis(GF(4)), "heis-27"),
+    ("heis-27", heis27,
      19, "547570934ce23c0e", 7, "98b46758efce027b"),
 ]
 
