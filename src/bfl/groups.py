@@ -11,10 +11,14 @@ conjugacy class, walked members only (`Group.class_orbit`).
 The stabilizer chain is a deterministic Schreier-Sims: the generators are
 registered at their depths, then the levels are verified bottom up, and a
 level is rescanned from its first point after every registration (see
-`Chain`).  The order is the product of the orbit sizes, and a build stops
-once it reaches a known upper bound (an order formula, |G| for a pair drawn
-from G); a coset representative is built from its level's orbit tree the
-first time its point is read (`_Level.rep`), not a level at a time.
+`Chain`); a tree edge's Schreier generator is the identity by construction
+and is not sifted.  A level keeps its orbit as a set, grown at each
+registration, and rebuilds its orbit tree the first time the tree is read
+after one (`_Level.tree`).  The order is the product of the orbit-set
+sizes, and a build stops once it reaches a known upper bound (an order
+formula, |G| for a pair drawn from G); a coset representative is built
+from its level's orbit tree the first time its point is read
+(`_Level.rep`), not a level at a time.
 Chains are built, sifted and sampled on plain permutations only.  Matrix
 and semilinear groups get a permutation image from `matrix_action` (the orbit
 of the standard basis vectors; the groups of one `catalog._grow_to_order`
@@ -146,32 +150,62 @@ def image_kernel(degree):
 
 
 class _Level:
-    """Base point, strong generators and their orbit tree; each representative
-    t_y = gens[i] * t_x (tree edge (i, x)) is built the first time it is read
-    (`rep`), and the sorted orbit points and the raw t_y of a random draw,
-    beside its conjugation y -> t_y^-1 y t_y (`Chain._raw_picks`), likewise."""
-    __slots__ = ("point", "gens", "tree", "identity", "_reps", "_points",
-                 "_raw")
+    """Base point, strong generators, their orbit as a set and their orbit
+    tree.  The set grows on each new generator (`add`); the tree is rebuilt
+    from all the generators the first time it is read after one (`tree`).
+    Each representative t_y = gens[i] * t_x (tree edge (i, x)) is built the
+    first time it is read (`rep`), and the sorted orbit points and the raw
+    t_y of a random draw, beside its conjugation y -> t_y^-1 y t_y
+    (`Chain._raw_picks`), likewise."""
+    __slots__ = ("point", "gens", "orbit", "_tree", "identity", "_reps",
+                 "_points", "_raw")
 
     def __init__(self, point, identity):
         self.point = point
         self.gens = []
-        self.tree = {point: None}
+        self.orbit = {point}
+        self._tree = {point: None}
         self.identity = identity
         self._reps = {point: identity}
         self._points = None
         self._raw = {}
 
+    def add(self, w):
+        """Append strong generator w: the orbit set is closed under w, then
+        its new points under every generator; the tree and the memos go."""
+        self.gens.append(w)
+        seen, images = self.orbit, [g.images for g in self.gens]
+        new = list(set(map(w.images.__getitem__, seen)) - seen)
+        seen.update(new)
+        for x in new:
+            for g in images:
+                y = g[x]
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        self._tree = None
+        self._reps = {self.point: self.identity}
+        self._points = None
+        self._raw = {}
+
+    @property
+    def tree(self):
+        """The orbit tree (`orbit`) under the generators in order."""
+        if self._tree is None:
+            self._tree = orbit([self.point],
+                               [g.images.__getitem__ for g in self.gens])
+        return self._tree
+
     def rep(self, y):
         """t_y for an orbit point y: y's tree path is walked up to the
         nearest representative already built, then each one down the path
         is built and kept."""
-        reps = self._reps
+        tree, reps = self.tree, self._reps
         t = reps.get(y)
         if t is None:
             path = []
             while t is None:
-                i, x = self.tree[y]
+                i, x = tree[y]
                 path.append((y, i))
                 y = x
                 t = reps.get(y)
@@ -197,11 +231,18 @@ class Chain:
     verification there.  Levels deeper than a registration are untouched by
     it, so the sweep terminates with every level clean.
 
-    A registration rebuilds the orbit trees of the levels it joins, so level
-    i is scanned again from its first point.  A representative is built
-    from the new tree the first time its point is read, down its tree path
-    from the nearest one already built (`_Level.rep`): a scan cut short by
-    a registration, a sift and a random draw build only what they read.
+    A registration grows the orbit sets of the levels it joins and drops
+    their trees, so level i is scanned again from its first point.  A
+    level's tree is rebuilt from all its generators the first time it is
+    read after that (`_Level.tree`); the order, the stop test below and a
+    sift's orbit test read the orbit sets, so a level joined by several
+    registrations before a scan reaches it is rebuilt once.  A
+    representative is built from the new tree the first time its point is
+    read, down its tree path from the nearest one already built
+    (`_Level.rep`): a scan cut short by a registration, a sift and a random
+    draw build only what they read.  The scan skips each pair (p, g_k)
+    that is a tree edge, tree[g_k(p)] == (k, p): then t_q = g_k * t_p, its
+    Schreier generator is the identity and would register nothing.
 
     `build` stops at a known upper bound on |<perms>|: with H_i the group of
     level i's strong generators, H_(i+1) <= Stab_(H_i)(b_i), so |<perms>| =
@@ -235,7 +276,7 @@ class Chain:
         self.levels = []
 
     def order(self):
-        return prod(len(L.tree) for L in self.levels)
+        return prod(len(L.orbit) for L in self.levels)
 
     def build(self, perms, order=None):
         """Register perms and verify bottom up, in full unless the order
@@ -259,7 +300,7 @@ class Chain:
             L = self.levels[lev]
             pt = left.index(w[L.point])
             if pt != L.point:
-                if pt not in L.tree:
+                if pt not in L.orbit:
                     return left, lev
                 left = itemgetter(*L.rep(pt).images)(left)
         return left, len(self.levels)
@@ -285,27 +326,25 @@ class Chain:
             moved = min(i for i, j in enumerate(w.images) if i != j)
             self.levels.append(_Level(moved, self.identity))
             depth = len(self.levels) - 1
-        for k in range(depth + 1):
-            L = self.levels[k]
-            L.gens.append(w)
-            self._recompute_orbit(L)
+        for L in self.levels[:depth + 1]:
+            L.add(w)
         return depth
-
-    def _recompute_orbit(self, L):
-        L.tree = orbit([L.point], [g.images.__getitem__ for g in L.gens])
-        L._reps = {L.point: self.identity}
-        L._points = None
-        L._raw = {}
 
     def _verify(self, i):
         """Scan level i's Schreier generators; register the first dirty residue
         and return its depth, or None when the level is clean."""
         L = self.levels[i]
-        for pt in L.tree:
-            times_u = itemgetter(*L.rep(pt).images)
-            for g in L.gens:
+        tree = L.tree
+        for pt in tree:
+            times_u = None
+            for k, g in enumerate(L.gens):
+                q = g.images[pt]
+                if tree[q] == (k, pt):
+                    continue  # a tree edge: t_q = g * t_p
+                if times_u is None:
+                    times_u = itemgetter(*L.rep(pt).images)
                 gu = times_u(g.images)  # g * t_p
-                left, _ = self._descend(L.rep(g(pt)).images, gu, i + 1)
+                left, _ = self._descend(L.rep(q).images, gu, i + 1)
                 if left != gu:
                     return self._register(self._residue(left, gu))
         return None
@@ -340,7 +379,7 @@ class Chain:
         picks = []
         for L in self.levels:
             if L._points is None:
-                L._points = sorted(L.tree)
+                L._points = sorted(L.orbit)
             y = rng.choice(L._points)
             raw = L._raw.get(y)
             if raw is None:
@@ -662,7 +701,7 @@ class Group:
                     if odd and not any(map(_odd, pair)):
                         continue  # <pair> lies in the even part
                     maps = [g.images.__getitem__ for g in pair]
-                    if any(len(orbit_points([L.point], maps)) < len(L.tree)
+                    if any(len(orbit_points([L.point], maps)) < len(L.orbit)
                            for L in top):
                         continue  # <pair> has a smaller first basic orbit
                     sub = Chain(chain.degree)

@@ -7,6 +7,7 @@ import random
 from collections import Counter
 from functools import reduce
 from itertools import product
+from math import prod
 from operator import mul
 
 import pytest
@@ -19,7 +20,7 @@ from bfl.groups import (PAIR_DRAWS, PAIR_SEED, Chain, Group,
                         closure_enumerate, image_kernel, matrix_action, orbit,
                         orbit_points)
 from bfl.catalog import construct
-from bfl import classes
+from bfl import classes, groups
 from bfl.classes import class_of, enumerate_classes
 from bfl.genfile import parse_generator_text
 
@@ -402,13 +403,14 @@ def _unhinted(degree, perms):
 
 
 def _count_calls(monkeypatch, *targets):
-    """Count the calls of each (class, method name); returns the live counts."""
+    """Count the calls of each (class or module, name); returns the live
+    counts."""
     counts = [0] * len(targets)
 
     def counter(k, f):
-        def counted(*args):
+        def counted(*args, **kwargs):
             counts[k] += 1
-            return f(*args)
+            return f(*args, **kwargs)
         return counted
     for k, (cls, name) in enumerate(targets):
         monkeypatch.setattr(cls, name, counter(k, getattr(cls, name)))
@@ -442,29 +444,34 @@ def test_order_hint_above_the_order_verifies_in_full(monkeypatch):
     assert not G.contains(gens[2])
 
 
-# per build blueprint: Chain._descend calls, Chain._verify passes and
-# Permutation.__mul__ calls of construct(bp).order().  A full verification
+# per build blueprint: Chain._descend calls, Chain._verify passes,
+# Permutation.__mul__ calls and groups.orbit calls (level-tree builds) of
+# construct(bp).order().  A full verification
 # with every representative rebuilt on registration took 16,018, 148 and
 # 7,616 over the six; building a level's whole transversal on its first read
 # after a registration took 4,720 products, building each representative
 # only when its point is read takes 1,181.  Since membership reads a matrix
 # only at the base points and the basis, a non-member candidate that leaves
 # the orbit away from the base points is sifted before membership fails:
-# sp:6:2 went 970 -> 972 and gu:3:3 265 -> 267 _descend calls.
+# sp:6:2 went 970 -> 972 and gu:3:3 265 -> 267 _descend calls.  Skipping
+# the Schreier generators of tree edges, which are the identity, took the
+# _descend calls 4,336 -> 3,155 and the products 1,181 -> 880; rebuilding a
+# level's tree on its first read after a registration, not at each one,
+# took the tree builds 270 -> 131, one per verification pass.
 BUILD_WORK = {
-    "go_odd:5:3": (840, 29, 235),
-    "go_odd:3:9": (840, 13, 237),
-    "sp:6:2": (972, 52, 179),
-    "gl:4:3": (1066, 21, 241),
-    "sl:2:27": (351, 5, 189),
-    "gu:3:3": (267, 11, 100),
+    "go_odd:5:3": (605, 29, 151, 29),
+    "go_odd:3:9": (603, 13, 167, 13),
+    "sp:6:2": (793, 52, 147, 52),
+    "gl:4:3": (825, 21, 222, 21),
+    "sl:2:27": (162, 5, 112, 5),
+    "gu:3:3": (167, 11, 81, 11),
 }
 
 
 @pytest.mark.parametrize("bp", BUILD_BLUEPRINTS)
 def test_build_work_pinned(bp, monkeypatch):
     counts = _count_calls(monkeypatch, (Chain, "_descend"), (Chain, "_verify"),
-                          (Permutation, "__mul__"))
+                          (Permutation, "__mul__"), (groups, "orbit"))
     construct(bp).order()
     assert tuple(counts) == BUILD_WORK[bp]
 
@@ -573,6 +580,134 @@ def test_sift_matches_reference(small, big):
     assert verdicts == {True, False}
     # stuck at a level, and through every level with or without a residue
     assert outcomes == {"stuck", "member", "residue"}
+
+
+# ---- lazy level trees and the skipped tree edges ----------------------------
+
+def _fresh_tree(L):
+    """A BFS of level L's base point under its current generators."""
+    return orbit([L.point], [g.images.__getitem__ for g in L.gens])
+
+
+class _EagerChain(Chain):
+    """Chain.build as plain deterministic Schreier-Sims: a registration
+    rebuilds the tree of every level it joins at once, the order reads the
+    trees, and every Schreier generator t_q^-1 * g * t_p is formed and
+    sifted (`_sift_reference`), tree edges included; each tree edge's is
+    asserted to be the identity and counted in `edges`."""
+
+    def __init__(self, degree):
+        super().__init__(degree)
+        self.edges = 0
+
+    def order(self):
+        return prod(len(L.tree) for L in self.levels)
+
+    def _register(self, w):
+        depth = super()._register(w)
+        if depth is not None:
+            for L in self.levels[:depth + 1]:
+                L._tree = _fresh_tree(L)
+        return depth
+
+    def _verify(self, i):
+        L = self.levels[i]
+        for pt in L.tree:
+            for k, g in enumerate(L.gens):
+                q = g(pt)
+                s = ~L.rep(q) * g * L.rep(pt)
+                if L.tree[q] == (k, pt):
+                    assert s.is_identity()
+                    self.edges += 1
+                residue, _ = _sift_reference(self, s, i + 1)
+                if not residue.is_identity():
+                    return self._register(residue)
+        return None
+
+
+def _chain_record(chain):
+    """_chain_shape, every level's tree items and a digest of 200 draws."""
+    rng = random.Random(5)
+    draws = hashlib.sha256(repr([chain.raw_random(rng) for _ in range(200)])
+                           .encode()).hexdigest()
+    return (_chain_shape(chain), [list(L.tree.items()) for L in chain.levels],
+            draws)
+
+
+def _trial_pairs(bp, monkeypatch):
+    """The (perms, order) of every trial chain Group.generating_pair builds."""
+    G = construct(bp)
+    G.order()
+    trials, build = [], Chain.build
+
+    def recorded(chain, perms, order=None):
+        trials.append((list(perms), order))
+        return build(chain, perms, order)
+    monkeypatch.setattr(Chain, "build", recorded)
+    G.generating_pair()
+    monkeypatch.undo()
+    return G.chain.degree, trials
+
+
+@pytest.mark.parametrize("name, pairs", [
+    (name, False) for name in ("sym:10", "alt:8", "sl:2:27", "go_odd:5:3",
+                               "sp:6:2", "gu:3:3", "psl2:27", "wreath:3")]
+    + [("go_odd:3:9", True), ("gl:3:3", True)])
+def test_build_matches_the_eager_reference(name, pairs, monkeypatch):
+    if pairs:
+        degree, builds = _trial_pairs(name, monkeypatch)
+    else:
+        G = construct(name)
+        degree, builds = G.chain.degree, [(G.image_gens, G.order())]
+    assert builds
+    edges = 0
+    for perms, order in builds:
+        for hint in (order, None):
+            chain, ref = Chain(degree), _EagerChain(degree)
+            chain.build(perms, hint)
+            ref.build(perms, hint)
+            assert _chain_record(chain) == _chain_record(ref)
+            edges += ref.edges
+    assert edges > 0  # some tree edge was met, and its generator skipped
+
+
+def _check_registrations(chain, perms, reads):
+    """Register perms one at a time; after each, the order reads no tree and
+    is the product of fresh orbit sizes, and the orbit sets are the fresh
+    orbits.  Trees are read (and compared with a fresh BFS) after the
+    registrations whose reads flag is set, and after the last."""
+    for w, read in zip(perms, reads):
+        chain._register(w)
+        trees = [L._tree for L in chain.levels]
+        fresh = [_fresh_tree(L) for L in chain.levels]
+        assert chain.order() == prod(map(len, fresh))
+        assert [L._tree for L in chain.levels] == trees  # none was built
+        assert [L.orbit for L in chain.levels] == list(map(set, fresh))
+        if read:
+            for L, tree in zip(chain.levels, fresh):
+                assert L.orbit == set(L.tree)
+                assert list(L.tree.items()) == list(tree.items())
+    for L in chain.levels:
+        assert L.orbit == set(L.tree)
+        assert list(L.tree.items()) == list(_fresh_tree(L).items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_sets_follow_the_registrations(data):
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    k = data.draw(st.integers(min_value=1, max_value=6))
+    perms = [Permutation(list(data.draw(st.permutations(list(range(n))))))
+             for _ in range(k)]
+    reads = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    _check_registrations(Chain(n), perms, reads)
+
+
+def test_orbit_sets_follow_the_sl2_27_registrations():
+    G = construct("sl:2:27")
+    assert len(G.image_gens) == 3
+    _check_registrations(Chain(G.chain.degree), G.image_gens,
+                         [False, False, True])
 
 
 def _overflow_text(call):
